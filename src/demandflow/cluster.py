@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 
 from .model import (
     CFG_FORWARD_TOPIC,
@@ -30,11 +29,6 @@ from .model import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class InstanceState(str, Enum):
-    RUNNING = "running"
-    TERMINATED = "terminated"
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,6 @@ class ServiceInstance:
     version: str
     restart_count: int = 0
     config_version: int = 0
-    state: InstanceState = InstanceState.RUNNING
 
     def input_topics(self) -> tuple[str, ...]:
         return config_values(self.config, CFG_INPUT_TOPIC)
@@ -84,7 +77,6 @@ class TopicMessage:
 @dataclass(frozen=True)
 class TickReport:
     tick: int
-    visible: dict[str, tuple[str, ...]]
     produced: int
     forwarded: int
 
@@ -120,9 +112,6 @@ class ClusterSim:
         self._pending[node_id] = []
         self._inflight[node_id] = []
         self._bus[node_id] = []
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
 
     def _require_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
@@ -162,8 +151,7 @@ class ClusterSim:
         instance.config_version += 1
 
     def terminate_instance(self, instance_id: str) -> None:
-        instance = self._require_running(instance_id)
-        instance.state = InstanceState.TERMINATED
+        self._require_running(instance_id)
         del self._instances[instance_id]
 
     def get_instance(self, instance_id: str) -> ServiceInstance:
@@ -182,17 +170,14 @@ class ClusterSim:
 
     def _require_running(self, instance_id: str) -> ServiceInstance:
         instance = self._instances.get(instance_id)
-        if instance is None or instance.state is not InstanceState.RUNNING:
+        if instance is None:
             raise NotRunningError(f"instance {instance_id!r} is not running")
         return instance
 
     def _running_of_kind(self, kind: ServiceKind) -> list[ServiceInstance]:
-        # Creation order (i-0001 < i-0002) keeps behavior order stable.
-        return [
-            self._instances[iid]
-            for iid in sorted(self._instances)
-            if self._instances[iid].service_kind is kind
-        ]
+        # Insertion order is creation order, which keeps behavior order
+        # stable.
+        return [i for i in self._instances.values() if i.service_kind is kind]
 
     # -- publishing --------------------------------------------------------
 
@@ -282,10 +267,6 @@ class ClusterSim:
         self._bus = bus
         return TickReport(
             tick=self._time,
-            visible={
-                node_id: self.topics_visible_at(node_id)
-                for node_id in self._nodes
-            },
             produced=produced,
             forwarded=forwarded,
         )

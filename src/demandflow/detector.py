@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .manager import ConnectionDemand, DeploymentRequest
+from .manager import DeploymentRequest
 from .model import (
     DeltaAction,
     EntityRole,
@@ -22,7 +22,6 @@ from .model import (
     TOPIC_KIND_POINTCLOUD,
     Topology,
     UnknownEntityError,
-    source_topic,
 )
 
 log = logging.getLogger(__name__)
@@ -56,20 +55,12 @@ class GeofenceRule:
         return math.dist(self.center, position)
 
 
-@dataclass(frozen=True)
-class Transition:
-    entity_id: str
-    entered: bool
-    distance: float
-    tick: int
-
-
 class EventDetector:
     def __init__(self, rule: GeofenceRule, topology: Topology):
         topology.get(rule.risu_id)  # must exist
+        topology.single_node_with_role(EntityRole.EDGE)  # exactly one
         self._rule = rule
         self._topology = topology
-        self._edge_node = topology.single_node_with_role(EntityRole.EDGE)
         self._poses: dict[str, tuple[float, float]] = {}
         self._inside: dict[str, bool] = {}
         self._request_seq = 0
@@ -122,25 +113,11 @@ class EventDetector:
             inputs.append((vehicle_id, TOPIC_KIND_POINTCLOUD))
         inputs.append((risu.entity_id, TOPIC_KIND_POINTCLOUD))
 
-        by_source: dict[str, list[str]] = {}
-        for entity_id, kind in inputs:
-            by_source.setdefault(entity_id, []).append(
-                source_topic(entity_id, kind)
-            )
-        connections = tuple(
-            ConnectionDemand(
-                src=entity_id, dst_node=self._edge_node, topics=tuple(topics)
-            )
-            for entity_id, topics in by_source.items()
-            if self._topology.node_of(entity_id) != self._edge_node
-        )
-
         return DeploymentRequest(
             request_id=f"req-{self._request_seq:04d}",
             action=action,
             app_name=self._rule.app_name,
             requesters=(vehicle_id, risu.entity_id),
             inputs=tuple(inputs),
-            connections=connections,
             issued_at=tick,
         )

@@ -3,8 +3,9 @@
 The manager is the write side of the control plane.  It turns one
 deployment request into one demand delta per affected custom resource and
 applies them to the store.  It holds no application state beyond a result
-cache keyed by request id (for redelivery) and the per-application active
-version (flipped by upgrades).
+cache keyed by request id (for redelivery), the per-application active
+version (flipped by upgrades) and the owning application of each service
+resource (so an upgrade touches only its own).
 """
 
 from __future__ import annotations
@@ -30,24 +31,12 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class ConnectionDemand:
-    """Informational connection hint carried by a request (src entity,
-    destination node, topics).  Resolution recomputes connections from the
-    inputs; the hint exists so a request is self-describing."""
-
-    src: str
-    dst_node: str
-    topics: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class DeploymentRequest:
     request_id: str
     action: DeltaAction
     app_name: str
     requesters: tuple[str, ...]
     inputs: tuple[tuple[str, str], ...]
-    connections: tuple[ConnectionDemand, ...] = ()
     issued_at: int = 0
 
     def demand(self) -> DemandDescription:
@@ -100,6 +89,7 @@ class AppManager:
         self._policy = policy or AccessDomainPolicy()
         self._processed: dict[str, RequestResult] = {}
         self._active_version: dict[str, str] = {}
+        self._owner: dict[str, str] = {}  # service cr name -> application
         self._upgrade_seq = 0
 
     # -- version bookkeeping ----------------------------------------------
@@ -144,6 +134,7 @@ class AppManager:
 
         applied: list[tuple[ResourceKind, str, int]] = []
         for part in services:
+            self._owner[part.cr_name] = request.app_name
             generation = self._apply(
                 request,
                 ResourceKind.MANAGED_SERVICE,
@@ -227,11 +218,10 @@ class AppManager:
         upgrade_id = f"upgrade-{self._upgrade_seq:03d}"
         try:
             self._catalog.template(app_name, new_version)
-            prefix = f"svc-{app_name}-"
             live = [
                 name
                 for name in self._store.list_crs(ResourceKind.MANAGED_SERVICE)
-                if name.startswith(prefix)
+                if self._owner.get(name) == app_name
             ]
             if not live:
                 raise NothingRunningError(

@@ -32,8 +32,6 @@ class DeltaAction(str, Enum):
 class Phase(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
-    RECONFIGURING = "reconfiguring"
-    TERMINATED = "terminated"
 
 
 class ChangeType(str, Enum):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, deque
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -156,40 +157,41 @@ class ReconcileDecision:
 
 
 def decide(
-    before: DemandLedger,
-    after: DemandLedger,
-    instance: ServiceInstance | None,
+    ledger: DemandLedger, instance: ServiceInstance | None
 ) -> ReconcileDecision:
-    """Map a ledger transition plus current instance onto one action.
+    """Map a ledger plus the current instance onto one action.
 
-    Shutdown exactly when support is empty after the delta; `before` is
-    part of the contract for symmetry but the decision depends only on
-    the resulting state.
+    Shutdown exactly when support is empty; the decision depends only on
+    the resulting state, never on how the ledger got there.
     """
-    del before
-    config = after.effective_config
-    if after.is_empty():
-        return ReconcileDecision(DecisionAction.SHUTDOWN, config, after.version)
+    config = ledger.effective_config
+    if ledger.is_empty():
+        return ReconcileDecision(DecisionAction.SHUTDOWN, config, ledger.version)
     if instance is None:
-        return ReconcileDecision(DecisionAction.DEPLOY, config, after.version)
-    if after.version and instance.version != after.version:
-        return ReconcileDecision(DecisionAction.REPLACE, config, after.version)
+        return ReconcileDecision(DecisionAction.DEPLOY, config, ledger.version)
+    if ledger.version and instance.version != ledger.version:
+        return ReconcileDecision(DecisionAction.REPLACE, config, ledger.version)
     if set(config) != set(instance.config):
         return ReconcileDecision(
-            DecisionAction.RECONFIGURE, config, after.version
+            DecisionAction.RECONFIGURE, config, ledger.version
         )
-    return ReconcileDecision(DecisionAction.NOOP, config, after.version)
+    return ReconcileDecision(DecisionAction.NOOP, config, ledger.version)
 
 
-class _BaseOperator:
-    """Shared reconcile plumbing for both resource kinds.
+class Operator:
+    """The reconcile loop, shared by both resource kinds.
 
-    One watch event is processed at a time.  Reconciling an event means:
-    replay every spec generation not yet folded into the ledger, decide,
-    execute against the cluster, then publish status and a ledger trace
-    record.  Cluster failures roll the attempt back and re-queue the
-    event a bounded number of times before the delta is dropped with an
-    error record.
+    One watch event is processed at a time.  Reconciling is
+    level-triggered: fold every spec generation up to the store's current
+    one into the ledger, decide, execute against the cluster, then publish
+    status and a ledger trace record; events at or below the folded
+    generation are stale.  Cluster failures roll the attempt back and
+    re-queue the event a bounded number of times before the folded deltas
+    are dropped with an error record.
+
+    Each resource is backed by a tuple of cluster units, created together
+    by `_deploy_units`, the one hook per kind.  The first unit is the one
+    compared against the ledger and reconfigured in place.
     """
 
     kind: ResourceKind
@@ -209,6 +211,7 @@ class _BaseOperator:
         self._watcher: Watcher = store.watch(self.kind)
         self._ledgers: dict[str, DemandLedger] = {}
         self._observed: dict[str, int] = {}
+        self._units: dict[str, tuple[str, ...]] = {}
         self._retry: deque[WatchEvent] = deque()
         self._attempts: dict[tuple[str, int], int] = {}
 
@@ -241,17 +244,19 @@ class _BaseOperator:
     def reconcile(self, event: WatchEvent) -> None:
         name = event.name
         if event.change is ChangeType.DELETED:
-            self._on_deleted(name)
+            with suppress(OrchestrationError):
+                self._teardown(name)
+            self._forget(name)
             return
         observed = self._observed.get(name, 0)
         if event.generation <= observed:
             return  # stale or duplicate event
-        if not self._store.exists(self.kind, name):
+        try:
+            target = self._store.get_cr(self.kind, name).generation
+        except NotFoundError:
             return  # deleted meanwhile; the deletion event is behind us
 
-        target = event.generation
         ledger = self._ledgers.get(name, DemandLedger())
-        before = ledger
         rejections: list[tuple[int, LedgerRejection]] = []
         for generation in range(observed + 1, target + 1):
             delta = self._store.get_spec(self.kind, name, generation)
@@ -259,11 +264,11 @@ class _BaseOperator:
             if rejection is not None:
                 rejections.append((generation, rejection))
 
-        decision = decide(before, ledger, self._primary_instance(name))
+        decision = decide(ledger, self._primary_instance(name))
         try:
-            self._execute(name, decision, ledger)
+            self._execute(name, decision)
         except OrchestrationError as exc:
-            self._handle_failure(name, event, exc)
+            self._handle_failure(name, event, target, exc)
             return
 
         self._attempts.pop((name, target), None)
@@ -277,8 +282,7 @@ class _BaseOperator:
             )
         if decision.action is DecisionAction.SHUTDOWN:
             self._forget(name)
-            if self._store.exists(self.kind, name):
-                self._store.delete_cr(self.kind, name)
+            self._store.delete_cr(self.kind, name)
             self._trace.ledger_state(name, (), ())
         else:
             self._store.update_status(
@@ -287,7 +291,7 @@ class _BaseOperator:
                 ResourceStatus(
                     phase=Phase.RUNNING,
                     support=ledger.support,
-                    instance_ids=self._instance_ids(name),
+                    instance_ids=self._units[name],
                     observed_generation=target,
                 ),
             )
@@ -298,145 +302,119 @@ class _BaseOperator:
             )
 
     def _handle_failure(
-        self, name: str, event: WatchEvent, exc: OrchestrationError
+        self, name: str, event: WatchEvent, target: int, exc: OrchestrationError
     ) -> None:
-        key = (name, event.generation)
+        key = (name, target)
         attempts = self._attempts.get(key, 0) + 1
         self._attempts[key] = attempts
         if attempts < self._max_attempts:
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
                       name, exc, attempts)
-            if self._store.exists(self.kind, name):
-                self._store.update_status(
-                    self.kind,
-                    name,
-                    ResourceStatus(
-                        phase=Phase.PENDING,
-                        support=self._ledgers.get(name, DemandLedger()).support,
-                        instance_ids=self._instance_ids(name),
-                        observed_generation=self._observed.get(name, 0),
-                    ),
-                )
+            self._store.update_status(
+                self.kind,
+                name,
+                ResourceStatus(
+                    phase=Phase.PENDING,
+                    support=self._ledgers.get(name, DemandLedger()).support,
+                    instance_ids=self._units.get(name, ()),
+                    observed_generation=self._observed.get(name, 0),
+                ),
+            )
             self._retry.append(event)
             return
-        # Give up: the delta is dropped, the ledger keeps its last good
-        # state, and the trace records what happened.
+        # Give up: the folded deltas are dropped, the ledger keeps its last
+        # good state, and the trace records what happened.
         del self._attempts[key]
-        self._observed[name] = event.generation
+        self._observed[name] = target
         self._trace.error(
             self.source,
             "reconcile-failed",
-            f"{name}@{event.generation}:{type(exc).__name__}",
+            f"{name}@{target}:{type(exc).__name__}",
         )
 
-    # -- hooks per operator ------------------------------------------------
+    # -- cluster side ------------------------------------------------------
 
-    def _execute(
-        self, name: str, decision: ReconcileDecision, ledger: DemandLedger
-    ) -> None:
+    def _execute(self, name: str, decision: ReconcileDecision) -> None:
+        action = decision.action
+        units = self._units.get(name, ())
+        if action is DecisionAction.DEPLOY:
+            new = self._deploy_units(name, decision)
+            self._units[name] = new
+            self._trace.instance_action(name, "deploy", new, self._nodes(new))
+        elif action is DecisionAction.RECONFIGURE:
+            primary = units[:1]
+            self._sim.reconfigure_instance(units[0], decision.effective_config)
+            self._trace.instance_action(
+                name, "reconfigure", primary, self._nodes(primary)
+            )
+        elif action is DecisionAction.REPLACE:
+            new = self._deploy_units(name, decision)
+            for unit in units:
+                self._sim.terminate_instance(unit)
+            self._units[name] = new
+            self._trace.instance_action(
+                name, "replace", new, self._nodes(new), replaced=units
+            )
+        elif action is DecisionAction.SHUTDOWN:
+            self._teardown(name)
+
+    def _deploy_units(
+        self, name: str, decision: ReconcileDecision
+    ) -> tuple[str, ...]:
         raise NotImplementedError
+
+    def _teardown(self, name: str) -> None:
+        units = self._units.get(name, ())
+        if units:
+            nodes = self._nodes(units)
+            for unit in units:
+                self._sim.terminate_instance(unit)
+            self._trace.instance_action(name, "terminate", units, nodes)
 
     def _primary_instance(self, name: str) -> ServiceInstance | None:
-        raise NotImplementedError
+        units = self._units.get(name)
+        if not units:
+            return None
+        try:
+            return self._sim.get_instance(units[0])
+        except NotFoundError:
+            return None
 
-    def _instance_ids(self, name: str) -> tuple[str, ...]:
-        raise NotImplementedError
+    def _nodes(self, units: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(self._sim.get_instance(u).node_id for u in units)
 
     def _forget(self, name: str) -> None:
         self._ledgers.pop(name, None)
         self._observed.pop(name, None)
-
-    def _on_deleted(self, name: str) -> None:
-        self._forget(name)
+        self._units.pop(name, None)
 
 
-class ServiceOperator(_BaseOperator):
+class ServiceOperator(Operator):
     """Reconciles managed services onto single cluster instances."""
 
     kind = ResourceKind.MANAGED_SERVICE
     source = "service-operator"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._instances: dict[str, str] = {}
-
-    def _primary_instance(self, name: str) -> ServiceInstance | None:
-        instance_id = self._instances.get(name)
-        if instance_id is None:
-            return None
-        try:
-            return self._sim.get_instance(instance_id)
-        except NotFoundError:
-            return None
-
-    def _instance_ids(self, name: str) -> tuple[str, ...]:
-        instance_id = self._instances.get(name)
-        return (instance_id,) if instance_id else ()
-
-    def _spec_from(
+    def _deploy_units(
         self, name: str, decision: ReconcileDecision
-    ) -> InstanceSpec:
+    ) -> tuple[str, ...]:
         config = decision.effective_config
-        return InstanceSpec(
-            cr_name=name,
-            service_kind=ServiceKind(config_value(config, CFG_SERVICE_KIND)),
-            node_id=config_value(config, CFG_NODE),
-            config=config,
-            version=decision.target_version,
+        return (
+            self._sim.deploy_instance(
+                InstanceSpec(
+                    cr_name=name,
+                    service_kind=ServiceKind(
+                        config_value(config, CFG_SERVICE_KIND)
+                    ),
+                    node_id=config_value(config, CFG_NODE),
+                    config=config,
+                    version=decision.target_version,
+                )
+            ),
         )
 
-    def _execute(
-        self, name: str, decision: ReconcileDecision, ledger: DemandLedger
-    ) -> None:
-        action = decision.action
-        current = self._instances.get(name)
-        if action is DecisionAction.DEPLOY:
-            instance_id = self._sim.deploy_instance(self._spec_from(name, decision))
-            self._instances[name] = instance_id
-            self._trace.instance_action(
-                name, "deploy", (instance_id,),
-                (self._sim.get_instance(instance_id).node_id,),
-            )
-        elif action is DecisionAction.RECONFIGURE:
-            self._sim.reconfigure_instance(current, decision.effective_config)
-            node = self._sim.get_instance(current).node_id
-            self._trace.instance_action(name, "reconfigure", (current,), (node,))
-        elif action is DecisionAction.REPLACE:
-            new_id = self._sim.deploy_instance(self._spec_from(name, decision))
-            self._sim.terminate_instance(current)
-            self._instances[name] = new_id
-            node = self._sim.get_instance(new_id).node_id
-            self._trace.instance_action(
-                name, "replace", (new_id,), (node,), replaced=(current,)
-            )
-        elif action is DecisionAction.SHUTDOWN:
-            if current is not None:
-                node = self._sim.get_instance(current).node_id
-                self._sim.terminate_instance(current)
-                self._trace.instance_action(
-                    name, "terminate", (current,), (node,)
-                )
 
-    def _forget(self, name: str) -> None:
-        super()._forget(name)
-        self._instances.pop(name, None)
-
-    def _on_deleted(self, name: str) -> None:
-        # External deletes still tear the instance down.
-        current = self._instances.get(name)
-        if current is not None:
-            try:
-                node = self._sim.get_instance(current).node_id
-                self._sim.terminate_instance(current)
-                self._trace.instance_action(
-                    name, "terminate", (current,), (node,)
-                )
-            except (NotFoundError, OrchestrationError):
-                pass
-        self._forget(name)
-
-
-class ConnectionOperator(_BaseOperator):
+class ConnectionOperator(Operator):
     """Reconciles managed connections onto sender/receiver instance pairs.
 
     The pair is atomic: a deploy that cannot complete both halves tears
@@ -446,26 +424,9 @@ class ConnectionOperator(_BaseOperator):
     kind = ResourceKind.MANAGED_CONNECTION
     source = "connection-operator"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # cr name -> (sender id, receiver id)
-        self._pairs: dict[str, tuple[str, str]] = {}
-
-    def _primary_instance(self, name: str) -> ServiceInstance | None:
-        pair = self._pairs.get(name)
-        if pair is None:
-            return None
-        try:
-            return self._sim.get_instance(pair[0])
-        except NotFoundError:
-            return None
-
-    def _instance_ids(self, name: str) -> tuple[str, ...]:
-        return self._pairs.get(name, ())
-
-    def _deploy_pair(
+    def _deploy_units(
         self, name: str, decision: ReconcileDecision
-    ) -> tuple[str, str]:
+    ) -> tuple[str, ...]:
         config = decision.effective_config
         src = config_value(config, CFG_SRC)
         dst = config_value(config, CFG_DST)
@@ -494,62 +455,3 @@ class ConnectionOperator(_BaseOperator):
             self._sim.terminate_instance(receiver_id)
             raise
         return sender_id, receiver_id
-
-    def _execute(
-        self, name: str, decision: ReconcileDecision, ledger: DemandLedger
-    ) -> None:
-        action = decision.action
-        pair = self._pairs.get(name)
-        if action is DecisionAction.DEPLOY:
-            sender_id, receiver_id = self._deploy_pair(name, decision)
-            self._pairs[name] = (sender_id, receiver_id)
-            self._trace.instance_action(
-                name,
-                "deploy",
-                (sender_id, receiver_id),
-                self._pair_nodes((sender_id, receiver_id)),
-            )
-        elif action is DecisionAction.RECONFIGURE:
-            self._sim.reconfigure_instance(pair[0], decision.effective_config)
-            self._trace.instance_action(
-                name, "reconfigure", (pair[0],), self._pair_nodes(pair[:1])
-            )
-        elif action is DecisionAction.REPLACE:
-            new_pair = self._deploy_pair(name, decision)
-            for instance_id in pair:
-                self._sim.terminate_instance(instance_id)
-            self._pairs[name] = new_pair
-            self._trace.instance_action(
-                name,
-                "replace",
-                new_pair,
-                self._pair_nodes(new_pair),
-                replaced=pair,
-            )
-        elif action is DecisionAction.SHUTDOWN:
-            if pair is not None:
-                nodes = self._pair_nodes(pair)
-                for instance_id in pair:
-                    self._sim.terminate_instance(instance_id)
-                self._trace.instance_action(name, "terminate", pair, nodes)
-
-    def _pair_nodes(self, instance_ids: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(
-            self._sim.get_instance(i).node_id for i in instance_ids
-        )
-
-    def _forget(self, name: str) -> None:
-        super()._forget(name)
-        self._pairs.pop(name, None)
-
-    def _on_deleted(self, name: str) -> None:
-        pair = self._pairs.get(name)
-        if pair is not None:
-            try:
-                nodes = self._pair_nodes(pair)
-                for instance_id in pair:
-                    self._sim.terminate_instance(instance_id)
-                self._trace.instance_action(name, "terminate", pair, nodes)
-            except (NotFoundError, OrchestrationError):
-                pass
-        self._forget(name)

@@ -51,36 +51,6 @@ class TraceRecord:
         return tuple(part for part in raw.split(",") if part)
 
 
-_FIELD_START = "abcdefghijklmnopqrstuvwxyz_"
-
-
-def parse_line(line: str) -> TraceRecord:
-    """Inverse of TraceRecord.line for well-formed trace lines.
-
-    Free-text detail fields may contain spaces; a token only starts a new
-    field when it looks like ``key=``.
-    """
-    tokens = line.split(" ")
-    tag = tokens[0]
-    step = tick = 0
-    fields: list[tuple[str, str]] = []
-    for token in tokens[1:]:
-        key, sep, value = token.partition("=")
-        starts_field = bool(sep) and key != "" and all(
-            c in _FIELD_START for c in key
-        )
-        if starts_field:
-            if key == "step":
-                step = int(value)
-            elif key == "tick":
-                tick = int(value)
-            else:
-                fields.append((key, value))
-        elif fields:
-            fields[-1] = (fields[-1][0], f"{fields[-1][1]} {token}")
-    return TraceRecord(tag, step, tick, tuple(fields))
-
-
 class Trace:
     """Append-only record sink with a current (step, tick) position.
 

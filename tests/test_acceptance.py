@@ -360,12 +360,14 @@ def test_c09_runs_are_deterministic_and_match_golden():
         second = run_scenario(scenario).trace
         assert first.render() == second.render(), name
 
-    reference = load_scenario(bundled_scenario_path("collective_perception"))
-    trace = run_scenario(reference).trace
-    golden = bundled_scenario_path("collective_perception").with_suffix(".trace")
-    report = assert_trace(trace, golden)
-    assert report.ok, report.describe()
-    assert trace.render() == golden.read_text(encoding="utf-8")
+        golden = bundled_scenario_path(name).with_suffix(".trace")
+        report = assert_trace(first, golden)
+        assert report.ok, f"{name}: {report.describe()}"
+        assert first.render() == golden.read_text(encoding="utf-8"), name
+
+        doubled = run_scenario(scenario, duplicate_delivery=True).trace
+        report = assert_trace(doubled, golden)
+        assert report.ok, f"{name} (duplicate delivery): {report.describe()}"
 
 
 def test_c10_hundred_vehicle_scale_run():

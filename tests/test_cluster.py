@@ -299,3 +299,28 @@ def test_identical_runs_produce_identical_reports():
         return reports
 
     assert run() == run()
+
+
+def test_behaviors_run_in_creation_order_past_four_digit_ids():
+    sim = sim_with("E")
+    filler = InstanceSpec("svc-filler", ServiceKind.OTHER, "E", ())
+    for _ in range(9998):
+        sim.terminate_instance(sim.deploy_instance(filler))
+
+    def fusion(cr_name, source, output):
+        return InstanceSpec(
+            cr_name,
+            ServiceKind.OBJECT_FUSION,
+            "E",
+            (
+                ConfigItem("input-topic", source),
+                ConfigItem("output-topic", output),
+            ),
+        )
+
+    assert sim.deploy_instance(fusion("svc-a", "/x", "/f1")) == "i-9999"
+    assert sim.deploy_instance(fusion("svc-b", "/f1", "/f2")) == "i-10000"
+    feed(sim, "E", "X", "/x")
+    sim.tick()
+    # B consumes A's output within the tick only if A runs first
+    assert "/f2" in sim.topics_visible_at("E")

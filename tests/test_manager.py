@@ -1,5 +1,7 @@
 """Request handling: atomic validation, delta upserts, dedup, upgrades."""
 
+from dataclasses import replace
+
 import pytest
 
 from demandflow.catalog import Catalog
@@ -220,3 +222,29 @@ def test_upgrade_rejections():
     assert unknown.outcome is Outcome.REJECTED
     assert "UnknownVersion" in unknown.reason
     assert manager.active_version(APP) == "v1"
+
+
+def test_upgrade_leaves_other_applications_alone():
+    # "-" is legal in application names, so one app's name can prefix
+    # another's resource names
+    store = ResourceStore()
+    catalog = Catalog(reference_topology())
+    catalog.register_application(reference_template("v1"))
+    catalog.register_application(reference_template("v2"))
+    other = APP + "-x"
+    catalog.register_application(
+        replace(reference_template("v1"), app_name=other)
+    )
+    manager = AppManager(store, catalog)
+    assert manager.handle_request(request("r-1")).accepted
+    assert manager.handle_request(request("r-2", app=other)).accepted
+    result = manager.upgrade_application(APP, "v2")
+    assert result.accepted
+    upgraded = [name for _, name, _ in result.applied_crs]
+    assert upgraded == [
+        f"svc-{APP}-objdet-S",
+        f"svc-{APP}-objdet-V0",
+        f"svc-{APP}-fusion-singleton",
+    ]
+    assert not [name for name in upgraded if name.startswith(f"svc-{other}-")]
+    assert store.get_cr(SVC, f"svc-{other}-objdet-S").generation == 1

@@ -219,46 +219,46 @@ def ledger_with(requesters=("V0",), config=(), version="v1"):
 
 def test_decide_deploys_without_instance():
     after = ledger_with(config=BASE)
-    decision = decide(DemandLedger(), after, None)
+    decision = decide(after, None)
     assert decision.action is DecisionAction.DEPLOY
     assert decision.effective_config == after.effective_config
 
 
 def test_decide_shutdown_exactly_when_support_empty():
     empty = DemandLedger()
-    assert decide(ledger_with(), empty, make_instance(BASE)).action \
+    assert decide(empty, make_instance(BASE)).action \
         is DecisionAction.SHUTDOWN
     # no instance to kill, still a shutdown (the resource must go)
-    assert decide(ledger_with(), empty, None).action is DecisionAction.SHUTDOWN
+    assert decide(empty, None).action is DecisionAction.SHUTDOWN
     # non-empty support never shuts down
     populated = ledger_with(config=BASE)
-    assert decide(empty, populated, make_instance(BASE)).action \
+    assert decide(populated, make_instance(BASE)).action \
         is not DecisionAction.SHUTDOWN
 
 
 def test_decide_reconfigures_on_config_set_change():
     after = ledger_with(config=BASE + (in_topic("/a"),))
     instance = make_instance(BASE)
-    assert decide(DemandLedger(), after, instance).action \
+    assert decide(after, instance).action \
         is DecisionAction.RECONFIGURE
 
 
 def test_decide_ignores_config_order():
     after = ledger_with(config=BASE + (in_topic("/a"),))
     shuffled = tuple(reversed(after.effective_config))
-    assert decide(DemandLedger(), after, make_instance(shuffled)).action \
+    assert decide(after, make_instance(shuffled)).action \
         is DecisionAction.NOOP
 
 
 def test_decide_replaces_on_version_change():
     after = ledger_with(config=BASE, version="v2")
     instance = make_instance(BASE, version="v1")
-    decision = decide(DemandLedger(), after, instance)
+    decision = decide(after, instance)
     assert decision.action is DecisionAction.REPLACE
     assert decision.target_version == "v2"
     # an unversioned ledger (connections) never triggers replacement
     unversioned = ledger_with(config=BASE, version="")
-    assert decide(DemandLedger(), unversioned, instance).action \
+    assert decide(unversioned, instance).action \
         is DecisionAction.NOOP
 
 
@@ -516,3 +516,24 @@ def test_ledger_agrees_with_multiset_oracle(seed):
         assert Counter(ledger.requester_counts) == expected_requesters
         assert Counter(ledger.config_counts) == expected_config
         assert set(ledger.support) == set(expected_requesters)
+
+
+def test_same_tick_release_and_request_keep_the_new_demand(rig):
+    store, sim, trace, service_op, _ = rig
+    config = svc_config((in_topic("/V0/ego"),))
+    store.apply_cr(SVC, "svc-x", delta(1, config=config))
+    service_op.run_pending()
+    # the last supporter leaves and a new one arrives before the drain
+    store.apply_cr(
+        SVC, "svc-x", delta(2, action=DeltaAction.RELEASE, config=config)
+    )
+    store.apply_cr(
+        SVC, "svc-x", delta(3, requesters=("V1", "S"), config=config)
+    )
+    while service_op.pending():
+        service_op.run_pending()
+    assert store.exists(SVC, "svc-x")
+    assert store.get_cr(SVC, "svc-x").status.support == ("V1", "S")
+    assert service_op.ledger("svc-x").support == ("V1", "S")
+    assert len(sim.instances_of("svc-x")) == 1
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
