@@ -2,6 +2,13 @@
 
 Each node has its own topic bus; nothing crosses node boundaries unless a
 deployed sender/receiver pair forwards it, with one tick of latency.
+During a tick a node's bus is an `(arrived, local)` pair of lists: the
+messages forwarded to it last tick, then those published on it since.
+Readers see arrived before local, and only local messages are forwarded,
+which rules out multi-hop relays and forwarding loops.  Each tick builds
+a route table (node -> topic -> receiver nodes) in one pass over the
+running instances, then forwards node by node in node order, senders in
+creation order within a node.
 Detection and fusion instances run as stub behaviors inside the tick so
 the data plane reacts to (re)configuration without any real perception
 code.  Everything is deterministic: no wall clock, no randomness, fixed
@@ -11,7 +18,8 @@ iteration orders.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     CFG_FORWARD_TOPIC,
@@ -52,20 +60,31 @@ class ServiceInstance:
     version: str
     restart_count: int = 0
     config_version: int = 0
+    # Topics parsed from `config` at deploy and on every reconfigure.
+    _inputs: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _output: str | None = field(init=False, repr=False, compare=False)
+    _forwards: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._parse_topics()
+
+    def _parse_topics(self) -> None:
+        self._inputs = config_values(self.config, CFG_INPUT_TOPIC)
+        outputs = config_values(self.config, CFG_OUTPUT_TOPIC)
+        self._output = outputs[0] if outputs else None
+        self._forwards = frozenset(config_values(self.config, CFG_FORWARD_TOPIC))
 
     def input_topics(self) -> tuple[str, ...]:
-        return config_values(self.config, CFG_INPUT_TOPIC)
+        return self._inputs
 
     def output_topic(self) -> str | None:
-        values = config_values(self.config, CFG_OUTPUT_TOPIC)
-        return values[0] if values else None
+        return self._output
 
     def forward_topics(self) -> frozenset[str]:
-        return frozenset(config_values(self.config, CFG_FORWARD_TOPIC))
+        return self._forwards
 
 
-@dataclass(frozen=True)
-class TopicMessage:
+class TopicMessage(NamedTuple):
     topic: str
     payload_kind: PayloadKind
     origin: str
@@ -81,13 +100,7 @@ class TickReport:
     forwarded: int
 
 
-@dataclass
-class _BusEntry:
-    message: TopicMessage
-    # Locally published this tick (as opposed to having arrived over a
-    # connection); only local entries are eligible for forwarding, which
-    # rules out multi-hop relays and forwarding loops.
-    local: bool
+Bus = tuple[list[TopicMessage], list[TopicMessage]]  # (arrived, local)
 
 
 class ClusterSim:
@@ -96,7 +109,7 @@ class ClusterSim:
         self._instances: dict[str, ServiceInstance] = {}
         self._pending: dict[str, list[TopicMessage]] = {}
         self._inflight: dict[str, list[TopicMessage]] = {}
-        self._bus: dict[str, list[_BusEntry]] = {}
+        self._bus: dict[str, Bus] = {}
         self._seq: dict[tuple[str, str], int] = {}
         self._deploy_counts: dict[str, int] = {}
         self._detect_counts: dict[str, int] = {}
@@ -111,7 +124,7 @@ class ClusterSim:
         self._nodes[node_id] = role
         self._pending[node_id] = []
         self._inflight[node_id] = []
-        self._bus[node_id] = []
+        self._bus[node_id] = ([], [])
 
     def _require_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
@@ -148,6 +161,7 @@ class ClusterSim:
         """Swap the config in place; bumps config_version, never restarts."""
         instance = self._require_running(instance_id)
         instance.config = config
+        instance._parse_topics()
         instance.config_version += 1
 
     def terminate_instance(self, instance_id: str) -> None:
@@ -174,11 +188,6 @@ class ClusterSim:
             raise NotRunningError(f"instance {instance_id!r} is not running")
         return instance
 
-    def _running_of_kind(self, kind: ServiceKind) -> list[ServiceInstance]:
-        # Insertion order is creation order, which keeps behavior order
-        # stable.
-        return [i for i in self._instances.values() if i.service_kind is kind]
-
     # -- publishing --------------------------------------------------------
 
     def publish(self, node_id: str, message: TopicMessage) -> None:
@@ -203,14 +212,7 @@ class ClusterSim:
     ) -> TopicMessage:
         """Build the next in-sequence message for (origin, topic)."""
         seq = self._seq.get((origin, topic), 0) + 1
-        return TopicMessage(
-            topic=topic,
-            payload_kind=payload_kind,
-            origin=origin,
-            seq=seq,
-            stamp=self._time + 1,
-            payload=payload,
-        )
+        return TopicMessage(topic, payload_kind, origin, seq, self._time + 1, payload)
 
     # -- the tick ----------------------------------------------------------
 
@@ -227,108 +229,110 @@ class ClusterSim:
         pairs pick up locally published messages for delivery next tick.
         """
         self._time += 1
-        produced = 0
-        forwarded = 0
+        nodes = self._nodes
+        bus = {n: (self._inflight[n], self._pending[n]) for n in nodes}
+        self._inflight = {n: [] for n in nodes}
+        self._pending = {n: [] for n in nodes}
 
-        bus: dict[str, list[_BusEntry]] = {}
-        for node_id in self._nodes:
-            entries = [
-                _BusEntry(m, local=False) for m in self._inflight[node_id]
-            ]
-            entries.extend(
-                _BusEntry(m, local=True) for m in self._pending[node_id]
-            )
-            self._inflight[node_id] = []
-            self._pending[node_id] = []
-            bus[node_id] = entries
+        # Creation order keeps behavior and forwarding order stable.
+        detectors: list[ServiceInstance] = []
+        fusers: list[ServiceInstance] = []
+        senders: list[ServiceInstance] = []
+        receiver_nodes: dict[str, str] = {}
+        for instance in self._instances.values():
+            kind = instance.service_kind
+            if kind is ServiceKind.OBJECT_DETECTION:
+                detectors.append(instance)
+            elif kind is ServiceKind.OBJECT_FUSION:
+                fusers.append(instance)
+            elif kind is ServiceKind.COMM_SENDER:
+                senders.append(instance)
+            elif kind is ServiceKind.COMM_RECEIVER:
+                receiver_nodes.setdefault(instance.cr_name, instance.node_id)
 
-        for instance in self._running_of_kind(ServiceKind.OBJECT_DETECTION):
-            produced += self._run_detection(instance, bus)
-        for instance in self._running_of_kind(ServiceKind.OBJECT_FUSION):
-            produced += self._run_fusion(instance, bus)
-
-        all_senders = self._running_of_kind(ServiceKind.COMM_SENDER)
-        for node_id, entries in bus.items():
-            senders = [s for s in all_senders if s.node_id == node_id]
-            if not senders:
+        # node -> topic -> receiver nodes, one entry per sender carrying it
+        routes: dict[str, dict[str, list[str]]] = {}
+        for sender in senders:
+            dst = receiver_nodes.get(sender.cr_name)
+            if dst is None:
                 continue
-            for entry in entries:
-                if not entry.local:
-                    continue
-                for sender in senders:
-                    if entry.message.topic not in sender.forward_topics():
-                        continue
-                    receiver = self._receiver_for(sender.cr_name)
-                    if receiver is None:
-                        continue
-                    self._inflight[receiver.node_id].append(entry.message)
+            by_topic = routes.setdefault(sender.node_id, {})
+            for topic in sender.forward_topics():
+                by_topic.setdefault(topic, []).append(dst)
+
+        produced = 0
+        for instance in detectors:
+            produced += self._run_detection(instance, bus[instance.node_id])
+        for instance in fusers:
+            produced += self._run_fusion(instance, bus[instance.node_id])
+
+        forwarded = 0
+        inflight = self._inflight
+        for node_id in nodes:
+            by_topic = routes.get(node_id)
+            if by_topic is None:
+                continue
+            for message in bus[node_id][1]:
+                for dst in by_topic.get(message.topic, ()):
+                    inflight[dst].append(message)
                     forwarded += 1
 
         self._bus = bus
-        return TickReport(
-            tick=self._time,
-            produced=produced,
-            forwarded=forwarded,
-        )
+        return TickReport(self._time, produced, forwarded)
 
     def topics_visible_at(self, node_id: str) -> tuple[str, ...]:
         """Topics with at least one message on the node during the last tick."""
         self._require_node(node_id)
-        return tuple(sorted({e.message.topic for e in self._bus[node_id]}))
+        return tuple(sorted({m.topic for part in self._bus[node_id] for m in part}))
 
     def messages_at(self, node_id: str, topic: str) -> tuple[TopicMessage, ...]:
         self._require_node(node_id)
         return tuple(
-            e.message for e in self._bus[node_id] if e.message.topic == topic
+            m for part in self._bus[node_id] for m in part if m.topic == topic
         )
 
     # -- stub behaviors ----------------------------------------------------
 
-    def _run_detection(
-        self, instance: ServiceInstance, bus: dict[str, list[_BusEntry]]
-    ) -> int:
+    def _run_detection(self, instance: ServiceInstance, bus: Bus) -> int:
         inputs = instance.input_topics()
         out_topic = instance.output_topic()
         if not inputs or out_topic is None:
             return 0
         in_topic = inputs[0]
-        entries = bus[instance.node_id]
         hit = next(
-            (e for e in entries if e.message.topic == in_topic), None
+            (m for part in bus for m in part if m.topic == in_topic), None
         )
         if hit is None:
             return 0
         count = self._detect_counts.get(instance.instance_id, 0) + 1
         self._detect_counts[instance.instance_id] = count
-        origin = hit.message.origin
-        message = self._stamped(
-            origin, out_topic, PayloadKind.OBJECT_LIST, (str(count),)
+        bus[1].append(
+            self._stamped(
+                hit.origin, out_topic, PayloadKind.OBJECT_LIST, (str(count),)
+            )
         )
-        entries.append(_BusEntry(message, local=True))
         return 1
 
-    def _run_fusion(
-        self, instance: ServiceInstance, bus: dict[str, list[_BusEntry]]
-    ) -> int:
+    def _run_fusion(self, instance: ServiceInstance, bus: Bus) -> int:
         inputs = set(instance.input_topics())
         out_topic = instance.output_topic()
         if out_topic is None:
             return 0
-        entries = bus[instance.node_id]
         contributing = sorted(
-            {e.message.origin for e in entries if e.message.topic in inputs}
+            {m.origin for part in bus for m in part if m.topic in inputs}
         )
         if not contributing:
             # Nothing consumed: legal transient (e.g. right after deploy,
             # before forwarded inputs land); publish nothing.
             return 0
-        message = self._stamped(
-            instance.node_id,
-            out_topic,
-            PayloadKind.OBJECT_LIST,
-            tuple(contributing),
+        bus[1].append(
+            self._stamped(
+                instance.node_id,
+                out_topic,
+                PayloadKind.OBJECT_LIST,
+                tuple(contributing),
+            )
         )
-        entries.append(_BusEntry(message, local=True))
         return 1
 
     def _stamped(
@@ -341,20 +345,4 @@ class ClusterSim:
         key = (origin, topic)
         seq = self._seq.get(key, 0) + 1
         self._seq[key] = seq
-        return TopicMessage(
-            topic=topic,
-            payload_kind=payload_kind,
-            origin=origin,
-            seq=seq,
-            stamp=self._time,
-            payload=payload,
-        )
-
-    def _receiver_for(self, cr_name: str) -> ServiceInstance | None:
-        for instance in self._instances.values():
-            if (
-                instance.cr_name == cr_name
-                and instance.service_kind is ServiceKind.COMM_RECEIVER
-            ):
-                return instance
-        return None
+        return TopicMessage(topic, payload_kind, origin, seq, self._time, payload)

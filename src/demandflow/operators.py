@@ -28,6 +28,7 @@ from .model import (
     ConfigItem,
     DeltaAction,
     NotFoundError,
+    NotRunningError,
     OrchestrationError,
     Phase,
     ResourceKind,
@@ -191,7 +192,9 @@ class Operator:
 
     Each resource is backed by a tuple of cluster units, created together
     by `_deploy_units`, the one hook per kind.  The first unit is the one
-    compared against the ledger and reconfigured in place.
+    compared against the ledger and reconfigured in place.  Units that a
+    replace or teardown must terminate wait in `_retiring` until all are
+    gone, so a step that failed halfway is finished, not repeated.
     """
 
     kind: ResourceKind
@@ -212,6 +215,8 @@ class Operator:
         self._ledgers: dict[str, DemandLedger] = {}
         self._observed: dict[str, int] = {}
         self._units: dict[str, tuple[str, ...]] = {}
+        # Units still to terminate, with their nodes, per resource.
+        self._retiring: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._retry: deque[WatchEvent] = deque()
         self._attempts: dict[tuple[str, int], int] = {}
 
@@ -335,6 +340,7 @@ class Operator:
     # -- cluster side ------------------------------------------------------
 
     def _execute(self, name: str, decision: ReconcileDecision) -> None:
+        self._retire(name)
         action = decision.action
         units = self._units.get(name, ())
         if action is DecisionAction.DEPLOY:
@@ -348,13 +354,12 @@ class Operator:
                 name, "reconfigure", primary, self._nodes(primary)
             )
         elif action is DecisionAction.REPLACE:
-            new = self._deploy_units(name, decision)
-            for unit in units:
-                self._sim.terminate_instance(unit)
-            self._units[name] = new
-            self._trace.instance_action(
-                name, "replace", new, self._nodes(new), replaced=units
-            )
+            # Record the new units before the old ones go, so a retry after
+            # a failed terminate reuses them instead of deploying again.
+            retiring = (units, self._nodes(units))
+            self._units[name] = self._deploy_units(name, decision)
+            self._retiring[name] = retiring
+            self._retire(name)
         elif action is DecisionAction.SHUTDOWN:
             self._teardown(name)
 
@@ -364,11 +369,30 @@ class Operator:
         raise NotImplementedError
 
     def _teardown(self, name: str) -> None:
-        units = self._units.get(name, ())
+        units = self._units.pop(name, ())
         if units:
-            nodes = self._nodes(units)
-            for unit in units:
+            self._retiring[name] = (units, self._nodes(units))
+        self._retire(name)
+
+    def _retire(self, name: str) -> None:
+        """Terminate the units a replace or teardown still owes, then trace it.
+
+        A unit that is already gone counts as terminated, so a retry after
+        a partly failed attempt finishes the job.
+        """
+        if name not in self._retiring:
+            return
+        units, nodes = self._retiring[name]
+        for unit in units:
+            with suppress(NotRunningError):
                 self._sim.terminate_instance(unit)
+        del self._retiring[name]
+        new = self._units.get(name)
+        if new:
+            self._trace.instance_action(
+                name, "replace", new, self._nodes(new), replaced=units
+            )
+        else:
             self._trace.instance_action(name, "terminate", units, nodes)
 
     def _primary_instance(self, name: str) -> ServiceInstance | None:
@@ -387,6 +411,7 @@ class Operator:
         self._ledgers.pop(name, None)
         self._observed.pop(name, None)
         self._units.pop(name, None)
+        self._retiring.pop(name, None)
 
 
 class ServiceOperator(Operator):

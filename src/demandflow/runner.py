@@ -48,6 +48,8 @@ class System:
     service_op: ServiceOperator
     connection_op: ConnectionOperator
     trace: Trace
+    # (node, origin, topic, payload kind) per entity capability, in order.
+    sources: tuple[tuple[str, str, str, PayloadKind], ...]
 
 
 def build_system(
@@ -68,6 +70,16 @@ def build_system(
     service_op = ServiceOperator(store, sim, trace)
     connection_op = ConnectionOperator(store, sim, trace)
     detector = EventDetector(scenario.rule, topology)
+    sources = tuple(
+        (
+            entity.node_id,
+            entity.entity_id,
+            source_topic(entity.entity_id, kind),
+            PayloadKind.EGO if kind == TOPIC_KIND_EGO else PayloadKind.POINT_CLOUD,
+        )
+        for entity in scenario.entities
+        for kind in entity.capabilities
+    )
     return System(
         scenario=scenario,
         topology=topology,
@@ -79,6 +91,7 @@ def build_system(
         service_op=service_op,
         connection_op=connection_op,
         trace=trace,
+        sources=sources,
     )
 
 
@@ -120,15 +133,10 @@ def deliver(system: System, request: DeploymentRequest, copies: int = 1) -> None
 
 def publish_source_data(system: System) -> None:
     """Every entity publishes one message per capability on its own node."""
-    for entity in system.scenario.entities:
-        for kind in entity.capabilities:
-            payload_kind = (
-                PayloadKind.EGO if kind == TOPIC_KIND_EGO else PayloadKind.POINT_CLOUD
-            )
-            message = system.sim.next_message(
-                entity.entity_id, source_topic(entity.entity_id, kind), payload_kind
-            )
-            system.sim.publish(entity.node_id, message)
+    next_message = system.sim.next_message
+    publish = system.sim.publish
+    for node_id, origin, topic, payload_kind in system.sources:
+        publish(node_id, next_message(origin, topic, payload_kind))
 
 
 class ScenarioRunner:

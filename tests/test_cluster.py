@@ -324,3 +324,60 @@ def test_behaviors_run_in_creation_order_past_four_digit_ids():
     sim.tick()
     # B consumes A's output within the tick only if A runs first
     assert "/f2" in sim.topics_visible_at("E")
+
+
+def test_reconfigured_sender_forwards_its_new_topics():
+    sim = sim_with("A", "E")
+    sender_id, _ = deploy_pair(sim, "A", "E", ["/A/ego"])
+    sender, _ = pair_specs("A", "E", ["/A/points"])
+    sim.reconfigure_instance(sender_id, sender.config)
+    feed(sim, "A", "A", "/A/ego")
+    feed(sim, "A", "A", "/A/points", PayloadKind.POINT_CLOUD)
+    assert sim.tick().forwarded == 1
+    sim.tick()
+    assert sim.topics_visible_at("E") == ("/A/points",)
+
+
+def test_forwarded_messages_arrive_in_node_order():
+    sim = sim_with("A", "B", "E")
+    # B's pair is created first; arrival order still follows the nodes
+    deploy_pair(sim, "B", "E", ["/shared"])
+    deploy_pair(sim, "A", "E", ["/shared"])
+    feed(sim, "B", "B", "/shared")
+    feed(sim, "A", "A", "/shared")
+    sim.tick()
+    sim.tick()
+    assert [m.origin for m in sim.messages_at("E", "/shared")] == ["A", "B"]
+
+
+def test_arrived_messages_come_before_local_ones():
+    sim = sim_with("A", "E")
+    deploy_pair(sim, "A", "E", ["/shared"])
+    feed(sim, "A", "A", "/shared")
+    sim.tick()
+    feed(sim, "E", "E", "/shared")
+    sim.tick()
+    assert [m.origin for m in sim.messages_at("E", "/shared")] == ["A", "E"]
+
+
+def test_sender_without_a_live_receiver_forwards_nothing():
+    sim = sim_with("A", "E")
+    _, receiver_id = deploy_pair(sim, "A", "E", ["/A/ego"])
+    sim.terminate_instance(receiver_id)
+    sender, _ = pair_specs("A", "E", ["/A/ego"], cr_name="conn-lonely")
+    sim.deploy_instance(sender)  # its receiver was never deployed
+    feed(sim, "A", "A", "/A/ego")
+    assert sim.tick().forwarded == 0
+    sim.tick()
+    assert sim.topics_visible_at("E") == ()
+
+
+def test_two_senders_on_one_node_both_deliver_a_topic():
+    sim = sim_with("A", "B", "E")
+    deploy_pair(sim, "A", "E", ["/A/ego"], cr_name="conn-1")
+    deploy_pair(sim, "A", "B", ["/A/ego"], cr_name="conn-2")
+    feed(sim, "A", "A", "/A/ego")
+    assert sim.tick().forwarded == 2
+    sim.tick()
+    assert sim.topics_visible_at("E") == ("/A/ego",)
+    assert sim.topics_visible_at("B") == ("/A/ego",)

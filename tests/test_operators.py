@@ -11,6 +11,7 @@ from demandflow.model import (
     ConfigItem,
     DeltaAction,
     EntityRole,
+    NothingRunningError,
     Phase,
     ResourceKind,
     ServiceKind,
@@ -536,4 +537,67 @@ def test_same_tick_release_and_request_keep_the_new_demand(rig):
     assert store.get_cr(SVC, "svc-x").status.support == ("V1", "S")
     assert service_op.ledger("svc-x").support == ("V1", "S")
     assert len(sim.instances_of("svc-x")) == 1
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
+
+
+def failing_terminate(sim, fail_calls):
+    """Make the given 1-based calls of `sim.terminate_instance` raise."""
+    real = sim.terminate_instance
+    calls = []
+
+    def terminate(instance_id):
+        calls.append(instance_id)
+        if len(calls) in fail_calls:
+            raise NothingRunningError("injected terminate failure")
+        real(instance_id)
+
+    sim.terminate_instance = terminate
+    return calls
+
+
+def test_replace_retry_reuses_the_new_instance(rig):
+    store, sim, trace, service_op, _ = rig
+    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config(), version="v1"))
+    service_op.run_pending()
+    (old,) = sim.instances_of("svc-x")
+    failing_terminate(sim, {1, 2})
+    store.apply_cr(
+        SVC, "svc-x", delta(2, requesters=(), config=(), version="v2")
+    )
+    while service_op.pending():
+        service_op.run_pending()
+    (live,) = sim.instances_of("svc-x")
+    assert live.version == "v2"
+    assert store.get_cr(SVC, "svc-x").status.instance_ids == (
+        live.instance_id,
+    )
+    replaces = [r for r in trace.records if r.get("action") == "replace"]
+    assert [(r.get("instances"), r.get("replaced")) for r in replaces] == [
+        (live.instance_id, old.instance_id)
+    ]
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
+
+
+def test_partly_failed_connection_teardown_completes_on_retry(rig):
+    store, sim, trace, _, connection_op = rig
+    config = (
+        ConfigItem("src", "V0"),
+        ConfigItem("dst", "E"),
+        ConfigItem("forward-topic", "/V0/ego"),
+    )
+    store.apply_cr(CONN, "conn-V0-E", delta(1, config=config))
+    connection_op.run_pending()
+    pair = tuple(i.instance_id for i in sim.instances_of("conn-V0-E"))
+    # the first half goes, the second half fails once
+    failing_terminate(sim, {2})
+    store.apply_cr(
+        CONN, "conn-V0-E", delta(2, action=DeltaAction.RELEASE, config=config)
+    )
+    while connection_op.pending():
+        connection_op.run_pending()
+    assert sim.instances() == ()
+    assert not store.exists(CONN, "conn-V0-E")
+    terminates = [r for r in trace.records if r.get("action") == "terminate"]
+    assert len(terminates) == 1
+    assert set(terminates[0].get("instances").split(",")) == set(pair)
     assert [r for r in trace.records if r.tag == "ERROR"] == []

@@ -1,5 +1,8 @@
 """End-to-end runs: determinism, idempotency, drain behavior, waypoints."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 import yaml
 
@@ -14,7 +17,11 @@ from demandflow.runner import (
     drain,
     run_scenario,
 )
-from demandflow.scenario import interpolate, scenario_from_mapping
+from demandflow.scenario import (
+    interpolate,
+    make_scale_scenario,
+    scenario_from_mapping,
+)
 from demandflow.tracing import TAG_ACTION, TAG_ERROR, TAG_LEDGER, TAG_REQUEST
 
 
@@ -194,3 +201,41 @@ def test_scripted_and_waypoint_runs_share_the_tick_body(reference_scenario):
     assert all(
         "/V1/ego" in (r.get("topics") or "") for r in topics_records
     )
+
+
+# Digests of make_scale_scenario(30) rendered before the data plane was
+# rewritten; many live connections exercise forwarding order far more
+# than the bundled scenarios do.
+SCALE_30_DIGESTS = {
+    False: ("9a3fb584919b7f924c92765c3bb1a68823673dc6368e57516fa138bfc37f6631", 2644),
+    True: ("4bde63143f09eb3f1c749468ebec10c0076e0a67ef1fac84ee763d570d2000da", 2944),
+}
+
+
+@pytest.mark.parametrize("duplicate_delivery", [False, True])
+def test_scale_run_trace_is_frozen(duplicate_delivery):
+    runner = run_scenario(
+        make_scale_scenario(30), duplicate_delivery=duplicate_delivery
+    )
+    text = runner.trace.render()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert (digest, text.count("\n")) == SCALE_30_DIGESTS[duplicate_delivery]
+
+
+@pytest.mark.slow
+def test_large_scale_run_ends_empty():
+    n = 400
+    runner = run_scenario(make_scale_scenario(n))
+    app = "object-detection-fusion"
+    actions = Counter(
+        (r.get("cr"), r.get("action"))
+        for r in records_with(runner.trace, TAG_ACTION)
+    )
+    fusion = f"svc-{app}-fusion-singleton"
+    assert {a: c for (cr, a), c in actions.items() if cr == fusion} == {
+        "deploy": 1, "reconfigure": 2 * (n - 1), "terminate": 1,
+    }
+    for cr in (f"svc-{app}-objdet-S", "conn-S-E"):
+        assert actions[cr, "deploy"] == 1, cr
+        assert actions[cr, "terminate"] == 1, cr
+    assert system_is_empty(runner.system)
