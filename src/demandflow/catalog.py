@@ -32,12 +32,6 @@ from .model import (
     source_topic,
 )
 
-# Short tokens used when deriving resource names from service kinds.
-_KIND_TOKENS = {
-    ServiceKind.OBJECT_DETECTION: "objdet",
-    ServiceKind.OBJECT_FUSION: "fusion",
-}
-
 # Selector prefixes understood in PartRule.input_selectors.
 SELECT_DEMAND = "demand"
 SELECT_OUTPUTS = "outputs"
@@ -148,7 +142,6 @@ class ServicePartSpec:
     service_kind: ServiceKind
     target_node: str
     config_items: tuple[ConfigItem, ...]
-    version: str
 
 
 @dataclass(frozen=True)
@@ -230,59 +223,38 @@ class Catalog:
         for rule in template.parts:
             placed = self._topology.single_node_with_role(rule.placement_role)
             placement_nodes.add(placed)
-            if rule.per_source_kind is not None:
-                sources = sorted(demand.entities_providing(rule.per_source_kind))
-                for source in sources:
-                    out = (rule.output_topic or "").format(source=source)
-                    items = [
-                        ConfigItem(CFG_NODE, placed),
-                        ConfigItem(CFG_SERVICE_KIND, rule.service_kind.value),
-                        ConfigItem(CFG_SOURCE, source),
-                        ConfigItem(
-                            CFG_INPUT_TOPIC,
-                            source_topic(source, rule.per_source_kind),
-                        ),
-                    ]
-                    if out:
-                        items.append(ConfigItem(CFG_OUTPUT_TOPIC, out))
-                    services.append(
-                        ServicePartSpec(
-                            cr_name=service_cr_name(app_name, rule.role, source),
-                            service_kind=rule.service_kind,
-                            target_node=placed,
-                            config_items=tuple(items),
-                            version=version,
-                        )
-                    )
-                    if out:
-                        outputs_by_role.setdefault(rule.role, []).append(out)
-            else:
-                inputs: list[str] = []
-                for selector in rule.input_selectors:
-                    prefix, _, arg = selector.partition(":")
-                    if prefix == SELECT_DEMAND:
-                        inputs.extend(demand.topics_of_kind(arg))
-                    else:
-                        inputs.extend(outputs_by_role.get(arg, ()))
-                out = (rule.output_topic or "").format(source="")
+            selected: list[str] = []
+            for selector in rule.input_selectors:
+                prefix, _, arg = selector.partition(":")
+                if prefix == SELECT_DEMAND:
+                    selected.extend(demand.topics_of_kind(arg))
+                else:
+                    selected.extend(outputs_by_role.get(arg, ()))
+            # A rule without a source kind yields one part, for source None.
+            kind = rule.per_source_kind
+            sources = sorted(demand.entities_providing(kind)) if kind else [None]
+            for source in sources:
                 items = [
                     ConfigItem(CFG_NODE, placed),
                     ConfigItem(CFG_SERVICE_KIND, rule.service_kind.value),
                 ]
+                inputs = selected
+                if source is not None:
+                    items.append(ConfigItem(CFG_SOURCE, source))
+                    inputs = [source_topic(source, kind)]
                 items.extend(ConfigItem(CFG_INPUT_TOPIC, t) for t in inputs)
+                out = (rule.output_topic or "").format(source=source or "")
                 if out:
                     items.append(ConfigItem(CFG_OUTPUT_TOPIC, out))
+                    outputs_by_role.setdefault(rule.role, []).append(out)
                 services.append(
                     ServicePartSpec(
-                        cr_name=service_cr_name(app_name, rule.role),
+                        cr_name=service_cr_name(app_name, rule.role, source),
                         service_kind=rule.service_kind,
                         target_node=placed,
                         config_items=tuple(items),
-                        version=version,
                     )
                 )
-                if out:
-                    outputs_by_role.setdefault(rule.role, []).append(out)
 
         # All compute parts of one application land on one node; that node
         # is where every demanded source topic must be made available.

@@ -60,6 +60,7 @@ class ServiceInstance:
     version: str
     restart_count: int = 0
     config_version: int = 0
+    detections: int = 0  # outputs of the detection stub, its payload counter
     # Topics parsed from `config` at deploy and on every reconfigure.
     _inputs: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _output: str | None = field(init=False, repr=False, compare=False)
@@ -107,12 +108,10 @@ class ClusterSim:
     def __init__(self) -> None:
         self._nodes: dict[str, EntityRole] = {}
         self._instances: dict[str, ServiceInstance] = {}
-        self._pending: dict[str, list[TopicMessage]] = {}
-        self._inflight: dict[str, list[TopicMessage]] = {}
+        self._next: dict[str, Bus] = {}  # the buses the next tick reads
         self._bus: dict[str, Bus] = {}
         self._seq: dict[tuple[str, str], int] = {}
         self._deploy_counts: dict[str, int] = {}
-        self._detect_counts: dict[str, int] = {}
         self._iid_seq = 0
         self._time = 0
 
@@ -122,8 +121,7 @@ class ClusterSim:
         if node_id in self._nodes:
             raise DuplicateNodeError(f"node {node_id!r} already exists")
         self._nodes[node_id] = role
-        self._pending[node_id] = []
-        self._inflight[node_id] = []
+        self._next[node_id] = ([], [])
         self._bus[node_id] = ([], [])
 
     def _require_node(self, node_id: str) -> None:
@@ -201,18 +199,14 @@ class ClusterSim:
                 f"after {last} on {key}"
             )
         self._seq[key] = message.seq
-        self._pending[node_id].append(message)
+        self._next[node_id][1].append(message)
 
     def next_message(
-        self,
-        origin: str,
-        topic: str,
-        payload_kind: PayloadKind,
-        payload: tuple[str, ...] = (),
+        self, origin: str, topic: str, payload_kind: PayloadKind
     ) -> TopicMessage:
         """Build the next in-sequence message for (origin, topic)."""
         seq = self._seq.get((origin, topic), 0) + 1
-        return TopicMessage(topic, payload_kind, origin, seq, self._time + 1, payload)
+        return TopicMessage(topic, payload_kind, origin, seq, self._time + 1)
 
     # -- the tick ----------------------------------------------------------
 
@@ -230,9 +224,8 @@ class ClusterSim:
         """
         self._time += 1
         nodes = self._nodes
-        bus = {n: (self._inflight[n], self._pending[n]) for n in nodes}
-        self._inflight = {n: [] for n in nodes}
-        self._pending = {n: [] for n in nodes}
+        bus = self._next
+        self._next = {n: ([], []) for n in nodes}
 
         # Creation order keeps behavior and forwarding order stable.
         detectors: list[ServiceInstance] = []
@@ -267,14 +260,14 @@ class ClusterSim:
             produced += self._run_fusion(instance, bus[instance.node_id])
 
         forwarded = 0
-        inflight = self._inflight
+        arriving = self._next
         for node_id in nodes:
             by_topic = routes.get(node_id)
             if by_topic is None:
                 continue
             for message in bus[node_id][1]:
                 for dst in by_topic.get(message.topic, ()):
-                    inflight[dst].append(message)
+                    arriving[dst][0].append(message)
                     forwarded += 1
 
         self._bus = bus
@@ -304,11 +297,13 @@ class ClusterSim:
         )
         if hit is None:
             return 0
-        count = self._detect_counts.get(instance.instance_id, 0) + 1
-        self._detect_counts[instance.instance_id] = count
+        instance.detections += 1
         bus[1].append(
             self._stamped(
-                hit.origin, out_topic, PayloadKind.OBJECT_LIST, (str(count),)
+                hit.origin,
+                out_topic,
+                PayloadKind.OBJECT_LIST,
+                (str(instance.detections),),
             )
         )
         return 1

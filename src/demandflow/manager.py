@@ -87,6 +87,10 @@ class AppManager:
         self._store = store
         self._catalog = catalog
         self._policy = policy or AccessDomainPolicy()
+        # The topology is immutable, so its node set is built once.
+        self._known_nodes = frozenset(
+            e.node_id for e in catalog.topology.entities()
+        )
         self._processed: dict[str, RequestResult] = {}
         self._active_version: dict[str, str] = {}
         self._owner: dict[str, str] = {}  # service cr name -> application
@@ -101,8 +105,7 @@ class AppManager:
         return version
 
     def check_access(self, app_name: str, node_id: str) -> bool:
-        known = {e.node_id for e in self._catalog.topology.entities()}
-        if node_id not in known:
+        if node_id not in self._known_nodes:
             raise UnknownEntityError(f"unknown node {node_id!r}")
         return self._policy.allows(app_name, node_id)
 

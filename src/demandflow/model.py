@@ -59,8 +59,6 @@ TOPIC_KIND_EGO = "ego"
 TOPIC_KIND_POINTCLOUD = "pointcloud"
 TOPIC_KINDS = (TOPIC_KIND_EGO, TOPIC_KIND_POINTCLOUD)
 
-FUSION_OUTPUT_TOPIC = "/fusion/objects"
-
 
 def ego_topic(entity_id: str) -> str:
     return f"/{entity_id}/ego"

@@ -15,6 +15,7 @@ from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Iterable, TypeVar
 
 from .cluster import ClusterSim, InstanceSpec, ServiceInstance
 from .model import (
@@ -43,6 +44,9 @@ log = logging.getLogger(__name__)
 # Config item kinds subject to reference counting; everything else is
 # adopted once from the first delta and kept as base config.
 COUNTED_CONFIG_KINDS = frozenset({CFG_INPUT_TOPIC, CFG_FORWARD_TOPIC})
+
+# Reconcile attempts per folded generation before its deltas are dropped.
+MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -79,66 +83,62 @@ class LedgerRejection:
     detail: str
 
 
+K = TypeVar("K")
+
+
+def _fold(
+    counts: dict[K, int], keys: Iterable[K], sign: int
+) -> tuple[dict[K, int], K | None]:
+    """Add `sign` times each key's multiplicity in `keys` to `counts`.
+
+    Returns the new counts (keys in first-demand order, zero counts
+    dropped) and None, or the old counts and the first key, in order of
+    first appearance in `keys`, whose count would fall below zero.
+    """
+    folded = dict(counts)
+    for key, n in Counter(keys).items():
+        left = folded.get(key, 0) + sign * n
+        if left < 0:
+            return counts, key
+        if left:
+            folded[key] = left
+        else:
+            del folded[key]
+    return folded, None
+
+
 def apply_demand(
     ledger: DemandLedger, delta: DemandDelta
 ) -> tuple[DemandLedger, LedgerRejection | None]:
     """Fold one demand delta into a ledger, atomically.
 
     A release that would push any requester or config count below zero is
-    rejected as a whole; partial application never happens.  Version-only
-    deltas touch nothing but the version field.
+    rejected as a whole; partial application never happens.  Only a
+    request adopts base config and version; version-only deltas touch
+    nothing but the version field.
     """
     if delta.is_version_only():
         return replace(ledger, version=delta.app_version), None
 
+    sign = 1 if delta.action is DeltaAction.REQUEST else -1
+    requesters, missing = _fold(ledger.requester_counts, delta.requesters, sign)
+    if missing is not None:
+        return ledger, LedgerRejection("unknown-requester-release", missing)
     counted = [i for i in delta.config_items if i.kind in COUNTED_CONFIG_KINDS]
+    config, missing = _fold(ledger.config_counts, counted, sign)
+    if missing is not None:
+        return ledger, LedgerRejection("unknown-config-release", missing.render())
+
+    folded = replace(ledger, requester_counts=requesters, config_counts=config)
+    if sign < 0:
+        return folded, None
     base = tuple(
         i for i in delta.config_items if i.kind not in COUNTED_CONFIG_KINDS
     )
-
-    if delta.action is DeltaAction.REQUEST:
-        requesters = dict(ledger.requester_counts)
-        for requester in delta.requesters:
-            requesters[requester] = requesters.get(requester, 0) + 1
-        config = dict(ledger.config_counts)
-        for item in counted:
-            config[item] = config.get(item, 0) + 1
-        return DemandLedger(
-            requester_counts=requesters,
-            config_counts=config,
-            base_config=ledger.base_config or base,
-            version=delta.app_version or ledger.version,
-        ), None
-
-    needed_requesters = Counter(delta.requesters)
-    for requester, n in needed_requesters.items():
-        if ledger.requester_counts.get(requester, 0) < n:
-            return ledger, LedgerRejection(
-                "unknown-requester-release", requester
-            )
-    needed_config = Counter(counted)
-    for item, n in needed_config.items():
-        if ledger.config_counts.get(item, 0) < n:
-            return ledger, LedgerRejection(
-                "unknown-config-release", item.render()
-            )
-
-    requesters = dict(ledger.requester_counts)
-    for requester, n in needed_requesters.items():
-        remaining = requesters[requester] - n
-        if remaining:
-            requesters[requester] = remaining
-        else:
-            del requesters[requester]
-    config = dict(ledger.config_counts)
-    for item, n in needed_config.items():
-        remaining = config[item] - n
-        if remaining:
-            config[item] = remaining
-        else:
-            del config[item]
     return replace(
-        ledger, requester_counts=requesters, config_counts=config
+        folded,
+        base_config=ledger.base_config or base,
+        version=delta.app_version or ledger.version,
     ), None
 
 
@@ -150,33 +150,23 @@ class DecisionAction(str, Enum):
     NOOP = "noop"
 
 
-@dataclass(frozen=True)
-class ReconcileDecision:
-    action: DecisionAction
-    effective_config: tuple[ConfigItem, ...]
-    target_version: str
-
-
 def decide(
     ledger: DemandLedger, instance: ServiceInstance | None
-) -> ReconcileDecision:
+) -> DecisionAction:
     """Map a ledger plus the current instance onto one action.
 
     Shutdown exactly when support is empty; the decision depends only on
     the resulting state, never on how the ledger got there.
     """
-    config = ledger.effective_config
     if ledger.is_empty():
-        return ReconcileDecision(DecisionAction.SHUTDOWN, config, ledger.version)
+        return DecisionAction.SHUTDOWN
     if instance is None:
-        return ReconcileDecision(DecisionAction.DEPLOY, config, ledger.version)
+        return DecisionAction.DEPLOY
     if ledger.version and instance.version != ledger.version:
-        return ReconcileDecision(DecisionAction.REPLACE, config, ledger.version)
-    if set(config) != set(instance.config):
-        return ReconcileDecision(
-            DecisionAction.RECONFIGURE, config, ledger.version
-        )
-    return ReconcileDecision(DecisionAction.NOOP, config, ledger.version)
+        return DecisionAction.REPLACE
+    if set(ledger.effective_config) != set(instance.config):
+        return DecisionAction.RECONFIGURE
+    return DecisionAction.NOOP
 
 
 class Operator:
@@ -200,17 +190,10 @@ class Operator:
     kind: ResourceKind
     source: str
 
-    def __init__(
-        self,
-        store: ResourceStore,
-        sim: ClusterSim,
-        trace: Trace,
-        max_attempts: int = 3,
-    ):
+    def __init__(self, store: ResourceStore, sim: ClusterSim, trace: Trace):
         self._store = store
         self._sim = sim
         self._trace = trace
-        self._max_attempts = max_attempts
         self._watcher: Watcher = store.watch(self.kind)
         self._ledgers: dict[str, DemandLedger] = {}
         self._observed: dict[str, int] = {}
@@ -269,9 +252,9 @@ class Operator:
             if rejection is not None:
                 rejections.append((generation, rejection))
 
-        decision = decide(ledger, self._primary_instance(name))
+        action = decide(ledger, self._primary_instance(name))
         try:
-            self._execute(name, decision)
+            self._execute(name, action, ledger)
         except OrchestrationError as exc:
             self._handle_failure(name, event, target, exc)
             return
@@ -285,7 +268,7 @@ class Operator:
                 rejection.kind,
                 f"{name}@{generation}:{rejection.detail}",
             )
-        if decision.action is DecisionAction.SHUTDOWN:
+        if action is DecisionAction.SHUTDOWN:
             self._forget(name)
             self._store.delete_cr(self.kind, name)
             self._trace.ledger_state(name, (), ())
@@ -312,7 +295,7 @@ class Operator:
         key = (name, target)
         attempts = self._attempts.get(key, 0) + 1
         self._attempts[key] = attempts
-        if attempts < self._max_attempts:
+        if attempts < MAX_ATTEMPTS:
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
                       name, exc, attempts)
             self._store.update_status(
@@ -339,17 +322,18 @@ class Operator:
 
     # -- cluster side ------------------------------------------------------
 
-    def _execute(self, name: str, decision: ReconcileDecision) -> None:
+    def _execute(
+        self, name: str, action: DecisionAction, ledger: DemandLedger
+    ) -> None:
         self._retire(name)
-        action = decision.action
         units = self._units.get(name, ())
         if action is DecisionAction.DEPLOY:
-            new = self._deploy_units(name, decision)
+            new = self._deploy_units(name, ledger)
             self._units[name] = new
             self._trace.instance_action(name, "deploy", new, self._nodes(new))
         elif action is DecisionAction.RECONFIGURE:
             primary = units[:1]
-            self._sim.reconfigure_instance(units[0], decision.effective_config)
+            self._sim.reconfigure_instance(units[0], ledger.effective_config)
             self._trace.instance_action(
                 name, "reconfigure", primary, self._nodes(primary)
             )
@@ -357,15 +341,13 @@ class Operator:
             # Record the new units before the old ones go, so a retry after
             # a failed terminate reuses them instead of deploying again.
             retiring = (units, self._nodes(units))
-            self._units[name] = self._deploy_units(name, decision)
+            self._units[name] = self._deploy_units(name, ledger)
             self._retiring[name] = retiring
             self._retire(name)
         elif action is DecisionAction.SHUTDOWN:
             self._teardown(name)
 
-    def _deploy_units(
-        self, name: str, decision: ReconcileDecision
-    ) -> tuple[str, ...]:
+    def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
         raise NotImplementedError
 
     def _teardown(self, name: str) -> None:
@@ -420,10 +402,8 @@ class ServiceOperator(Operator):
     kind = ResourceKind.MANAGED_SERVICE
     source = "service-operator"
 
-    def _deploy_units(
-        self, name: str, decision: ReconcileDecision
-    ) -> tuple[str, ...]:
-        config = decision.effective_config
+    def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
+        config = ledger.effective_config
         return (
             self._sim.deploy_instance(
                 InstanceSpec(
@@ -433,7 +413,7 @@ class ServiceOperator(Operator):
                     ),
                     node_id=config_value(config, CFG_NODE),
                     config=config,
-                    version=decision.target_version,
+                    version=ledger.version,
                 )
             ),
         )
@@ -449,10 +429,8 @@ class ConnectionOperator(Operator):
     kind = ResourceKind.MANAGED_CONNECTION
     source = "connection-operator"
 
-    def _deploy_units(
-        self, name: str, decision: ReconcileDecision
-    ) -> tuple[str, ...]:
-        config = decision.effective_config
+    def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
+        config = ledger.effective_config
         src = config_value(config, CFG_SRC)
         dst = config_value(config, CFG_DST)
         receiver_id = self._sim.deploy_instance(
@@ -463,7 +441,7 @@ class ConnectionOperator(Operator):
                 config=tuple(
                     i for i in config if i.kind != CFG_FORWARD_TOPIC
                 ),
-                version=decision.target_version,
+                version=ledger.version,
             )
         )
         try:
@@ -473,7 +451,7 @@ class ConnectionOperator(Operator):
                     service_kind=ServiceKind.COMM_SENDER,
                     node_id=src,
                     config=config,
-                    version=decision.target_version,
+                    version=ledger.version,
                 )
             )
         except OrchestrationError:

@@ -390,7 +390,7 @@ def _parse_timeline(
 # --------------------------------------------------------------------------
 
 
-def make_scale_scenario(n_vehicles: int, settle_ticks: int = 2) -> Scenario:
+def make_scale_scenario(n_vehicles: int) -> Scenario:
     """A scenario with `n_vehicles` vehicles entering then leaving in turn.
 
     Used for load testing: demand ramps up to all vehicles at once, then
@@ -418,7 +418,6 @@ def make_scale_scenario(n_vehicles: int, settle_ticks: int = 2) -> Scenario:
         },
         "timeline": {
             "mode": "scripted",
-            "settle_ticks": settle_ticks,
             "events": [
                 *(
                     {"step": i + 1, "enter": v}

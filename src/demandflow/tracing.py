@@ -39,11 +39,11 @@ class TraceRecord:
         parts.extend(f"{key}={value}" for key, value in self.fields)
         return " ".join(parts)
 
-    def get(self, key: str, default: str = "") -> str:
+    def get(self, key: str) -> str:
         for k, value in self.fields:
             if k == key:
                 return value
-        return default
+        return ""
 
     def values(self, key: str) -> tuple[str, ...]:
         """Split a comma-joined field into its parts; empty field, no parts."""
@@ -166,30 +166,11 @@ class Trace:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffEntry:
-    record_class: str
-    kind: str           # "mismatch" or "length"
-    index: int
-    expected: str
-    actual: str
-
-    def describe(self) -> str:
-        if self.kind == "length":
-            return (
-                f"{self.record_class}: record count differs "
-                f"(golden {self.expected}, actual {self.actual})"
-            )
-        return (
-            f"{self.record_class}[{self.index}]:\n"
-            f"  golden: {self.expected}\n"
-            f"  actual: {self.actual}"
-        )
-
-
 @dataclass
 class TraceDiffReport:
-    entries: list[DiffEntry] = field(default_factory=list)
+    """One described difference per diverging record class."""
+
+    entries: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -198,7 +179,7 @@ class TraceDiffReport:
     def describe(self) -> str:
         if self.ok:
             return "trace matches golden"
-        return "\n".join(entry.describe() for entry in self.entries)
+        return "\n".join(self.entries)
 
 
 def _tag_of(line: str) -> str:
@@ -206,30 +187,29 @@ def _tag_of(line: str) -> str:
 
 
 def diff_trace_lines(
-    actual: Sequence[str],
-    golden: Sequence[str],
-    tags: Sequence[str] = COMPARED_TAGS,
+    actual: Sequence[str], golden: Sequence[str]
 ) -> TraceDiffReport:
-    """Diff two rendered traces per record class.
+    """Diff two rendered traces per compared record class.
 
     For each class the first diverging record is reported; a surplus or
     shortage of records is reported as a length mismatch.
     """
     report = TraceDiffReport()
-    for tag in tags:
+    for tag in COMPARED_TAGS:
         want = [l for l in golden if _tag_of(l) == tag]
         have = [l for l in actual if _tag_of(l) == tag]
-        diverged = False
         for index, (w, h) in enumerate(zip(want, have)):
             if w != h:
-                report.entries.append(DiffEntry(tag, "mismatch", index, w, h))
-                diverged = True
+                report.entries.append(
+                    f"{tag}[{index}]:\n  golden: {w}\n  actual: {h}"
+                )
                 break
-        if not diverged and len(want) != len(have):
-            report.entries.append(
-                DiffEntry(tag, "length", min(len(want), len(have)),
-                          str(len(want)), str(len(have)))
-            )
+        else:
+            if len(want) != len(have):
+                report.entries.append(
+                    f"{tag}: record count differs "
+                    f"(golden {len(want)}, actual {len(have)})"
+                )
     return report
 
 

@@ -140,22 +140,23 @@ def test_forwarded_messages_are_not_reforwarded():
         assert sim.topics_visible_at("B") == ()
 
 
+DETECTION_SPEC = InstanceSpec(
+    "svc-det-S",
+    ServiceKind.OBJECT_DETECTION,
+    "E",
+    (
+        ConfigItem("node", "E"),
+        ConfigItem("service-kind", "object-detection"),
+        ConfigItem("source", "S"),
+        ConfigItem("input-topic", "/S/points"),
+        ConfigItem("output-topic", "/detections/S/objects"),
+    ),
+)
+
+
 def test_detection_consumes_pointclouds_and_counts():
     sim = sim_with("E")
-    sim.deploy_instance(
-        InstanceSpec(
-            "svc-det-S",
-            ServiceKind.OBJECT_DETECTION,
-            "E",
-            (
-                ConfigItem("node", "E"),
-                ConfigItem("service-kind", "object-detection"),
-                ConfigItem("source", "S"),
-                ConfigItem("input-topic", "/S/points"),
-                ConfigItem("output-topic", "/detections/S/objects"),
-            ),
-        )
-    )
+    sim.deploy_instance(DETECTION_SPEC)
     for expected_count in (1, 2, 3):
         feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
         sim.tick()
@@ -167,6 +168,21 @@ def test_detection_consumes_pointclouds_and_counts():
     # no input this tick, no output
     sim.tick()
     assert sim.messages_at("E", "/detections/S/objects") == ()
+
+
+def test_terminated_instance_leaves_no_per_instance_state():
+    sim = sim_with("E")
+    instance_id = sim.deploy_instance(DETECTION_SPEC)
+    feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
+    sim.tick()
+    assert sim.messages_at("E", "/detections/S/objects")
+    sim.terminate_instance(instance_id)
+    keyed_by_instance = [
+        name
+        for name, value in vars(sim).items()
+        if isinstance(value, dict) and instance_id in value
+    ]
+    assert keyed_by_instance == []
 
 
 def fusion_spec(inputs):

@@ -124,6 +124,7 @@ def test_release_unknown_config_is_atomic():
     )
     assert rejection is not None
     assert rejection.kind == "unknown-config-release"
+    assert rejection.detail == "input-topic:/b"
     assert after == ledger
 
 
@@ -139,6 +140,25 @@ def test_version_only_delta_touches_only_the_version():
     assert after.requester_counts == ledger.requester_counts
     assert after.config_counts == ledger.config_counts
     assert after.base_config == ledger.base_config
+
+
+def test_release_leaves_version_and_base_alone():
+    ledger, _ = apply_demand(
+        DemandLedger(), delta(1, config=BASE + (in_topic("/a"),), version="v1")
+    )
+    after, rejection = apply_demand(
+        ledger,
+        delta(
+            2,
+            action=DeltaAction.RELEASE,
+            config=(ConfigItem("node", "X"), in_topic("/a")),
+            version="v2",
+        ),
+    )
+    assert rejection is None
+    assert after.version == "v1"
+    assert after.base_config == BASE
+    assert after.config_counts == {}
 
 
 def test_base_config_is_adopted_once():
@@ -220,47 +240,39 @@ def ledger_with(requesters=("V0",), config=(), version="v1"):
 
 def test_decide_deploys_without_instance():
     after = ledger_with(config=BASE)
-    decision = decide(after, None)
-    assert decision.action is DecisionAction.DEPLOY
-    assert decision.effective_config == after.effective_config
+    assert decide(after, None) is DecisionAction.DEPLOY
 
 
 def test_decide_shutdown_exactly_when_support_empty():
     empty = DemandLedger()
-    assert decide(empty, make_instance(BASE)).action \
-        is DecisionAction.SHUTDOWN
+    assert decide(empty, make_instance(BASE)) is DecisionAction.SHUTDOWN
     # no instance to kill, still a shutdown (the resource must go)
-    assert decide(empty, None).action is DecisionAction.SHUTDOWN
+    assert decide(empty, None) is DecisionAction.SHUTDOWN
     # non-empty support never shuts down
     populated = ledger_with(config=BASE)
-    assert decide(populated, make_instance(BASE)).action \
+    assert decide(populated, make_instance(BASE)) \
         is not DecisionAction.SHUTDOWN
 
 
 def test_decide_reconfigures_on_config_set_change():
     after = ledger_with(config=BASE + (in_topic("/a"),))
     instance = make_instance(BASE)
-    assert decide(after, instance).action \
-        is DecisionAction.RECONFIGURE
+    assert decide(after, instance) is DecisionAction.RECONFIGURE
 
 
 def test_decide_ignores_config_order():
     after = ledger_with(config=BASE + (in_topic("/a"),))
     shuffled = tuple(reversed(after.effective_config))
-    assert decide(after, make_instance(shuffled)).action \
-        is DecisionAction.NOOP
+    assert decide(after, make_instance(shuffled)) is DecisionAction.NOOP
 
 
 def test_decide_replaces_on_version_change():
     after = ledger_with(config=BASE, version="v2")
     instance = make_instance(BASE, version="v1")
-    decision = decide(after, instance)
-    assert decision.action is DecisionAction.REPLACE
-    assert decision.target_version == "v2"
+    assert decide(after, instance) is DecisionAction.REPLACE
     # an unversioned ledger (connections) never triggers replacement
     unversioned = ledger_with(config=BASE, version="")
-    assert decide(unversioned, instance).action \
-        is DecisionAction.NOOP
+    assert decide(unversioned, instance) is DecisionAction.NOOP
 
 
 # -- operators against store + cluster ------------------------------------
