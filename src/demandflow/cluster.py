@@ -5,10 +5,14 @@ deployed sender/receiver pair forwards it, with one tick of latency.
 During a tick a node's bus is an `(arrived, local)` pair of lists: the
 messages forwarded to it last tick, then those published on it since.
 Readers see arrived before local, and only local messages are forwarded,
-which rules out multi-hop relays and forwarding loops.  Each tick builds
-a route table (node -> topic -> receiver nodes) in one pass over the
-running instances, then forwards node by node in node order, senders in
-creation order within a node.
+which rules out multi-hop relays and forwarding loops.  Two bus sets
+take turns: a tick reads the set filled since the last tick, and the set
+the last tick read is cleared and takes the next tick's messages.  The
+route plan (detectors, fusers and a node -> topic -> receiver nodes
+table) is built in one pass over the running instances on the first
+tick after a deploy, terminate or reconfigure, and kept until the next
+one.  Forwarding walks the nodes in node order, senders in creation
+order within a node.
 Detection and fusion instances run as stub behaviors inside the tick so
 the data plane reacts to (re)configuration without any real perception
 code.  Everything is deterministic: no wall clock, no randomness, fixed
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import (
     CFG_FORWARD_TOPIC,
@@ -104,12 +108,21 @@ class TickReport:
 Bus = tuple[list[TopicMessage], list[TopicMessage]]  # (arrived, local)
 
 
+class Plan(NamedTuple):
+    """What a tick runs and where it forwards, in creation order."""
+
+    detectors: list[ServiceInstance]
+    fusers: list[ServiceInstance]
+    routes: dict[str, dict[str, list[str]]]  # node -> topic -> receiver nodes
+
+
 class ClusterSim:
     def __init__(self) -> None:
         self._nodes: dict[str, EntityRole] = {}
         self._instances: dict[str, ServiceInstance] = {}
+        self._plan: Plan | None = None  # dropped by every lifecycle call
         self._next: dict[str, Bus] = {}  # the buses the next tick reads
-        self._bus: dict[str, Bus] = {}
+        self._bus: dict[str, Bus] = {}  # the buses the last tick read
         self._seq: dict[tuple[str, str], int] = {}
         self._deploy_counts: dict[str, int] = {}
         self._iid_seq = 0
@@ -150,6 +163,7 @@ class ClusterSim:
             version=spec.version,
             restart_count=lineage,
         )
+        self._plan = None
         log.debug("deployed %s (%s) on %s", instance_id, spec.cr_name, spec.node_id)
         return instance_id
 
@@ -161,10 +175,12 @@ class ClusterSim:
         instance.config = config
         instance._parse_topics()
         instance.config_version += 1
+        self._plan = None
 
     def terminate_instance(self, instance_id: str) -> None:
         self._require_running(instance_id)
         del self._instances[instance_id]
+        self._plan = None
 
     def get_instance(self, instance_id: str) -> ServiceInstance:
         try:
@@ -201,6 +217,21 @@ class ClusterSim:
         self._seq[key] = message.seq
         self._next[node_id][1].append(message)
 
+    def publish_sources(
+        self, sources: Iterable[tuple[str, str, str, PayloadKind]]
+    ) -> None:
+        """`publish(node, next_message(origin, topic, kind))` per source."""
+        seq = self._seq
+        buses = self._next
+        stamp = self._time + 1
+        for node_id, origin, topic, payload_kind in sources:
+            bus = buses.get(node_id)
+            if bus is None:
+                raise UnknownNodeError(f"unknown node {node_id!r}")
+            key = (origin, topic)
+            n = seq[key] = seq.get(key, 0) + 1
+            bus[1].append(TopicMessage(topic, payload_kind, origin, n, stamp))
+
     def next_message(
         self, origin: str, topic: str, payload_kind: PayloadKind
     ) -> TopicMessage:
@@ -223,11 +254,31 @@ class ClusterSim:
         pairs pick up locally published messages for delivery next tick.
         """
         self._time += 1
-        nodes = self._nodes
         bus = self._next
-        self._next = {n: ([], []) for n in nodes}
+        arriving = self._next = self._bus
+        for arrived, local in arriving.values():
+            arrived.clear()
+            local.clear()
+        plan = self._plan or self._build_plan()
 
-        # Creation order keeps behavior and forwarding order stable.
+        produced = 0
+        for instance in plan.detectors:
+            produced += self._run_detection(instance, bus[instance.node_id])
+        for instance in plan.fusers:
+            produced += self._run_fusion(instance, bus[instance.node_id])
+
+        forwarded = 0
+        for node_id, by_topic in plan.routes.items():
+            for message in bus[node_id][1]:
+                for dst in by_topic.get(message.topic, ()):
+                    arriving[dst][0].append(message)
+                    forwarded += 1
+
+        self._bus = bus
+        return TickReport(self._time, produced, forwarded)
+
+    def _build_plan(self) -> Plan:
+        """Creation order keeps behavior and forwarding order stable."""
         detectors: list[ServiceInstance] = []
         fusers: list[ServiceInstance] = []
         senders: list[ServiceInstance] = []
@@ -252,26 +303,10 @@ class ClusterSim:
             by_topic = routes.setdefault(sender.node_id, {})
             for topic in sender.forward_topics():
                 by_topic.setdefault(topic, []).append(dst)
-
-        produced = 0
-        for instance in detectors:
-            produced += self._run_detection(instance, bus[instance.node_id])
-        for instance in fusers:
-            produced += self._run_fusion(instance, bus[instance.node_id])
-
-        forwarded = 0
-        arriving = self._next
-        for node_id in nodes:
-            by_topic = routes.get(node_id)
-            if by_topic is None:
-                continue
-            for message in bus[node_id][1]:
-                for dst in by_topic.get(message.topic, ()):
-                    arriving[dst][0].append(message)
-                    forwarded += 1
-
-        self._bus = bus
-        return TickReport(self._time, produced, forwarded)
+        # Forwarding walks the nodes in node order.
+        routes = {n: routes[n] for n in self._nodes if n in routes}
+        self._plan = Plan(detectors, fusers, routes)
+        return self._plan
 
     def topics_visible_at(self, node_id: str) -> tuple[str, ...]:
         """Topics with at least one message on the node during the last tick."""

@@ -133,10 +133,7 @@ def deliver(system: System, request: DeploymentRequest, copies: int = 1) -> None
 
 def publish_source_data(system: System) -> None:
     """Every entity publishes one message per capability on its own node."""
-    next_message = system.sim.next_message
-    publish = system.sim.publish
-    for node_id, origin, topic, payload_kind in system.sources:
-        publish(node_id, next_message(origin, topic, payload_kind))
+    system.sim.publish_sources(system.sources)
 
 
 class ScenarioRunner:
@@ -151,6 +148,8 @@ class ScenarioRunner:
         self.duplicate_delivery = duplicate_delivery
         self.system = build_system(scenario, trace=trace, policy=policy)
         self.trace = self.system.trace
+        self._nodes = tuple(e.node_id for e in scenario.entities)
+        self._nodes_sorted = tuple(sorted(self._nodes))
 
     def run(self) -> Trace:
         if self.scenario.timeline.mode == MODE_SCRIPTED:
@@ -204,9 +203,7 @@ class ScenarioRunner:
 
     def _run_waypoints(self) -> None:
         routes = self.scenario.timeline.waypoints
-        last_topics: dict[str, tuple[str, ...]] = {
-            e.node_id: () for e in self.scenario.entities
-        }
+        last_topics = dict.fromkeys(self._nodes, ())
         step = 0
         for tick in range(1, self.scenario.tick_budget + 1):
             for vehicle_id, route in routes.items():
@@ -218,8 +215,7 @@ class ScenarioRunner:
                 step += 1
             self.trace.at(step, tick)
             self._tick(tick, requests=requests)
-            for entity in self.scenario.entities:
-                node = entity.node_id
+            for node in self._nodes:
                 visible = self.system.sim.topics_visible_at(node)
                 if visible != last_topics[node]:
                     self.trace.topics(node, visible)
@@ -240,11 +236,8 @@ class ScenarioRunner:
         self.system.sim.tick()
 
     def _snapshot_topics(self) -> None:
-        for entity in sorted(self.scenario.entities, key=lambda e: e.node_id):
-            self.trace.topics(
-                entity.node_id,
-                self.system.sim.topics_visible_at(entity.node_id),
-            )
+        for node in self._nodes_sorted:
+            self.trace.topics(node, self.system.sim.topics_visible_at(node))
 
 
 def run_scenario(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 TAG_REQUEST = "REQUEST"
 TAG_CR = "CR"
@@ -27,8 +27,7 @@ def _csv(values: Iterable[str]) -> str:
     return ",".join(values)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     tag: str
     step: int
     tick: int

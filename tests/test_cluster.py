@@ -42,6 +42,11 @@ def feed(sim, node, origin, topic, kind=PayloadKind.EGO):
     sim.publish(node, sim.next_message(origin, topic, kind))
 
 
+def idle(sim, ticks=3):
+    for _ in range(ticks):
+        sim.tick()
+
+
 def test_node_management():
     sim = sim_with("A")
     with pytest.raises(DuplicateNodeError):
@@ -345,6 +350,8 @@ def test_behaviors_run_in_creation_order_past_four_digit_ids():
 def test_reconfigured_sender_forwards_its_new_topics():
     sim = sim_with("A", "E")
     sender_id, _ = deploy_pair(sim, "A", "E", ["/A/ego"])
+    feed(sim, "A", "A", "/A/ego")
+    idle(sim)
     sender, _ = pair_specs("A", "E", ["/A/points"])
     sim.reconfigure_instance(sender_id, sender.config)
     feed(sim, "A", "A", "/A/ego")
@@ -397,3 +404,172 @@ def test_two_senders_on_one_node_both_deliver_a_topic():
     sim.tick()
     assert sim.topics_visible_at("E") == ("/A/ego",)
     assert sim.topics_visible_at("B") == ("/A/ego",)
+
+
+# -- the route plan follows every lifecycle call ----------------------------
+
+
+def test_receiver_deployed_after_idle_ticks_starts_receiving():
+    sim = sim_with("A", "E")
+    sender, receiver = pair_specs("A", "E", ["/A/ego"])
+    sim.deploy_instance(sender)
+    feed(sim, "A", "A", "/A/ego")
+    idle(sim)
+    sim.deploy_instance(receiver)
+    feed(sim, "A", "A", "/A/ego")
+    assert sim.tick().forwarded == 1
+    sim.tick()
+    assert sim.topics_visible_at("E") == ("/A/ego",)
+
+
+def test_terminating_the_last_receiver_stops_forwarding():
+    sim = sim_with("A", "E")
+    _, first = deploy_pair(sim, "A", "E", ["/A/ego"])
+    _, spare = pair_specs("A", "E", ["/A/ego"])
+    second = sim.deploy_instance(spare)  # a replacement of the same pair
+    feed(sim, "A", "A", "/A/ego")
+    idle(sim)
+    sim.terminate_instance(first)
+    feed(sim, "A", "A", "/A/ego")
+    assert sim.tick().forwarded == 1
+    sim.terminate_instance(second)
+    feed(sim, "A", "A", "/A/ego")
+    assert sim.tick().forwarded == 0
+
+
+def test_detector_reconfigured_after_idle_ticks_reads_its_new_input():
+    sim = sim_with("E")
+    instance_id = sim.deploy_instance(DETECTION_SPEC)
+    feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
+    idle(sim)
+    config = tuple(
+        ConfigItem("input-topic", "/T/points") if item.kind == "input-topic"
+        else item
+        for item in DETECTION_SPEC.config
+    )
+    sim.reconfigure_instance(instance_id, config)
+    feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
+    feed(sim, "E", "T", "/T/points", PayloadKind.POINT_CLOUD)
+    assert sim.tick().produced == 1
+    (out,) = sim.messages_at("E", "/detections/S/objects")
+    assert out.origin == "T"
+
+
+# -- buses are reused from tick to tick -------------------------------------
+
+
+def test_views_of_a_tick_survive_the_next_tick():
+    sim = sim_with("A", "E")
+    deploy_pair(sim, "A", "E", ["/A/ego"])
+    feed(sim, "A", "A", "/A/ego")
+    sim.tick()
+    feed(sim, "E", "E", "/E/ego")
+    sim.tick()
+    messages = sim.messages_at("E", "/A/ego")
+    topics = sim.topics_visible_at("E")
+    assert [m.origin for m in messages] == ["A"]
+    assert topics == ("/A/ego", "/E/ego")
+    sim.tick()  # clears and refills the buses those views were read from
+    assert sim.topics_visible_at("E") == ()
+    assert sim.messages_at("E", "/A/ego") == ()
+    assert [m.origin for m in messages] == ["A"]
+    assert topics == ("/A/ego", "/E/ego")
+
+
+def test_everything_published_between_ticks_is_seen_next_tick():
+    sim = sim_with("A", "B", "E")
+    published = {node: [] for node in ("A", "B", "E")}
+    for round_ in range(4):
+        for node in published:
+            for n in range(round_ + 1):
+                topic = f"/{node}/t{n}"
+                message = sim.next_message(node, topic, PayloadKind.EGO)
+                sim.publish(node, message)
+                published[node].append(message)
+        sim.tick()
+        for node, messages in published.items():
+            seen = [
+                m for topic in sim.topics_visible_at(node)
+                for m in sim.messages_at(node, topic)
+            ]
+            assert sorted(seen) == sorted(messages)
+            messages.clear()
+
+
+def test_node_added_after_ticks_has_a_working_empty_bus():
+    sim = sim_with("A")
+    feed(sim, "A", "A", "/A/ego")
+    idle(sim)
+    sim.add_node("E", EntityRole.EDGE)
+    assert sim.topics_visible_at("E") == ()
+    assert sim.messages_at("E", "/A/ego") == ()
+    deploy_pair(sim, "A", "E", ["/A/ego"])
+    feed(sim, "A", "A", "/A/ego")
+    feed(sim, "E", "E", "/E/ego")
+    sim.tick()
+    assert sim.topics_visible_at("E") == ("/E/ego",)
+    sim.tick()
+    assert sim.topics_visible_at("E") == ("/A/ego",)
+
+
+# -- publishing every source in one call ------------------------------------
+
+
+def test_publish_sources_shares_seq_with_publish():
+    sim = sim_with("A", "E")
+    sources = (
+        ("A", "A", "/A/ego", PayloadKind.EGO),
+        ("E", "A", "/A/ego", PayloadKind.EGO),  # same key, another node
+    )
+    feed(sim, "A", "A", "/A/ego")
+    sim.publish_sources(sources)
+    feed(sim, "A", "A", "/A/ego")
+    sim.tick()
+    sim.publish_sources(sources)
+    sim.tick()
+    seqs = [m.seq for m in sim.messages_at("A", "/A/ego")]
+    seqs += [m.seq for m in sim.messages_at("E", "/A/ego")]
+    assert seqs == [5, 6]
+    assert sim.messages_at("E", "/A/ego")[0].stamp == 2
+
+
+def test_publish_sources_matches_single_publishes():
+    sources = (
+        ("A", "A", "/A/ego", PayloadKind.EGO),
+        ("A", "A", "/A/points", PayloadKind.POINT_CLOUD),
+        ("E", "E", "/E/ego", PayloadKind.EGO),
+    )
+
+    def run(publish_all):
+        sim = sim_with("A", "E")
+        deploy_pair(sim, "A", "E", ["/A/points"])
+        seen = []
+        for _ in range(3):
+            publish_all(sim)
+            sim.tick()
+            seen.append(tuple(
+                m for node in ("A", "E")
+                for topic in sim.topics_visible_at(node)
+                for m in sim.messages_at(node, topic)
+            ))
+        return seen
+
+    def one_by_one(sim):
+        for node, origin, topic, kind in sources:
+            sim.publish(node, sim.next_message(origin, topic, kind))
+
+    assert run(lambda sim: sim.publish_sources(sources)) == run(one_by_one)
+
+
+def test_stale_publish_after_publish_sources_is_rejected():
+    sim = sim_with("A")
+    stale = sim.next_message("A", "/A/ego", PayloadKind.EGO)
+    sim.publish_sources((("A", "A", "/A/ego", PayloadKind.EGO),))
+    with pytest.raises(ValueError):
+        sim.publish("A", stale)
+
+
+def test_publish_sources_rejects_an_unknown_node():
+    sim = sim_with("A")
+    with pytest.raises(UnknownNodeError):
+        sim.publish_sources((("B", "B", "/B/ego", PayloadKind.EGO),))
