@@ -5,7 +5,11 @@ takes a demand description (who is asking, which source topics they bring
 along) and produces the concrete service parts plus the connections that
 carry remote source topics to the node where they are consumed.
 Resolution is a pure function of (template, topology, demand); it never
-inspects what is already deployed.
+inspects what is already deployed.  Templates are registered once and the
+topology is immutable, so `Catalog.resolve` memoizes successful results
+per (application, version, demand), at most one per distinct demand and
+version: for detector-built requests, one per vehicle and version.  A
+call that raises stores nothing and raises again when repeated.
 """
 
 from __future__ import annotations
@@ -169,6 +173,8 @@ class Catalog:
     def __init__(self, topology: Topology):
         self._topology = topology
         self._templates: dict[tuple[str, str], ApplicationTemplate] = {}
+        # (app_name, version, demand) -> its successful resolution
+        self._resolved: dict[tuple, ResolvedParts] = {}
 
     @property
     def topology(self) -> Topology:
@@ -211,6 +217,16 @@ class Catalog:
     # -- resolution --------------------------------------------------------
 
     def resolve(
+        self, app_name: str, version: str, demand: DemandDescription
+    ) -> ResolvedParts:
+        """The parts `demand` needs of one application version, memoized."""
+        key = (app_name, version, demand)
+        parts = self._resolved.get(key)
+        if parts is None:
+            parts = self._resolved[key] = self._resolve(app_name, version, demand)
+        return parts
+
+    def _resolve(
         self, app_name: str, version: str, demand: DemandDescription
     ) -> ResolvedParts:
         template = self.template(app_name, version)

@@ -18,6 +18,7 @@ from .model import (
     OrchestrationError,
     ResourceKind,
     ScenarioError,
+    TOPIC_KINDS,
 )
 from .runner import ScenarioRunner, build_system, deliver, drain
 from .scenario import Scenario, load_request_file, load_scenario
@@ -151,8 +152,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _parse_inputs(raw_inputs) -> tuple[tuple[str, str], ...]:
     inputs = []
     for item in raw_inputs:
-        entity_id, sep, kind = str(item).partition(":")
-        if not sep or not entity_id or not kind:
+        entity_id, sep, kind = item.partition(":")
+        if not sep or not entity_id or kind not in TOPIC_KINDS:
             raise ScenarioError(f"bad input {item!r}, expected entity:kind")
         inputs.append((entity_id, kind))
     return tuple(inputs)

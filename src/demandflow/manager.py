@@ -206,7 +206,7 @@ class AppManager:
         except DuplicateDemandIdError:
             # The delta from this request already landed (partial earlier
             # delivery); the current generation is the answer.
-            return self._store.get_cr(kind, cr_name).generation
+            return self._store.generation(kind, cr_name)
 
     # -- upgrades ----------------------------------------------------------
 

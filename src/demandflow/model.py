@@ -226,10 +226,13 @@ class Topology:
 
     def __init__(self, entities: Iterable[Entity]):
         self._entities: dict[str, Entity] = {}
+        by_role: dict[EntityRole, list[Entity]] = {}
         for entity in entities:
             if entity.entity_id in self._entities:
                 raise ValueError(f"duplicate entity id {entity.entity_id!r}")
             self._entities[entity.entity_id] = entity
+            by_role.setdefault(entity.role, []).append(entity)
+        self._by_role = {role: tuple(found) for role, found in by_role.items()}
         nodes = [e.node_id for e in self._entities.values()]
         if len(set(nodes)) != len(nodes):
             raise ValueError("entities must map to distinct nodes")
@@ -250,7 +253,7 @@ class Topology:
         return self.get(entity_id).node_id
 
     def with_role(self, role: EntityRole) -> tuple[Entity, ...]:
-        return tuple(e for e in self._entities.values() if e.role is role)
+        return self._by_role.get(role, ())
 
     def single_node_with_role(self, role: EntityRole) -> str:
         matches = self.with_role(role)

@@ -11,9 +11,9 @@ key.  The support set being empty is the one and only shutdown signal.
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
+from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, TypeVar
 
@@ -95,9 +95,12 @@ def _fold(
     dropped) and None, or the old counts and the first key, in order of
     first appearance in `keys`, whose count would fall below zero.
     """
+    changes: dict[K, int] = {}
+    for key in keys:
+        changes[key] = changes.get(key, 0) + sign
     folded = dict(counts)
-    for key, n in Counter(keys).items():
-        left = folded.get(key, 0) + sign * n
+    for key, change in changes.items():
+        left = folded.get(key, 0) + change
         if left < 0:
             return counts, key
         if left:
@@ -117,8 +120,11 @@ def apply_demand(
     request adopts base config and version; version-only deltas touch
     nothing but the version field.
     """
+    base, version = ledger.base_config, ledger.version
     if delta.is_version_only():
-        return replace(ledger, version=delta.app_version), None
+        return DemandLedger(
+            ledger.requester_counts, ledger.config_counts, base, delta.app_version
+        ), None
 
     sign = 1 if delta.action is DeltaAction.REQUEST else -1
     requesters, missing = _fold(ledger.requester_counts, delta.requesters, sign)
@@ -129,17 +135,12 @@ def apply_demand(
     if missing is not None:
         return ledger, LedgerRejection("unknown-config-release", missing.render())
 
-    folded = replace(ledger, requester_counts=requesters, config_counts=config)
-    if sign < 0:
-        return folded, None
-    base = tuple(
-        i for i in delta.config_items if i.kind not in COUNTED_CONFIG_KINDS
-    )
-    return replace(
-        folded,
-        base_config=ledger.base_config or base,
-        version=delta.app_version or ledger.version,
-    ), None
+    if sign > 0:
+        base = base or tuple(
+            i for i in delta.config_items if i.kind not in COUNTED_CONFIG_KINDS
+        )
+        version = delta.app_version or version
+    return DemandLedger(requesters, config, base, version), None
 
 
 class DecisionAction(str, Enum):
@@ -240,7 +241,7 @@ class Operator:
         if event.generation <= observed:
             return  # stale or duplicate event
         try:
-            target = self._store.get_cr(self.kind, name).generation
+            target = self._store.generation(self.kind, name)
         except NotFoundError:
             return  # deleted meanwhile; the deletion event is behind us
 

@@ -479,10 +479,18 @@ def load_request_file(path: str | Path) -> dict:
             f"{path.name}: expected a top-level request mapping"
         )
     request = raw["request"]
+    if not isinstance(request, dict):
+        raise ScenarioValidationError(f"{path.name}: request must be a mapping")
     required = {"id", "action", "application", "requesters", "inputs"}
     missing = required - set(request)
     if missing:
         raise ScenarioValidationError(
             f"{path.name}: request is missing {sorted(missing)}"
         )
+    for key in ("requesters", "inputs"):
+        values = request[key]
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ScenarioValidationError(
+                f"{path.name}: {key} must be a list of strings"
+            )
     return request

@@ -179,6 +179,10 @@ class ResourceStore:
             generation=record.generation,
         )
 
+    def generation(self, kind: ResourceKind, name: str) -> int:
+        """The current generation, without building a snapshot."""
+        return self._require(kind, name).generation
+
     def get_spec(self, kind: ResourceKind, name: str, generation: int) -> DemandDelta:
         """The demand delta that produced `generation` of this resource."""
         record = self._require(kind, name)

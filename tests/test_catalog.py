@@ -1,5 +1,7 @@
 """Demand resolution: which parts and connections a request turns into."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -137,11 +139,37 @@ def test_ego_only_vehicle_demand_skips_own_detection(catalog):
     assert by_name["conn-V1-E"].topics == ("/V1/ego",)
 
 
+def fresh_catalog(*versions):
+    catalog = Catalog(reference_topology())
+    for version in versions or ("v1",):
+        catalog.register_application(reference_template(version))
+    return catalog
+
+
 def test_resolution_is_pure(catalog):
     first = catalog.resolve(APP, "v1", lidar_demand())
     catalog.resolve(APP, "v1", ego_demand("V2"))
     second = catalog.resolve(APP, "v1", lidar_demand())
     assert first == second
+    # a memoized answer must also be the answer of a catalog that never
+    # saw the other demand
+    assert second == fresh_catalog().resolve(APP, "v1", lidar_demand())
+
+
+def test_failed_resolution_raises_every_time(catalog):
+    bad = DemandDescription(
+        requesters=("V9", "S"), inputs=(("V9", "ego"), ("S", "pointcloud"))
+    )
+    for _ in range(2):
+        with pytest.raises(UnknownEntityError):
+            catalog.resolve(APP, "v1", bad)
+        with pytest.raises(UnknownVersionError):
+            catalog.resolve(APP, "v2", lidar_demand())
+    # a version registered after a failed call resolves from then on
+    catalog.register_application(reference_template("v2"))
+    assert catalog.resolve(APP, "v2", lidar_demand()) == fresh_catalog(
+        "v2"
+    ).resolve(APP, "v2", lidar_demand())
 
 
 def test_connection_config_items():
@@ -228,20 +256,21 @@ vehicle_sets = st.lists(
 )
 
 
-@given(vehicles=vehicle_sets)
-def test_resolution_covers_any_demand(vehicles):
-    catalog = Catalog(reference_topology())
-    catalog.register_application(reference_template())
-    topology = catalog.topology
+def vehicle_demand(topology, vehicles):
     inputs = []
     for vehicle in vehicles:
         inputs.append((vehicle, "ego"))
         if topology.get(vehicle).provides("pointcloud"):
             inputs.append((vehicle, "pointcloud"))
     inputs.append(("S", "pointcloud"))
-    demand = DemandDescription(
-        requesters=(*vehicles, "S"), inputs=tuple(inputs)
-    )
+    return DemandDescription(requesters=(*vehicles, "S"), inputs=tuple(inputs))
+
+
+@given(vehicles=vehicle_sets)
+def test_resolution_covers_any_demand(vehicles):
+    catalog = fresh_catalog()
+    demand = vehicle_demand(catalog.topology, vehicles)
+    inputs = demand.inputs
 
     parts = catalog.resolve(APP, "v1", demand)
 
@@ -275,3 +304,32 @@ def test_resolution_covers_any_demand(vehicles):
         f"/{e}/ego" if kind == "ego" else f"/{e}/points" for e, kind in inputs
     }
     assert set(carried) == demanded_topics
+
+
+def two_version_catalog():
+    """v1 plus a v2 with its own fusion output, so results depend on the version."""
+    catalog = fresh_catalog()
+    v2 = reference_template("v2")
+    objdet, fusion = v2.parts
+    fusion = replace(fusion, output_topic="/fusion/v2/objects")
+    catalog.register_application(replace(v2, parts=(objdet, fusion)))
+    return catalog
+
+
+@given(
+    demands=st.lists(
+        st.tuples(vehicle_sets, st.sampled_from(["v1", "v2"])),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_warm_resolution_matches_a_fresh_catalog(demands):
+    warm = two_version_catalog()
+    topology = warm.topology
+    for vehicles, version in demands:
+        warm.resolve(APP, version, vehicle_demand(topology, vehicles))
+    for vehicles, version in demands:
+        demand = vehicle_demand(topology, vehicles)
+        assert warm.resolve(APP, version, demand) == (
+            two_version_catalog().resolve(APP, version, demand)
+        )

@@ -118,6 +118,56 @@ def test_inject_rejects_malformed_file(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("request: 5\n", "request must be a mapping"),
+        ("request: [id, action]\n", "request must be a mapping"),
+        (
+            "request: {id: x, action: request, application: object-detection-fusion,"
+            " requesters: V1, inputs: ['V1:ego']}\n",
+            "requesters must be a list of strings",
+        ),
+        (
+            "request: {id: x, action: request, application: object-detection-fusion,"
+            " requesters: [V1], inputs: 'V1:ego'}\n",
+            "inputs must be a list of strings",
+        ),
+        (
+            "request: {id: x, action: request, application: object-detection-fusion,"
+            " requesters: null, inputs: []}\n",
+            "requesters must be a list of strings",
+        ),
+        (
+            "request: {id: x, action: request, application: object-detection-fusion,"
+            " requesters: [5], inputs: ['V0:ego']}\n",
+            "requesters must be a list of strings",
+        ),
+        (
+            "request: {id: x, action: request, application: object-detection-fusion,"
+            " requesters: [V0, S], inputs: ['V0:radar']}\n",
+            "expected entity:kind",
+        ),
+    ],
+    ids=[
+        "scalar",
+        "list",
+        "requesters-string",
+        "inputs-string",
+        "requesters-null",
+        "requester-number",
+        "unknown-kind",
+    ],
+)
+def test_inject_rejects_malformed_request_shape(tmp_path, capsys, text, message):
+    request = tmp_path / "request.yaml"
+    request.write_text(text)
+    assert main(["inject", str(request)]) == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert "scenario error" in err
+    assert message in err
+
+
 def test_inject_rejects_bad_input_syntax(tmp_path, capsys):
     request = tmp_path / "request.yaml"
     request.write_text(

@@ -83,5 +83,9 @@ def test_topology_rejects_duplicates_and_shared_nodes():
 
 def test_topology_requires_unique_role_holder():
     topology = Topology(_entities() + [Entity("E2", EntityRole.EDGE)])
+    assert [e.entity_id for e in topology.with_role(EntityRole.EDGE)] == ["E", "E2"]
+    assert topology.with_role(EntityRole.CLOUD) == ()
     with pytest.raises(ValueError):
         topology.single_node_with_role(EntityRole.EDGE)
+    with pytest.raises(ValueError):
+        topology.single_node_with_role(EntityRole.CLOUD)

@@ -20,6 +20,7 @@ from demandflow.operators import (
     ConnectionOperator,
     DecisionAction,
     DemandLedger,
+    LedgerRejection,
     ServiceOperator,
     apply_demand,
     decide,
@@ -106,6 +107,19 @@ def test_release_unknown_requester_is_atomic():
     assert rejection.kind == "unknown-requester-release"
     assert rejection.detail == "B"
     # nothing was decremented, not even the valid half
+    assert after == ledger
+    assert after.requester_counts == {"A": 1}
+
+
+def test_release_counts_each_key_over_the_whole_delta():
+    # "A" is named twice but held once, so the release underflows on "A"
+    # even though "B" comes before its second appearance
+    ledger, _ = apply_demand(DemandLedger(), delta(1, requesters=("A",)))
+    after, rejection = apply_demand(
+        ledger,
+        delta(2, action=DeltaAction.RELEASE, requesters=("A", "B", "A")),
+    )
+    assert rejection == LedgerRejection("unknown-requester-release", "A")
     assert after == ledger
     assert after.requester_counts == {"A": 1}
 

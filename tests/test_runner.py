@@ -1,6 +1,7 @@
 """End-to-end runs: determinism, idempotency, drain behavior, waypoints."""
 
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -220,6 +221,72 @@ def test_scale_run_trace_is_frozen(duplicate_delivery):
     text = runner.trace.render()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert (digest, text.count("\n")) == SCALE_30_DIGESTS[duplicate_delivery]
+
+
+def churn_mapping():
+    """A 120-step enter/leave walk of six vehicles, two of them lidar-carrying.
+
+    Every step is a demand change and there is no settle window, so each
+    tick reconciles; every 20 steps the application is rolled to the other
+    version while something is live.
+    """
+    raw = yaml.safe_load(
+        bundled_scenario_path("collective_perception_upgrade").read_text()
+    )
+    vehicles = [f"W{i}" for i in range(6)]
+    raw["entities"] = [
+        {
+            "id": v,
+            "role": "cv",
+            "capabilities": ["ego", "pointcloud"] if i < 2 else ["ego"],
+        }
+        for i, v in enumerate(vehicles)
+    ] + [e for e in raw["entities"] if e["role"] != "cv"]
+    rng = random.Random(6)
+    live, events, version = set(), [], 0
+    for index in range(120):
+        if index and index % 20 == 0 and live:
+            version ^= 1
+            events.append({
+                "step": len(events) + 1,
+                "upgrade": {
+                    "application": "object-detection-fusion",
+                    "version": ("v1", "v2")[version],
+                },
+            })
+        vehicle = rng.choice(vehicles)
+        kind = "leave" if vehicle in live else "enter"
+        live ^= {vehicle}
+        events.append({"step": len(events) + 1, kind: vehicle})
+    for vehicle in sorted(live):
+        events.append({"step": len(events) + 1, "leave": vehicle})
+    raw["timeline"] = {"mode": "scripted", "settle_ticks": 0, "events": events}
+    return raw
+
+
+# Digests of the churn walk above, rendered before resolution was memoized
+# and the ledger fold lost its Counter; repeated identical demands and a
+# reconcile on every tick exercise the control plane far more than the
+# bundled scenarios do.
+CHURN_DIGESTS = {
+    False: ("21fa79e3bc1f466bf63c141e448d7a2800adb69babbad35592fcbfe5c33d4980", 2703),
+    True: ("325424bf0f1070754e2201f9562d1a1c01a277ba7f7c05c4d70bada5b74e8416", 3361),
+}
+
+
+@pytest.mark.parametrize("duplicate_delivery", [False, True])
+def test_churn_run_trace_is_frozen(duplicate_delivery):
+    runner = run_scenario(
+        scenario_from_mapping(churn_mapping()),
+        duplicate_delivery=duplicate_delivery,
+    )
+    text = runner.trace.render()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert (digest, text.count("\n")) == CHURN_DIGESTS[duplicate_delivery]
+    actions = {r.get("action") for r in records_with(runner.trace, TAG_ACTION)}
+    assert actions == {"deploy", "reconfigure", "replace", "terminate"}
+    assert not records_with(runner.trace, TAG_ERROR)
+    assert system_is_empty(runner.system)
 
 
 # make_scale_scenario(400) rendered before the cluster kept its route plan

@@ -71,6 +71,20 @@ def test_demand_ids_reset_with_a_new_lifecycle(store):
     assert store.apply_cr(SVC, "x", delta(1)) == 1
 
 
+def test_generation_reads_the_current_generation(store):
+    for n in range(1, 4):
+        store.apply_cr(SVC, "x", delta(n))
+        assert store.generation(SVC, "x") == store.get_cr(SVC, "x").generation == n
+    store.apply_cr(CONN, "x", delta(9))
+    assert store.generation(CONN, "x") == 1
+    with pytest.raises(NotFoundError):
+        store.generation(SVC, "ghost")
+    store.delete_cr(SVC, "x")
+    with pytest.raises(NotFoundError):
+        store.generation(SVC, "x")
+    assert store.generation(CONN, "x") == 1
+
+
 def test_missing_resources_raise(store):
     with pytest.raises(NotFoundError):
         store.get_cr(SVC, "ghost")
