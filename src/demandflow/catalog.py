@@ -5,7 +5,10 @@ takes a demand description (who is asking, which source topics they bring
 along) and produces the concrete service parts plus the connections that
 carry remote source topics to the node where they are consumed.
 Resolution is a pure function of (template, topology, demand); it never
-inspects what is already deployed.  Templates are registered once and the
+inspects what is already deployed.  Every part of an application is
+placed on the single node holding its template's placement role; that
+node is looked up once, when the template is registered, and a template
+without one is refused there.  Templates are registered once and the
 topology is immutable, so `Catalog.resolve` memoizes successful results
 per (application, version, demand), at most one per distinct demand and
 version: for detector-built requests, one per vehicle and version.  A
@@ -74,11 +77,23 @@ class ApplicationTemplate:
     version: str
     parts: tuple[PartRule, ...]
 
+    @property
+    def placement_role(self) -> EntityRole:
+        """The role whose single node hosts every part (after `validate`)."""
+        return self.parts[0].placement_role
+
     def validate(self) -> None:
         if not self.app_name or not self.version:
             raise ValueError("template needs a name and a version")
+        if not self.parts:
+            raise ValueError("template needs at least one part")
         seen_roles: set[str] = set()
         for rule in self.parts:
+            if rule.placement_role is not self.placement_role:
+                raise ValueError(
+                    "all parts must share one placement role, found "
+                    f"{self.placement_role.value!r} and {rule.placement_role.value!r}"
+                )
             if rule.role in seen_roles:
                 raise ValueError(f"duplicate part role {rule.role!r}")
             if rule.per_source_kind is not None:
@@ -154,11 +169,7 @@ class ConnectionPartSpec:
     src_node: str
     dst_node: str
     topics: tuple[str, ...]
-
-    def config_items(self) -> tuple[ConfigItem, ...]:
-        items = [ConfigItem(CFG_SRC, self.src_node), ConfigItem(CFG_DST, self.dst_node)]
-        items.extend(ConfigItem(CFG_FORWARD_TOPIC, t) for t in self.topics)
-        return tuple(items)
+    config_items: tuple[ConfigItem, ...]
 
 
 @dataclass(frozen=True)
@@ -173,6 +184,8 @@ class Catalog:
     def __init__(self, topology: Topology):
         self._topology = topology
         self._templates: dict[tuple[str, str], ApplicationTemplate] = {}
+        # (app_name, version) -> the node every part of it is placed on
+        self._placement: dict[tuple[str, str], str] = {}
         # (app_name, version, demand) -> its successful resolution
         self._resolved: dict[tuple, ResolvedParts] = {}
 
@@ -187,12 +200,9 @@ class Catalog:
             raise AlreadyRegisteredError(
                 f"{template.app_name} {template.version} is already registered"
             )
+        role = template.placement_role
+        self._placement[key] = self._topology.single_node_with_role(role)
         self._templates[key] = template
-
-    def is_registered(self, app_name: str, version: str | None = None) -> bool:
-        if version is None:
-            return any(name == app_name for name, _ in self._templates)
-        return (app_name, version) in self._templates
 
     def versions(self, app_name: str) -> tuple[str, ...]:
         """Registered versions of an application, in registration order."""
@@ -205,14 +215,11 @@ class Catalog:
         return versions[0]
 
     def template(self, app_name: str, version: str) -> ApplicationTemplate:
-        if not self.is_registered(app_name):
-            raise UnknownApplicationError(f"unknown application {app_name!r}")
-        try:
-            return self._templates[(app_name, version)]
-        except KeyError:
-            raise UnknownVersionError(
-                f"{app_name} has no version {version!r}"
-            ) from None
+        template = self._templates.get((app_name, version))
+        if template is None:
+            self.first_version(app_name)  # raises UnknownApplicationError
+            raise UnknownVersionError(f"{app_name} has no version {version!r}")
+        return template
 
     # -- resolution --------------------------------------------------------
 
@@ -232,13 +239,13 @@ class Catalog:
         template = self.template(app_name, version)
         for entity_id in (*demand.requesters, *demand.entities()):
             self._topology.get(entity_id)  # raises UnknownEntityError
+        # Every part lands on one node; every demanded source topic must
+        # be made available there.
+        placed = self._placement[(app_name, version)]
 
         services: list[ServicePartSpec] = []
         outputs_by_role: dict[str, list[str]] = {}
-        placement_nodes: set[str] = set()
         for rule in template.parts:
-            placed = self._topology.single_node_with_role(rule.placement_role)
-            placement_nodes.add(placed)
             selected: list[str] = []
             for selector in rule.input_selectors:
                 prefix, _, arg = selector.partition(":")
@@ -272,26 +279,23 @@ class Catalog:
                     )
                 )
 
-        # All compute parts of one application land on one node; that node
-        # is where every demanded source topic must be made available.
-        if len(placement_nodes) != 1:
-            raise ValueError(
-                f"{app_name} {version} places parts on {len(placement_nodes)} nodes, "
-                "expected one"
-            )
-        dst_node = placement_nodes.pop()
-
         connections: list[ConnectionPartSpec] = []
         for source in sorted(demand.entities()):
             src_node = self._topology.node_of(source)
-            if src_node == dst_node:
+            if src_node == placed:
                 continue
+            topics = demand.topics_of(source)
             connections.append(
                 ConnectionPartSpec(
-                    cr_name=connection_cr_name(src_node, dst_node),
+                    cr_name=connection_cr_name(src_node, placed),
                     src_node=src_node,
-                    dst_node=dst_node,
-                    topics=demand.topics_of(source),
+                    dst_node=placed,
+                    topics=topics,
+                    config_items=(
+                        ConfigItem(CFG_SRC, src_node),
+                        ConfigItem(CFG_DST, placed),
+                        *(ConfigItem(CFG_FORWARD_TOPIC, t) for t in topics),
+                    ),
                 )
             )
         return ResolvedParts(services=tuple(services), connections=tuple(connections))

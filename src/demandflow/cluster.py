@@ -241,10 +241,6 @@ class ClusterSim:
 
     # -- the tick ----------------------------------------------------------
 
-    @property
-    def time(self) -> int:
-        return self._time
-
     def tick(self) -> TickReport:
         """Advance time one step.
 

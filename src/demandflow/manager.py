@@ -2,10 +2,11 @@
 
 The manager is the write side of the control plane.  It turns one
 deployment request into one demand delta per affected custom resource and
-applies them to the store.  It holds no application state beyond a result
-cache keyed by request id (for redelivery), the per-application active
-version (flipped by upgrades) and the owning application of each service
-resource (so an upgrade touches only its own).
+applies them to the store.  Its result cache keyed by request id is the
+one idempotency layer: a redelivered request id gets the first result
+back and never reaches the store again.  Beyond that cache it holds only
+the per-application active version (flipped by upgrades) and the owning
+application of each service resource (so an upgrade touches only its own).
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .model import (
     NothingRunningError,
     OrchestrationError,
     ResourceKind,
+    TOPIC_KINDS,
     UnknownEntityError,
 )
-from .store import DemandDelta, DuplicateDemandIdError, ResourceStore
+from .store import DemandDelta, ResourceStore
 
 log = logging.getLogger(__name__)
 
@@ -135,28 +137,23 @@ class AppManager:
             self._processed[request.request_id] = result
             return result
 
-        applied: list[tuple[ResourceKind, str, int]] = []
         for part in services:
             self._owner[part.cr_name] = request.app_name
-            generation = self._apply(
-                request,
-                ResourceKind.MANAGED_SERVICE,
-                part.cr_name,
-                part.config_items,
-                app_version=version,
+        # Connections are shared plumbing without an application version
+        # of their own, so their deltas carry none.
+        writes = [(ResourceKind.MANAGED_SERVICE, p, version) for p in services]
+        writes += [(ResourceKind.MANAGED_CONNECTION, p, "") for p in connections]
+        applied: list[tuple[ResourceKind, str, int]] = []
+        for kind, part, app_version in writes:
+            delta = DemandDelta(
+                demand_id=f"{request.request_id}/{part.cr_name}",
+                action=request.action,
+                requesters=request.requesters,
+                config_items=part.config_items,
+                app_version=app_version,
             )
-            applied.append((ResourceKind.MANAGED_SERVICE, part.cr_name, generation))
-        for part in connections:
-            # Connections are shared plumbing without an application
-            # version of their own, so their deltas carry none.
-            generation = self._apply(
-                request,
-                ResourceKind.MANAGED_CONNECTION,
-                part.cr_name,
-                part.config_items(),
-                app_version="",
-            )
-            applied.append((ResourceKind.MANAGED_CONNECTION, part.cr_name, generation))
+            generation = self._store.apply_cr(kind, part.cr_name, delta)
+            applied.append((kind, part.cr_name, generation))
 
         result = RequestResult(
             request_id=request.request_id,
@@ -171,6 +168,11 @@ class AppManager:
     ) -> tuple[str, tuple[ServicePartSpec, ...], tuple[ConnectionPartSpec, ...]]:
         if not request.requesters:
             raise MalformedRequestError("request carries no requesters")
+        for entity_id, kind in request.inputs:
+            if kind not in TOPIC_KINDS:
+                raise MalformedRequestError(
+                    f"input {entity_id}:{kind} names an unknown topic kind"
+                )
         version = self.active_version(request.app_name)
         resolved = self._catalog.resolve(
             request.app_name, version, request.demand()
@@ -185,28 +187,6 @@ class AppManager:
                     f"{request.app_name} is not allowed on node {node}"
                 )
         return version, resolved.services, resolved.connections
-
-    def _apply(
-        self,
-        request: DeploymentRequest,
-        kind: ResourceKind,
-        cr_name: str,
-        config_items,
-        app_version: str,
-    ) -> int:
-        delta = DemandDelta(
-            demand_id=f"{request.request_id}/{cr_name}",
-            action=request.action,
-            requesters=request.requesters,
-            config_items=tuple(config_items),
-            app_version=app_version,
-        )
-        try:
-            return self._store.apply_cr(kind, cr_name, delta)
-        except DuplicateDemandIdError:
-            # The delta from this request already landed (partial earlier
-            # delivery); the current generation is the answer.
-            return self._store.generation(kind, cr_name)
 
     # -- upgrades ----------------------------------------------------------
 

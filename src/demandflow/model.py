@@ -132,10 +132,6 @@ class NotFoundError(OrchestrationError):
     pass
 
 
-class DuplicateDemandIdError(OrchestrationError):
-    pass
-
-
 class StaleStatusError(OrchestrationError):
     pass
 
@@ -227,15 +223,18 @@ class Topology:
     def __init__(self, entities: Iterable[Entity]):
         self._entities: dict[str, Entity] = {}
         by_role: dict[EntityRole, list[Entity]] = {}
+        nodes: set[str] = set()
         for entity in entities:
             if entity.entity_id in self._entities:
                 raise ValueError(f"duplicate entity id {entity.entity_id!r}")
+            if entity.node_id in nodes:
+                raise ValueError(
+                    f"entities must map to distinct nodes, {entity.node_id!r} is taken"
+                )
+            nodes.add(entity.node_id)
             self._entities[entity.entity_id] = entity
             by_role.setdefault(entity.role, []).append(entity)
         self._by_role = {role: tuple(found) for role, found in by_role.items()}
-        nodes = [e.node_id for e in self._entities.values()]
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("entities must map to distinct nodes")
 
     def __contains__(self, entity_id: str) -> bool:
         return entity_id in self._entities

@@ -36,7 +36,7 @@ from .model import (
     ServiceKind,
     config_value,
 )
-from .store import DemandDelta, ResourceStatus, ResourceStore, WatchEvent, Watcher
+from .store import DemandDelta, ResourceStatus, ResourceStore, WatchEvent
 from .tracing import Trace
 
 log = logging.getLogger(__name__)
@@ -195,7 +195,7 @@ class Operator:
         self._store = store
         self._sim = sim
         self._trace = trace
-        self._watcher: Watcher = store.watch(self.kind)
+        self._events = store.watch(self.kind)
         self._ledgers: dict[str, DemandLedger] = {}
         self._observed: dict[str, int] = {}
         self._units: dict[str, tuple[str, ...]] = {}
@@ -207,7 +207,7 @@ class Operator:
     # -- queue handling ----------------------------------------------------
 
     def pending(self) -> int:
-        return self._watcher.pending() + len(self._retry)
+        return len(self._events) + len(self._retry)
 
     def run_pending(self) -> int:
         """Process queued retries, then all queued watch events."""
@@ -217,8 +217,8 @@ class Operator:
         for event in retries:
             self.reconcile(event)
             processed += 1
-        while (event := self._watcher.pop()) is not None:
-            self.reconcile(event)
+        while self._events:
+            self.reconcile(self._events.popleft())
             processed += 1
         return processed
 

@@ -25,6 +25,7 @@ from .model import (
     ScenarioValidationError,
     ServiceKind,
     TOPIC_KINDS,
+    Topology,
 )
 
 _ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
@@ -129,8 +130,19 @@ def scenario_from_mapping(raw: Any, origin: str = "<inline>") -> Scenario:
     by_id = {e.entity_id: e for e in entities}
     if sum(1 for e in entities if e.role is EntityRole.EDGE) != 1:
         raise fail("exactly one edge entity is required")
+    try:
+        topology = Topology(entities)
+    except ValueError as exc:
+        raise fail(str(exc)) from None
 
     templates = _parse_applications(raw.get("applications"), fail)
+    for template in templates:
+        try:
+            topology.single_node_with_role(template.placement_role)
+        except ValueError as exc:
+            raise fail(
+                f"application {template.app_name} {template.version}: {exc}"
+            ) from None
     app_versions = {(t.app_name, t.version) for t in templates}
     app_names = {t.app_name for t in templates}
 
@@ -180,12 +192,15 @@ def _parse_entities(raw: Any, fail) -> tuple[Entity, ...]:
         for kind in capabilities:
             if kind not in TOPIC_KINDS:
                 raise fail(f"entity {entity_id}: unknown capability {kind!r}")
+        node_id = item.get("node", entity_id)
+        if not isinstance(node_id, str) or not _ID_RE.match(node_id):
+            raise fail(f"entity {entity_id}: bad node id {node_id!r}")
         entities.append(
             Entity(
                 entity_id=entity_id,
                 role=role,
                 capabilities=capabilities,
-                node_id=item.get("node", entity_id),
+                node_id=node_id,
             )
         )
     return tuple(entities)

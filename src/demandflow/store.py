@@ -5,7 +5,10 @@ and the reconcile side (operators).  Each custom resource keeps its full
 spec history, one demand delta per generation, so an operator that wakes
 up late can replay every delta it has not applied yet.  Mutations are
 plain method calls on one object and execute serially, which is what
-makes apply/get/delete trivially linearizable here.
+makes apply/get/delete trivially linearizable here.  Every apply adds a
+generation: redelivered requests are answered by the app manager's
+request-id cache and never reach the store.  A watch is a plain deque of
+events that the subscriber pops from.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .model import (
     ChangeType,
     ConfigItem,
     DeltaAction,
-    DuplicateDemandIdError,
     NotFoundError,
     Phase,
     ResourceKind,
@@ -87,29 +89,10 @@ class CustomResource:
 class _Record:
     spec_history: list[DemandDelta] = field(default_factory=list)
     status: ResourceStatus = ResourceStatus()
-    seen_demand_ids: set[str] = field(default_factory=set)
 
     @property
     def generation(self) -> int:
         return len(self.spec_history)
-
-
-class Watcher:
-    """FIFO stream of change events for one resource kind."""
-
-    def __init__(self) -> None:
-        self._events: deque[WatchEvent] = deque()
-
-    def push(self, event: WatchEvent) -> None:
-        self._events.append(event)
-
-    def pending(self) -> int:
-        return len(self._events)
-
-    def pop(self) -> WatchEvent | None:
-        if not self._events:
-            return None
-        return self._events.popleft()
 
 
 class ResourceStore:
@@ -117,7 +100,7 @@ class ResourceStore:
         self._records: dict[ResourceKind, dict[str, _Record]] = {
             kind: {} for kind in ResourceKind
         }
-        self._watchers: dict[ResourceKind, list[Watcher]] = {
+        self._watchers: dict[ResourceKind, list[deque[WatchEvent]]] = {
             kind: [] for kind in ResourceKind
         }
         # History of every real mutation, in order.  Synthetic snapshot
@@ -129,9 +112,7 @@ class ResourceStore:
     def apply_cr(self, kind: ResourceKind, name: str, spec: DemandDelta) -> int:
         """Create the resource or append a new spec generation.
 
-        Returns the resulting generation.  A demand_id that was already
-        applied to this resource (within its current lifecycle) is
-        rejected, which is what makes redeliveries harmless.
+        Returns the resulting generation.
         """
         spec.validate()
         records = self._records[kind]
@@ -140,11 +121,6 @@ class ResourceStore:
         if record is None:
             record = _Record()
             records[name] = record
-        if spec.demand_id in record.seen_demand_ids:
-            raise DuplicateDemandIdError(
-                f"demand {spec.demand_id!r} already applied to {kind.value}/{name}"
-            )
-        record.seen_demand_ids.add(spec.demand_id)
         record.spec_history.append(spec)
         change = ChangeType.CREATED if created else ChangeType.SPEC_UPDATED
         self._emit(WatchEvent(kind, name, record.generation, change))
@@ -203,20 +179,19 @@ class ResourceStore:
 
     # -- watching ----------------------------------------------------------
 
-    def watch(self, kind: ResourceKind) -> Watcher:
-        """Subscribe to changes of one kind.
+    def watch(self, kind: ResourceKind) -> deque[WatchEvent]:
+        """Subscribe to changes of one kind; the store appends, you pop.
 
-        The new watcher is primed with one synthetic Created event per
-        existing resource (carrying its current generation) so a late
-        subscriber can catch up before live events resume.
+        The queue is primed with one synthetic Created event per existing
+        resource (carrying its current generation) so a late subscriber
+        can catch up before live events resume.
         """
-        watcher = Watcher()
-        for name, record in self._records[kind].items():
-            watcher.push(
-                WatchEvent(kind, name, record.generation, ChangeType.CREATED)
-            )
-        self._watchers[kind].append(watcher)
-        return watcher
+        queue = deque(
+            WatchEvent(kind, name, record.generation, ChangeType.CREATED)
+            for name, record in self._records[kind].items()
+        )
+        self._watchers[kind].append(queue)
+        return queue
 
     # -- internals ---------------------------------------------------------
 
@@ -228,8 +203,8 @@ class ResourceStore:
 
     def _emit(self, event: WatchEvent) -> None:
         self.event_log.append(event)
-        for watcher in self._watchers[event.kind]:
-            watcher.push(event)
+        for queue in self._watchers[event.kind]:
+            queue.append(event)
 
 
 def replay_event_log(events: list[WatchEvent]) -> dict[tuple[ResourceKind, str], int]:

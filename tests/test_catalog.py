@@ -177,7 +177,7 @@ def test_connection_config_items():
     spec.register_application(reference_template())
     parts = spec.resolve(APP, "v1", ego_demand("V1"))
     conn = [c for c in parts.connections if c.cr_name == "conn-V1-E"][0]
-    assert conn.config_items() == (
+    assert conn.config_items == (
         ConfigItem("src", "V1"),
         ConfigItem("dst", "E"),
         ConfigItem("forward-topic", "/V1/ego"),
@@ -202,6 +202,39 @@ def test_versions_coexist_and_register_once(catalog):
     assert catalog.first_version(APP) == "v1"
     with pytest.raises(AlreadyRegisteredError):
         catalog.register_application(reference_template("v2"))
+
+
+def test_placement_is_decided_at_registration():
+    def template(*placements):
+        return ApplicationTemplate(
+            app_name=APP,
+            version="v1",
+            parts=tuple(
+                PartRule(f"p{i}", ServiceKind.OTHER, role)
+                for i, role in enumerate(placements)
+            ),
+        )
+
+    catalog = Catalog(reference_topology())
+    # parts on two roles, even when each role has a single holder
+    with pytest.raises(ValueError, match="one placement role"):
+        catalog.register_application(template(EntityRole.EDGE, EntityRole.CLOUD))
+    # a role with several holders, and one with none
+    with pytest.raises(ValueError, match="found 4"):
+        catalog.register_application(template(EntityRole.CV))
+    no_cloud = Catalog(Topology(
+        [e for e in reference_topology().entities() if e.role is not EntityRole.CLOUD]
+    ))
+    with pytest.raises(ValueError, match="found 0"):
+        no_cloud.register_application(template(EntityRole.CLOUD))
+    with pytest.raises(ValueError, match="at least one part"):
+        catalog.register_application(template())
+    # nothing half-registered: the failed versions stay unknown
+    assert catalog.versions(APP) == ()
+    catalog.register_application(template(EntityRole.CLOUD, EntityRole.CLOUD))
+    parts = catalog.resolve(APP, "v1", ego_demand("V1"))
+    assert {p.target_node for p in parts.services} == {"C"}
+    assert {c.dst_node for c in parts.connections} == {"C"}
 
 
 def test_template_validation_rejects_bad_rules():

@@ -12,6 +12,7 @@ from demandflow.manager import (
     Outcome,
 )
 from demandflow.model import DeltaAction, ResourceKind, UnknownEntityError
+from demandflow.runner import build_system, drain
 from demandflow.store import ResourceStore
 
 from test_catalog import APP, reference_template, reference_topology
@@ -146,6 +147,40 @@ def test_redelivery_returns_cached_result_without_mutation():
     # rejections are cached the same way
     rejected = manager.handle_request(request("r-2", app="ghost-app"))
     assert manager.handle_request(request("r-2", app="ghost-app")) == rejected
+
+
+def test_unknown_input_kind_is_rejected():
+    store, manager = build_manager()
+    radar = replace(request("r-1"), inputs=(("V0", "ego"), ("V0", "radar")))
+    result = manager.handle_request(radar)
+    assert result.outcome is Outcome.REJECTED
+    assert result.reason.startswith("MalformedRequestError")
+    assert "V0:radar" in result.reason
+    assert store.total_resources() == 0
+    assert store.event_log == []
+
+
+def test_redelivery_after_shutdown_recreates_nothing(reference_scenario):
+    # The manager's request-id cache is the one idempotency layer: once
+    # the resources a request created are gone, a late copy of it must
+    # not bring them back.
+    system = build_system(reference_scenario)
+    manager, store = system.manager, system.store
+    first = manager.handle_request(request("r-1"))
+    assert first.accepted
+    drain(system)
+    assert system.sim.instances()
+    assert manager.handle_request(request("r-2", action=DeltaAction.RELEASE)).accepted
+    drain(system)
+    assert store.total_resources() == 0
+    assert not system.sim.instances()
+    log_size = len(store.event_log)
+
+    assert manager.handle_request(request("r-1")) == first
+    drain(system)
+    assert store.total_resources() == 0
+    assert len(store.event_log) == log_size
+    assert not system.sim.instances()
 
 
 def test_access_policy_blocks_disallowed_nodes():

@@ -126,6 +126,15 @@ def test_entity_validation(reference_raw):
         variant(reference_raw, lambda r: r["entities"].pop(5)),  # drop E
         "exactly one edge",
     )
+    expect_invalid(
+        variant(reference_raw, lambda r: r["entities"][1].update(node="V0")),
+        "distinct nodes",
+    )
+    for node in (5, None, "9bad"):
+        expect_invalid(
+            variant(reference_raw, lambda r: r["entities"][1].update(node=node)),
+            "bad node id",
+        )
 
 
 def test_application_validation(reference_raw):
@@ -150,6 +159,24 @@ def test_application_validation(reference_raw):
         r["applications"].append(copy.deepcopy(r["applications"][0]))
 
     expect_invalid(variant(reference_raw, twice), "declared twice")
+
+    def on_cloud(r):
+        r["entities"].pop(6)  # drop C
+        for part in r["applications"][0]["parts"]:
+            part["placement"] = "cloud"
+
+    expect_invalid(variant(reference_raw, on_cloud), "exactly one cloud")
+
+    def on_vehicles(r):
+        for part in r["applications"][0]["parts"]:
+            part["placement"] = "cv"
+
+    expect_invalid(variant(reference_raw, on_vehicles), "exactly one cv")
+
+    def split(r):
+        r["applications"][0]["parts"][1]["placement"] = "cloud"
+
+    expect_invalid(variant(reference_raw, split), "one placement role")
 
 
 def test_geofence_validation(reference_raw):

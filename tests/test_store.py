@@ -1,4 +1,4 @@
-"""Store behavior: generations, demand dedup, watches, event sourcing."""
+"""Store behavior: generations, watches, event sourcing."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from demandflow.model import (
     ChangeType,
     DeltaAction,
-    DuplicateDemandIdError,
     NotFoundError,
     Phase,
     ResourceKind,
@@ -57,13 +56,6 @@ def test_names_are_scoped_per_kind(store):
     assert store.get_cr(CONN, "x").generation == 1
 
 
-def test_duplicate_demand_id_rejected(store):
-    store.apply_cr(SVC, "x", delta(1))
-    with pytest.raises(DuplicateDemandIdError):
-        store.apply_cr(SVC, "x", delta(1))
-    assert store.get_cr(SVC, "x").generation == 1
-
-
 def test_demand_ids_reset_with_a_new_lifecycle(store):
     store.apply_cr(SVC, "x", delta(1))
     store.delete_cr(SVC, "x")
@@ -110,11 +102,11 @@ def test_delta_validation():
 def test_status_updates_emit_no_events(store):
     store.apply_cr(SVC, "x", delta(1))
     watcher = store.watch(SVC)
-    watcher.pop()  # synthetic snapshot event
+    watcher.popleft()  # synthetic snapshot event
     store.update_status(
         SVC, "x", ResourceStatus(phase=Phase.RUNNING, observed_generation=1)
     )
-    assert watcher.pending() == 0
+    assert len(watcher) == 0
     assert store.get_cr(SVC, "x").status.phase is Phase.RUNNING
 
 
@@ -131,13 +123,13 @@ def test_watch_sees_live_changes_in_order(store):
     store.apply_cr(SVC, "x", delta(1))
     store.apply_cr(SVC, "x", delta(2))
     store.delete_cr(SVC, "x")
-    events = [watcher.pop() for _ in range(3)]
+    events = [watcher.popleft() for _ in range(3)]
     assert [(e.change, e.generation) for e in events] == [
         (ChangeType.CREATED, 1),
         (ChangeType.SPEC_UPDATED, 2),
         (ChangeType.DELETED, 2),
     ]
-    assert watcher.pop() is None
+    assert not watcher
 
 
 def test_late_watcher_gets_one_snapshot_event_per_resource(store):
@@ -146,9 +138,9 @@ def test_late_watcher_gets_one_snapshot_event_per_resource(store):
     store.apply_cr(SVC, "y", delta(3))
     log_before = list(store.event_log)
     watcher = store.watch(SVC)
-    events = [watcher.pop() for _ in range(watcher.pending() + 1)]
+    events = list(watcher)
     # one synthetic Created per resource at its current generation
-    assert [(e.name, e.change, e.generation) for e in events if e] == [
+    assert [(e.name, e.change, e.generation) for e in events] == [
         ("x", ChangeType.CREATED, 2),
         ("y", ChangeType.CREATED, 1),
     ]
@@ -159,7 +151,7 @@ def test_late_watcher_gets_one_snapshot_event_per_resource(store):
 def test_watchers_only_see_their_kind(store):
     watcher = store.watch(CONN)
     store.apply_cr(SVC, "x", delta(1))
-    assert watcher.pending() == 0
+    assert len(watcher) == 0
 
 
 def _random_ops(seed, store):
@@ -188,7 +180,8 @@ def test_per_name_generations_are_gap_free(seed, store):
     _random_ops(seed, store)
     expected_next = {}
     for watcher in (watcher_svc, watcher_conn):
-        while (event := watcher.pop()) is not None:
+        while watcher:
+            event = watcher.popleft()
             key = (event.kind, event.name)
             if event.change is ChangeType.DELETED:
                 # deletion carries the final generation and resets the count
