@@ -24,7 +24,7 @@ def show_fusion(system, label):
     print(
         f"{label:28s}  id={inst.instance_id}  restarts={inst.restart_count}  "
         f"config-v{inst.config_version}  version={inst.version or '-'}  "
-        f"inputs={len(inst.input_topics())}"
+        f"inputs={len(inst.input_topics)}"
     )
 
 

@@ -5,14 +5,17 @@ takes a demand description (who is asking, which source topics they bring
 along) and produces the concrete service parts plus the connections that
 carry remote source topics to the node where they are consumed.
 Resolution is a pure function of (template, topology, demand); it never
-inspects what is already deployed.  Every part of an application is
-placed on the single node holding its template's placement role; that
-node is looked up once, when the template is registered, and a template
-without one is refused there.  Templates are registered once and the
-topology is immutable, so `Catalog.resolve` memoizes successful results
-per (application, version, demand), at most one per distinct demand and
-version: for detector-built requests, one per vehicle and version.  A
-call that raises stores nothing and raises again when repeated.
+inspects what is already deployed.  A part is its resource name, its
+node(s) and its config items; the service kind it runs and the topics a
+connection forwards live only in those items.  Every part of an
+application is placed on the single node holding its template's
+placement role; that node is looked up once, when the template is
+registered, and a template without one is refused there.  Templates
+are registered once and the topology is immutable, so `Catalog.resolve`
+memoizes successful results per (application, version, demand), at most
+one per distinct demand and version: for detector-built requests, one
+per vehicle and version.  A call that raises stores nothing and raises
+again when repeated.
 """
 
 from __future__ import annotations
@@ -158,7 +161,6 @@ class DemandDescription:
 @dataclass(frozen=True)
 class ServicePartSpec:
     cr_name: str
-    service_kind: ServiceKind
     target_node: str
     config_items: tuple[ConfigItem, ...]
 
@@ -168,7 +170,6 @@ class ConnectionPartSpec:
     cr_name: str
     src_node: str
     dst_node: str
-    topics: tuple[str, ...]
     config_items: tuple[ConfigItem, ...]
 
 
@@ -273,7 +274,6 @@ class Catalog:
                 services.append(
                     ServicePartSpec(
                         cr_name=service_cr_name(app_name, rule.role, source),
-                        service_kind=rule.service_kind,
                         target_node=placed,
                         config_items=tuple(items),
                     )
@@ -290,7 +290,6 @@ class Catalog:
                     cr_name=connection_cr_name(src_node, placed),
                     src_node=src_node,
                     dst_node=placed,
-                    topics=topics,
                     config_items=(
                         ConfigItem(CFG_SRC, src_node),
                         ConfigItem(CFG_DST, placed),

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a golden comparison fails, 2 for
-scenario file problems, 3 for runtime failures.
+scenario, request or trace file problems and a negative `--ticks`, 3 for
+runtime failures.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def _resolve_scenario(arg: str) -> Path:
 def _load(arg: str, ticks: int | None = None) -> Scenario:
     scenario = load_scenario(_resolve_scenario(arg))
     if ticks is not None:
+        if ticks < 0:
+            raise ScenarioError("--ticks must be a non-negative integer")
         scenario = replace(scenario, tick_budget=ticks)
     return scenario
 
@@ -114,15 +117,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OrchestrationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if args.trace_out:
-        trace.write(args.trace_out)
+    try:
+        if args.trace_out:
+            trace.write(args.trace_out)
+        report = assert_trace(trace, args.golden) if args.golden else None
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"trace file error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
     live = len(runner.system.sim.instances())
     print(
         f"{scenario.name}: {scenario.tick_budget} ticks, "
         f"{len(trace.records)} trace records, {live} instances live"
     )
-    if args.golden:
-        report = assert_trace(trace, args.golden)
+    if report is not None:
         if not report.ok:
             print(report.describe(), file=sys.stderr)
             return EXIT_DIFF

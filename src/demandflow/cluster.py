@@ -11,8 +11,8 @@ the last tick read is cleared and takes the next tick's messages.  The
 route plan (detectors, fusers and a node -> topic -> receiver nodes
 table) is built in one pass over the running instances on the first
 tick after a deploy, terminate or reconfigure, and kept until the next
-one.  Forwarding walks the nodes in node order, senders in creation
-order within a node.
+one.  Forwarding walks the nodes in the order they were added, senders
+in creation order within a node.
 Detection and fusion instances run as stub behaviors inside the tick so
 the data plane reacts to (re)configuration without any real perception
 code.  Everything is deterministic: no wall clock, no randomness, fixed
@@ -31,10 +31,8 @@ from .model import (
     CFG_OUTPUT_TOPIC,
     ConfigItem,
     DuplicateNodeError,
-    EntityRole,
     NotFoundError,
     NotRunningError,
-    PayloadKind,
     ServiceKind,
     UnknownNodeError,
     config_values,
@@ -66,32 +64,24 @@ class ServiceInstance:
     config_version: int = 0
     detections: int = 0  # outputs of the detection stub, its payload counter
     # Topics parsed from `config` at deploy and on every reconfigure.
-    _inputs: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _output: str | None = field(init=False, repr=False, compare=False)
-    _forwards: frozenset[str] = field(init=False, repr=False, compare=False)
+    input_topics: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    output_topic: str | None = field(init=False, repr=False, compare=False)
+    forward_topics: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._parse_topics()
 
     def _parse_topics(self) -> None:
-        self._inputs = config_values(self.config, CFG_INPUT_TOPIC)
+        self.input_topics = config_values(self.config, CFG_INPUT_TOPIC)
         outputs = config_values(self.config, CFG_OUTPUT_TOPIC)
-        self._output = outputs[0] if outputs else None
-        self._forwards = frozenset(config_values(self.config, CFG_FORWARD_TOPIC))
-
-    def input_topics(self) -> tuple[str, ...]:
-        return self._inputs
-
-    def output_topic(self) -> str | None:
-        return self._output
-
-    def forward_topics(self) -> frozenset[str]:
-        return self._forwards
+        self.output_topic = outputs[0] if outputs else None
+        self.forward_topics = frozenset(
+            config_values(self.config, CFG_FORWARD_TOPIC)
+        )
 
 
 class TopicMessage(NamedTuple):
     topic: str
-    payload_kind: PayloadKind
     origin: str
     seq: int
     stamp: int
@@ -100,7 +90,6 @@ class TopicMessage(NamedTuple):
 
 @dataclass(frozen=True)
 class TickReport:
-    tick: int
     produced: int
     forwarded: int
 
@@ -118,9 +107,9 @@ class Plan(NamedTuple):
 
 class ClusterSim:
     def __init__(self) -> None:
-        self._nodes: dict[str, EntityRole] = {}
         self._instances: dict[str, ServiceInstance] = {}
         self._plan: Plan | None = None  # dropped by every lifecycle call
+        # Both bus sets hold every node, in the order nodes were added.
         self._next: dict[str, Bus] = {}  # the buses the next tick reads
         self._bus: dict[str, Bus] = {}  # the buses the last tick read
         self._seq: dict[tuple[str, str], int] = {}
@@ -130,15 +119,14 @@ class ClusterSim:
 
     # -- nodes -------------------------------------------------------------
 
-    def add_node(self, node_id: str, role: EntityRole) -> None:
-        if node_id in self._nodes:
+    def add_node(self, node_id: str) -> None:
+        if node_id in self._bus:
             raise DuplicateNodeError(f"node {node_id!r} already exists")
-        self._nodes[node_id] = role
         self._next[node_id] = ([], [])
         self._bus[node_id] = ([], [])
 
     def _require_node(self, node_id: str) -> None:
-        if node_id not in self._nodes:
+        if node_id not in self._bus:
             raise UnknownNodeError(f"unknown node {node_id!r}")
 
     # -- instance lifecycle ------------------------------------------------
@@ -218,26 +206,24 @@ class ClusterSim:
         self._next[node_id][1].append(message)
 
     def publish_sources(
-        self, sources: Iterable[tuple[str, str, str, PayloadKind]]
+        self, sources: Iterable[tuple[str, str, str]]
     ) -> None:
-        """`publish(node, next_message(origin, topic, kind))` per source."""
+        """`publish(node, next_message(origin, topic))` per source."""
         seq = self._seq
         buses = self._next
         stamp = self._time + 1
-        for node_id, origin, topic, payload_kind in sources:
+        for node_id, origin, topic in sources:
             bus = buses.get(node_id)
             if bus is None:
                 raise UnknownNodeError(f"unknown node {node_id!r}")
             key = (origin, topic)
             n = seq[key] = seq.get(key, 0) + 1
-            bus[1].append(TopicMessage(topic, payload_kind, origin, n, stamp))
+            bus[1].append(TopicMessage(topic, origin, n, stamp))
 
-    def next_message(
-        self, origin: str, topic: str, payload_kind: PayloadKind
-    ) -> TopicMessage:
+    def next_message(self, origin: str, topic: str) -> TopicMessage:
         """Build the next in-sequence message for (origin, topic)."""
         seq = self._seq.get((origin, topic), 0) + 1
-        return TopicMessage(topic, payload_kind, origin, seq, self._time + 1)
+        return TopicMessage(topic, origin, seq, self._time + 1)
 
     # -- the tick ----------------------------------------------------------
 
@@ -271,7 +257,7 @@ class ClusterSim:
                     forwarded += 1
 
         self._bus = bus
-        return TickReport(self._time, produced, forwarded)
+        return TickReport(produced, forwarded)
 
     def _build_plan(self) -> Plan:
         """Creation order keeps behavior and forwarding order stable."""
@@ -297,10 +283,10 @@ class ClusterSim:
             if dst is None:
                 continue
             by_topic = routes.setdefault(sender.node_id, {})
-            for topic in sender.forward_topics():
+            for topic in sender.forward_topics:
                 by_topic.setdefault(topic, []).append(dst)
-        # Forwarding walks the nodes in node order.
-        routes = {n: routes[n] for n in self._nodes if n in routes}
+        # Forwarding walks the nodes in the order they were added.
+        routes = {n: routes[n] for n in self._bus if n in routes}
         self._plan = Plan(detectors, fusers, routes)
         return self._plan
 
@@ -318,8 +304,8 @@ class ClusterSim:
     # -- stub behaviors ----------------------------------------------------
 
     def _run_detection(self, instance: ServiceInstance, bus: Bus) -> int:
-        inputs = instance.input_topics()
-        out_topic = instance.output_topic()
+        inputs = instance.input_topics
+        out_topic = instance.output_topic
         if not inputs or out_topic is None:
             return 0
         in_topic = inputs[0]
@@ -330,18 +316,13 @@ class ClusterSim:
             return 0
         instance.detections += 1
         bus[1].append(
-            self._stamped(
-                hit.origin,
-                out_topic,
-                PayloadKind.OBJECT_LIST,
-                (str(instance.detections),),
-            )
+            self._stamped(hit.origin, out_topic, (str(instance.detections),))
         )
         return 1
 
     def _run_fusion(self, instance: ServiceInstance, bus: Bus) -> int:
-        inputs = set(instance.input_topics())
-        out_topic = instance.output_topic()
+        inputs = set(instance.input_topics)
+        out_topic = instance.output_topic
         if out_topic is None:
             return 0
         contributing = sorted(
@@ -352,23 +333,14 @@ class ClusterSim:
             # before forwarded inputs land); publish nothing.
             return 0
         bus[1].append(
-            self._stamped(
-                instance.node_id,
-                out_topic,
-                PayloadKind.OBJECT_LIST,
-                tuple(contributing),
-            )
+            self._stamped(instance.node_id, out_topic, tuple(contributing))
         )
         return 1
 
     def _stamped(
-        self,
-        origin: str,
-        topic: str,
-        payload_kind: PayloadKind,
-        payload: tuple[str, ...],
+        self, origin: str, topic: str, payload: tuple[str, ...]
     ) -> TopicMessage:
         key = (origin, topic)
         seq = self._seq.get(key, 0) + 1
         self._seq[key] = seq
-        return TopicMessage(topic, payload_kind, origin, seq, self._time, payload)
+        return TopicMessage(topic, origin, seq, self._time, payload)

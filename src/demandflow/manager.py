@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 from .catalog import Catalog, ConnectionPartSpec, DemandDescription, ServicePartSpec
 from .model import (
     AccessDeniedError,
+    ConfigItem,
     DeltaAction,
     MalformedRequestError,
     NothingRunningError,
@@ -129,39 +130,41 @@ class AppManager:
         try:
             version, services, connections = self._validate(request)
         except OrchestrationError as exc:
-            result = RequestResult(
-                request_id=request.request_id,
-                outcome=Outcome.REJECTED,
-                reason=f"{type(exc).__name__}: {exc}",
+            result = _rejected(request.request_id, exc)
+        else:
+            for part in services:
+                self._owner[part.cr_name] = request.app_name
+            # Connections are shared plumbing without an application
+            # version of their own, so their deltas carry none.
+            writes = [
+                (ResourceKind.MANAGED_SERVICE, p.cr_name, p.config_items, version)
+                for p in services
+            ]
+            writes += [
+                (ResourceKind.MANAGED_CONNECTION, p.cr_name, p.config_items, "")
+                for p in connections
+            ]
+            result = self._write(
+                request.request_id, request.action, request.requesters, writes
             )
-            self._processed[request.request_id] = result
-            return result
-
-        for part in services:
-            self._owner[part.cr_name] = request.app_name
-        # Connections are shared plumbing without an application version
-        # of their own, so their deltas carry none.
-        writes = [(ResourceKind.MANAGED_SERVICE, p, version) for p in services]
-        writes += [(ResourceKind.MANAGED_CONNECTION, p, "") for p in connections]
-        applied: list[tuple[ResourceKind, str, int]] = []
-        for kind, part, app_version in writes:
-            delta = DemandDelta(
-                demand_id=f"{request.request_id}/{part.cr_name}",
-                action=request.action,
-                requesters=request.requesters,
-                config_items=part.config_items,
-                app_version=app_version,
-            )
-            generation = self._store.apply_cr(kind, part.cr_name, delta)
-            applied.append((kind, part.cr_name, generation))
-
-        result = RequestResult(
-            request_id=request.request_id,
-            outcome=Outcome.ACCEPTED,
-            applied_crs=tuple(applied),
-        )
         self._processed[request.request_id] = result
         return result
+
+    def _write(
+        self,
+        write_id: str,
+        action: DeltaAction,
+        requesters: tuple[str, ...],
+        writes: list[tuple[ResourceKind, str, tuple[ConfigItem, ...], str]],
+    ) -> RequestResult:
+        """Apply one delta per (kind, name, config items, version) write."""
+        applied: list[tuple[ResourceKind, str, int]] = []
+        for kind, name, config_items, app_version in writes:
+            delta = DemandDelta(
+                f"{write_id}/{name}", action, requesters, config_items, app_version
+            )
+            applied.append((kind, name, self._store.apply_cr(kind, name, delta)))
+        return RequestResult(write_id, Outcome.ACCEPTED, tuple(applied))
 
     def _validate(
         self, request: DeploymentRequest
@@ -211,28 +214,20 @@ class AppManager:
                     f"no live services of {app_name} to upgrade"
                 )
         except OrchestrationError as exc:
-            return RequestResult(
-                request_id=upgrade_id,
-                outcome=Outcome.REJECTED,
-                reason=f"{type(exc).__name__}: {exc}",
-            )
+            return _rejected(upgrade_id, exc)
 
-        applied: list[tuple[ResourceKind, str, int]] = []
-        for name in live:
-            delta = DemandDelta(
-                demand_id=f"{upgrade_id}/{name}",
-                action=DeltaAction.REQUEST,
-                app_version=new_version,
-            )
-            generation = self._store.apply_cr(
-                ResourceKind.MANAGED_SERVICE, name, delta
-            )
-            applied.append((ResourceKind.MANAGED_SERVICE, name, generation))
+        result = self._write(
+            upgrade_id,
+            DeltaAction.REQUEST,
+            (),
+            [(ResourceKind.MANAGED_SERVICE, name, (), new_version) for name in live],
+        )
         self._active_version[app_name] = new_version
         log.info("upgraded %s to %s across %d services",
-                 app_name, new_version, len(applied))
-        return RequestResult(
-            request_id=upgrade_id,
-            outcome=Outcome.ACCEPTED,
-            applied_crs=tuple(applied),
-        )
+                 app_name, new_version, len(live))
+        return result
+
+
+def _rejected(request_id: str, exc: OrchestrationError) -> RequestResult:
+    reason = f"{type(exc).__name__}: {exc}"
+    return RequestResult(request_id, Outcome.REJECTED, reason=reason)

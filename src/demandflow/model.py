@@ -48,12 +48,6 @@ class ServiceKind(str, Enum):
     OTHER = "other"
 
 
-class PayloadKind(str, Enum):
-    EGO = "ego"
-    POINT_CLOUD = "pointcloud"
-    OBJECT_LIST = "objectlist"
-
-
 # Topic kinds an entity can provide as a data source.
 TOPIC_KIND_EGO = "ego"
 TOPIC_KIND_POINTCLOUD = "pointcloud"
@@ -222,7 +216,6 @@ class Topology:
 
     def __init__(self, entities: Iterable[Entity]):
         self._entities: dict[str, Entity] = {}
-        by_role: dict[EntityRole, list[Entity]] = {}
         nodes: set[str] = set()
         for entity in entities:
             if entity.entity_id in self._entities:
@@ -233,8 +226,6 @@ class Topology:
                 )
             nodes.add(entity.node_id)
             self._entities[entity.entity_id] = entity
-            by_role.setdefault(entity.role, []).append(entity)
-        self._by_role = {role: tuple(found) for role, found in by_role.items()}
 
     def __contains__(self, entity_id: str) -> bool:
         return entity_id in self._entities
@@ -252,7 +243,8 @@ class Topology:
         return self.get(entity_id).node_id
 
     def with_role(self, role: EntityRole) -> tuple[Entity, ...]:
-        return self._by_role.get(role, ())
+        """Entities of one role in order; a scan, called only at set-up."""
+        return tuple(e for e in self._entities.values() if e.role is role)
 
     def single_node_with_role(self, role: EntityRole) -> str:
         matches = self.with_role(role)

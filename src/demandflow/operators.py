@@ -274,16 +274,7 @@ class Operator:
             self._store.delete_cr(self.kind, name)
             self._trace.ledger_state(name, (), ())
         else:
-            self._store.update_status(
-                self.kind,
-                name,
-                ResourceStatus(
-                    phase=Phase.RUNNING,
-                    support=ledger.support,
-                    instance_ids=self._units[name],
-                    observed_generation=target,
-                ),
-            )
+            self._write_status(name, Phase.RUNNING)
             self._trace.ledger_state(
                 name,
                 ledger.support,
@@ -299,16 +290,7 @@ class Operator:
         if attempts < MAX_ATTEMPTS:
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
                       name, exc, attempts)
-            self._store.update_status(
-                self.kind,
-                name,
-                ResourceStatus(
-                    phase=Phase.PENDING,
-                    support=self._ledgers.get(name, DemandLedger()).support,
-                    instance_ids=self._units.get(name, ()),
-                    observed_generation=self._observed.get(name, 0),
-                ),
-            )
+            self._write_status(name, Phase.PENDING)
             self._retry.append(event)
             return
         # Give up: the folded deltas are dropped, the ledger keeps its last
@@ -319,6 +301,20 @@ class Operator:
             self.source,
             "reconcile-failed",
             f"{name}@{target}:{type(exc).__name__}",
+        )
+
+    def _write_status(self, name: str, phase: Phase) -> None:
+        """Publish the committed ledger, units and generation of `name`."""
+        ledger = self._ledgers.get(name)
+        self._store.update_status(
+            self.kind,
+            name,
+            ResourceStatus(
+                phase=phase,
+                support=ledger.support if ledger is not None else (),
+                instance_ids=self._units.get(name, ()),
+                observed_generation=self._observed.get(name, 0),
+            ),
         )
 
     # -- cluster side ------------------------------------------------------

@@ -5,22 +5,21 @@ requests, drain both reconcile queues to quiescence, publish every
 entity's source data, then advance the cluster one step.  Scripted
 timelines give each event a fixed window of ticks and snapshot node
 topics at each window's end; waypoint timelines sample trajectories
-every tick and snapshot topics whenever they change.
+every tick and snapshot topics whenever they change.  A request and an
+upgrade are traced alike: a REQUEST record, then one CR record per
+resource written, or one ERROR record if the manager rejected it.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .catalog import Catalog
 from .cluster import ClusterSim
 from .detector import EventDetector
-from .manager import AppManager, AccessDomainPolicy, DeploymentRequest
+from .manager import AppManager, AccessDomainPolicy, DeploymentRequest, RequestResult
 from .model import (
     NonQuiescenceError,
-    PayloadKind,
-    TOPIC_KIND_EGO,
     Topology,
     source_topic,
 )
@@ -28,8 +27,6 @@ from .operators import ConnectionOperator, ServiceOperator
 from .scenario import MODE_SCRIPTED, Scenario, interpolate
 from .store import ResourceStore
 from .tracing import Trace
-
-log = logging.getLogger(__name__)
 
 MAX_DRAIN_ROUNDS = 50
 
@@ -48,8 +45,8 @@ class System:
     service_op: ServiceOperator
     connection_op: ConnectionOperator
     trace: Trace
-    # (node, origin, topic, payload kind) per entity capability, in order.
-    sources: tuple[tuple[str, str, str, PayloadKind], ...]
+    # (node, origin, topic) per entity capability, in order.
+    sources: tuple[tuple[str, str, str], ...]
 
 
 def build_system(
@@ -66,17 +63,12 @@ def build_system(
     manager = AppManager(store, catalog, policy)
     sim = ClusterSim()
     for entity in scenario.entities:
-        sim.add_node(entity.node_id, entity.role)
+        sim.add_node(entity.node_id)
     service_op = ServiceOperator(store, sim, trace)
     connection_op = ConnectionOperator(store, sim, trace)
     detector = EventDetector(scenario.rule, topology)
     sources = tuple(
-        (
-            entity.node_id,
-            entity.entity_id,
-            source_topic(entity.entity_id, kind),
-            PayloadKind.EGO if kind == TOPIC_KIND_EGO else PayloadKind.POINT_CLOUD,
-        )
+        (entity.node_id, entity.entity_id, source_topic(entity.entity_id, kind))
         for entity in scenario.entities
         for kind in entity.capabilities
     )
@@ -119,16 +111,18 @@ def deliver(system: System, request: DeploymentRequest, copies: int = 1) -> None
             request.inputs,
         )
         result = system.manager.handle_request(request)
-        if result.accepted:
-            for kind, name, generation in result.applied_crs:
-                system.trace.cr_applied(
-                    kind.value, name, generation, request.action.value
-                )
-        else:
-            system.trace.error(
-                "manager", "request-rejected",
-                f"{request.request_id}:{result.reason}",
-            )
+        _trace_result(system.trace, result, request.action.value, "request-rejected")
+
+
+def _trace_result(
+    trace: Trace, result: RequestResult, action: str, rejected: str
+) -> None:
+    """One CR record per write of an accepted result, else one ERROR."""
+    if result.accepted:
+        for kind, name, generation in result.applied_crs:
+            trace.cr_applied(kind.value, name, generation, action)
+    else:
+        trace.error("manager", rejected, f"{result.request_id}:{result.reason}")
 
 
 def publish_source_data(system: System) -> None:
@@ -190,14 +184,7 @@ class ScenarioRunner:
     def _apply_upgrade(self, app_name: str, version: str) -> None:
         result = self.system.manager.upgrade_application(app_name, version)
         self.trace.request(result.request_id, "upgrade", app_name, (), ())
-        if result.accepted:
-            for kind, name, generation in result.applied_crs:
-                self.trace.cr_applied(kind.value, name, generation, "upgrade")
-        else:
-            self.trace.error(
-                "manager", "upgrade-rejected",
-                f"{result.request_id}:{result.reason}",
-            )
+        _trace_result(self.trace, result, "upgrade", "upgrade-rejected")
 
     # -- waypoint timelines ------------------------------------------------
 

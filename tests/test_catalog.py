@@ -23,9 +23,19 @@ from demandflow.model import (
     UnknownApplicationError,
     UnknownEntityError,
     UnknownVersionError,
+    config_value,
+    config_values,
 )
 
 APP = "object-detection-fusion"
+
+
+def forwarded(conn):
+    return config_values(conn.config_items, "forward-topic")
+
+
+def kind_of(part):
+    return ServiceKind(config_value(part.config_items, "service-kind"))
 
 
 def reference_topology():
@@ -121,8 +131,8 @@ def test_lidar_vehicle_demand_resolves_all_parts(catalog):
         connection_cr_name("V0", "E"),
     ]
     by_name = {c.cr_name: c for c in parts.connections}
-    assert by_name["conn-S-E"].topics == ("/S/points",)
-    assert by_name["conn-V0-E"].topics == ("/V0/ego", "/V0/points")
+    assert forwarded(by_name["conn-S-E"]) == ("/S/points",)
+    assert forwarded(by_name["conn-V0-E"]) == ("/V0/ego", "/V0/points")
     assert all(c.dst_node == "E" for c in parts.connections)
 
 
@@ -136,7 +146,7 @@ def test_ego_only_vehicle_demand_skips_own_detection(catalog):
     ]
     by_name = {c.cr_name: c for c in parts.connections}
     assert set(by_name) == {"conn-S-E", "conn-V1-E"}
-    assert by_name["conn-V1-E"].topics == ("/V1/ego",)
+    assert forwarded(by_name["conn-V1-E"]) == ("/V1/ego",)
 
 
 def fresh_catalog(*versions):
@@ -312,14 +322,14 @@ def test_resolution_covers_any_demand(vehicles):
     )
     detections = [
         p for p in parts.services
-        if p.service_kind is ServiceKind.OBJECT_DETECTION
+        if kind_of(p) is ServiceKind.OBJECT_DETECTION
     ]
     assert sorted(
         p.cr_name.rsplit("-", 1)[1] for p in detections
     ) == pointcloud_sources
 
     fusion = [
-        p for p in parts.services if p.service_kind is ServiceKind.OBJECT_FUSION
+        p for p in parts.services if kind_of(p) is ServiceKind.OBJECT_FUSION
     ][0]
     fusion_inputs = {
         i.value for i in fusion.config_items if i.kind == "input-topic"
@@ -330,7 +340,7 @@ def test_resolution_covers_any_demand(vehicles):
 
     carried = {}
     for conn in parts.connections:
-        for topic in conn.topics:
+        for topic in forwarded(conn):
             assert topic not in carried, "topic carried twice"
             carried[topic] = conn.cr_name
     demanded_topics = {

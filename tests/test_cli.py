@@ -77,6 +77,35 @@ def test_run_ticks_override_cuts_the_run_short(capsys):
     assert "7 instances live" in out
 
 
+def test_run_rejects_negative_ticks(capsys):
+    assert main(["run", "collective_perception", "--ticks", "-3"]) == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scenario error: --ticks must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"])
+def test_run_reports_an_unreadable_golden_file(tmp_path, capsys, content):
+    golden = tmp_path / "golden.trace"
+    if content is not None:
+        golden.write_bytes(content)
+    code = main(["run", "collective_perception", "--golden", str(golden)])
+    assert code == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("trace file error: ")
+    assert err.count("\n") == 1
+
+
+def test_run_reports_an_unwritable_trace_path(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "run.trace"
+    code = main(["run", "collective_perception", "--trace-out", str(target)])
+    assert code == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("trace file error: ")
+    assert str(target) in err
+    assert err.count("\n") == 1
+
+
 def test_run_duplicate_delivery_still_matches_structural_golden(capsys):
     code = main([
         "run", "collective_perception",

@@ -8,9 +8,7 @@ from demandflow.cluster import ClusterSim, InstanceSpec
 from demandflow.model import (
     ConfigItem,
     DuplicateNodeError,
-    EntityRole,
     NotRunningError,
-    PayloadKind,
     ServiceKind,
     UnknownNodeError,
 )
@@ -19,7 +17,7 @@ from demandflow.model import (
 def sim_with(*nodes):
     sim = ClusterSim()
     for node in nodes:
-        sim.add_node(node, EntityRole.EDGE if node == "E" else EntityRole.CV)
+        sim.add_node(node)
     return sim
 
 
@@ -38,8 +36,8 @@ def deploy_pair(sim, src, dst, topics, cr_name=None):
     return sim.deploy_instance(sender), sim.deploy_instance(receiver)
 
 
-def feed(sim, node, origin, topic, kind=PayloadKind.EGO):
-    sim.publish(node, sim.next_message(origin, topic, kind))
+def feed(sim, node, origin, topic):
+    sim.publish(node, sim.next_message(origin, topic))
 
 
 def idle(sim, ticks=3):
@@ -50,9 +48,9 @@ def idle(sim, ticks=3):
 def test_node_management():
     sim = sim_with("A")
     with pytest.raises(DuplicateNodeError):
-        sim.add_node("A", EntityRole.CV)
+        sim.add_node("A")
     with pytest.raises(UnknownNodeError):
-        sim.publish("B", sim.next_message("A", "/a/ego", PayloadKind.EGO))
+        sim.publish("B", sim.next_message("A", "/a/ego"))
     with pytest.raises(UnknownNodeError):
         sim.deploy_instance(
             InstanceSpec("svc-x", ServiceKind.OTHER, "B", ())
@@ -78,7 +76,7 @@ def test_instance_counters_track_lineage():
 
 def test_publish_requires_increasing_seq():
     sim = sim_with("A")
-    message = sim.next_message("A", "/a/ego", PayloadKind.EGO)
+    message = sim.next_message("A", "/a/ego")
     sim.publish("A", message)
     with pytest.raises(ValueError):
         sim.publish("A", message)
@@ -111,7 +109,7 @@ def test_forwarding_has_one_tick_latency():
 def test_sender_only_forwards_listed_topics():
     sim = sim_with("A", "E")
     deploy_pair(sim, "A", "E", ["/A/ego"])
-    feed(sim, "A", "A", "/A/points", PayloadKind.POINT_CLOUD)
+    feed(sim, "A", "A", "/A/points")
     report = sim.tick()
     assert report.forwarded == 0
     sim.tick()
@@ -163,7 +161,7 @@ def test_detection_consumes_pointclouds_and_counts():
     sim = sim_with("E")
     sim.deploy_instance(DETECTION_SPEC)
     for expected_count in (1, 2, 3):
-        feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
+        feed(sim, "E", "S", "/S/points")
         sim.tick()
         out = sim.messages_at("E", "/detections/S/objects")
         assert len(out) == 1
@@ -178,7 +176,7 @@ def test_detection_consumes_pointclouds_and_counts():
 def test_terminated_instance_leaves_no_per_instance_state():
     sim = sim_with("E")
     instance_id = sim.deploy_instance(DETECTION_SPEC)
-    feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
+    feed(sim, "E", "S", "/S/points")
     sim.tick()
     assert sim.messages_at("E", "/detections/S/objects")
     sim.terminate_instance(instance_id)
@@ -208,7 +206,7 @@ def test_fusion_aggregates_subscribed_origins():
     sim = sim_with("E")
     sim.deploy_instance(fusion_spec(["/V0/ego", "/detections/S/objects"]))
     feed(sim, "E", "V0", "/V0/ego")
-    feed(sim, "E", "S", "/detections/S/objects", PayloadKind.OBJECT_LIST)
+    feed(sim, "E", "S", "/detections/S/objects")
     feed(sim, "E", "V9", "/V9/ego")  # not subscribed, must not contribute
     sim.tick()
     out = sim.messages_at("E", "/fusion/objects")
@@ -235,7 +233,7 @@ def test_detection_feeds_fusion_in_the_same_tick():
         )
     )
     sim.deploy_instance(fusion_spec(["/detections/S/objects"]))
-    feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
+    feed(sim, "E", "S", "/S/points")
     sim.tick()
     assert sim.messages_at("E", "/fusion/objects")[0].payload == ("S",)
 
@@ -273,7 +271,7 @@ def test_random_forwarding_respects_locality(seed):
     nodes = ["A", "B", "C", "D"]
     sim = ClusterSim()
     for node in nodes:
-        sim.add_node(node, EntityRole.CV)
+        sim.add_node(node)
     topics = [f"/t{i}" for i in range(5)]
     allowed = set()
     for i in range(rng.randrange(1, 5)):
@@ -288,7 +286,7 @@ def test_random_forwarding_respects_locality(seed):
         topic = rng.choice(topics)
         sim.publish(
             node,
-            sim.next_message(f"o{n}", topic, PayloadKind.EGO),
+            sim.next_message(f"o{n}", topic),
         )
         publishes.append((node, topic))
         sim.tick()
@@ -355,7 +353,7 @@ def test_reconfigured_sender_forwards_its_new_topics():
     sender, _ = pair_specs("A", "E", ["/A/points"])
     sim.reconfigure_instance(sender_id, sender.config)
     feed(sim, "A", "A", "/A/ego")
-    feed(sim, "A", "A", "/A/points", PayloadKind.POINT_CLOUD)
+    feed(sim, "A", "A", "/A/points")
     assert sim.tick().forwarded == 1
     sim.tick()
     assert sim.topics_visible_at("E") == ("/A/points",)
@@ -440,7 +438,7 @@ def test_terminating_the_last_receiver_stops_forwarding():
 def test_detector_reconfigured_after_idle_ticks_reads_its_new_input():
     sim = sim_with("E")
     instance_id = sim.deploy_instance(DETECTION_SPEC)
-    feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
+    feed(sim, "E", "S", "/S/points")
     idle(sim)
     config = tuple(
         ConfigItem("input-topic", "/T/points") if item.kind == "input-topic"
@@ -448,8 +446,8 @@ def test_detector_reconfigured_after_idle_ticks_reads_its_new_input():
         for item in DETECTION_SPEC.config
     )
     sim.reconfigure_instance(instance_id, config)
-    feed(sim, "E", "S", "/S/points", PayloadKind.POINT_CLOUD)
-    feed(sim, "E", "T", "/T/points", PayloadKind.POINT_CLOUD)
+    feed(sim, "E", "S", "/S/points")
+    feed(sim, "E", "T", "/T/points")
     assert sim.tick().produced == 1
     (out,) = sim.messages_at("E", "/detections/S/objects")
     assert out.origin == "T"
@@ -483,7 +481,7 @@ def test_everything_published_between_ticks_is_seen_next_tick():
         for node in published:
             for n in range(round_ + 1):
                 topic = f"/{node}/t{n}"
-                message = sim.next_message(node, topic, PayloadKind.EGO)
+                message = sim.next_message(node, topic)
                 sim.publish(node, message)
                 published[node].append(message)
         sim.tick()
@@ -500,7 +498,7 @@ def test_node_added_after_ticks_has_a_working_empty_bus():
     sim = sim_with("A")
     feed(sim, "A", "A", "/A/ego")
     idle(sim)
-    sim.add_node("E", EntityRole.EDGE)
+    sim.add_node("E")
     assert sim.topics_visible_at("E") == ()
     assert sim.messages_at("E", "/A/ego") == ()
     deploy_pair(sim, "A", "E", ["/A/ego"])
@@ -518,8 +516,8 @@ def test_node_added_after_ticks_has_a_working_empty_bus():
 def test_publish_sources_shares_seq_with_publish():
     sim = sim_with("A", "E")
     sources = (
-        ("A", "A", "/A/ego", PayloadKind.EGO),
-        ("E", "A", "/A/ego", PayloadKind.EGO),  # same key, another node
+        ("A", "A", "/A/ego"),
+        ("E", "A", "/A/ego"),  # same key, another node
     )
     feed(sim, "A", "A", "/A/ego")
     sim.publish_sources(sources)
@@ -535,9 +533,9 @@ def test_publish_sources_shares_seq_with_publish():
 
 def test_publish_sources_matches_single_publishes():
     sources = (
-        ("A", "A", "/A/ego", PayloadKind.EGO),
-        ("A", "A", "/A/points", PayloadKind.POINT_CLOUD),
-        ("E", "E", "/E/ego", PayloadKind.EGO),
+        ("A", "A", "/A/ego"),
+        ("A", "A", "/A/points"),
+        ("E", "E", "/E/ego"),
     )
 
     def run(publish_all):
@@ -555,16 +553,16 @@ def test_publish_sources_matches_single_publishes():
         return seen
 
     def one_by_one(sim):
-        for node, origin, topic, kind in sources:
-            sim.publish(node, sim.next_message(origin, topic, kind))
+        for node, origin, topic in sources:
+            sim.publish(node, sim.next_message(origin, topic))
 
     assert run(lambda sim: sim.publish_sources(sources)) == run(one_by_one)
 
 
 def test_stale_publish_after_publish_sources_is_rejected():
     sim = sim_with("A")
-    stale = sim.next_message("A", "/A/ego", PayloadKind.EGO)
-    sim.publish_sources((("A", "A", "/A/ego", PayloadKind.EGO),))
+    stale = sim.next_message("A", "/A/ego")
+    sim.publish_sources((("A", "A", "/A/ego"),))
     with pytest.raises(ValueError):
         sim.publish("A", stale)
 
@@ -572,4 +570,4 @@ def test_stale_publish_after_publish_sources_is_rejected():
 def test_publish_sources_rejects_an_unknown_node():
     sim = sim_with("A")
     with pytest.raises(UnknownNodeError):
-        sim.publish_sources((("B", "B", "/B/ego", PayloadKind.EGO),))
+        sim.publish_sources((("B", "B", "/B/ego"),))

@@ -296,13 +296,8 @@ def test_decide_replaces_on_version_change():
 def rig():
     store = ResourceStore()
     sim = ClusterSim()
-    for node, role in [
-        ("E", EntityRole.EDGE),
-        ("S", EntityRole.RISU),
-        ("V0", EntityRole.CV),
-        ("V1", EntityRole.CV),
-    ]:
-        sim.add_node(node, role)
+    for node in ("E", "S", "V0", "V1"):
+        sim.add_node(node)
     trace = Trace()
     service_op = ServiceOperator(store, sim, trace)
     connection_op = ConnectionOperator(store, sim, trace)
@@ -367,7 +362,7 @@ def test_config_change_reconfigures_in_place(rig):
     instance = sim.instances_of("svc-x")[0]
     assert instance.config_version == 1
     assert instance.restart_count == 0
-    assert set(instance.input_topics()) == {"/V0/ego", "/V1/ego"}
+    assert set(instance.input_topics) == {"/V0/ego", "/V1/ego"}
 
 
 def test_emptied_support_terminates_and_deletes(rig):
@@ -626,4 +621,30 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
     terminates = [r for r in trace.records if r.get("action") == "terminate"]
     assert len(terminates) == 1
     assert set(terminates[0].get("instances").split(",")) == set(pair)
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
+
+
+def test_external_delete_tears_down_like_a_shutdown(rig):
+    store, sim, trace, service_op, connection_op = rig
+    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config()))
+    store.apply_cr(
+        CONN, "conn-V0-E",
+        delta(1, config=(
+            ConfigItem("src", "V0"),
+            ConfigItem("dst", "E"),
+            ConfigItem("forward-topic", "/V0/ego"),
+        )),
+    )
+    service_op.run_pending()
+    connection_op.run_pending()
+    assert len(sim.instances()) == 3
+    store.delete_cr(SVC, "svc-x")
+    store.delete_cr(CONN, "conn-V0-E")
+    service_op.run_pending()
+    connection_op.run_pending()
+    assert sim.instances() == ()
+    assert service_op.ledgers() == {}
+    assert connection_op.ledgers() == {}
+    terminates = [r for r in trace.records if r.get("action") == "terminate"]
+    assert sorted(r.get("cr") for r in terminates) == ["conn-V0-E", "svc-x"]
     assert [r for r in trace.records if r.tag == "ERROR"] == []

@@ -10,7 +10,7 @@ import yaml
 from demandflow.cli import bundled_scenario_path
 from demandflow.detector import EventDetector
 from demandflow.manager import AccessDomainPolicy
-from demandflow.model import DeltaAction, NonQuiescenceError
+from demandflow.model import DeltaAction, NonQuiescenceError, OrchestrationError
 from demandflow.runner import (
     ScenarioRunner,
     build_system,
@@ -150,6 +150,29 @@ def test_upgrade_run_replaces_and_then_reconfigures_new_instances(
     assert all(
         r.values("instances") == (new_fusion,) for r in later_reconfigs
     )
+    assert system_is_empty(runner.system)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a give-up drops the folded release; ROADMAP open item 1",
+)
+def test_failed_terminates_still_empty_the_system(reference_scenario):
+    # Terminate calls 3-5 fail: the release of conn-V0-E gives up at
+    # tick 13, and conn-V0-E with its receiver stays live to the end.
+    runner = ScenarioRunner(reference_scenario)
+    sim = runner.system.sim
+    real = sim.terminate_instance
+    calls = []
+
+    def terminate(instance_id):
+        calls.append(instance_id)
+        if len(calls) in (3, 4, 5):
+            raise OrchestrationError("injected terminate failure")
+        real(instance_id)
+
+    sim.terminate_instance = terminate
+    runner.run()
     assert system_is_empty(runner.system)
 
 
