@@ -20,6 +20,7 @@ again when repeated.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .model import (
@@ -34,6 +35,7 @@ from .model import (
     AlreadyRegisteredError,
     ConfigItem,
     EntityRole,
+    ID_RE,
     ServiceKind,
     Topology,
     TOPIC_KINDS,
@@ -45,6 +47,10 @@ from .model import (
 # Selector prefixes understood in PartRule.input_selectors.
 SELECT_DEMAND = "demand"
 SELECT_OUTPUTS = "outputs"
+
+# ROS 2 topic-name characters plus the `{source}` placeholder; see
+# https://design.ros2.org/articles/topic_and_service_names.html
+OUTPUT_TOPIC_RE = re.compile(r"(?:[A-Za-z0-9_/]|\{source\})*")
 
 
 def service_cr_name(app_name: str, role: str, source: str | None = None) -> str:
@@ -97,8 +103,15 @@ class ApplicationTemplate:
                     "all parts must share one placement role, found "
                     f"{self.placement_role.value!r} and {rule.placement_role.value!r}"
                 )
+            if not isinstance(rule.role, str) or not ID_RE.fullmatch(rule.role):
+                raise ValueError(f"bad part role {rule.role!r}")
             if rule.role in seen_roles:
                 raise ValueError(f"duplicate part role {rule.role!r}")
+            topic = rule.output_topic
+            if topic is not None and not (
+                isinstance(topic, str) and OUTPUT_TOPIC_RE.fullmatch(topic)
+            ):
+                raise ValueError(f"bad output topic {topic!r}")
             if rule.per_source_kind is not None:
                 if rule.per_source_kind not in TOPIC_KINDS:
                     raise ValueError(

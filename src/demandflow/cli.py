@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a golden comparison fails, 2 for
-scenario, request or trace file problems and a negative `--ticks`, 3 for
-runtime failures.
+scenario, request or trace file problems, a negative `--ticks` and an
+unknown `--log-level`, 3 for runtime failures.
 """
 
 from __future__ import annotations
@@ -103,7 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    logging.basicConfig(level=args.log_level.upper())
+    level = logging.getLevelName(args.log_level.upper())
+    if not isinstance(level, int):
+        print(f"unknown --log-level {args.log_level!r}", file=sys.stderr)
+        return EXIT_SCENARIO
+    logging.basicConfig(level=level)
     try:
         scenario = _load(args.scenario, ticks=args.ticks)
     except ScenarioError as exc:

@@ -7,6 +7,7 @@ scenario maps them explicitly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -47,6 +48,10 @@ class ServiceKind(str, Enum):
     COMM_RECEIVER = "comm-receiver"
     OTHER = "other"
 
+
+# Entity, node, application and part role names; they become parts of
+# trace fields, so they hold no space, comma, `=` or line break.
+ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 # Topic kinds an entity can provide as a data source.
 TOPIC_KIND_EGO = "ego"

@@ -9,7 +9,6 @@ the detector samples every tick).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -21,14 +20,13 @@ from .detector import DEFAULT_D_START, DEFAULT_D_STOP, GeofenceRule
 from .model import (
     Entity,
     EntityRole,
+    ID_RE,
     ScenarioParseError,
     ScenarioValidationError,
     ServiceKind,
     TOPIC_KINDS,
     Topology,
 )
-
-_ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 MODE_SCRIPTED = "scripted"
 MODE_WAYPOINTS = "waypoints"
@@ -178,7 +176,7 @@ def _parse_entities(raw: Any, fail) -> tuple[Entity, ...]:
         if not isinstance(item, dict):
             raise fail("each entity must be a mapping")
         entity_id = item.get("id")
-        if not isinstance(entity_id, str) or not _ID_RE.match(entity_id):
+        if not isinstance(entity_id, str) or not ID_RE.fullmatch(entity_id):
             raise fail(f"bad entity id {entity_id!r}")
         if entity_id in seen:
             raise fail(f"duplicate entity {entity_id}")
@@ -193,7 +191,7 @@ def _parse_entities(raw: Any, fail) -> tuple[Entity, ...]:
             if kind not in TOPIC_KINDS:
                 raise fail(f"entity {entity_id}: unknown capability {kind!r}")
         node_id = item.get("node", entity_id)
-        if not isinstance(node_id, str) or not _ID_RE.match(node_id):
+        if not isinstance(node_id, str) or not ID_RE.fullmatch(node_id):
             raise fail(f"entity {entity_id}: bad node id {node_id!r}")
         entities.append(
             Entity(
@@ -215,7 +213,7 @@ def _parse_applications(raw: Any, fail) -> tuple[ApplicationTemplate, ...]:
             raise fail("each application must be a mapping")
         app_name = item.get("name")
         version = item.get("version")
-        if not isinstance(app_name, str) or not _ID_RE.match(app_name or ""):
+        if not isinstance(app_name, str) or not ID_RE.fullmatch(app_name):
             raise fail(f"bad application name {app_name!r}")
         if not isinstance(version, str) or not version:
             raise fail(f"application {app_name}: missing version")

@@ -1,16 +1,19 @@
 """Deterministic line-oriented run traces and structural trace diffing.
 
-Every record renders as exactly one line with fields in a fixed order, so
-two runs of the same scenario can be compared byte for byte.  Golden
+Each record constructor writes its record once, as the line it renders
+to, fields in a fixed order separated by single spaces; only the ERROR
+`detail` field, which is last, may hold spaces.  `Trace.records` reads
+the lines back through `_parse`, one record per access.  Golden
 comparison is structural: only ledger-state, instance-action, and
 node-topics records take part, each class diffed independently.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 TAG_REQUEST = "REQUEST"
 TAG_CR = "CR"
@@ -23,20 +26,13 @@ TAG_ERROR = "ERROR"
 COMPARED_TAGS = (TAG_LEDGER, TAG_ACTION, TAG_TOPICS)
 
 
-def _csv(values: Iterable[str]) -> str:
-    return ",".join(values)
-
-
 class TraceRecord(NamedTuple):
+    """One trace line read back into its parts."""
+
     tag: str
     step: int
     tick: int
     fields: tuple[tuple[str, str], ...]
-
-    def line(self) -> str:
-        parts = [self.tag, f"step={self.step}", f"tick={self.tick}"]
-        parts.extend(f"{key}={value}" for key, value in self.fields)
-        return " ".join(parts)
 
     def get(self, key: str) -> str:
         for k, value in self.fields:
@@ -50,111 +46,106 @@ class TraceRecord(NamedTuple):
         return tuple(part for part in raw.split(",") if part)
 
 
+def _parse(line: str) -> TraceRecord:
+    # An ERROR line has three fields after tick; its last, `detail`, may
+    # hold spaces.  `step=` and `tick=` are five characters each.
+    tag, step, tick, *rest = line.split(" ", 5 if line.startswith(TAG_ERROR) else -1)
+    return TraceRecord(
+        tag, int(step[5:]), int(tick[5:]),
+        tuple(part.partition("=")[::2] for part in rest),
+    )
+
+
+class TraceRecords(Sequence[TraceRecord]):
+    """Read-only view of a trace's own lines, so later records show up."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index: int) -> TraceRecord:
+        return _parse(self._lines[index])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_parse, self._lines)
+
+
 class Trace:
-    """Append-only record sink with a current (step, tick) position.
+    """Append-only line sink with a current (step, tick) position.
 
     The runner moves the position; everything else just appends, which
     keeps step/tick plumbing out of the operators.
     """
 
     def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
-        self._step = 0
-        self._tick = 0
+        self._lines: list[str] = []
+        self._at = "step=0 tick=0"
 
     def at(self, step: int, tick: int) -> None:
-        self._step = step
-        self._tick = tick
+        self._at = f"step={step} tick={tick}"
 
-    def _add(self, tag: str, fields: Sequence[tuple[str, str]]) -> None:
-        self.records.append(
-            TraceRecord(tag, self._step, self._tick, tuple(fields))
-        )
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self._lines)
 
     # -- record constructors ----------------------------------------------
 
     def request(
-        self,
-        request_id: str,
-        action: str,
-        app_name: str,
-        requesters: Iterable[str],
-        inputs: Iterable[tuple[str, str]],
+        self, request_id: str, action: str, app_name: str,
+        requesters: Iterable[str], inputs: Iterable[tuple[str, str]],
     ) -> None:
-        self._add(
-            TAG_REQUEST,
-            [
-                ("id", request_id),
-                ("action", action),
-                ("app", app_name),
-                ("requesters", _csv(requesters)),
-                ("inputs", _csv(f"{e}:{k}" for e, k in inputs)),
-            ],
+        self._lines.append(
+            f"{TAG_REQUEST} {self._at} id={request_id} action={action} "
+            f"app={app_name} requesters={','.join(requesters)} "
+            f"inputs={','.join(f'{e}:{k}' for e, k in inputs)}"
         )
 
     def cr_applied(
         self, kind: str, name: str, generation: int, action: str
     ) -> None:
-        self._add(
-            TAG_CR,
-            [
-                ("kind", kind),
-                ("name", name),
-                ("generation", str(generation)),
-                ("action", action),
-            ],
+        self._lines.append(
+            f"{TAG_CR} {self._at} kind={kind} name={name} "
+            f"generation={generation} action={action}"
         )
 
     def ledger_state(
-        self,
-        cr_name: str,
-        support: Iterable[str],
-        config: Iterable[str],
+        self, cr_name: str, support: Iterable[str], config: Iterable[str]
     ) -> None:
-        self._add(
-            TAG_LEDGER,
-            [
-                ("cr", cr_name),
-                ("support", _csv(support)),
-                ("config", _csv(config)),
-            ],
+        self._lines.append(
+            f"{TAG_LEDGER} {self._at} cr={cr_name} support={','.join(support)} "
+            f"config={','.join(config)}"
         )
 
     def instance_action(
-        self,
-        cr_name: str,
-        action: str,
-        instances: Iterable[str],
-        nodes: Iterable[str],
-        replaced: Iterable[str] = (),
+        self, cr_name: str, action: str, instances: Iterable[str],
+        nodes: Iterable[str], replaced: Iterable[str] = (),
     ) -> None:
-        fields = [
-            ("cr", cr_name),
-            ("action", action),
-            ("instances", _csv(instances)),
-            ("nodes", _csv(nodes)),
-        ]
         replaced = tuple(replaced)
-        if replaced:
-            fields.append(("replaced", _csv(replaced)))
-        self._add(TAG_ACTION, fields)
+        self._lines.append(
+            f"{TAG_ACTION} {self._at} cr={cr_name} action={action} "
+            f"instances={','.join(instances)} nodes={','.join(nodes)}"
+            f"{' replaced=' + ','.join(replaced) if replaced else ''}"
+        )
 
     def topics(self, node_id: str, topics: Iterable[str]) -> None:
-        self._add(TAG_TOPICS, [("node", node_id), ("topics", _csv(topics))])
+        self._lines.append(
+            f"{TAG_TOPICS} {self._at} node={node_id} topics={','.join(topics)}"
+        )
 
     def error(self, source: str, kind: str, detail: str) -> None:
-        self._add(
-            TAG_ERROR, [("source", source), ("kind", kind), ("detail", detail)]
+        self._lines.append(
+            f"{TAG_ERROR} {self._at} source={source} kind={kind} detail={detail}"
         )
 
     # -- output ------------------------------------------------------------
 
     def lines(self) -> list[str]:
-        return [record.line() for record in self.records]
+        return list(self._lines)
 
     def render(self) -> str:
-        body = "\n".join(self.lines())
-        return body + "\n" if body else ""
+        return "\n".join(self._lines) + "\n" if self._lines else ""
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.render(), encoding="utf-8")

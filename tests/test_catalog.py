@@ -289,6 +289,38 @@ def test_template_validation_rejects_bad_rules():
         ).validate()
 
 
+@pytest.mark.parametrize("role", ["obj det", "obj,det", "obj=det", "objdet\n", 7])
+def test_template_validation_rejects_a_role_a_trace_line_cannot_carry(role):
+    rule = PartRule(role, ServiceKind.OTHER, EntityRole.EDGE)
+    with pytest.raises(ValueError, match="bad part role"):
+        ApplicationTemplate(app_name=APP, version="v1", parts=(rule,)).validate()
+
+
+@pytest.mark.parametrize(
+    "topic", ["/fusion objects", "/fusion,objects", "/fusion=objects", "/{other}"]
+)
+def test_template_validation_rejects_a_non_ros_output_topic(topic):
+    rule = PartRule("fusion", ServiceKind.OTHER, EntityRole.EDGE, output_topic=topic)
+    with pytest.raises(ValueError, match="bad output topic"):
+        ApplicationTemplate(app_name=APP, version="v1", parts=(rule,)).validate()
+
+
+def test_template_validation_accepts_ros_topics_with_the_source_placeholder():
+    ApplicationTemplate(
+        app_name=APP,
+        version="v1",
+        parts=(
+            PartRule(
+                "objdet_2",
+                ServiceKind.OTHER,
+                EntityRole.EDGE,
+                per_source_kind="pointcloud",
+                output_topic="/detections/{source}/objects_2",
+            ),
+        ),
+    ).validate()
+
+
 # Whatever subset of vehicles takes part, resolution must cover the whole
 # demand: one detection per pointcloud provider, every demanded topic
 # carried by exactly one connection, fusion fed by all ego topics and all

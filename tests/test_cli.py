@@ -1,9 +1,15 @@
 """CLI contract: subcommands, exit codes, golden comparison."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import yaml
 
 import pytest
 
+import demandflow
 from demandflow.cli import (
     EXIT_DIFF,
     EXIT_OK,
@@ -53,6 +59,25 @@ def test_run_writes_trace_and_matches_golden(tmp_path, capsys):
     assert out_path.read_text() == GOLDEN.read_text()
 
 
+@pytest.mark.parametrize(
+    "name", ["collective_perception", "collective_perception_upgrade", "waypoint_drive"]
+)
+def test_trace_out_is_the_golden_under_any_hash_seed(tmp_path, name):
+    # Each run is a fresh interpreter, so set and dict iteration orders
+    # differ between the two; the written bytes must not.
+    golden = bundled_scenario_path(name).with_suffix(".trace").read_bytes()
+    src = str(Path(demandflow.__file__).parents[1])
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"{hash_seed}.trace"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        command = ["run", name, "--trace-out", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "demandflow.cli", *command],
+            env=env, check=True, capture_output=True, timeout=60,
+        )
+        assert out.read_bytes() == golden, hash_seed
+
+
 def test_run_detects_golden_mismatch(tmp_path, capsys):
     doctored = tmp_path / "doctored.trace"
     lines = GOLDEN.read_text().splitlines()
@@ -82,6 +107,14 @@ def test_run_rejects_negative_ticks(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "scenario error: --ticks must be a non-negative integer\n"
+
+
+def test_run_rejects_an_unknown_log_level(capsys):
+    code = main(["run", "collective_perception", "--log-level", "bogus"])
+    assert code == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unknown --log-level 'bogus'\n"
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"])

@@ -98,12 +98,13 @@ def test_entity_validation(reference_raw):
         )),
         "duplicate entity V0",
     )
-    expect_invalid(
-        variant(reference_raw, lambda r: r["entities"].append(
-            {"id": "9bad", "role": "cv"}
-        )),
-        "bad entity id",
-    )
+    for bad_id in ("9bad", "V9\n"):
+        expect_invalid(
+            variant(reference_raw, lambda r: r["entities"].append(
+                {"id": bad_id, "role": "cv"}
+            )),
+            "bad entity id",
+        )
     expect_invalid(
         variant(reference_raw, lambda r: r["entities"].append(
             {"id": "X", "role": "submarine"}
@@ -130,7 +131,7 @@ def test_entity_validation(reference_raw):
         variant(reference_raw, lambda r: r["entities"][1].update(node="V0")),
         "distinct nodes",
     )
-    for node in (5, None, "9bad"):
+    for node in (5, None, "9bad", "V0\n"):
         expect_invalid(
             variant(reference_raw, lambda r: r["entities"][1].update(node=node)),
             "bad node id",
@@ -177,6 +178,18 @@ def test_application_validation(reference_raw):
         r["applications"][0]["parts"][1]["placement"] = "cloud"
 
     expect_invalid(variant(reference_raw, split), "one placement role")
+
+    # Names that would split or blur a trace field.
+    for bad in (" ", ",", "="):
+        def role(r):
+            r["applications"][0]["parts"][1]["role"] = f"fu{bad}sion"
+
+        expect_invalid(variant(reference_raw, role), "bad part role")
+
+        def output_topic(r):
+            r["applications"][0]["parts"][1]["output_topic"] = f"/fusion{bad}objects"
+
+        expect_invalid(variant(reference_raw, output_topic), "bad output topic")
 
 
 def test_geofence_validation(reference_raw):
