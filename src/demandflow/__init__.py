@@ -22,7 +22,6 @@ from .manager import (
     AccessDomainPolicy,
     AppManager,
     DeploymentRequest,
-    Outcome,
     RequestResult,
 )
 from .model import (
@@ -68,7 +67,6 @@ __all__ = [
     "GeofenceRule",
     "InstanceSpec",
     "OrchestrationError",
-    "Outcome",
     "PartRule",
     "RequestResult",
     "ResourceKind",

@@ -5,17 +5,17 @@ takes a demand description (who is asking, which source topics they bring
 along) and produces the concrete service parts plus the connections that
 carry remote source topics to the node where they are consumed.
 Resolution is a pure function of (template, topology, demand); it never
-inspects what is already deployed.  A part is its resource name, its
-node(s) and its config items; the service kind it runs and the topics a
-connection forwards live only in those items.  Every part of an
-application is placed on the single node holding its template's
-placement role; that node is looked up once, when the template is
-registered, and a template without one is refused there.  Templates
-are registered once and the topology is immutable, so `Catalog.resolve`
-memoizes successful results per (application, version, demand), at most
-one per distinct demand and version: for detector-built requests, one
-per vehicle and version.  A call that raises stores nothing and raises
-again when repeated.
+inspects what is already deployed.  A part is its resource name and its
+config items; its node(s), the service kind it runs and the topics a
+connection forwards live only in those items.  A resolution also lists
+the nodes it touches.  Every part of an application is placed on the
+single node holding its template's placement role; that node is looked
+up once, when the template is registered, and a template without one is
+refused there.  Templates are registered once and the topology is
+immutable, so `Catalog.resolve` memoizes successful results per
+(application, version, demand), at most one per distinct demand and
+version: for detector-built requests, one per vehicle and version.  A
+call that raises stores nothing and raises again when repeated.
 """
 
 from __future__ import annotations
@@ -172,24 +172,17 @@ class DemandDescription:
 
 
 @dataclass(frozen=True)
-class ServicePartSpec:
+class PartSpec:
     cr_name: str
-    target_node: str
-    config_items: tuple[ConfigItem, ...]
-
-
-@dataclass(frozen=True)
-class ConnectionPartSpec:
-    cr_name: str
-    src_node: str
-    dst_node: str
     config_items: tuple[ConfigItem, ...]
 
 
 @dataclass(frozen=True)
 class ResolvedParts:
-    services: tuple[ServicePartSpec, ...]
-    connections: tuple[ConnectionPartSpec, ...]
+    services: tuple[PartSpec, ...]
+    connections: tuple[PartSpec, ...]
+    # The placement node plus every source node off it, sorted.
+    nodes: tuple[str, ...]
 
 
 class Catalog:
@@ -202,10 +195,6 @@ class Catalog:
         self._placement: dict[tuple[str, str], str] = {}
         # (app_name, version, demand) -> its successful resolution
         self._resolved: dict[tuple, ResolvedParts] = {}
-
-    @property
-    def topology(self) -> Topology:
-        return self._topology
 
     def register_application(self, template: ApplicationTemplate) -> None:
         template.validate()
@@ -257,7 +246,7 @@ class Catalog:
         # be made available there.
         placed = self._placement[(app_name, version)]
 
-        services: list[ServicePartSpec] = []
+        services: list[PartSpec] = []
         outputs_by_role: dict[str, list[str]] = {}
         for rule in template.parts:
             selected: list[str] = []
@@ -285,29 +274,25 @@ class Catalog:
                     items.append(ConfigItem(CFG_OUTPUT_TOPIC, out))
                     outputs_by_role.setdefault(rule.role, []).append(out)
                 services.append(
-                    ServicePartSpec(
-                        cr_name=service_cr_name(app_name, rule.role, source),
-                        target_node=placed,
-                        config_items=tuple(items),
-                    )
+                    PartSpec(service_cr_name(app_name, rule.role, source), tuple(items))
                 )
 
-        connections: list[ConnectionPartSpec] = []
+        connections: list[PartSpec] = []
+        nodes = {placed}
         for source in sorted(demand.entities()):
             src_node = self._topology.node_of(source)
             if src_node == placed:
                 continue
+            nodes.add(src_node)
             topics = demand.topics_of(source)
             connections.append(
-                ConnectionPartSpec(
-                    cr_name=connection_cr_name(src_node, placed),
-                    src_node=src_node,
-                    dst_node=placed,
-                    config_items=(
+                PartSpec(
+                    connection_cr_name(src_node, placed),
+                    (
                         ConfigItem(CFG_SRC, src_node),
                         ConfigItem(CFG_DST, placed),
                         *(ConfigItem(CFG_FORWARD_TOPIC, t) for t in topics),
                     ),
                 )
             )
-        return ResolvedParts(services=tuple(services), connections=tuple(connections))
+        return ResolvedParts(tuple(services), tuple(connections), tuple(sorted(nodes)))

@@ -16,6 +16,7 @@ from pathlib import Path
 from .manager import DeploymentRequest
 from .model import (
     DeltaAction,
+    ID_RE,
     OrchestrationError,
     ResourceKind,
     ScenarioError,
@@ -164,7 +165,7 @@ def _parse_inputs(raw_inputs) -> tuple[tuple[str, str], ...]:
     inputs = []
     for item in raw_inputs:
         entity_id, sep, kind = item.partition(":")
-        if not sep or not entity_id or kind not in TOPIC_KINDS:
+        if not sep or not ID_RE.fullmatch(entity_id) or kind not in TOPIC_KINDS:
             raise ScenarioError(f"bad input {item!r}, expected entity:kind")
         inputs.append((entity_id, kind))
     return tuple(inputs)
@@ -175,9 +176,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         scenario = _load(args.scenario)
         raw = load_request_file(args.request_file)
         request = DeploymentRequest(
-            request_id=str(raw["id"]),
+            request_id=raw["id"],
             action=DeltaAction(raw["action"]),
-            app_name=str(raw["application"]),
+            app_name=raw["application"],
             requesters=tuple(raw["requesters"]),
             inputs=_parse_inputs(raw["inputs"]),
         )

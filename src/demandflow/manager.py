@@ -2,7 +2,8 @@
 
 The manager is the write side of the control plane.  It turns one
 deployment request into one demand delta per affected custom resource and
-applies them to the store.  Its result cache keyed by request id is the
+applies them to the store, after checking the access policy on each node
+the catalog's resolution lists.  Its result cache keyed by request id is the
 one idempotency layer: a redelivered request id gets the first result
 back and never reaches the store again.  Beyond that cache it holds only
 the per-application active version (flipped by upgrades) and the owning
@@ -13,10 +14,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping
 
-from .catalog import Catalog, ConnectionPartSpec, DemandDescription, ServicePartSpec
+from .catalog import Catalog, DemandDescription, PartSpec
 from .model import (
     AccessDeniedError,
     ConfigItem,
@@ -26,7 +26,6 @@ from .model import (
     OrchestrationError,
     ResourceKind,
     TOPIC_KINDS,
-    UnknownEntityError,
 )
 from .store import DemandDelta, ResourceStore
 
@@ -46,21 +45,12 @@ class DeploymentRequest:
         return DemandDescription(requesters=self.requesters, inputs=self.inputs)
 
 
-class Outcome(str, Enum):
-    ACCEPTED = "accepted"
-    REJECTED = "rejected"
-
-
 @dataclass(frozen=True)
 class RequestResult:
     request_id: str
-    outcome: Outcome
+    accepted: bool
     applied_crs: tuple[tuple[ResourceKind, str, int], ...] = ()
     reason: str = ""
-
-    @property
-    def accepted(self) -> bool:
-        return self.outcome is Outcome.ACCEPTED
 
 
 class AccessDomainPolicy:
@@ -90,10 +80,6 @@ class AppManager:
         self._store = store
         self._catalog = catalog
         self._policy = policy or AccessDomainPolicy()
-        # The topology is immutable, so its node set is built once.
-        self._known_nodes = frozenset(
-            e.node_id for e in catalog.topology.entities()
-        )
         self._processed: dict[str, RequestResult] = {}
         self._active_version: dict[str, str] = {}
         self._owner: dict[str, str] = {}  # service cr name -> application
@@ -106,11 +92,6 @@ class AppManager:
         if version is None:
             version = self._catalog.first_version(app_name)
         return version
-
-    def check_access(self, app_name: str, node_id: str) -> bool:
-        if node_id not in self._known_nodes:
-            raise UnknownEntityError(f"unknown node {node_id!r}")
-        return self._policy.allows(app_name, node_id)
 
     # -- request handling --------------------------------------------------
 
@@ -160,15 +141,13 @@ class AppManager:
         """Apply one delta per (kind, name, config items, version) write."""
         applied: list[tuple[ResourceKind, str, int]] = []
         for kind, name, config_items, app_version in writes:
-            delta = DemandDelta(
-                f"{write_id}/{name}", action, requesters, config_items, app_version
-            )
+            delta = DemandDelta(action, requesters, config_items, app_version)
             applied.append((kind, name, self._store.apply_cr(kind, name, delta)))
-        return RequestResult(write_id, Outcome.ACCEPTED, tuple(applied))
+        return RequestResult(write_id, True, tuple(applied))
 
     def _validate(
         self, request: DeploymentRequest
-    ) -> tuple[str, tuple[ServicePartSpec, ...], tuple[ConnectionPartSpec, ...]]:
+    ) -> tuple[str, tuple[PartSpec, ...], tuple[PartSpec, ...]]:
         if not request.requesters:
             raise MalformedRequestError("request carries no requesters")
         for entity_id, kind in request.inputs:
@@ -180,12 +159,8 @@ class AppManager:
         resolved = self._catalog.resolve(
             request.app_name, version, request.demand()
         )
-        touched = {part.target_node for part in resolved.services}
-        for conn in resolved.connections:
-            touched.add(conn.src_node)
-            touched.add(conn.dst_node)
-        for node in sorted(touched):
-            if not self.check_access(request.app_name, node):
+        for node in resolved.nodes:
+            if not self._policy.allows(request.app_name, node):
                 raise AccessDeniedError(
                     f"{request.app_name} is not allowed on node {node}"
                 )
@@ -230,4 +205,4 @@ class AppManager:
 
 def _rejected(request_id: str, exc: OrchestrationError) -> RequestResult:
     reason = f"{type(exc).__name__}: {exc}"
-    return RequestResult(request_id, Outcome.REJECTED, reason=reason)
+    return RequestResult(request_id, False, reason=reason)

@@ -202,7 +202,8 @@ class Operator:
         # Units still to terminate, with their nodes, per resource.
         self._retiring: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._retry: deque[WatchEvent] = deque()
-        self._attempts: dict[tuple[str, int], int] = {}
+        # name -> (target generation, failed attempts at it)
+        self._attempts: dict[str, tuple[int, int]] = {}
 
     # -- queue handling ----------------------------------------------------
 
@@ -260,7 +261,7 @@ class Operator:
             self._handle_failure(name, event, target, exc)
             return
 
-        self._attempts.pop((name, target), None)
+        self._attempts.pop(name, None)
         self._observed[name] = target
         self._ledgers[name] = ledger
         for generation, rejection in rejections:
@@ -284,9 +285,9 @@ class Operator:
     def _handle_failure(
         self, name: str, event: WatchEvent, target: int, exc: OrchestrationError
     ) -> None:
-        key = (name, target)
-        attempts = self._attempts.get(key, 0) + 1
-        self._attempts[key] = attempts
+        last, attempts = self._attempts.get(name, (target, 0))
+        attempts = attempts + 1 if last == target else 1
+        self._attempts[name] = (target, attempts)
         if attempts < MAX_ATTEMPTS:
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
                       name, exc, attempts)
@@ -295,7 +296,7 @@ class Operator:
             return
         # Give up: the folded deltas are dropped, the ledger keeps its last
         # good state, and the trace records what happened.
-        del self._attempts[key]
+        del self._attempts[name]
         self._observed[name] = target
         self._trace.error(
             self.source,
@@ -391,6 +392,7 @@ class Operator:
         self._observed.pop(name, None)
         self._units.pop(name, None)
         self._retiring.pop(name, None)
+        self._attempts.pop(name, None)
 
 
 class ServiceOperator(Operator):

@@ -506,4 +506,10 @@ def load_request_file(path: str | Path) -> dict:
             raise ScenarioValidationError(
                 f"{path.name}: {key} must be a list of strings"
             )
+    # These names become REQUEST trace fields.
+    names = [("id", request["id"]), ("application", request["application"])]
+    names += [("requester", r) for r in request["requesters"]]
+    for key, name in names:
+        if not isinstance(name, str) or not ID_RE.fullmatch(name):
+            raise ScenarioValidationError(f"{path.name}: bad {key} {name!r}")
     return request

@@ -32,12 +32,12 @@ class DemandDelta:
     """Spec payload of a custom resource: the latest change in demand.
 
     A delta carries the requesters and config items being added or
-    removed, never accumulated totals.  A delta with no requesters and no
+    removed, never accumulated totals, and no id of its own: the resource
+    name and generation identify it.  A delta with no requesters and no
     config items is a version-only update (used for rolling upgrades) and
     is the single exception to the non-empty requesters rule.
     """
 
-    demand_id: str
     action: DeltaAction
     requesters: tuple[str, ...] = ()
     config_items: tuple[ConfigItem, ...] = ()
@@ -47,8 +47,6 @@ class DemandDelta:
         return not self.requesters and not self.config_items
 
     def validate(self) -> None:
-        if not self.demand_id:
-            raise ValueError("demand_id must be non-empty")
         if self.is_version_only():
             if self.action is not DeltaAction.REQUEST:
                 raise ValueError("version-only delta must use the request action")

@@ -258,7 +258,7 @@ def test_c05_ledger_matches_counting_oracle():
         active = []
         want_requesters = Counter()
         want_config = Counter()
-        for n in range(rng.randrange(2, 16)):
+        for _ in range(rng.randrange(2, 16)):
             if active and rng.random() < 0.45:
                 requesters, config = active.pop(rng.randrange(len(active)))
                 action = DeltaAction.RELEASE
@@ -282,7 +282,6 @@ def test_c05_ledger_matches_counting_oracle():
             ledger, rejection = apply_demand(
                 ledger,
                 DemandDelta(
-                    demand_id=f"{seed}/{n}",
                     action=action,
                     requesters=requesters,
                     config_items=config,

@@ -106,7 +106,7 @@ def test_lidar_vehicle_demand_resolves_all_parts(catalog):
         service_cr_name(APP, "fusion"),
     ]
     objdet_s, objdet_v0, fusion = parts.services
-    assert objdet_s.target_node == "E"
+    assert parts.nodes == ("E", "S", "V0")
     assert objdet_s.config_items == (
         ConfigItem("node", "E"),
         ConfigItem("service-kind", "object-detection"),
@@ -133,7 +133,7 @@ def test_lidar_vehicle_demand_resolves_all_parts(catalog):
     by_name = {c.cr_name: c for c in parts.connections}
     assert forwarded(by_name["conn-S-E"]) == ("/S/points",)
     assert forwarded(by_name["conn-V0-E"]) == ("/V0/ego", "/V0/points")
-    assert all(c.dst_node == "E" for c in parts.connections)
+    assert all(config_value(c.config_items, "dst") == "E" for c in parts.connections)
 
 
 def test_ego_only_vehicle_demand_skips_own_detection(catalog):
@@ -243,8 +243,9 @@ def test_placement_is_decided_at_registration():
     assert catalog.versions(APP) == ()
     catalog.register_application(template(EntityRole.CLOUD, EntityRole.CLOUD))
     parts = catalog.resolve(APP, "v1", ego_demand("V1"))
-    assert {p.target_node for p in parts.services} == {"C"}
-    assert {c.dst_node for c in parts.connections} == {"C"}
+    assert {config_value(p.config_items, "node") for p in parts.services} == {"C"}
+    assert {config_value(c.config_items, "dst") for c in parts.connections} == {"C"}
+    assert parts.nodes == ("C", "S", "V1")
 
 
 def test_template_validation_rejects_bad_rules():
@@ -344,7 +345,7 @@ def vehicle_demand(topology, vehicles):
 @given(vehicles=vehicle_sets)
 def test_resolution_covers_any_demand(vehicles):
     catalog = fresh_catalog()
-    demand = vehicle_demand(catalog.topology, vehicles)
+    demand = vehicle_demand(reference_topology(), vehicles)
     inputs = demand.inputs
 
     parts = catalog.resolve(APP, "v1", demand)
@@ -400,7 +401,7 @@ def two_version_catalog():
 )
 def test_warm_resolution_matches_a_fresh_catalog(demands):
     warm = two_version_catalog()
-    topology = warm.topology
+    topology = reference_topology()
     for vehicles, version in demands:
         warm.resolve(APP, version, vehicle_demand(topology, vehicles))
     for vehicles, version in demands:
@@ -408,3 +409,37 @@ def test_warm_resolution_matches_a_fresh_catalog(demands):
         assert warm.resolve(APP, version, demand) == (
             two_version_catalog().resolve(APP, version, demand)
         )
+
+
+def cloud_template():
+    template = reference_template()
+    return replace(
+        template,
+        parts=tuple(
+            replace(rule, placement_role=EntityRole.CLOUD) for rule in template.parts
+        ),
+    )
+
+
+@given(
+    vehicles=vehicle_sets,
+    lidar=st.booleans(),
+    template=st.sampled_from([reference_template(), cloud_template()]),
+)
+def test_resolution_nodes_are_the_node_items_of_its_parts(vehicles, lidar, template):
+    catalog = Catalog(reference_topology())
+    catalog.register_application(template)
+    demand = vehicle_demand(reference_topology(), vehicles)
+    if not lidar:  # only the roadside unit brings a pointcloud
+        inputs = [(e, kind) for e, kind in demand.inputs if e == "S" or kind == "ego"]
+        demand = replace(demand, inputs=tuple(inputs))
+
+    parts = catalog.resolve(APP, "v1", demand)
+
+    node_items = {
+        item.value
+        for part in (*parts.services, *parts.connections)
+        for item in part.config_items
+        if item.kind in ("node", "src", "dst")
+    }
+    assert parts.nodes == tuple(sorted(node_items))

@@ -210,6 +210,40 @@ def test_inject_rejects_malformed_file(tmp_path, capsys):
             " requesters: [V0, S], inputs: ['V0:radar']}\n",
             "expected entity:kind",
         ),
+        # names a REQUEST trace line cannot carry
+        (
+            "request: {id: req 1, action: request,"
+            " application: object-detection-fusion,"
+            " requesters: [V0, S], inputs: ['V0:ego']}\n",
+            "bad id 'req 1'",
+        ),
+        (
+            "request: {id: 'req,1', action: request,"
+            " application: object-detection-fusion,"
+            " requesters: [V0, S], inputs: ['V0:ego']}\n",
+            "bad id 'req,1'",
+        ),
+        (
+            "request: {id: 'req=1', action: request,"
+            " application: object-detection-fusion,"
+            " requesters: [V0, S], inputs: ['V0:ego']}\n",
+            "bad id 'req=1'",
+        ),
+        (
+            "request: {id: 7, action: request, application: object-detection-fusion,"
+            " requesters: [V0, S], inputs: ['V0:ego']}\n",
+            "bad id 7",
+        ),
+        (
+            "request: {id: x, action: request, application: object-detection-fusion,"
+            " requesters: ['V 0', S], inputs: ['V0:ego']}\n",
+            "bad requester 'V 0'",
+        ),
+        (
+            "request: {id: x, action: request, application: object-detection-fusion,"
+            " requesters: [V0, S], inputs: ['V 0:ego']}\n",
+            "bad input 'V 0:ego'",
+        ),
     ],
     ids=[
         "scalar",
@@ -219,15 +253,23 @@ def test_inject_rejects_malformed_file(tmp_path, capsys):
         "requesters-null",
         "requester-number",
         "unknown-kind",
+        "id-space",
+        "id-comma",
+        "id-equals",
+        "id-number",
+        "requester-space",
+        "input-space",
     ],
 )
 def test_inject_rejects_malformed_request_shape(tmp_path, capsys, text, message):
     request = tmp_path / "request.yaml"
     request.write_text(text)
     assert main(["inject", str(request)]) == EXIT_SCENARIO
-    err = capsys.readouterr().err
-    assert "scenario error" in err
-    assert message in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("scenario error")
+    assert message in line
 
 
 def test_inject_rejects_bad_input_syntax(tmp_path, capsys):

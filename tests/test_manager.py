@@ -2,16 +2,9 @@
 
 from dataclasses import replace
 
-import pytest
-
 from demandflow.catalog import Catalog
-from demandflow.manager import (
-    AccessDomainPolicy,
-    AppManager,
-    DeploymentRequest,
-    Outcome,
-)
-from demandflow.model import DeltaAction, ResourceKind, UnknownEntityError
+from demandflow.manager import AccessDomainPolicy, AppManager, DeploymentRequest
+from demandflow.model import DeltaAction, ResourceKind
 from demandflow.runner import build_system, drain
 from demandflow.store import ResourceStore
 
@@ -54,7 +47,7 @@ def request(
 def test_accepted_request_upserts_one_delta_per_part():
     store, manager = build_manager()
     result = manager.handle_request(request())
-    assert result.outcome is Outcome.ACCEPTED
+    assert result.accepted
     assert result.applied_crs == (
         (SVC, f"svc-{APP}-objdet-S", 1),
         (SVC, f"svc-{APP}-objdet-V0", 1),
@@ -63,7 +56,6 @@ def test_accepted_request_upserts_one_delta_per_part():
         (CONN, "conn-V0-E", 1),
     )
     spec = store.get_cr(SVC, f"svc-{APP}-objdet-S").spec
-    assert spec.demand_id == f"r-1/svc-{APP}-objdet-S"
     assert spec.action is DeltaAction.REQUEST
     assert spec.requesters == ("V0", "S")
     assert spec.app_version == "v1"
@@ -106,7 +98,7 @@ def test_overlapping_demands_share_resources():
 def test_rejection_is_atomic():
     store, manager = build_manager()
     result = manager.handle_request(request(app="ghost-app"))
-    assert result.outcome is Outcome.REJECTED
+    assert not result.accepted
     assert "UnknownApplication" in result.reason
     assert store.event_log == []
     assert store.total_resources() == 0
@@ -133,7 +125,7 @@ def test_empty_requesters_rejected():
         inputs=(("V0", "ego"),),
     )
     result = manager.handle_request(empty)
-    assert result.outcome is Outcome.REJECTED
+    assert not result.accepted
     assert store.total_resources() == 0
 
 
@@ -153,7 +145,7 @@ def test_unknown_input_kind_is_rejected():
     store, manager = build_manager()
     radar = replace(request("r-1"), inputs=(("V0", "ego"), ("V0", "radar")))
     result = manager.handle_request(radar)
-    assert result.outcome is Outcome.REJECTED
+    assert not result.accepted
     assert result.reason.startswith("MalformedRequestError")
     assert "V0:radar" in result.reason
     assert store.total_resources() == 0
@@ -187,18 +179,23 @@ def test_access_policy_blocks_disallowed_nodes():
     policy = AccessDomainPolicy({"E": ["some-other-app"]})
     store, manager = build_manager(policy)
     result = manager.handle_request(request())
-    assert result.outcome is Outcome.REJECTED
+    assert not result.accepted
     assert "AccessDenied" in result.reason
     assert store.total_resources() == 0
     # nodes without an entry stay permissive
-    assert manager.check_access(APP, "V0")
-    assert not manager.check_access(APP, "E")
+    assert policy.allows(APP, "V0")
+    assert not policy.allows(APP, "E")
 
 
-def test_check_access_requires_known_node():
-    _, manager = build_manager()
-    with pytest.raises(UnknownEntityError):
-        manager.check_access(APP, "nowhere")
+def test_access_rejection_names_the_first_denied_node_in_order():
+    # request() touches E, S and V0; the two sources are denied, listed
+    # out of order
+    policy = AccessDomainPolicy({"V0": ["some-other-app"], "S": ["some-other-app"]})
+    store, manager = build_manager(policy)
+    result = manager.handle_request(request())
+    assert not result.accepted
+    assert result.reason == f"AccessDeniedError: {APP} is not allowed on node S"
+    assert store.total_resources() == 0
 
 
 def test_resolution_depends_only_on_request_content():
@@ -207,20 +204,15 @@ def test_resolution_depends_only_on_request_content():
     store_b, manager_b = build_manager()
     manager_b.handle_request(request("warmup", "V2", lidar=False))
     probe = request("r-9", "V1", lidar=False)
-    manager_a.handle_request(probe)
-    manager_b.handle_request(probe)
-    for kind, name, _ in manager_a.handle_request(probe).applied_crs:
-        delta_a = next(
-            store_a.get_spec(kind, name, g)
-            for g in range(1, store_a.get_cr(kind, name).generation + 1)
-            if store_a.get_spec(kind, name, g).demand_id.startswith("r-9/")
-        )
-        delta_b = next(
-            store_b.get_spec(kind, name, g)
-            for g in range(1, store_b.get_cr(kind, name).generation + 1)
-            if store_b.get_spec(kind, name, g).demand_id.startswith("r-9/")
-        )
-        assert delta_a == delta_b
+    result_a = manager_a.handle_request(probe)
+    result_b = manager_b.handle_request(probe)
+    assert len(result_a.applied_crs) == len(result_b.applied_crs)
+    for (kind, name, gen_a), applied_b in zip(
+        result_a.applied_crs, result_b.applied_crs
+    ):
+        assert applied_b[:2] == (kind, name)
+        delta_a = store_a.get_spec(kind, name, gen_a)
+        assert store_b.get_spec(kind, name, applied_b[2]) == delta_a
 
 
 def test_upgrade_rolls_all_live_services():
@@ -249,12 +241,12 @@ def test_upgrade_rolls_all_live_services():
 def test_upgrade_rejections():
     store, manager = build_manager(versions=("v1", "v2"))
     nothing = manager.upgrade_application(APP, "v2")
-    assert nothing.outcome is Outcome.REJECTED
+    assert not nothing.accepted
     assert "NothingRunning" in nothing.reason
 
     manager.handle_request(request("r-1"))
     unknown = manager.upgrade_application(APP, "v9")
-    assert unknown.outcome is Outcome.REJECTED
+    assert not unknown.accepted
     assert "UnknownVersion" in unknown.reason
     assert manager.active_version(APP) == "v1"
 

@@ -21,6 +21,7 @@ from demandflow.operators import (
     DecisionAction,
     DemandLedger,
     LedgerRejection,
+    MAX_ATTEMPTS,
     ServiceOperator,
     apply_demand,
     decide,
@@ -33,14 +34,12 @@ CONN = ResourceKind.MANAGED_CONNECTION
 
 
 def delta(
-    n,
     action=DeltaAction.REQUEST,
     requesters=("V0", "S"),
     config=(),
     version="",
 ):
     return DemandDelta(
-        demand_id=f"d-{n}",
         action=action,
         requesters=tuple(requesters),
         config_items=tuple(config),
@@ -61,7 +60,7 @@ BASE = (ConfigItem("node", "E"), ConfigItem("service-kind", "object-fusion"))
 def test_request_counts_requesters_and_config():
     ledger, rejection = apply_demand(
         DemandLedger(),
-        delta(1, config=BASE + (in_topic("/V0/ego"),), version="v1"),
+        delta(config=BASE + (in_topic("/V0/ego"),), version="v1"),
     )
     assert rejection is None
     assert ledger.requester_counts == {"V0": 1, "S": 1}
@@ -74,10 +73,8 @@ def test_request_counts_requesters_and_config():
 
 def test_shared_keys_accumulate_counts():
     ledger = DemandLedger()
-    for n, vehicle in enumerate(["V0", "V1", "V2", "V3"]):
-        ledger, _ = apply_demand(
-            ledger, delta(n, requesters=(vehicle, "S"))
-        )
+    for vehicle in ["V0", "V1", "V2", "V3"]:
+        ledger, _ = apply_demand(ledger, delta(requesters=(vehicle, "S")))
     assert ledger.requester_counts == {
         "V0": 1, "S": 4, "V1": 1, "V2": 1, "V3": 1,
     }
@@ -88,10 +85,10 @@ def test_release_drops_only_exhausted_keys():
     # the crux of counted bookkeeping: a shared requester with remaining
     # references must survive a release that names it
     ledger = DemandLedger()
-    for n, vehicle in enumerate(["V0", "V1", "V2", "V3"]):
-        ledger, _ = apply_demand(ledger, delta(n, requesters=(vehicle, "S")))
+    for vehicle in ["V0", "V1", "V2", "V3"]:
+        ledger, _ = apply_demand(ledger, delta(requesters=(vehicle, "S")))
     ledger, rejection = apply_demand(
-        ledger, delta(9, action=DeltaAction.RELEASE, requesters=("V0", "S"))
+        ledger, delta(action=DeltaAction.RELEASE, requesters=("V0", "S"))
     )
     assert rejection is None
     assert ledger.requester_counts == {"S": 3, "V1": 1, "V2": 1, "V3": 1}
@@ -99,9 +96,9 @@ def test_release_drops_only_exhausted_keys():
 
 
 def test_release_unknown_requester_is_atomic():
-    ledger, _ = apply_demand(DemandLedger(), delta(1, requesters=("A",)))
+    ledger, _ = apply_demand(DemandLedger(), delta(requesters=("A",)))
     after, rejection = apply_demand(
-        ledger, delta(2, action=DeltaAction.RELEASE, requesters=("A", "B"))
+        ledger, delta(action=DeltaAction.RELEASE, requesters=("A", "B"))
     )
     assert rejection is not None
     assert rejection.kind == "unknown-requester-release"
@@ -114,10 +111,10 @@ def test_release_unknown_requester_is_atomic():
 def test_release_counts_each_key_over_the_whole_delta():
     # "A" is named twice but held once, so the release underflows on "A"
     # even though "B" comes before its second appearance
-    ledger, _ = apply_demand(DemandLedger(), delta(1, requesters=("A",)))
+    ledger, _ = apply_demand(DemandLedger(), delta(requesters=("A",)))
     after, rejection = apply_demand(
         ledger,
-        delta(2, action=DeltaAction.RELEASE, requesters=("A", "B", "A")),
+        delta(action=DeltaAction.RELEASE, requesters=("A", "B", "A")),
     )
     assert rejection == LedgerRejection("unknown-requester-release", "A")
     assert after == ledger
@@ -126,12 +123,11 @@ def test_release_counts_each_key_over_the_whole_delta():
 
 def test_release_unknown_config_is_atomic():
     ledger, _ = apply_demand(
-        DemandLedger(), delta(1, config=(in_topic("/a"),))
+        DemandLedger(), delta(config=(in_topic("/a"),))
     )
     after, rejection = apply_demand(
         ledger,
         delta(
-            2,
             action=DeltaAction.RELEASE,
             config=(in_topic("/a"), in_topic("/b")),
         ),
@@ -144,10 +140,10 @@ def test_release_unknown_config_is_atomic():
 
 def test_version_only_delta_touches_only_the_version():
     ledger, _ = apply_demand(
-        DemandLedger(), delta(1, config=BASE, version="v1")
+        DemandLedger(), delta(config=BASE, version="v1")
     )
     after, rejection = apply_demand(
-        ledger, delta(2, requesters=(), version="v2")
+        ledger, delta(requesters=(), version="v2")
     )
     assert rejection is None
     assert after.version == "v2"
@@ -158,12 +154,11 @@ def test_version_only_delta_touches_only_the_version():
 
 def test_release_leaves_version_and_base_alone():
     ledger, _ = apply_demand(
-        DemandLedger(), delta(1, config=BASE + (in_topic("/a"),), version="v1")
+        DemandLedger(), delta(config=BASE + (in_topic("/a"),), version="v1")
     )
     after, rejection = apply_demand(
         ledger,
         delta(
-            2,
             action=DeltaAction.RELEASE,
             config=(ConfigItem("node", "X"), in_topic("/a")),
             version="v2",
@@ -176,17 +171,17 @@ def test_release_leaves_version_and_base_alone():
 
 
 def test_base_config_is_adopted_once():
-    ledger, _ = apply_demand(DemandLedger(), delta(1, config=BASE))
+    ledger, _ = apply_demand(DemandLedger(), delta(config=BASE))
     other_base = (ConfigItem("node", "X"),)
-    ledger, _ = apply_demand(ledger, delta(2, config=other_base))
+    ledger, _ = apply_demand(ledger, delta(config=other_base))
     assert ledger.base_config == BASE
 
 
 def test_request_release_round_trip_counts_to_zero():
     config = BASE + (in_topic("/V0/ego"), in_topic("/S/points"))
-    ledger, _ = apply_demand(DemandLedger(), delta(1, config=config))
+    ledger, _ = apply_demand(DemandLedger(), delta(config=config))
     ledger, rejection = apply_demand(
-        ledger, delta(2, action=DeltaAction.RELEASE, config=config)
+        ledger, delta(action=DeltaAction.RELEASE, config=config)
     )
     assert rejection is None
     assert ledger.is_empty()
@@ -208,14 +203,12 @@ requester_lists = st.lists(
 )
 def test_release_atomicity_property(setup, attempt):
     ledger = DemandLedger()
-    for n, requesters in enumerate(setup):
-        ledger, rejection = apply_demand(
-            ledger, delta(f"s{n}", requesters=requesters)
-        )
+    for requesters in setup:
+        ledger, rejection = apply_demand(ledger, delta(requesters=requesters))
         assert rejection is None
     before = ledger
     after, rejection = apply_demand(
-        ledger, delta("x", action=DeltaAction.RELEASE, requesters=attempt)
+        ledger, delta(action=DeltaAction.RELEASE, requesters=attempt)
     )
     available = Counter()
     for requesters in setup:
@@ -247,7 +240,7 @@ def make_instance(config, version="v1"):
 def ledger_with(requesters=("V0",), config=(), version="v1"):
     ledger, _ = apply_demand(
         DemandLedger(),
-        delta("l", requesters=requesters, config=config, version=version),
+        delta(requesters=requesters, config=config, version=version),
     )
     return ledger
 
@@ -317,7 +310,7 @@ def test_created_resource_deploys_an_instance(rig):
     store, sim, trace, service_op, _ = rig
     store.apply_cr(
         SVC, "svc-x",
-        delta(1, config=svc_config((in_topic("/V0/ego"),)), version="v1"),
+        delta(config=svc_config((in_topic("/V0/ego"),)), version="v1"),
     )
     assert service_op.run_pending() == 1
     instances = sim.instances_of("svc-x")
@@ -333,11 +326,11 @@ def test_created_resource_deploys_an_instance(rig):
 
 def test_growing_support_does_not_redeploy(rig):
     store, sim, _, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config()))
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
     service_op.run_pending()
     first = sim.instances_of("svc-x")[0]
     store.apply_cr(
-        SVC, "svc-x", delta(2, requesters=("V1", "S"), config=svc_config())
+        SVC, "svc-x", delta(requesters=("V1", "S"), config=svc_config())
     )
     service_op.run_pending()
     after = sim.instances_of("svc-x")[0]
@@ -350,12 +343,12 @@ def test_growing_support_does_not_redeploy(rig):
 def test_config_change_reconfigures_in_place(rig):
     store, sim, _, service_op, _ = rig
     store.apply_cr(
-        SVC, "svc-x", delta(1, config=svc_config((in_topic("/V0/ego"),)))
+        SVC, "svc-x", delta(config=svc_config((in_topic("/V0/ego"),)))
     )
     service_op.run_pending()
     store.apply_cr(
         SVC, "svc-x",
-        delta(2, requesters=("V1", "S"),
+        delta(requesters=("V1", "S"),
               config=svc_config((in_topic("/V1/ego"),))),
     )
     service_op.run_pending()
@@ -368,11 +361,11 @@ def test_config_change_reconfigures_in_place(rig):
 def test_emptied_support_terminates_and_deletes(rig):
     store, sim, _, service_op, _ = rig
     config = svc_config((in_topic("/V0/ego"),))
-    store.apply_cr(SVC, "svc-x", delta(1, config=config))
+    store.apply_cr(SVC, "svc-x", delta(config=config))
     service_op.run_pending()
     store.apply_cr(
         SVC, "svc-x",
-        delta(2, action=DeltaAction.RELEASE, config=config),
+        delta(action=DeltaAction.RELEASE, config=config),
     )
     service_op.run_pending()
     assert sim.instances_of("svc-x") == ()
@@ -383,9 +376,9 @@ def test_emptied_support_terminates_and_deletes(rig):
 def test_batched_events_apply_every_generation_once(rig):
     store, sim, _, service_op, _ = rig
     # three deltas queue up before the operator runs at all
-    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config()))
-    store.apply_cr(SVC, "svc-x", delta(2, requesters=("V1", "S")))
-    store.apply_cr(SVC, "svc-x", delta(3, requesters=("V0", "S")))
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
+    store.apply_cr(SVC, "svc-x", delta(requesters=("V1", "S")))
+    store.apply_cr(SVC, "svc-x", delta(requesters=("V0", "S")))
     service_op.run_pending()
     ledger = service_op.ledger("svc-x")
     assert ledger.requester_counts == {"V0": 2, "S": 3, "V1": 1}
@@ -394,8 +387,8 @@ def test_batched_events_apply_every_generation_once(rig):
 
 def test_late_operator_replays_history(rig):
     store, sim, trace, _, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config()))
-    store.apply_cr(SVC, "svc-x", delta(2, requesters=("V1", "S")))
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
+    store.apply_cr(SVC, "svc-x", delta(requesters=("V1", "S")))
     late = ServiceOperator(store, sim, trace)
     late.run_pending()
     assert late.ledger("svc-x").requester_counts == {"V0": 1, "S": 2, "V1": 1}
@@ -403,7 +396,7 @@ def test_late_operator_replays_history(rig):
 
 def test_stale_events_are_ignored(rig):
     store, sim, _, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config()))
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
     service_op.run_pending()
     watcher_event = store.event_log[0]
     before = service_op.ledger("svc-x")
@@ -417,7 +410,7 @@ def test_underflow_release_is_traced_and_skipped(rig):
     # a release arriving for a resource that never saw the request
     store.apply_cr(
         SVC, "svc-x",
-        delta(1, action=DeltaAction.RELEASE, config=svc_config()),
+        delta(action=DeltaAction.RELEASE, config=svc_config()),
     )
     service_op.run_pending()
     errors = [r for r in trace.records if r.tag == "ERROR"]
@@ -433,7 +426,6 @@ def test_connection_pair_deploys_both_halves(rig):
     store.apply_cr(
         CONN, "conn-V0-E",
         delta(
-            1,
             config=(
                 ConfigItem("src", "V0"),
                 ConfigItem("dst", "E"),
@@ -458,7 +450,6 @@ def test_connection_pair_is_all_or_nothing(rig):
     store.apply_cr(
         CONN, "conn-X-E",
         delta(
-            1,
             config=(
                 ConfigItem("src", "X"),
                 ConfigItem("dst", "E"),
@@ -481,7 +472,7 @@ def test_failure_keeps_status_pending_until_giving_up(rig):
     store, sim, _, service_op, _ = rig
     store.apply_cr(
         SVC, "svc-x",
-        delta(1, config=(
+        delta(config=(
             ConfigItem("node", "X"),  # unknown node
             ConfigItem("service-kind", "object-fusion"),
         )),
@@ -491,13 +482,43 @@ def test_failure_keeps_status_pending_until_giving_up(rig):
     assert service_op.pending() == 1  # re-queued for retry
 
 
+def test_recreated_resource_gets_every_attempt(rig):
+    store, sim, trace, service_op, _ = rig
+    config = (
+        ConfigItem("node", "X"),  # unknown node: every deploy fails
+        ConfigItem("service-kind", "object-fusion"),
+    )
+    deploys = []
+    real = sim.deploy_instance
+
+    def deploy(spec):
+        deploys.append(spec.cr_name)
+        return real(spec)
+
+    sim.deploy_instance = deploy
+    store.apply_cr(SVC, "svc-x", delta(config=config))
+    service_op.run_pending()
+    assert len(deploys) == 1
+    # an external delete ends the lifecycle with one attempt spent
+    store.delete_cr(SVC, "svc-x")
+    service_op.run_pending()
+    deploys.clear()
+
+    store.apply_cr(SVC, "svc-x", delta(config=config))
+    while service_op.pending():
+        service_op.run_pending()
+    assert len(deploys) == MAX_ATTEMPTS
+    errors = [r for r in trace.records if r.tag == "ERROR"]
+    assert [r.get("kind") for r in errors] == ["reconcile-failed"]
+
+
 def test_observed_generation_never_regresses(rig):
     store, _, _, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config()))
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
     service_op.run_pending()
     seen = [store.get_cr(SVC, "svc-x").status.observed_generation]
-    for n in range(2, 6):
-        store.apply_cr(SVC, "svc-x", delta(n, requesters=("V1", "S")))
+    for _ in range(2, 6):
+        store.apply_cr(SVC, "svc-x", delta(requesters=("V1", "S")))
         service_op.run_pending()
         seen.append(store.get_cr(SVC, "svc-x").status.observed_generation)
     assert seen == sorted(seen)
@@ -514,18 +535,17 @@ def test_ledger_agrees_with_multiset_oracle(seed):
     topics = [in_topic(f"/t{i}") for i in range(8)]
     ledger = DemandLedger()
     active = []  # deltas requested and not yet released
-    for n in range(rng.randrange(5, 25)):
+    for _ in range(rng.randrange(5, 25)):
         if active and rng.random() < 0.45:
             requesters, config = active.pop(rng.randrange(len(active)))
             d = delta(
-                f"{seed}-{n}", action=DeltaAction.RELEASE,
-                requesters=requesters, config=config,
+                action=DeltaAction.RELEASE, requesters=requesters, config=config
             )
         else:
             requesters = rng.sample(entities, rng.randrange(1, 4))
             config = rng.sample(topics, rng.randrange(0, 4))
             active.append((tuple(requesters), tuple(config)))
-            d = delta(f"{seed}-{n}", requesters=requesters, config=config)
+            d = delta(requesters=requesters, config=config)
         ledger, rejection = apply_demand(ledger, d)
         assert rejection is None
 
@@ -543,14 +563,14 @@ def test_ledger_agrees_with_multiset_oracle(seed):
 def test_same_tick_release_and_request_keep_the_new_demand(rig):
     store, sim, trace, service_op, _ = rig
     config = svc_config((in_topic("/V0/ego"),))
-    store.apply_cr(SVC, "svc-x", delta(1, config=config))
+    store.apply_cr(SVC, "svc-x", delta(config=config))
     service_op.run_pending()
     # the last supporter leaves and a new one arrives before the drain
     store.apply_cr(
-        SVC, "svc-x", delta(2, action=DeltaAction.RELEASE, config=config)
+        SVC, "svc-x", delta(action=DeltaAction.RELEASE, config=config)
     )
     store.apply_cr(
-        SVC, "svc-x", delta(3, requesters=("V1", "S"), config=config)
+        SVC, "svc-x", delta(requesters=("V1", "S"), config=config)
     )
     while service_op.pending():
         service_op.run_pending()
@@ -578,12 +598,12 @@ def failing_terminate(sim, fail_calls):
 
 def test_replace_retry_reuses_the_new_instance(rig):
     store, sim, trace, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config(), version="v1"))
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config(), version="v1"))
     service_op.run_pending()
     (old,) = sim.instances_of("svc-x")
     failing_terminate(sim, {1, 2})
     store.apply_cr(
-        SVC, "svc-x", delta(2, requesters=(), config=(), version="v2")
+        SVC, "svc-x", delta(requesters=(), config=(), version="v2")
     )
     while service_op.pending():
         service_op.run_pending()
@@ -606,13 +626,13 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
         ConfigItem("dst", "E"),
         ConfigItem("forward-topic", "/V0/ego"),
     )
-    store.apply_cr(CONN, "conn-V0-E", delta(1, config=config))
+    store.apply_cr(CONN, "conn-V0-E", delta(config=config))
     connection_op.run_pending()
     pair = tuple(i.instance_id for i in sim.instances_of("conn-V0-E"))
     # the first half goes, the second half fails once
     failing_terminate(sim, {2})
     store.apply_cr(
-        CONN, "conn-V0-E", delta(2, action=DeltaAction.RELEASE, config=config)
+        CONN, "conn-V0-E", delta(action=DeltaAction.RELEASE, config=config)
     )
     while connection_op.pending():
         connection_op.run_pending()
@@ -626,10 +646,10 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
 
 def test_external_delete_tears_down_like_a_shutdown(rig):
     store, sim, trace, service_op, connection_op = rig
-    store.apply_cr(SVC, "svc-x", delta(1, config=svc_config()))
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
     store.apply_cr(
         CONN, "conn-V0-E",
-        delta(1, config=(
+        delta(config=(
             ConfigItem("src", "V0"),
             ConfigItem("dst", "E"),
             ConfigItem("forward-topic", "/V0/ego"),

@@ -23,9 +23,8 @@ SVC = ResourceKind.MANAGED_SERVICE
 CONN = ResourceKind.MANAGED_CONNECTION
 
 
-def delta(n, action=DeltaAction.REQUEST, requesters=("A",), version=""):
+def delta(action=DeltaAction.REQUEST, requesters=("A",), version=""):
     return DemandDelta(
-        demand_id=f"d-{n}",
         action=action,
         requesters=tuple(requesters),
         app_version=version,
@@ -38,36 +37,37 @@ def store():
 
 
 def test_generations_start_at_one_and_increment(store):
-    assert store.apply_cr(SVC, "x", delta(1)) == 1
-    assert store.apply_cr(SVC, "x", delta(2)) == 2
+    first, second = delta(), delta(requesters=("B",))
+    assert store.apply_cr(SVC, "x", first) == 1
+    assert store.apply_cr(SVC, "x", second) == 2
     resource = store.get_cr(SVC, "x")
     assert resource.generation == 2
-    assert resource.spec.demand_id == "d-2"
+    assert resource.spec == second
     # every generation's delta stays addressable
-    assert store.get_spec(SVC, "x", 1).demand_id == "d-1"
+    assert store.get_spec(SVC, "x", 1) == first
     with pytest.raises(NotFoundError):
         store.get_spec(SVC, "x", 3)
 
 
 def test_names_are_scoped_per_kind(store):
-    store.apply_cr(SVC, "x", delta(1))
-    store.apply_cr(CONN, "x", delta(2))
+    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(CONN, "x", delta())
     assert store.get_cr(SVC, "x").generation == 1
     assert store.get_cr(CONN, "x").generation == 1
 
 
 def test_demand_ids_reset_with_a_new_lifecycle(store):
-    store.apply_cr(SVC, "x", delta(1))
+    store.apply_cr(SVC, "x", delta())
     store.delete_cr(SVC, "x")
-    # the name is free again, and so is the demand id
-    assert store.apply_cr(SVC, "x", delta(1)) == 1
+    # the name is free again, with a fresh generation count
+    assert store.apply_cr(SVC, "x", delta()) == 1
 
 
 def test_generation_reads_the_current_generation(store):
     for n in range(1, 4):
-        store.apply_cr(SVC, "x", delta(n))
+        store.apply_cr(SVC, "x", delta())
         assert store.generation(SVC, "x") == store.get_cr(SVC, "x").generation == n
-    store.apply_cr(CONN, "x", delta(9))
+    store.apply_cr(CONN, "x", delta())
     assert store.generation(CONN, "x") == 1
     with pytest.raises(NotFoundError):
         store.generation(SVC, "ghost")
@@ -88,19 +88,16 @@ def test_missing_resources_raise(store):
 
 def test_delta_validation():
     with pytest.raises(ValueError):
-        DemandDelta(demand_id="", action=DeltaAction.REQUEST,
-                    requesters=("A",)).validate()
+        delta(requesters=()).validate()  # empty but not version-only
     with pytest.raises(ValueError):
-        delta(1, requesters=()).validate()  # empty but not version-only
-    with pytest.raises(ValueError):
-        delta(1, action=DeltaAction.RELEASE, requesters=(),
+        delta(action=DeltaAction.RELEASE, requesters=(),
               version="v2").validate()
     # the version-only escape hatch
-    delta(1, requesters=(), version="v2").validate()
+    delta(requesters=(), version="v2").validate()
 
 
 def test_status_updates_emit_no_events(store):
-    store.apply_cr(SVC, "x", delta(1))
+    store.apply_cr(SVC, "x", delta())
     watcher = store.watch(SVC)
     watcher.popleft()  # synthetic snapshot event
     store.update_status(
@@ -111,8 +108,8 @@ def test_status_updates_emit_no_events(store):
 
 
 def test_status_observed_generation_cannot_regress(store):
-    store.apply_cr(SVC, "x", delta(1))
-    store.apply_cr(SVC, "x", delta(2))
+    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", delta())
     store.update_status(SVC, "x", ResourceStatus(observed_generation=2))
     with pytest.raises(StaleStatusError):
         store.update_status(SVC, "x", ResourceStatus(observed_generation=1))
@@ -120,8 +117,8 @@ def test_status_observed_generation_cannot_regress(store):
 
 def test_watch_sees_live_changes_in_order(store):
     watcher = store.watch(SVC)
-    store.apply_cr(SVC, "x", delta(1))
-    store.apply_cr(SVC, "x", delta(2))
+    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", delta())
     store.delete_cr(SVC, "x")
     events = [watcher.popleft() for _ in range(3)]
     assert [(e.change, e.generation) for e in events] == [
@@ -133,9 +130,9 @@ def test_watch_sees_live_changes_in_order(store):
 
 
 def test_late_watcher_gets_one_snapshot_event_per_resource(store):
-    store.apply_cr(SVC, "x", delta(1))
-    store.apply_cr(SVC, "x", delta(2))
-    store.apply_cr(SVC, "y", delta(3))
+    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "y", delta())
     log_before = list(store.event_log)
     watcher = store.watch(SVC)
     events = list(watcher)
@@ -150,7 +147,7 @@ def test_late_watcher_gets_one_snapshot_event_per_resource(store):
 
 def test_watchers_only_see_their_kind(store):
     watcher = store.watch(CONN)
-    store.apply_cr(SVC, "x", delta(1))
+    store.apply_cr(SVC, "x", delta())
     assert len(watcher) == 0
 
 
@@ -158,7 +155,6 @@ def _random_ops(seed, store):
     """Drive a random op sequence; returns the mirror of expected state."""
     rng = random.Random(seed)
     mirror = {}
-    next_id = 0
     for _ in range(rng.randrange(10, 40)):
         kind = rng.choice([SVC, CONN])
         name = rng.choice("abc")
@@ -167,8 +163,7 @@ def _random_ops(seed, store):
             store.delete_cr(kind, name)
             del mirror[key]
         else:
-            next_id += 1
-            store.apply_cr(kind, name, delta(f"{seed}-{next_id}"))
+            store.apply_cr(kind, name, delta())
             mirror[key] = mirror.get(key, 0) + 1
     return mirror
 
