@@ -1,6 +1,7 @@
 """End-to-end runs: determinism, idempotency, drain behavior, waypoints."""
 
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -306,6 +307,71 @@ def test_churn_run_trace_is_frozen(duplicate_delivery):
     assert (digest, text.count("\n")) == CHURN_DIGESTS[duplicate_delivery]
     actions = {r.get("action") for r in records_with(runner.trace, TAG_ACTION)}
     assert actions == {"deploy", "reconfigure", "replace", "terminate"}
+    assert not records_with(runner.trace, TAG_ERROR)
+    assert system_is_empty(runner.system)
+
+
+def waypoint_mapping(seed, vehicles=24, ticks=300):
+    """Straight passes through the waypoint scenario's zone.
+
+    Each vehicle starts 260 units before its closest approach, at a random
+    tick, heading, offset and speed, and ends as far beyond it, so it
+    enters and leaves exactly once.  About a quarter stop twice 160 units
+    from the center, in the hysteresis band: on the way in, still outside,
+    and on the way out, still inside.
+    """
+    raw = yaml.safe_load(bundled_scenario_path("waypoint_drive").read_text())
+    rng = random.Random(seed)
+    ids = [f"D{i:02d}" for i in range(vehicles)]
+    raw["entities"] = [
+        {
+            "id": v,
+            "role": "cv",
+            "capabilities": ["ego", "pointcloud"] if rng.random() < 0.3 else ["ego"],
+        }
+        for v in ids
+    ] + [e for e in raw["entities"] if e["role"] != "cv"]
+    routes = {}
+    for vehicle in ids:
+        heading = rng.uniform(0.0, 2 * math.pi)
+        dx, dy = math.cos(heading), math.sin(heading)
+        offset = rng.uniform(-120.0, 120.0)
+        speed = rng.uniform(5.0, 15.0)
+        dwell = rng.randint(10, 40) if rng.random() < 0.25 else 0
+        band = math.sqrt(160.0**2 - offset**2)
+        stops = [-260.0, -band, band, 260.0] if dwell else [-260.0, 260.0]
+        legs = [math.ceil((b - a) / speed) for a, b in zip(stops, stops[1:])]
+        t = rng.randint(1, ticks - sum(legs) - 2 * dwell - 10)
+        route = []
+        for index, along in enumerate(stops):
+            if index:
+                t += legs[index - 1]
+            point = {"x": -offset * dy + along * dx, "y": offset * dx + along * dy}
+            route.append({"t": t, **point})
+            if dwell and 0 < index < len(stops) - 1:
+                t += dwell
+                route.append({"t": t, **point})
+        routes[vehicle] = route
+    raw["timeline"] = {"mode": "waypoints", "waypoints": routes}
+    raw["tick_budget"] = ticks
+    return raw
+
+
+# Digest of the waypoint walk above, rendered before the detector skipped
+# unmoved vehicles; transitions of several vehicles in one tick write one
+# resource twice before a drain.
+WAYPOINT_DIGEST = (
+    "3ca04bcd23ebcf3255e9eade48fea293e6221a90d385816ce89654164322517b", 629
+)
+
+
+def test_waypoint_run_trace_is_frozen():
+    runner = run_scenario(scenario_from_mapping(waypoint_mapping(3)))
+    text = runner.trace.render()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert (digest, text.count("\n")) == WAYPOINT_DIGEST
+    per_tick = Counter(r.tick for r in records_with(runner.trace, TAG_REQUEST))
+    assert max(per_tick.values()) >= 2
     assert not records_with(runner.trace, TAG_ERROR)
     assert system_is_empty(runner.system)
 
