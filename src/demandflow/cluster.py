@@ -218,7 +218,8 @@ class ClusterSim:
                 raise UnknownNodeError(f"unknown node {node_id!r}")
             key = (origin, topic)
             n = seq[key] = seq.get(key, 0) + 1
-            bus[1].append(TopicMessage(topic, origin, n, stamp))
+            # TopicMessage(topic, origin, n, stamp), minus the __new__ frame
+            bus[1].append(tuple.__new__(TopicMessage, (topic, origin, n, stamp, ())))
 
     def next_message(self, origin: str, topic: str) -> TopicMessage:
         """Build the next in-sequence message for (origin, topic)."""
@@ -292,8 +293,14 @@ class ClusterSim:
 
     def topics_visible_at(self, node_id: str) -> tuple[str, ...]:
         """Topics with at least one message on the node during the last tick."""
-        self._require_node(node_id)
-        return tuple(sorted({m.topic for part in self._bus[node_id] for m in part}))
+        bus = self._bus.get(node_id)
+        if bus is None:
+            raise UnknownNodeError(f"unknown node {node_id!r}")
+        arrived, local = bus
+        topics = {m.topic for m in local}
+        if arrived:
+            topics.update(m.topic for m in arrived)
+        return tuple(sorted(topics))
 
     def messages_at(self, node_id: str, topic: str) -> tuple[TopicMessage, ...]:
         self._require_node(node_id)

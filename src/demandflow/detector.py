@@ -6,6 +6,10 @@ leave thresholds differ (hysteresis) so a vehicle hovering near the
 boundary cannot flap the deployment.  The detector knows nothing about
 what is currently deployed; a release is recomputed from scratch and
 mirrors the content of the corresponding request by construction.
+
+Only vehicles whose pose changed are evaluated again, which skips no
+transition: once evaluated at pose p, a vehicle inside has d(p) <= d_stop
+and one outside has d(p) > d_start, so neither can change sides at p.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ class EventDetector:
         self._topology = topology
         self._poses: dict[str, tuple[float, float]] = {}
         self._inside: dict[str, bool] = {}
+        self._moved: set[str] = set()  # pose changed since the last evaluate
         self._request_seq = 0
 
     def observe_pose(
@@ -74,7 +79,9 @@ class EventDetector:
             raise UnknownEntityError(
                 f"{entity_id} is a {entity.role.value}, only vehicles have poses"
             )
-        self._poses[entity_id] = position
+        if self._poses.get(entity_id) != position:
+            self._poses[entity_id] = position
+            self._moved.add(entity_id)
 
     def is_inside(self, entity_id: str) -> bool:
         return self._inside.get(entity_id, False)
@@ -82,11 +89,12 @@ class EventDetector:
     def evaluate(self, tick: int) -> list[DeploymentRequest]:
         """Emit one request per zone transition since the last evaluation.
 
-        Vehicles are visited in id order so simultaneous transitions come
-        out deterministically.
+        Moved vehicles are visited in id order so simultaneous transitions
+        come out deterministically.
         """
         requests: list[DeploymentRequest] = []
-        for entity_id in sorted(self._poses):
+        moved, self._moved = self._moved, set()
+        for entity_id in sorted(moved):
             distance = self._rule.distance(self._poses[entity_id])
             inside = self._inside.get(entity_id, False)
             if not inside and distance <= self._rule.d_start:

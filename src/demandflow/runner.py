@@ -4,10 +4,11 @@ Each tick: move vehicles, evaluate the geofence, deliver any resulting
 requests, drain both reconcile queues to quiescence, publish every
 entity's source data, then advance the cluster one step.  Scripted
 timelines give each event a fixed window of ticks and snapshot node
-topics at each window's end; waypoint timelines sample trajectories
-every tick and snapshot topics whenever they change.  A request and an
-upgrade are traced alike: a REQUEST record, then one CR record per
-resource written, or one ERROR record if the manager rejected it.
+topics at each window's end; waypoint timelines sample every route on
+the first tick, then only the routes in motion, and snapshot topics
+whenever they change.  A request and an upgrade are traced alike: a
+REQUEST record, then one CR record per resource written, or one ERROR
+record if the manager rejected it.
 """
 
 from __future__ import annotations
@@ -189,21 +190,27 @@ class ScenarioRunner:
     # -- waypoint timelines ------------------------------------------------
 
     def _run_waypoints(self) -> None:
-        routes = self.scenario.timeline.waypoints
+        # After tick 1 a pose moves only inside its route's span, and once
+        # more the tick after it, where `interpolate` clamps it unrounded.
+        routes = [
+            (vehicle_id, route, route[0].tick, route[-1].tick + 1)
+            for vehicle_id, route in self.scenario.timeline.waypoints.items()
+        ]
+        detector = self.system.detector
+        topics_visible_at = self.system.sim.topics_visible_at
         last_topics = dict.fromkeys(self._nodes, ())
         step = 0
         for tick in range(1, self.scenario.tick_budget + 1):
-            for vehicle_id, route in routes.items():
-                self.system.detector.observe_pose(
-                    vehicle_id, interpolate(route, tick)
-                )
-            requests = self.system.detector.evaluate(tick)
+            for vehicle_id, route, first, last in routes:
+                if tick == 1 or first < tick <= last:
+                    detector.observe_pose(vehicle_id, interpolate(route, tick))
+            requests = detector.evaluate(tick)
             if requests:
                 step += 1
             self.trace.at(step, tick)
             self._tick(tick, requests=requests)
             for node in self._nodes:
-                visible = self.system.sim.topics_visible_at(node)
+                visible = topics_visible_at(node)
                 if visible != last_topics[node]:
                     self.trace.topics(node, visible)
                     last_topics[node] = visible

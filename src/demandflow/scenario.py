@@ -4,11 +4,12 @@ A scenario bundles the entity topology, the application templates, the
 geofence rule, and a timeline.  Timelines come in two flavors: scripted
 (an ordered list of enter/leave/upgrade steps, each given a settle window
 of ticks) and waypoints (per-vehicle piecewise-linear trajectories that
-the detector samples every tick).
+the runner samples while they move).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -100,6 +101,11 @@ def interpolate(waypoints: tuple[Waypoint, ...], tick: int) -> tuple[float, floa
 # --------------------------------------------------------------------------
 
 
+def _finite(value: Any) -> bool:
+    """An int or float that converts to a finite float; a bool is neither."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
@@ -154,7 +160,7 @@ def scenario_from_mapping(raw: Any, origin: str = "<inline>") -> Scenario:
             budget = len(timeline.events) * timeline.window
         else:
             raise fail("waypoint scenarios must set tick_budget")
-    if not isinstance(budget, int) or budget < 0:
+    if type(budget) is not int or budget < 0:
         raise fail("tick_budget must be a non-negative integer")
 
     return Scenario(
@@ -264,9 +270,13 @@ def _parse_geofence(
     if (
         not isinstance(center, list)
         or len(center) != 2
-        or not all(isinstance(v, (int, float)) for v in center)
+        or not all(_finite(v) for v in center)
     ):
-        raise fail("geofence center must be [x, y]")
+        raise fail("geofence center must be [x, y] of finite numbers")
+    d_start = raw.get("d_start", DEFAULT_D_START)
+    d_stop = raw.get("d_stop", DEFAULT_D_STOP)
+    if not (_finite(d_start) and _finite(d_stop)):
+        raise fail("geofence d_start and d_stop must be finite numbers")
     app_name = raw.get("application")
     if app_name not in app_names:
         raise fail(f"geofence names unknown application {app_name!r}")
@@ -283,8 +293,8 @@ def _parse_geofence(
             app_name=app_name,
             risu_id=risu_id,
             center=(float(center[0]), float(center[1])),
-            d_start=float(raw.get("d_start", DEFAULT_D_START)),
-            d_stop=float(raw.get("d_stop", DEFAULT_D_STOP)),
+            d_start=float(d_start),
+            d_stop=float(d_stop),
         )
     except ValueError as exc:
         raise fail(f"geofence: {exc}") from None
@@ -301,7 +311,7 @@ def _parse_timeline(
     mode = raw.get("mode", MODE_SCRIPTED)
     if mode == MODE_SCRIPTED:
         settle = raw.get("settle_ticks", DEFAULT_SETTLE_TICKS)
-        if not isinstance(settle, int) or settle < 0:
+        if type(settle) is not int or settle < 0:
             raise fail("settle_ticks must be a non-negative integer")
         events_raw = raw.get("events", [])
         if not isinstance(events_raw, list):
@@ -376,16 +386,14 @@ def _parse_timeline(
             parsed: list[Waypoint] = []
             last_tick = -1
             for point in points:
-                try:
-                    wp = Waypoint(
-                        tick=int(point["t"]),
-                        x=float(point["x"]),
-                        y=float(point["y"]),
-                    )
-                except (KeyError, TypeError, ValueError):
+                point = point if isinstance(point, dict) else {}
+                t, x, y = point.get("t"), point.get("x"), point.get("y")
+                if type(t) is not int or not (_finite(x) and _finite(y)):
                     raise fail(
-                        f"waypoints for {entity_id}: each point needs t, x, y"
-                    ) from None
+                        f"waypoints for {entity_id}: each point needs t, x, y "
+                        "(an integer tick, finite coordinates)"
+                    )
+                wp = Waypoint(t, float(x), float(y))
                 if wp.tick <= last_tick:
                     raise fail(
                         f"waypoints for {entity_id} must have increasing ticks"

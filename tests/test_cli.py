@@ -109,6 +109,25 @@ def test_run_rejects_negative_ticks(capsys):
     assert captured.err == "scenario error: --ticks must be a non-negative integer\n"
 
 
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("d_start", "[1]", "d_start and d_stop must be finite numbers"),
+        ("d_start", ".nan", "d_start and d_stop must be finite numbers"),
+        ("center", "[.inf, 0.0]", "center must be [x, y] of finite numbers"),
+    ],
+)
+def test_run_rejects_non_finite_geofence_numbers(tmp_path, capsys, key, text, message):
+    raw = yaml.safe_load(bundled_scenario_path("collective_perception").read_text())
+    raw["geofence"][key] = yaml.safe_load(text)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(scenario)]) == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_run_rejects_an_unknown_log_level(capsys):
     code = main(["run", "collective_perception", "--log-level", "bogus"])
     assert code == EXIT_SCENARIO

@@ -130,6 +130,27 @@ def test_only_vehicles_have_poses(detector):
         detector.observe_pose("nope", CENTER)
 
 
+def test_repeated_pose_emits_nothing_after_first_evaluation(detector):
+    # enter, stay in the band, leave, stay out in the band
+    emitted = []
+    for tick, pose in enumerate([CENTER, (160.0, 0.0), (500.0, 0.0), (160.0, 0.0)]):
+        detector.observe_pose("V0", pose)
+        emitted.append(len(detector.evaluate(4 * tick)))
+        for repeat in range(1, 4):
+            detector.observe_pose("V0", pose)
+            assert detector.evaluate(4 * tick + repeat) == []
+    assert emitted == [1, 0, 1, 0]
+    assert not detector.is_inside("V0")
+
+
+def test_non_vehicle_poses_raise_every_time(detector):
+    for entity_id in ("S", "nope"):
+        for _ in range(2):
+            with pytest.raises(UnknownEntityError):
+                detector.observe_pose(entity_id, CENTER)
+    assert detector.evaluate(0) == []
+
+
 def test_rule_requires_known_risu():
     with pytest.raises(UnknownEntityError):
         EventDetector(make_rule(risu_id="ghost"), reference_topology())

@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from demandflow.cli import bundled_scenario_path
-from demandflow.detector import EventDetector
 from demandflow.manager import AccessDomainPolicy
 from demandflow.model import DeltaAction, NonQuiescenceError, OrchestrationError
 from demandflow.runner import (
@@ -175,27 +175,95 @@ def test_failed_terminates_still_empty_the_system(reference_scenario):
     assert system_is_empty(runner.system)
 
 
+def hysteresis_oracle(scenario):
+    """(tick, action, vehicle) per zone transition, from a full scan.
+
+    Every vehicle's distance is taken on every tick, in id order, with
+    the enter and leave thresholds of the scenario's geofence.
+    """
+    rule = scenario.rule
+    routes = scenario.timeline.waypoints
+    inside = set()
+    transitions = []
+    for tick in range(1, scenario.tick_budget + 1):
+        for vehicle in sorted(routes):
+            distance = math.dist(rule.center, interpolate(routes[vehicle], tick))
+            if vehicle not in inside and distance <= rule.d_start:
+                inside.add(vehicle)
+                transitions.append((tick, DeltaAction.REQUEST, vehicle))
+            elif vehicle in inside and distance > rule.d_stop:
+                inside.remove(vehicle)
+                transitions.append((tick, DeltaAction.RELEASE, vehicle))
+    return transitions
+
+
+def request_transitions(trace):
+    return [
+        (r.tick, DeltaAction(r.get("action")), r.values("requesters")[0])
+        for r in records_with(trace, TAG_REQUEST)
+    ]
+
+
 def test_waypoint_run_matches_interpolation_oracle(waypoint_scenario):
     runner = run_scenario(waypoint_scenario)
-    system = runner.system
-
-    # independent replay: sample the same trajectories through a fresh
-    # detector and compare emitted request ticks and actions
-    oracle = EventDetector(waypoint_scenario.rule, system.topology)
-    expected = []
-    for tick in range(1, waypoint_scenario.tick_budget + 1):
-        for vid, route in waypoint_scenario.timeline.waypoints.items():
-            oracle.observe_pose(vid, interpolate(route, tick))
-        for request in oracle.evaluate(tick):
-            expected.append((tick, request.action, request.requesters[0]))
-
-    seen = [
-        (r.tick, DeltaAction(r.get("action")), r.values("requesters")[0])
-        for r in records_with(runner.trace, TAG_REQUEST)
-    ]
-    assert seen == expected
+    expected = hysteresis_oracle(waypoint_scenario)
+    assert request_transitions(runner.trace) == expected
     assert [t for t, _, _ in expected] == [25, 35, 58, 68]
     assert system_is_empty(runner.system)
+
+
+# Coordinates on the thresholds and in the band, or anywhere near the zone.
+coordinates = st.one_of(
+    st.sampled_from([0.0, 150.0, 160.0, 170.0, -170.0, 171.0]),
+    st.floats(-300.0, 300.0, allow_nan=False),
+)
+waypoint_routes = st.lists(
+    st.tuples(st.integers(1, 12), coordinates, coordinates),
+    min_size=1,
+    max_size=4,
+)
+
+
+def fuzz_scenario(vehicle_routes):
+    """The waypoint scenario with one vehicle per route.
+
+    A route is a list of (ticks since the previous waypoint, x, y); the
+    first waypoint's tick is its gap alone.
+    """
+    raw = yaml.safe_load(bundled_scenario_path("waypoint_drive").read_text())
+    vehicles = [f"V{i}" for i in range(len(vehicle_routes))]
+    raw["entities"] = [
+        {"id": v, "role": "cv", "capabilities": ["ego", "pointcloud"][: 1 + i % 2]}
+        for i, v in enumerate(vehicles)
+    ] + [e for e in raw["entities"] if e["role"] != "cv"]
+    waypoints = {}
+    for vehicle, route in zip(vehicles, vehicle_routes):
+        t = -1
+        waypoints[vehicle] = [
+            {"t": (t := t + gap), "x": x, "y": y} for gap, x, y in route
+        ]
+    raw["timeline"] = {"mode": "waypoints", "waypoints": waypoints}
+    raw["tick_budget"] = 40
+    return scenario_from_mapping(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(waypoint_routes, min_size=1, max_size=5))
+# one waypoint; the first waypoint after tick 1, inside; ending inside
+@example([[(1, 0.0, 0.0)], [(9, 10.0, 0.0), (5, 300.0, 0.0)],
+          [(1, 300.0, 0.0), (8, 20.0, 5.0)]])
+# dwells in the band on the way in and on the way out
+@example([[(1, 300.0, 0.0), (3, 160.0, 0.0), (6, 160.0, 0.0), (2, 0.0, 0.0),
+           (2, 160.0, 0.0), (5, 160.0, 0.0), (2, 300.0, 0.0)]])
+# ends on d_start from outside: interpolation rounds the last waypoint
+# just past d_start, the clamp on the tick after returns it exactly
+@example([[(1, -261.0, -100.0), (10, -122.39765766268816, -86.71109155516032)]])
+# three vehicles cross each threshold on the same ticks
+@example([[(1, 300.0, 0.0), (4, 0.0, 0.0), (4, 300.0, 0.0)]] * 3)
+def test_waypoint_requests_match_full_scan(vehicle_routes):
+    scenario = fuzz_scenario(vehicle_routes)
+    runner = run_scenario(scenario)
+    assert request_transitions(runner.trace) == hysteresis_oracle(scenario)
 
 
 def test_waypoint_topics_recorded_only_on_change(waypoint_scenario):

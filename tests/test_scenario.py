@@ -218,6 +218,38 @@ def test_geofence_validation(reference_raw):
     )
 
 
+@pytest.mark.parametrize("key", ["d_start", "d_stop"])
+@pytest.mark.parametrize(
+    "value",
+    [[1], "150", True, float("nan"), float("inf"), 10**400],
+    ids=["list", "string", "bool", "nan", "inf", "huge-int"],
+)
+def test_geofence_distances_must_be_finite_numbers(reference_raw, key, value):
+    expect_invalid(
+        variant(reference_raw, lambda r: r["geofence"].update({key: value})),
+        "d_start and d_stop must be finite numbers",
+    )
+
+
+@pytest.mark.parametrize(
+    "center", [[True, 0.0], [0.0, False], [float("nan"), 0.0], [0.0, -float("inf")]]
+)
+def test_geofence_center_must_be_finite_numbers(reference_raw, center):
+    expect_invalid(
+        variant(reference_raw, lambda r: r["geofence"].update(center=center)),
+        "center must be [x, y] of finite numbers",
+    )
+
+
+def test_integer_geofence_numbers_are_read_as_floats(reference_raw):
+    raw = variant(
+        reference_raw, lambda r: r["geofence"].update(center=[1, 2], d_start=100)
+    )
+    rule = scenario_from_mapping(raw).rule
+    assert (rule.center, rule.d_start) == ((1.0, 2.0), 100.0)
+    assert type(rule.d_start) is float
+
+
 def test_timeline_validation(reference_raw):
     expect_invalid(
         variant(
@@ -274,6 +306,14 @@ def test_timeline_validation(reference_raw):
         "settle_ticks",
     )
     expect_invalid(
+        variant(reference_raw, lambda r: r["timeline"].update(settle_ticks=True)),
+        "settle_ticks",
+    )
+    expect_invalid(
+        variant(reference_raw, lambda r: r.update(tick_budget=True)),
+        "tick_budget",
+    )
+    expect_invalid(
         variant(reference_raw, lambda r: r["timeline"].update(mode="improv")),
         "unknown timeline mode",
     )
@@ -302,6 +342,21 @@ def test_waypoint_timeline_validation(reference_raw):
         ),
         "increasing ticks",
     )
+
+    for point in (
+        {"t": 2.7, "x": 0.0, "y": 0.0},  # not truncated to tick 2
+        {"t": True, "x": 0.0, "y": 0.0},  # not read as tick 1
+        {"t": "3", "x": 0.0, "y": 0.0},
+        {"t": 3, "x": float("nan"), "y": 0.0},
+        {"t": 3, "x": 0.0, "y": float("inf")},
+        {"t": 3, "x": "1.5", "y": 0.0},
+        {"t": 3, "x": 0.0, "y": False},
+        [3, 0.0, 0.0],
+    ):
+        expect_invalid(
+            variant(reference_raw, to_waypoints([point])),
+            "an integer tick, finite coordinates",
+        )
 
     def risu_route(r):
         r["timeline"] = {"mode": "waypoints", "waypoints": {"S": good}}
