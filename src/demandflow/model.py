@@ -67,10 +67,6 @@ def points_topic(entity_id: str) -> str:
     return f"/{entity_id}/points"
 
 
-def detections_topic(source_id: str) -> str:
-    return f"/detections/{source_id}/objects"
-
-
 def source_topic(entity_id: str, kind: str) -> str:
     """Topic name under which `entity_id` provides data of `kind`."""
     if kind == TOPIC_KIND_EGO:

@@ -170,6 +170,17 @@ def decide(
     return DecisionAction.NOOP
 
 
+@dataclass
+class _Resource:
+    """What an operator knows about one custom resource."""
+
+    ledger: DemandLedger | None = None  # committed; None until a fold commits
+    observed: int = 0
+    units: tuple[str, ...] = ()
+    retiring: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # units, nodes
+    attempts: tuple[int, int] | None = None  # (target generation, failures at it)
+
+
 class Operator:
     """The reconcile loop, shared by both resource kinds.
 
@@ -181,11 +192,12 @@ class Operator:
     re-queue the event a bounded number of times before the folded deltas
     are dropped with an error record.
 
-    Each resource is backed by a tuple of cluster units, created together
-    by `_deploy_units`, the one hook per kind.  The first unit is the one
-    compared against the ledger and reconfigured in place.  Units that a
-    replace or teardown must terminate wait in `_retiring` until all are
-    gone, so a step that failed halfway is finished, not repeated.
+    Each resource has one `_Resource` record, dropped in one step on
+    shutdown or delete.  Its units are created together by `_deploy_units`,
+    the one hook per kind; the first unit is the one compared against the
+    ledger and reconfigured in place.  Units that a replace or teardown
+    must terminate wait in `retiring` until all are gone, so a step that
+    failed halfway is finished, not repeated.
     """
 
     kind: ResourceKind
@@ -196,14 +208,8 @@ class Operator:
         self._sim = sim
         self._trace = trace
         self._events = store.watch(self.kind)
-        self._ledgers: dict[str, DemandLedger] = {}
-        self._observed: dict[str, int] = {}
-        self._units: dict[str, tuple[str, ...]] = {}
-        # Units still to terminate, with their nodes, per resource.
-        self._retiring: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._retry: deque[WatchEvent] = deque()
-        # name -> (target generation, failed attempts at it)
-        self._attempts: dict[str, tuple[int, int]] = {}
+        self._resources: dict[str, _Resource] = {}
 
     # -- queue handling ----------------------------------------------------
 
@@ -224,29 +230,35 @@ class Operator:
         return processed
 
     def ledger(self, name: str) -> DemandLedger | None:
-        return self._ledgers.get(name)
+        record = self._resources.get(name)
+        return record.ledger if record else None
 
     def ledgers(self) -> dict[str, DemandLedger]:
-        return dict(self._ledgers)
+        records = self._resources.items()
+        return {n: r.ledger for n, r in records if r.ledger is not None}
 
     # -- the reconcile step ------------------------------------------------
 
     def reconcile(self, event: WatchEvent) -> None:
         name = event.name
         if event.change is ChangeType.DELETED:
-            with suppress(OrchestrationError):
-                self._teardown(name)
-            self._forget(name)
+            record = self._resources.pop(name, None)
+            if record is not None:
+                with suppress(OrchestrationError):
+                    self._teardown(name, record)
             return
-        observed = self._observed.get(name, 0)
+        record = self._resources.get(name)
+        observed = record.observed if record else 0
         if event.generation <= observed:
             return  # stale or duplicate event
         try:
             target = self._store.generation(self.kind, name)
         except NotFoundError:
             return  # deleted meanwhile; the deletion event is behind us
+        if record is None:
+            record = self._resources[name] = _Resource()
 
-        ledger = self._ledgers.get(name, DemandLedger())
+        ledger = record.ledger or DemandLedger()
         rejections: list[tuple[int, LedgerRejection]] = []
         for generation in range(observed + 1, target + 1):
             delta = self._store.get_spec(self.kind, name, generation)
@@ -254,16 +266,16 @@ class Operator:
             if rejection is not None:
                 rejections.append((generation, rejection))
 
-        action = decide(ledger, self._primary_instance(name))
+        action = decide(ledger, self._primary_instance(record))
         try:
-            self._execute(name, action, ledger)
+            self._execute(name, record, action, ledger)
         except OrchestrationError as exc:
-            self._handle_failure(name, event, target, exc)
+            self._handle_failure(record, event, target, exc)
             return
 
-        self._attempts.pop(name, None)
-        self._observed[name] = target
-        self._ledgers[name] = ledger
+        record.attempts = None
+        record.observed = target
+        record.ledger = ledger
         for generation, rejection in rejections:
             self._trace.error(
                 self.source,
@@ -271,11 +283,11 @@ class Operator:
                 f"{name}@{generation}:{rejection.detail}",
             )
         if action is DecisionAction.SHUTDOWN:
-            self._forget(name)
+            del self._resources[name]
             self._store.delete_cr(self.kind, name)
             self._trace.ledger_state(name, (), ())
         else:
-            self._write_status(name, Phase.RUNNING)
+            self._write_status(name, record, Phase.RUNNING)
             self._trace.ledger_state(
                 name,
                 ledger.support,
@@ -283,51 +295,49 @@ class Operator:
             )
 
     def _handle_failure(
-        self, name: str, event: WatchEvent, target: int, exc: OrchestrationError
+        self, record: _Resource, event: WatchEvent, target: int, exc: OrchestrationError
     ) -> None:
-        last, attempts = self._attempts.get(name, (target, 0))
+        last, attempts = record.attempts or (target, 0)
         attempts = attempts + 1 if last == target else 1
-        self._attempts[name] = (target, attempts)
         if attempts < MAX_ATTEMPTS:
+            record.attempts = (target, attempts)
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
-                      name, exc, attempts)
-            self._write_status(name, Phase.PENDING)
+                      event.name, exc, attempts)
+            self._write_status(event.name, record, Phase.PENDING)
             self._retry.append(event)
             return
         # Give up: the folded deltas are dropped, the ledger keeps its last
         # good state, and the trace records what happened.
-        del self._attempts[name]
-        self._observed[name] = target
+        record.attempts = None
+        record.observed = target
         self._trace.error(
             self.source,
             "reconcile-failed",
-            f"{name}@{target}:{type(exc).__name__}",
+            f"{event.name}@{target}:{type(exc).__name__}",
         )
 
-    def _write_status(self, name: str, phase: Phase) -> None:
+    def _write_status(self, name: str, record: _Resource, phase: Phase) -> None:
         """Publish the committed ledger, units and generation of `name`."""
-        ledger = self._ledgers.get(name)
         self._store.update_status(
             self.kind,
             name,
             ResourceStatus(
                 phase=phase,
-                support=ledger.support if ledger is not None else (),
-                instance_ids=self._units.get(name, ()),
-                observed_generation=self._observed.get(name, 0),
+                support=record.ledger.support if record.ledger is not None else (),
+                instance_ids=record.units,
+                observed_generation=record.observed,
             ),
         )
 
     # -- cluster side ------------------------------------------------------
 
     def _execute(
-        self, name: str, action: DecisionAction, ledger: DemandLedger
+        self, name: str, record: _Resource, action: DecisionAction, ledger: DemandLedger
     ) -> None:
-        self._retire(name)
-        units = self._units.get(name, ())
+        self._retire(name, record)
+        units = record.units
         if action is DecisionAction.DEPLOY:
-            new = self._deploy_units(name, ledger)
-            self._units[name] = new
+            new = record.units = self._deploy_units(name, ledger)
             self._trace.instance_action(name, "deploy", new, self._nodes(new))
         elif action is DecisionAction.RECONFIGURE:
             primary = units[:1]
@@ -339,35 +349,35 @@ class Operator:
             # Record the new units before the old ones go, so a retry after
             # a failed terminate reuses them instead of deploying again.
             retiring = (units, self._nodes(units))
-            self._units[name] = self._deploy_units(name, ledger)
-            self._retiring[name] = retiring
-            self._retire(name)
+            record.units = self._deploy_units(name, ledger)
+            record.retiring = retiring
+            self._retire(name, record)
         elif action is DecisionAction.SHUTDOWN:
-            self._teardown(name)
+            self._teardown(name, record)
 
     def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
         raise NotImplementedError
 
-    def _teardown(self, name: str) -> None:
-        units = self._units.pop(name, ())
+    def _teardown(self, name: str, record: _Resource) -> None:
+        units, record.units = record.units, ()
         if units:
-            self._retiring[name] = (units, self._nodes(units))
-        self._retire(name)
+            record.retiring = (units, self._nodes(units))
+        self._retire(name, record)
 
-    def _retire(self, name: str) -> None:
+    def _retire(self, name: str, record: _Resource) -> None:
         """Terminate the units a replace or teardown still owes, then trace it.
 
         A unit that is already gone counts as terminated, so a retry after
         a partly failed attempt finishes the job.
         """
-        if name not in self._retiring:
+        if record.retiring is None:
             return
-        units, nodes = self._retiring[name]
+        units, nodes = record.retiring
         for unit in units:
             with suppress(NotRunningError):
                 self._sim.terminate_instance(unit)
-        del self._retiring[name]
-        new = self._units.get(name)
+        record.retiring = None
+        new = record.units
         if new:
             self._trace.instance_action(
                 name, "replace", new, self._nodes(new), replaced=units
@@ -375,24 +385,16 @@ class Operator:
         else:
             self._trace.instance_action(name, "terminate", units, nodes)
 
-    def _primary_instance(self, name: str) -> ServiceInstance | None:
-        units = self._units.get(name)
-        if not units:
+    def _primary_instance(self, record: _Resource) -> ServiceInstance | None:
+        if not record.units:
             return None
         try:
-            return self._sim.get_instance(units[0])
+            return self._sim.get_instance(record.units[0])
         except NotFoundError:
             return None
 
     def _nodes(self, units: tuple[str, ...]) -> tuple[str, ...]:
         return tuple(self._sim.get_instance(u).node_id for u in units)
-
-    def _forget(self, name: str) -> None:
-        self._ledgers.pop(name, None)
-        self._observed.pop(name, None)
-        self._units.pop(name, None)
-        self._retiring.pop(name, None)
-        self._attempts.pop(name, None)
 
 
 class ServiceOperator(Operator):
@@ -437,9 +439,7 @@ class ConnectionOperator(Operator):
                 cr_name=name,
                 service_kind=ServiceKind.COMM_RECEIVER,
                 node_id=dst,
-                config=tuple(
-                    i for i in config if i.kind != CFG_FORWARD_TOPIC
-                ),
+                config=config,
                 version=ledger.version,
             )
         )

@@ -190,10 +190,9 @@ class ScenarioRunner:
     # -- waypoint timelines ------------------------------------------------
 
     def _run_waypoints(self) -> None:
-        # After tick 1 a pose moves only inside its route's span, and once
-        # more the tick after it, where `interpolate` clamps it unrounded.
+        # After tick 1 a pose moves only inside its route's span.
         routes = [
-            (vehicle_id, route, route[0].tick, route[-1].tick + 1)
+            (vehicle_id, route, route[0].tick, route[-1].tick)
             for vehicle_id, route in self.scenario.timeline.waypoints.items()
         ]
         detector = self.system.detector

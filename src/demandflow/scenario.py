@@ -82,16 +82,18 @@ class Scenario:
 def interpolate(waypoints: tuple[Waypoint, ...], tick: int) -> tuple[float, float]:
     """Pose at `tick` along a piecewise-linear trajectory.
 
-    Clamps to the first and last waypoint outside the covered range.
+    On a waypoint's own tick the pose is that waypoint, exactly; outside
+    the covered range it clamps to the first or last waypoint.
     """
     if not waypoints:
         raise ValueError("empty trajectory")
     if tick <= waypoints[0].tick:
         return waypoints[0].x, waypoints[0].y
     for a, b in zip(waypoints, waypoints[1:]):
-        if tick <= b.tick:
-            span = b.tick - a.tick
-            f = (tick - a.tick) / span if span else 1.0
+        if tick == b.tick:
+            return b.x, b.y
+        if tick < b.tick:
+            f = (tick - a.tick) / (b.tick - a.tick)
             return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
     return waypoints[-1].x, waypoints[-1].y
 

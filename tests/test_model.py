@@ -8,7 +8,6 @@ from demandflow.model import (
     UnknownEntityError,
     config_value,
     config_values,
-    detections_topic,
     ego_topic,
     points_topic,
     source_topic,
@@ -18,7 +17,6 @@ from demandflow.model import (
 def test_topic_naming():
     assert ego_topic("V0") == "/V0/ego"
     assert points_topic("S") == "/S/points"
-    assert detections_topic("S") == "/detections/S/objects"
     assert source_topic("V1", "ego") == "/V1/ego"
     assert source_topic("S", "pointcloud") == "/S/points"
     with pytest.raises(ValueError):

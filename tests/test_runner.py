@@ -152,6 +152,28 @@ def test_upgrade_run_replaces_and_then_reconfigures_new_instances(
     assert system_is_empty(runner.system)
 
 
+def run_failing(scenario, method, failing):
+    """Run `scenario` with the listed calls of the cluster's `method` failing.
+
+    Calls count from 1.  Returns the runner and the number of calls made.
+    """
+    runner = ScenarioRunner(scenario)
+    sim = runner.system.sim
+    real = getattr(sim, method)
+    calls = 0
+
+    def wrapped(*args):
+        nonlocal calls
+        calls += 1
+        if calls in failing:
+            raise OrchestrationError(f"injected {method} failure")
+        return real(*args)
+
+    setattr(sim, method, wrapped)
+    runner.run()
+    return runner, calls
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a give-up drops the folded release; ROADMAP open item 1",
@@ -159,20 +181,25 @@ def test_upgrade_run_replaces_and_then_reconfigures_new_instances(
 def test_failed_terminates_still_empty_the_system(reference_scenario):
     # Terminate calls 3-5 fail: the release of conn-V0-E gives up at
     # tick 13, and conn-V0-E with its receiver stays live to the end.
-    runner = ScenarioRunner(reference_scenario)
-    sim = runner.system.sim
-    real = sim.terminate_instance
-    calls = []
-
-    def terminate(instance_id):
-        calls.append(instance_id)
-        if len(calls) in (3, 4, 5):
-            raise OrchestrationError("injected terminate failure")
-        real(instance_id)
-
-    sim.terminate_instance = terminate
-    runner.run()
+    runner, _ = run_failing(reference_scenario, "terminate_instance", {3, 4, 5})
     assert system_is_empty(runner.system)
+
+
+@pytest.mark.parametrize(
+    "method", ["deploy_instance", "terminate_instance", "reconfigure_instance"]
+)
+@pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
+def test_any_single_cluster_failure_is_retried_away(request, fixture, method):
+    # One failed call costs one retry, well within MAX_ATTEMPTS, so each
+    # run still serves and drops all of its demand.
+    scenario = request.getfixturevalue(fixture)
+    _, calls = run_failing(scenario, method, ())
+    assert calls
+    for k in range(1, calls + 1):
+        runner, _ = run_failing(scenario, method, {k})
+        assert system_is_empty(runner.system), f"call {k}"
+        errors = records_with(runner.trace, TAG_ERROR)
+        assert "reconcile-failed" not in [r.get("kind") for r in errors], f"call {k}"
 
 
 def hysteresis_oracle(scenario):
@@ -255,8 +282,7 @@ def fuzz_scenario(vehicle_routes):
 # dwells in the band on the way in and on the way out
 @example([[(1, 300.0, 0.0), (3, 160.0, 0.0), (6, 160.0, 0.0), (2, 0.0, 0.0),
            (2, 160.0, 0.0), (5, 160.0, 0.0), (2, 300.0, 0.0)]])
-# ends on d_start from outside: interpolation rounds the last waypoint
-# just past d_start, the clamp on the tick after returns it exactly
+# ends on d_start from outside, where plain interpolation rounds outward
 @example([[(1, -261.0, -100.0), (10, -122.39765766268816, -86.71109155516032)]])
 # three vehicles cross each threshold on the same ticks
 @example([[(1, 300.0, 0.0), (4, 0.0, 0.0), (4, 300.0, 0.0)]] * 3)
@@ -264,6 +290,14 @@ def test_waypoint_requests_match_full_scan(vehicle_routes):
     scenario = fuzz_scenario(vehicle_routes)
     runner = run_scenario(scenario)
     assert request_transitions(runner.trace) == hysteresis_oracle(scenario)
+
+
+def test_route_ending_on_d_start_enters_on_its_last_tick():
+    scenario = fuzz_scenario(
+        [[(1, -261.0, -100.0), (10, -122.39765766268816, -86.71109155516032)]]
+    )
+    runner = run_scenario(scenario)
+    assert request_transitions(runner.trace) == [(10, DeltaAction.REQUEST, "V0")]
 
 
 def test_waypoint_topics_recorded_only_on_change(waypoint_scenario):

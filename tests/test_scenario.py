@@ -1,6 +1,7 @@
 """Scenario schema: loading, validation errors, interpolation, generators."""
 
 import copy
+import math
 
 import pytest
 import yaml
@@ -392,6 +393,16 @@ def test_interpolate_matches_linear_oracle():
     assert interpolate(route, 99) == (100.0, 50.0)
     with pytest.raises(ValueError):
         interpolate((), 0)
+
+
+def test_interpolate_returns_each_waypoint_exactly_on_its_tick():
+    # Here a.x + 1.0 * (b.x - a.x) is not b.x: the last waypoint lies on
+    # the d_start circle, but that sum puts it 150.00000000000003 away.
+    start = Waypoint(0, -261.0, -100.0)
+    end = Waypoint(10, -122.39765766268816, -86.71109155516032)
+    assert math.dist((0.0, 0.0), (end.x, end.y)) == 150.0
+    assert interpolate((start, end), 10) == (end.x, end.y)
+    assert interpolate((start, end, Waypoint(20, 0.0, 0.0)), 10) == (end.x, end.y)
 
 
 def test_scale_scenario_shape():
