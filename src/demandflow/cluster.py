@@ -2,17 +2,16 @@
 
 Each node has its own topic bus; nothing crosses node boundaries unless a
 deployed sender/receiver pair forwards it, with one tick of latency.
-During a tick a node's bus is an `(arrived, local)` pair of lists: the
-messages forwarded to it last tick, then those published on it since.
-Readers see arrived before local, and only local messages are forwarded,
-which rules out multi-hop relays and forwarding loops.  Two bus sets
-take turns: a tick reads the set filled since the last tick, and the set
-the last tick read is cleared and takes the next tick's messages.  The
-route plan (detectors, fusers and a node -> topic -> receiver nodes
-table) is built in one pass over the running instances on the first
-tick after a deploy, terminate or reconfigure, and kept until the next
-one.  Forwarding walks the nodes in the order they were added, senders
-in creation order within a node.
+A bus carries topic names, one entry per message.  During a tick it is
+an `(arrived, local)` pair of lists: the entries forwarded to the node
+last tick and those published on it since.  Only local entries are
+forwarded, which rules out multi-hop relays and forwarding loops.  Two
+bus sets take turns: a tick reads the set filled since the last tick,
+and the set the last tick read is cleared and takes the next tick's
+entries.  The route plan (detectors, fusers and a node -> topic ->
+receiver nodes table) is built in one pass over the running instances on
+the first tick after a deploy, terminate or reconfigure, and kept until
+the next one.
 Detection and fusion instances run as stub behaviors inside the tick so
 the data plane reacts to (re)configuration without any real perception
 code.  Everything is deterministic: no wall clock, no randomness, fixed
@@ -62,7 +61,6 @@ class ServiceInstance:
     version: str
     restart_count: int = 0
     config_version: int = 0
-    detections: int = 0  # outputs of the detection stub, its payload counter
     # Topics parsed from `config` at deploy and on every reconfigure.
     input_topics: tuple[str, ...] = field(init=False, repr=False, compare=False)
     output_topic: str | None = field(init=False, repr=False, compare=False)
@@ -80,21 +78,13 @@ class ServiceInstance:
         )
 
 
-class TopicMessage(NamedTuple):
-    topic: str
-    origin: str
-    seq: int
-    stamp: int
-    payload: tuple[str, ...] = ()
-
-
 @dataclass(frozen=True)
 class TickReport:
     produced: int
     forwarded: int
 
 
-Bus = tuple[list[TopicMessage], list[TopicMessage]]  # (arrived, local)
+Bus = tuple[list[str], list[str]]  # (arrived, local) topics, one per message
 
 
 class Plan(NamedTuple):
@@ -109,13 +99,11 @@ class ClusterSim:
     def __init__(self) -> None:
         self._instances: dict[str, ServiceInstance] = {}
         self._plan: Plan | None = None  # dropped by every lifecycle call
-        # Both bus sets hold every node, in the order nodes were added.
+        # Both bus sets hold every node.
         self._next: dict[str, Bus] = {}  # the buses the next tick reads
         self._bus: dict[str, Bus] = {}  # the buses the last tick read
-        self._seq: dict[tuple[str, str], int] = {}
         self._deploy_counts: dict[str, int] = {}
         self._iid_seq = 0
-        self._time = 0
 
     # -- nodes -------------------------------------------------------------
 
@@ -192,39 +180,14 @@ class ClusterSim:
 
     # -- publishing --------------------------------------------------------
 
-    def publish(self, node_id: str, message: TopicMessage) -> None:
-        """Queue a message on a node's bus for the next tick."""
-        self._require_node(node_id)
-        key = (message.origin, message.topic)
-        last = self._seq.get(key, 0)
-        if message.seq <= last:
-            raise ValueError(
-                f"seq must increase per (origin, topic); got {message.seq} "
-                f"after {last} on {key}"
-            )
-        self._seq[key] = message.seq
-        self._next[node_id][1].append(message)
-
-    def publish_sources(
-        self, sources: Iterable[tuple[str, str, str]]
-    ) -> None:
-        """`publish(node, next_message(origin, topic))` per source."""
-        seq = self._seq
+    def publish_sources(self, sources: Iterable[tuple[str, str]]) -> None:
+        """Queue one message per `(node, topic)` for the next tick."""
         buses = self._next
-        stamp = self._time + 1
-        for node_id, origin, topic in sources:
+        for node_id, topic in sources:
             bus = buses.get(node_id)
             if bus is None:
                 raise UnknownNodeError(f"unknown node {node_id!r}")
-            key = (origin, topic)
-            n = seq[key] = seq.get(key, 0) + 1
-            # TopicMessage(topic, origin, n, stamp), minus the __new__ frame
-            bus[1].append(tuple.__new__(TopicMessage, (topic, origin, n, stamp, ())))
-
-    def next_message(self, origin: str, topic: str) -> TopicMessage:
-        """Build the next in-sequence message for (origin, topic)."""
-        seq = self._seq.get((origin, topic), 0) + 1
-        return TopicMessage(topic, origin, seq, self._time + 1)
+            bus[1].append(topic)
 
     # -- the tick ----------------------------------------------------------
 
@@ -236,7 +199,6 @@ class ClusterSim:
         visible and forwardable the same tick), then running connection
         pairs pick up locally published messages for delivery next tick.
         """
-        self._time += 1
         bus = self._next
         arriving = self._next = self._bus
         for arrived, local in arriving.values():
@@ -252,16 +214,16 @@ class ClusterSim:
 
         forwarded = 0
         for node_id, by_topic in plan.routes.items():
-            for message in bus[node_id][1]:
-                for dst in by_topic.get(message.topic, ()):
-                    arriving[dst][0].append(message)
+            for topic in bus[node_id][1]:
+                for dst in by_topic.get(topic, ()):
+                    arriving[dst][0].append(topic)
                     forwarded += 1
 
         self._bus = bus
         return TickReport(produced, forwarded)
 
     def _build_plan(self) -> Plan:
-        """Creation order keeps behavior and forwarding order stable."""
+        """Creation order lets a behavior read older ones' outputs in a tick."""
         detectors: list[ServiceInstance] = []
         fusers: list[ServiceInstance] = []
         senders: list[ServiceInstance] = []
@@ -286,8 +248,6 @@ class ClusterSim:
             by_topic = routes.setdefault(sender.node_id, {})
             for topic in sender.forward_topics:
                 by_topic.setdefault(topic, []).append(dst)
-        # Forwarding walks the nodes in the order they were added.
-        routes = {n: routes[n] for n in self._bus if n in routes}
         self._plan = Plan(detectors, fusers, routes)
         return self._plan
 
@@ -297,57 +257,35 @@ class ClusterSim:
         if bus is None:
             raise UnknownNodeError(f"unknown node {node_id!r}")
         arrived, local = bus
-        topics = {m.topic for m in local}
+        topics = set(local)
         if arrived:
-            topics.update(m.topic for m in arrived)
+            topics.update(arrived)
         return tuple(sorted(topics))
-
-    def messages_at(self, node_id: str, topic: str) -> tuple[TopicMessage, ...]:
-        self._require_node(node_id)
-        return tuple(
-            m for part in self._bus[node_id] for m in part if m.topic == topic
-        )
 
     # -- stub behaviors ----------------------------------------------------
 
     def _run_detection(self, instance: ServiceInstance, bus: Bus) -> int:
+        """Publish the output when the first input topic is on the bus."""
         inputs = instance.input_topics
         out_topic = instance.output_topic
         if not inputs or out_topic is None:
             return 0
-        in_topic = inputs[0]
-        hit = next(
-            (m for part in bus for m in part if m.topic == in_topic), None
-        )
-        if hit is None:
+        arrived, local = bus
+        if inputs[0] not in local and inputs[0] not in arrived:
             return 0
-        instance.detections += 1
-        bus[1].append(
-            self._stamped(hit.origin, out_topic, (str(instance.detections),))
-        )
+        local.append(out_topic)
         return 1
 
     def _run_fusion(self, instance: ServiceInstance, bus: Bus) -> int:
-        inputs = set(instance.input_topics)
+        """Publish the output when any input topic is on the bus."""
         out_topic = instance.output_topic
         if out_topic is None:
             return 0
-        contributing = sorted(
-            {m.origin for part in bus for m in part if m.topic in inputs}
-        )
-        if not contributing:
+        arrived, local = bus
+        inputs = set(instance.input_topics)
+        if inputs.isdisjoint(local) and inputs.isdisjoint(arrived):
             # Nothing consumed: legal transient (e.g. right after deploy,
             # before forwarded inputs land); publish nothing.
             return 0
-        bus[1].append(
-            self._stamped(instance.node_id, out_topic, tuple(contributing))
-        )
+        local.append(out_topic)
         return 1
-
-    def _stamped(
-        self, origin: str, topic: str, payload: tuple[str, ...]
-    ) -> TopicMessage:
-        key = (origin, topic)
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
-        return TopicMessage(topic, origin, seq, self._time, payload)

@@ -46,8 +46,8 @@ class System:
     service_op: ServiceOperator
     connection_op: ConnectionOperator
     trace: Trace
-    # (node, origin, topic) per entity capability, in order.
-    sources: tuple[tuple[str, str, str], ...]
+    # (node, topic) per entity capability: one message each per tick.
+    sources: tuple[tuple[str, str], ...]
 
 
 def build_system(
@@ -69,7 +69,7 @@ def build_system(
     connection_op = ConnectionOperator(store, sim, trace)
     detector = EventDetector(scenario.rule, topology)
     sources = tuple(
-        (entity.node_id, entity.entity_id, source_topic(entity.entity_id, kind))
+        (entity.node_id, source_topic(entity.entity_id, kind))
         for entity in scenario.entities
         for kind in entity.capabilities
     )

@@ -324,7 +324,7 @@ def _parse_timeline(
             if not isinstance(item, dict) or "step" not in item:
                 raise fail("each timeline event needs a step number")
             step = item["step"]
-            if not isinstance(step, int) or step < last_step:
+            if type(step) is not int or step < last_step:
                 raise fail(f"timeline steps must be non-decreasing (step {step})")
             last_step = step
             keys = {"enter", "leave", "upgrade"} & item.keys()

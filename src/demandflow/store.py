@@ -203,19 +203,3 @@ class ResourceStore:
         self.event_log.append(event)
         for queue in self._watchers[event.kind]:
             queue.append(event)
-
-
-def replay_event_log(events: list[WatchEvent]) -> dict[tuple[ResourceKind, str], int]:
-    """Fold a watch-event log into the surviving (kind, name) -> generation map.
-
-    Used by tests to check that the event log alone reconstructs the
-    final resource set.
-    """
-    state: dict[tuple[ResourceKind, str], int] = {}
-    for event in events:
-        key = (event.kind, event.name)
-        if event.change is ChangeType.DELETED:
-            state.pop(key, None)
-        else:
-            state[key] = event.generation
-    return state

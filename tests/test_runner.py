@@ -21,6 +21,7 @@ from demandflow.runner import (
 )
 from demandflow.scenario import (
     interpolate,
+    load_scenario,
     make_scale_scenario,
     scenario_from_mapping,
 )
@@ -345,6 +346,38 @@ def test_scale_run_trace_is_frozen(duplicate_delivery):
     text = runner.trace.render()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert (digest, text.count("\n")) == SCALE_30_DIGESTS[duplicate_delivery]
+
+
+# Whole-run sums of TickReport.produced and .forwarded: the data plane's
+# traffic, which no trace record shows.
+TRAFFIC_TOTALS = {
+    "collective_perception": (51, 81),
+    "collective_perception_upgrade": (60, 99),
+    "waypoint_drive": (116, 142),
+    "scale-30": (352, 2877),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAFFIC_TOTALS))
+def test_run_traffic_totals_are_frozen(name):
+    if name == "scale-30":
+        scenario = make_scale_scenario(30)
+    else:
+        scenario = load_scenario(bundled_scenario_path(name))
+    runner = ScenarioRunner(scenario)
+    sim = runner.system.sim
+    tick = sim.tick
+    totals = [0, 0]
+
+    def counted_tick():
+        report = tick()
+        totals[0] += report.produced
+        totals[1] += report.forwarded
+        return report
+
+    sim.tick = counted_tick
+    runner.run()
+    assert tuple(totals) == TRAFFIC_TOTALS[name]
 
 
 def churn_mapping():

@@ -320,6 +320,18 @@ def test_timeline_validation(reference_raw):
     )
 
 
+def test_boolean_timeline_step_is_rejected(reference_raw):
+    # True == 1 and isinstance(True, int); a loaded `step: true` would
+    # render as step=True and fail to parse back from the trace
+    expect_invalid(
+        variant(
+            reference_raw,
+            lambda r: r["timeline"]["events"][0].update(step=True),
+        ),
+        "non-decreasing",
+    )
+
+
 def test_waypoint_timeline_validation(reference_raw):
     def to_waypoints(points):
         def mutate(r):

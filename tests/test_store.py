@@ -16,7 +16,6 @@ from demandflow.store import (
     DemandDelta,
     ResourceStatus,
     ResourceStore,
-    replay_event_log,
 )
 
 SVC = ResourceKind.MANAGED_SERVICE
@@ -190,7 +189,14 @@ def test_per_name_generations_are_gap_free(seed, store):
 @pytest.mark.parametrize("seed", range(20))
 def test_event_log_replay_reconstructs_final_state(seed, store):
     mirror = _random_ops(seed, store)
-    replayed = replay_event_log(store.event_log)
+    # fold the log into the surviving (kind, name) -> generation map
+    replayed = {}
+    for event in store.event_log:
+        key = (event.kind, event.name)
+        if event.change is ChangeType.DELETED:
+            replayed.pop(key, None)
+        else:
+            replayed[key] = event.generation
     assert replayed == mirror
     # and the replay agrees with the store's own listing
     listed = {
