@@ -206,6 +206,27 @@ def test_unknown_names_raise(catalog):
         catalog.resolve(APP, "v1", bad)
 
 
+def test_an_unknown_requester_raises_even_when_every_input_is_known(catalog):
+    bad = DemandDescription(requesters=("V9", "S"), inputs=(("S", "pointcloud"),))
+    with pytest.raises(UnknownEntityError, match="V9"):
+        catalog.resolve(APP, "v1", bad)
+
+
+def test_a_source_on_the_placement_node_needs_no_connection():
+    catalog = Catalog(Topology([
+        Entity("V1", EntityRole.CV, ("ego",)),
+        Entity("E", EntityRole.EDGE, ("pointcloud",)),
+    ]))
+    catalog.register_application(reference_template())
+    demand = DemandDescription(
+        requesters=("V1", "E"), inputs=(("V1", "ego"), ("E", "pointcloud"))
+    )
+    parts = catalog.resolve(APP, "v1", demand)
+    assert service_cr_name(APP, "objdet", "E") in [p.cr_name for p in parts.services]
+    assert [c.cr_name for c in parts.connections] == [connection_cr_name("V1", "E")]
+    assert parts.nodes == ("E", "V1")
+
+
 def test_versions_coexist_and_register_once(catalog):
     catalog.register_application(reference_template("v2"))
     assert catalog.versions(APP) == ("v1", "v2")
@@ -288,6 +309,43 @@ def test_template_validation_rejects_bad_rules():
                 ),
             ),
         ).validate()
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (
+            PartRule("a", ServiceKind.OTHER, EntityRole.EDGE, per_source_kind="sonar"),
+            "unknown source kind 'sonar'",
+        ),
+        (
+            PartRule(
+                "a", ServiceKind.OTHER, EntityRole.EDGE, input_selectors=("demand:sonar",)
+            ),
+            "bad selector 'demand:sonar'",
+        ),
+        (
+            PartRule(
+                "a", ServiceKind.OTHER, EntityRole.EDGE, input_selectors=("inputs:a",)
+            ),
+            "bad selector 'inputs:a'",
+        ),
+    ],
+    ids=["per-source-kind", "demand-kind", "selector-prefix"],
+)
+def test_template_validation_rejects_unknown_kinds_and_selectors(rule, message):
+    with pytest.raises(ValueError) as info:
+        ApplicationTemplate(app_name=APP, version="v1", parts=(rule,)).validate()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name, version", [("", "v1"), (APP, "")])
+def test_registration_needs_a_name_and_a_version(name, version):
+    catalog = Catalog(reference_topology())
+    template = replace(reference_template(), app_name=name, version=version)
+    with pytest.raises(ValueError, match="needs a name and a version"):
+        catalog.register_application(template)
+    assert catalog.versions(name) == ()
 
 
 @pytest.mark.parametrize("role", ["obj det", "obj,det", "obj=det", "objdet\n", 7])

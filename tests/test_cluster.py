@@ -8,6 +8,7 @@ from demandflow.cluster import ClusterSim, InstanceSpec
 from demandflow.model import (
     ConfigItem,
     DuplicateNodeError,
+    NotFoundError,
     NotRunningError,
     ServiceKind,
     UnknownNodeError,
@@ -187,6 +188,25 @@ def test_detection_consumes_pointclouds_and_counts():
     # no input this tick, no output
     assert sim.tick().produced == 0
     assert sim.topics_visible_at("E") == ()
+
+
+def test_lookups_of_unknown_names_raise():
+    sim = sim_with("E")
+    with pytest.raises(UnknownNodeError):
+        sim.topics_visible_at("B")
+    with pytest.raises(NotFoundError):
+        sim.get_instance("i-9999")
+
+
+@pytest.mark.parametrize("kind", [ServiceKind.OBJECT_DETECTION, ServiceKind.OBJECT_FUSION])
+@pytest.mark.parametrize("inputs", [(), ("/S/points",)], ids=["no-input", "one-input"])
+def test_a_stub_without_an_output_topic_publishes_nothing(kind, inputs):
+    sim = sim_with("E")
+    config = tuple(ConfigItem("input-topic", t) for t in inputs)
+    sim.deploy_instance(InstanceSpec("svc-x", kind, "E", config))
+    feed(sim, "E", "/S/points")
+    assert sim.tick().produced == 0
+    assert sim.topics_visible_at("E") == ("/S/points",)
 
 
 def test_terminated_instance_leaves_no_per_instance_state():

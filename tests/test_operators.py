@@ -482,6 +482,28 @@ def test_failure_keeps_status_pending_until_giving_up(rig):
     assert service_op.pending() == 1  # re-queued for retry
 
 
+def test_failed_reconfigure_of_a_running_resource_is_pending(rig):
+    store, sim, _, service_op, _ = rig
+    store.apply_cr(SVC, "svc-x", delta(config=svc_config((in_topic("/V0/ego"),))))
+    service_op.run_pending()
+    assert store.get_cr(SVC, "svc-x").status.phase is Phase.RUNNING
+
+    def reconfigure(instance_id, config):
+        raise NothingRunningError("injected reconfigure failure")
+
+    sim.reconfigure_instance = reconfigure
+    store.apply_cr(
+        SVC, "svc-x",
+        delta(requesters=("V1", "S"), config=svc_config((in_topic("/V1/ego"),))),
+    )
+    service_op.run_pending()
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.PENDING
+    assert status.observed_generation == 1
+    assert status.support == ("V0", "S")  # the committed ledger
+    assert service_op.pending() == 1
+
+
 def test_recreated_resource_gets_every_attempt(rig):
     store, sim, trace, service_op, _ = rig
     config = (

@@ -6,6 +6,7 @@ import pytest
 
 from demandflow.model import (
     ChangeType,
+    ConfigItem,
     DeltaAction,
     NotFoundError,
     Phase,
@@ -93,6 +94,15 @@ def test_delta_validation():
               version="v2").validate()
     # the version-only escape hatch
     delta(requesters=(), version="v2").validate()
+
+
+def test_a_delta_with_config_but_no_requesters_is_refused(store):
+    items = (ConfigItem("input-topic", "/V0/ego"),)
+    for version in ("", "v2"):
+        spec = DemandDelta(DeltaAction.REQUEST, (), items, version)
+        with pytest.raises(ValueError, match="requesters must be non-empty"):
+            store.apply_cr(SVC, "x", spec)
+    assert store.list_crs(SVC) == ()
 
 
 def test_status_updates_emit_no_events(store):
