@@ -11,7 +11,6 @@ the whole system drains back to empty when the last requester leaves.
 from .catalog import (
     ApplicationTemplate,
     Catalog,
-    DemandDescription,
     PartRule,
     connection_cr_name,
     service_cr_name,
@@ -58,7 +57,6 @@ __all__ = [
     "ConnectionOperator",
     "DeltaAction",
     "DemandDelta",
-    "DemandDescription",
     "DemandLedger",
     "DeploymentRequest",
     "Entity",

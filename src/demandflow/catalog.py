@@ -1,21 +1,22 @@
 """Application templates and the resolution of demand into concrete parts.
 
 A template describes an application as a list of part rules.  Resolution
-takes a demand description (who is asking, which source topics they bring
-along) and produces the concrete service parts plus the connections that
-carry remote source topics to the node where they are consumed.
-Resolution is a pure function of (template, topology, demand); it never
-inspects what is already deployed.  A part is its resource name and its
-config items; its node(s), the service kind it runs and the topics a
-connection forwards live only in those items.  A resolution also lists
-the nodes it touches.  Every part of an application is placed on the
-single node holding its template's placement role; that node is looked
-up once, when the template is registered, and a template without one is
-refused there.  Templates are registered once and the topology is
-immutable, so `Catalog.resolve` memoizes successful results per
-(application, version, demand), at most one per distinct demand and
-version: for detector-built requests, one per vehicle and version.  A
-call that raises stores nothing and raises again when repeated.
+takes a request's demand (who is asking, and the (entity, topic kind)
+inputs they bring along) and produces the concrete service parts plus
+the connections that carry remote source topics to the node where they
+are consumed.  Resolution is a pure function of (template, topology,
+demand); it never inspects what is already deployed.  A part is its
+resource name and its config items; its node(s), the service kind it
+runs and the topics a connection forwards live only in those items.  A
+resolution also lists the nodes it touches.  Every part of an
+application is placed on the single node holding its template's
+placement role; that node is looked up once, when the template is
+registered, and a template without one is refused there.  Templates are
+registered once and the topology is immutable, so `Catalog.resolve`
+memoizes successful results per (application, version, requesters,
+inputs), at most one per distinct demand and version: for
+detector-built requests, one per vehicle and version.  A call that
+raises stores nothing and raises again when repeated.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ class ApplicationTemplate:
                         "per-source rules derive their input from the source"
                     )
             for selector in rule.input_selectors:
+                if not isinstance(selector, str):
+                    raise ValueError(f"bad selector {selector!r}")
                 prefix, _, arg = selector.partition(":")
                 if prefix == SELECT_DEMAND:
                     if arg not in TOPIC_KINDS:
@@ -134,41 +137,6 @@ class ApplicationTemplate:
                 else:
                     raise ValueError(f"bad selector {selector!r}")
             seen_roles.add(rule.role)
-
-
-@dataclass(frozen=True)
-class DemandDescription:
-    """Who is demanding an application and which source topics they bring.
-
-    `inputs` is an ordered list of (entity, topic kind) pairs; order is
-    preserved all the way into rendered config items.
-    """
-
-    requesters: tuple[str, ...]
-    inputs: tuple[tuple[str, str], ...]
-
-    def entities(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for entity_id, _ in self.inputs:
-            seen.setdefault(entity_id)
-        return tuple(seen)
-
-    def entities_providing(self, kind: str) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for entity_id, k in self.inputs:
-            if k == kind:
-                seen.setdefault(entity_id)
-        return tuple(seen)
-
-    def topics_of(self, entity_id: str) -> tuple[str, ...]:
-        return tuple(
-            source_topic(eid, kind) for eid, kind in self.inputs if eid == entity_id
-        )
-
-    def topics_of_kind(self, kind: str) -> tuple[str, ...]:
-        return tuple(
-            source_topic(eid, k) for eid, k in self.inputs if k == kind
-        )
 
 
 @dataclass(frozen=True)
@@ -193,7 +161,7 @@ class Catalog:
         self._templates: dict[tuple[str, str], ApplicationTemplate] = {}
         # (app_name, version) -> the node every part of it is placed on
         self._placement: dict[tuple[str, str], str] = {}
-        # (app_name, version, demand) -> its successful resolution
+        # (app_name, version, requesters, inputs) -> its successful resolution
         self._resolved: dict[tuple, ResolvedParts] = {}
 
     def register_application(self, template: ApplicationTemplate) -> None:
@@ -201,7 +169,7 @@ class Catalog:
         key = (template.app_name, template.version)
         if key in self._templates:
             raise AlreadyRegisteredError(
-                f"{template.app_name} {template.version} is already registered"
+                f"{template.app_name} {template.version} declared twice"
             )
         role = template.placement_role
         self._placement[key] = self._topology.single_node_with_role(role)
@@ -227,21 +195,41 @@ class Catalog:
     # -- resolution --------------------------------------------------------
 
     def resolve(
-        self, app_name: str, version: str, demand: DemandDescription
+        self,
+        app_name: str,
+        version: str,
+        requesters: tuple[str, ...],
+        inputs: tuple[tuple[str, str], ...],
     ) -> ResolvedParts:
-        """The parts `demand` needs of one application version, memoized."""
-        key = (app_name, version, demand)
+        """The parts one application version needs for a demand, memoized.
+
+        `requesters` are the entities asking; `inputs` are the (entity,
+        topic kind) pairs they bring, in an order kept all the way into
+        the rendered config items.
+        """
+        key = (app_name, version, requesters, inputs)
         parts = self._resolved.get(key)
         if parts is None:
-            parts = self._resolved[key] = self._resolve(app_name, version, demand)
+            parts = self._resolved[key] = self._resolve(*key)
         return parts
 
     def _resolve(
-        self, app_name: str, version: str, demand: DemandDescription
+        self,
+        app_name: str,
+        version: str,
+        requesters: tuple[str, ...],
+        inputs: tuple[tuple[str, str], ...],
     ) -> ResolvedParts:
         template = self.template(app_name, version)
-        for entity_id in (*demand.requesters, *demand.entities()):
+        for entity_id in (*requesters, *(entity_id for entity_id, _ in inputs)):
             self._topology.get(entity_id)  # raises UnknownEntityError
+        # The demanded source topics in input order, by kind and by entity.
+        by_kind: dict[str, list[str]] = {}
+        by_entity: dict[str, list[str]] = {}
+        for entity_id, kind in inputs:
+            topic = source_topic(entity_id, kind)
+            by_kind.setdefault(kind, []).append(topic)
+            by_entity.setdefault(entity_id, []).append(topic)
         # Every part lands on one node; every demanded source topic must
         # be made available there.
         placed = self._placement[(app_name, version)]
@@ -253,22 +241,22 @@ class Catalog:
             for selector in rule.input_selectors:
                 prefix, _, arg = selector.partition(":")
                 if prefix == SELECT_DEMAND:
-                    selected.extend(demand.topics_of_kind(arg))
+                    selected.extend(by_kind.get(arg, ()))
                 else:
                     selected.extend(outputs_by_role.get(arg, ()))
             # A rule without a source kind yields one part, for source None.
             kind = rule.per_source_kind
-            sources = sorted(demand.entities_providing(kind)) if kind else [None]
+            sources = sorted({e for e, k in inputs if k == kind}) if kind else [None]
             for source in sources:
                 items = [
                     ConfigItem(CFG_NODE, placed),
                     ConfigItem(CFG_SERVICE_KIND, rule.service_kind.value),
                 ]
-                inputs = selected
+                topics = selected
                 if source is not None:
                     items.append(ConfigItem(CFG_SOURCE, source))
-                    inputs = [source_topic(source, kind)]
-                items.extend(ConfigItem(CFG_INPUT_TOPIC, t) for t in inputs)
+                    topics = [source_topic(source, kind)]
+                items.extend(ConfigItem(CFG_INPUT_TOPIC, t) for t in topics)
                 out = (rule.output_topic or "").format(source=source or "")
                 if out:
                     items.append(ConfigItem(CFG_OUTPUT_TOPIC, out))
@@ -279,12 +267,11 @@ class Catalog:
 
         connections: list[PartSpec] = []
         nodes = {placed}
-        for source in sorted(demand.entities()):
+        for source, topics in sorted(by_entity.items()):
             src_node = self._topology.node_of(source)
             if src_node == placed:
                 continue
             nodes.add(src_node)
-            topics = demand.topics_of(source)
             connections.append(
                 PartSpec(
                     connection_cr_name(src_node, placed),

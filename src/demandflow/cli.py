@@ -13,15 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .manager import DeploymentRequest
-from .model import (
-    DeltaAction,
-    ID_RE,
-    OrchestrationError,
-    ResourceKind,
-    ScenarioError,
-    TOPIC_KINDS,
-)
+from .model import OrchestrationError, ResourceKind, ScenarioError
 from .runner import ScenarioRunner, build_system, deliver, drain
 from .scenario import Scenario, load_request_file, load_scenario
 from .tracing import assert_trace
@@ -161,28 +153,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_inputs(raw_inputs) -> tuple[tuple[str, str], ...]:
-    inputs = []
-    for item in raw_inputs:
-        entity_id, sep, kind = item.partition(":")
-        if not sep or not ID_RE.fullmatch(entity_id) or kind not in TOPIC_KINDS:
-            raise ScenarioError(f"bad input {item!r}, expected entity:kind")
-        inputs.append((entity_id, kind))
-    return tuple(inputs)
-
-
 def _cmd_inject(args: argparse.Namespace) -> int:
     try:
         scenario = _load(args.scenario)
-        raw = load_request_file(args.request_file)
-        request = DeploymentRequest(
-            request_id=raw["id"],
-            action=DeltaAction(raw["action"]),
-            app_name=raw["application"],
-            requesters=tuple(raw["requesters"]),
-            inputs=_parse_inputs(raw["inputs"]),
-        )
-    except (ScenarioError, ValueError) as exc:
+        request = load_request_file(args.request_file)
+    except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     try:

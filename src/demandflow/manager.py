@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .catalog import Catalog, DemandDescription, PartSpec
+from .catalog import Catalog, PartSpec
 from .model import (
     AccessDeniedError,
     ConfigItem,
@@ -40,9 +40,6 @@ class DeploymentRequest:
     requesters: tuple[str, ...]
     inputs: tuple[tuple[str, str], ...]
     issued_at: int = 0
-
-    def demand(self) -> DemandDescription:
-        return DemandDescription(requesters=self.requesters, inputs=self.inputs)
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ class AppManager:
                 )
         version = self.active_version(request.app_name)
         resolved = self._catalog.resolve(
-            request.app_name, version, request.demand()
+            request.app_name, version, request.requesters, request.inputs
         )
         for node in resolved.nodes:
             if not self._policy.allows(request.app_name, node):

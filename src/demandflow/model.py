@@ -206,7 +206,7 @@ class Entity:
             object.__setattr__(self, "node_id", self.entity_id)
         for kind in self.capabilities:
             if kind not in TOPIC_KINDS:
-                raise ValueError(f"unknown capability {kind!r} for {self.entity_id}")
+                raise ValueError(f"entity {self.entity_id}: unknown capability {kind!r}")
 
     def provides(self, kind: str) -> bool:
         return kind in self.capabilities
@@ -220,7 +220,7 @@ class Topology:
         nodes: set[str] = set()
         for entity in entities:
             if entity.entity_id in self._entities:
-                raise ValueError(f"duplicate entity id {entity.entity_id!r}")
+                raise ValueError(f"duplicate entity {entity.entity_id}")
             if entity.node_id in nodes:
                 raise ValueError(
                     f"entities must map to distinct nodes, {entity.node_id!r} is taken"

@@ -117,15 +117,10 @@ def apply_demand(
 
     A release that would push any requester or config count below zero is
     rejected as a whole; partial application never happens.  Only a
-    request adopts base config and version; version-only deltas touch
-    nothing but the version field.
+    request adopts base config and version; a version-only delta folds
+    nothing, so it touches nothing but the version field.
     """
     base, version = ledger.base_config, ledger.version
-    if delta.is_version_only():
-        return DemandLedger(
-            ledger.requester_counts, ledger.config_counts, base, delta.app_version
-        ), None
-
     sign = 1 if delta.action is DeltaAction.REQUEST else -1
     requesters, missing = _fold(ledger.requester_counts, delta.requesters, sign)
     if missing is not None:
@@ -178,7 +173,9 @@ class _Resource:
     observed: int = 0
     units: tuple[str, ...] = ()
     retiring: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # units, nodes
-    attempts: tuple[int, int] | None = None  # (target generation, failures at it)
+    # (target generation, failures at it); a failure at a later target
+    # restarts the count, so the pair is never cleared
+    attempts: tuple[int, int] | None = None
 
 
 class Operator:
@@ -273,7 +270,6 @@ class Operator:
             self._handle_failure(record, event, target, exc)
             return
 
-        record.attempts = None
         record.observed = target
         record.ledger = ledger
         for generation, rejection in rejections:
@@ -308,7 +304,6 @@ class Operator:
             return
         # Give up: the folded deltas are dropped, the ledger keeps its last
         # good state, and the trace records what happened.
-        record.attempts = None
         record.observed = target
         self._trace.error(
             self.source,

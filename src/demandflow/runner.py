@@ -37,7 +37,6 @@ class System:
     """Everything a running scenario is made of."""
 
     scenario: Scenario
-    topology: Topology
     store: ResourceStore
     catalog: Catalog
     manager: AppManager
@@ -75,7 +74,6 @@ def build_system(
     )
     return System(
         scenario=scenario,
-        topology=topology,
         store=store,
         catalog=catalog,
         manager=manager,

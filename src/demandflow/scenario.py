@@ -16,9 +16,12 @@ from typing import Any, Mapping
 
 import yaml
 
-from .catalog import ApplicationTemplate, PartRule
+from .catalog import ApplicationTemplate, Catalog, PartRule
 from .detector import DEFAULT_D_START, DEFAULT_D_STOP, GeofenceRule
+from .manager import DeploymentRequest
 from .model import (
+    AlreadyRegisteredError,
+    DeltaAction,
     Entity,
     EntityRole,
     ID_RE,
@@ -108,17 +111,23 @@ def _finite(value: Any) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
+def _read_yaml(path: Path) -> Any:
+    """The YAML document in `path`; a syntax error names its line."""
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        return yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ScenarioParseError(f"{path.name}{where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path.name}: {exc}") from exc
     except OSError as exc:
         raise ScenarioParseError(str(exc)) from exc
-    return scenario_from_mapping(raw, origin=path.name)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    path = Path(path)
+    return scenario_from_mapping(_read_yaml(path), origin=path.name)
 
 
 def scenario_from_mapping(raw: Any, origin: str = "<inline>") -> Scenario:
@@ -140,21 +149,13 @@ def scenario_from_mapping(raw: Any, origin: str = "<inline>") -> Scenario:
         topology = Topology(entities)
     except ValueError as exc:
         raise fail(str(exc)) from None
+    # Registering checks each template, its placement and its uniqueness.
+    catalog = Catalog(topology)
+    templates = _parse_applications(raw.get("applications"), catalog, fail)
 
-    templates = _parse_applications(raw.get("applications"), fail)
-    for template in templates:
-        try:
-            topology.single_node_with_role(template.placement_role)
-        except ValueError as exc:
-            raise fail(
-                f"application {template.app_name} {template.version}: {exc}"
-            ) from None
-    app_versions = {(t.app_name, t.version) for t in templates}
-    app_names = {t.app_name for t in templates}
+    rule = _parse_geofence(raw.get("geofence"), by_id, catalog, fail)
 
-    rule = _parse_geofence(raw.get("geofence"), by_id, app_names, fail)
-
-    timeline = _parse_timeline(raw.get("timeline"), by_id, app_versions, fail)
+    timeline = _parse_timeline(raw.get("timeline"), by_id, catalog, fail)
 
     budget = raw.get("tick_budget")
     if budget is None:
@@ -179,40 +180,40 @@ def _parse_entities(raw: Any, fail) -> tuple[Entity, ...]:
     if not isinstance(raw, list) or not raw:
         raise fail("entities must be a non-empty list")
     entities: list[Entity] = []
-    seen: set[str] = set()
     for item in raw:
         if not isinstance(item, dict):
             raise fail("each entity must be a mapping")
         entity_id = item.get("id")
         if not isinstance(entity_id, str) or not ID_RE.fullmatch(entity_id):
             raise fail(f"bad entity id {entity_id!r}")
-        if entity_id in seen:
-            raise fail(f"duplicate entity {entity_id}")
-        seen.add(entity_id)
         role_raw = item.get("role")
         try:
             role = EntityRole(role_raw)
         except ValueError:
             raise fail(f"entity {entity_id}: unknown role {role_raw!r}") from None
-        capabilities = tuple(item.get("capabilities", ()))
-        for kind in capabilities:
-            if kind not in TOPIC_KINDS:
-                raise fail(f"entity {entity_id}: unknown capability {kind!r}")
+        capabilities = item.get("capabilities", [])
+        if not isinstance(capabilities, list):
+            raise fail(f"entity {entity_id}: capabilities must be a list")
         node_id = item.get("node", entity_id)
         if not isinstance(node_id, str) or not ID_RE.fullmatch(node_id):
             raise fail(f"entity {entity_id}: bad node id {node_id!r}")
-        entities.append(
-            Entity(
-                entity_id=entity_id,
-                role=role,
-                capabilities=capabilities,
-                node_id=node_id,
+        try:
+            entities.append(
+                Entity(
+                    entity_id=entity_id,
+                    role=role,
+                    capabilities=tuple(capabilities),
+                    node_id=node_id,
+                )
             )
-        )
+        except ValueError as exc:
+            raise fail(str(exc)) from None
     return tuple(entities)
 
 
-def _parse_applications(raw: Any, fail) -> tuple[ApplicationTemplate, ...]:
+def _parse_applications(
+    raw: Any, catalog: Catalog, fail
+) -> tuple[ApplicationTemplate, ...]:
     if not isinstance(raw, list) or not raw:
         raise fail("applications must be a non-empty list")
     templates: list[ApplicationTemplate] = []
@@ -233,13 +234,16 @@ def _parse_applications(raw: Any, fail) -> tuple[ApplicationTemplate, ...]:
             if not isinstance(part, dict):
                 raise fail(f"application {app_name}: each part must be a mapping")
             try:
+                inputs = part.get("inputs", [])
+                if not isinstance(inputs, list):
+                    raise ValueError("inputs must be a list")
                 parts.append(
                     PartRule(
                         role=part["role"],
                         service_kind=ServiceKind(part["kind"]),
                         placement_role=EntityRole(part.get("placement", "edge")),
                         per_source_kind=part.get("per_source"),
-                        input_selectors=tuple(part.get("inputs", ())),
+                        input_selectors=tuple(inputs),
                         output_topic=part.get("output_topic"),
                     )
                 )
@@ -249,13 +253,11 @@ def _parse_applications(raw: Any, fail) -> tuple[ApplicationTemplate, ...]:
             app_name=app_name, version=version, parts=tuple(parts)
         )
         try:
-            template.validate()
+            catalog.register_application(template)
+        except AlreadyRegisteredError as exc:
+            raise fail(f"application {exc}") from None
         except ValueError as exc:
-            raise fail(f"application {app_name}: {exc}") from None
-        if any(
-            t.app_name == app_name and t.version == version for t in templates
-        ):
-            raise fail(f"application {app_name} {version} declared twice")
+            raise fail(f"application {app_name} {version}: {exc}") from None
         templates.append(template)
     return tuple(templates)
 
@@ -263,7 +265,7 @@ def _parse_applications(raw: Any, fail) -> tuple[ApplicationTemplate, ...]:
 def _parse_geofence(
     raw: Any,
     by_id: dict[str, Entity],
-    app_names: set[str],
+    catalog: Catalog,
     fail,
 ) -> GeofenceRule:
     if not isinstance(raw, dict):
@@ -280,10 +282,10 @@ def _parse_geofence(
     if not (_finite(d_start) and _finite(d_stop)):
         raise fail("geofence d_start and d_stop must be finite numbers")
     app_name = raw.get("application")
-    if app_name not in app_names:
+    if not catalog.versions(app_name):
         raise fail(f"geofence names unknown application {app_name!r}")
     risu_id = raw.get("risu")
-    risu = by_id.get(risu_id)
+    risu = by_id.get(risu_id) if isinstance(risu_id, str) else None
     if risu is None:
         raise fail(f"geofence names unknown entity {risu_id!r}")
     if risu.role is not EntityRole.RISU:
@@ -305,7 +307,7 @@ def _parse_geofence(
 def _parse_timeline(
     raw: Any,
     by_id: dict[str, Entity],
-    app_versions: set[tuple[str, str]],
+    catalog: Catalog,
     fail,
 ) -> Timeline:
     if not isinstance(raw, dict):
@@ -340,7 +342,7 @@ def _parse_timeline(
                     or "version" not in up
                 ):
                     raise fail(f"step {step}: upgrade needs application and version")
-                if (up["application"], up["version"]) not in app_versions:
+                if up["version"] not in catalog.versions(up["application"]):
                     raise fail(
                         f"step {step}: unknown application version "
                         f"{up['application']} {up['version']}"
@@ -353,7 +355,7 @@ def _parse_timeline(
                 continue
             key = keys.pop()
             entity_id = item[key]
-            entity = by_id.get(entity_id)
+            entity = by_id.get(entity_id) if isinstance(entity_id, str) else None
             if entity is None:
                 raise fail(f"step {step}: unknown entity {entity_id!r}")
             if entity.role is not EntityRole.CV:
@@ -456,10 +458,10 @@ def make_scale_scenario(n_vehicles: int) -> Scenario:
     return scenario_from_mapping(raw, origin=f"scale-{n_vehicles}")
 
 
-def _reference_application(version: str = "v1") -> dict:
+def _reference_application() -> dict:
     return {
         "name": "object-detection-fusion",
-        "version": version,
+        "version": "v1",
         "parts": [
             {
                 "role": "objdet",
@@ -484,42 +486,50 @@ def _reference_application(version: str = "v1") -> dict:
 # --------------------------------------------------------------------------
 
 
-def load_request_file(path: str | Path) -> dict:
-    """Parse a single-request file used by the inject command.
+def load_request_file(path: str | Path) -> DeploymentRequest:
+    """The one deployment request of a file for the inject command.
 
-    Returns the raw mapping; the caller builds the DeploymentRequest
-    against a concrete scenario topology.
+    Its names become REQUEST trace fields, so they follow the name rule;
+    whether its entities exist is checked when the request is handled.
     """
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path.name}: {exc}") from exc
-    except OSError as exc:
-        raise ScenarioParseError(str(exc)) from exc
+    raw = _read_yaml(path)
+
+    def fail(message: str) -> ScenarioValidationError:
+        return ScenarioValidationError(f"{path.name}: {message}")
+
     if not isinstance(raw, dict) or "request" not in raw:
-        raise ScenarioValidationError(
-            f"{path.name}: expected a top-level request mapping"
-        )
+        raise fail("expected a top-level request mapping")
     request = raw["request"]
     if not isinstance(request, dict):
-        raise ScenarioValidationError(f"{path.name}: request must be a mapping")
+        raise fail("request must be a mapping")
     required = {"id", "action", "application", "requesters", "inputs"}
     missing = required - set(request)
     if missing:
-        raise ScenarioValidationError(
-            f"{path.name}: request is missing {sorted(missing)}"
-        )
+        raise fail(f"request is missing {sorted(missing)}")
     for key in ("requesters", "inputs"):
         values = request[key]
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise ScenarioValidationError(
-                f"{path.name}: {key} must be a list of strings"
-            )
-    # These names become REQUEST trace fields.
+            raise fail(f"{key} must be a list of strings")
     names = [("id", request["id"]), ("application", request["application"])]
     names += [("requester", r) for r in request["requesters"]]
     for key, name in names:
         if not isinstance(name, str) or not ID_RE.fullmatch(name):
-            raise ScenarioValidationError(f"{path.name}: bad {key} {name!r}")
-    return request
+            raise fail(f"bad {key} {name!r}")
+    try:
+        action = DeltaAction(request["action"])
+    except ValueError:
+        raise fail(f"bad action {request['action']!r}") from None
+    inputs = []
+    for item in request["inputs"]:
+        entity_id, sep, kind = item.partition(":")
+        if not sep or not ID_RE.fullmatch(entity_id) or kind not in TOPIC_KINDS:
+            raise fail(f"bad input {item!r}, expected entity:kind")
+        inputs.append((entity_id, kind))
+    return DeploymentRequest(
+        request_id=request["id"],
+        action=action,
+        app_name=request["application"],
+        requesters=tuple(request["requesters"]),
+        inputs=tuple(inputs),
+    )

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from demandflow.catalog import (
     ApplicationTemplate,
     Catalog,
-    DemandDescription,
     PartRule,
     connection_cr_name,
     service_cr_name,
@@ -82,22 +81,19 @@ def catalog():
     return cat
 
 
+# A demand is a request's (requesters, inputs) pair.
+
+
 def lidar_demand():
-    return DemandDescription(
-        requesters=("V0", "S"),
-        inputs=(("V0", "ego"), ("V0", "pointcloud"), ("S", "pointcloud")),
-    )
+    return ("V0", "S"), (("V0", "ego"), ("V0", "pointcloud"), ("S", "pointcloud"))
 
 
 def ego_demand(vehicle="V1"):
-    return DemandDescription(
-        requesters=(vehicle, "S"),
-        inputs=((vehicle, "ego"), ("S", "pointcloud")),
-    )
+    return (vehicle, "S"), ((vehicle, "ego"), ("S", "pointcloud"))
 
 
 def test_lidar_vehicle_demand_resolves_all_parts(catalog):
-    parts = catalog.resolve(APP, "v1", lidar_demand())
+    parts = catalog.resolve(APP, "v1", *lidar_demand())
 
     names = [p.cr_name for p in parts.services]
     assert names == [
@@ -137,7 +133,7 @@ def test_lidar_vehicle_demand_resolves_all_parts(catalog):
 
 
 def test_ego_only_vehicle_demand_skips_own_detection(catalog):
-    parts = catalog.resolve(APP, "v1", ego_demand("V1"))
+    parts = catalog.resolve(APP, "v1", *ego_demand("V1"))
     names = [p.cr_name for p in parts.services]
     # no pointcloud from V1, so the only detection runs for S
     assert names == [
@@ -157,35 +153,33 @@ def fresh_catalog(*versions):
 
 
 def test_resolution_is_pure(catalog):
-    first = catalog.resolve(APP, "v1", lidar_demand())
-    catalog.resolve(APP, "v1", ego_demand("V2"))
-    second = catalog.resolve(APP, "v1", lidar_demand())
+    first = catalog.resolve(APP, "v1", *lidar_demand())
+    catalog.resolve(APP, "v1", *ego_demand("V2"))
+    second = catalog.resolve(APP, "v1", *lidar_demand())
     assert first == second
     # a memoized answer must also be the answer of a catalog that never
     # saw the other demand
-    assert second == fresh_catalog().resolve(APP, "v1", lidar_demand())
+    assert second == fresh_catalog().resolve(APP, "v1", *lidar_demand())
 
 
 def test_failed_resolution_raises_every_time(catalog):
-    bad = DemandDescription(
-        requesters=("V9", "S"), inputs=(("V9", "ego"), ("S", "pointcloud"))
-    )
+    bad = ("V9", "S"), (("V9", "ego"), ("S", "pointcloud"))
     for _ in range(2):
         with pytest.raises(UnknownEntityError):
-            catalog.resolve(APP, "v1", bad)
+            catalog.resolve(APP, "v1", *bad)
         with pytest.raises(UnknownVersionError):
-            catalog.resolve(APP, "v2", lidar_demand())
+            catalog.resolve(APP, "v2", *lidar_demand())
     # a version registered after a failed call resolves from then on
     catalog.register_application(reference_template("v2"))
-    assert catalog.resolve(APP, "v2", lidar_demand()) == fresh_catalog(
+    assert catalog.resolve(APP, "v2", *lidar_demand()) == fresh_catalog(
         "v2"
-    ).resolve(APP, "v2", lidar_demand())
+    ).resolve(APP, "v2", *lidar_demand())
 
 
 def test_connection_config_items():
     spec = Catalog(reference_topology())
     spec.register_application(reference_template())
-    parts = spec.resolve(APP, "v1", ego_demand("V1"))
+    parts = spec.resolve(APP, "v1", *ego_demand("V1"))
     conn = [c for c in parts.connections if c.cr_name == "conn-V1-E"][0]
     assert conn.config_items == (
         ConfigItem("src", "V1"),
@@ -196,20 +190,18 @@ def test_connection_config_items():
 
 def test_unknown_names_raise(catalog):
     with pytest.raises(UnknownApplicationError):
-        catalog.resolve("ghost-app", "v1", lidar_demand())
+        catalog.resolve("ghost-app", "v1", *lidar_demand())
     with pytest.raises(UnknownVersionError):
-        catalog.resolve(APP, "v9", lidar_demand())
-    bad = DemandDescription(
-        requesters=("V9", "S"), inputs=(("V9", "ego"), ("S", "pointcloud"))
-    )
+        catalog.resolve(APP, "v9", *lidar_demand())
+    bad = ("V9", "S"), (("V9", "ego"), ("S", "pointcloud"))
     with pytest.raises(UnknownEntityError):
-        catalog.resolve(APP, "v1", bad)
+        catalog.resolve(APP, "v1", *bad)
 
 
 def test_an_unknown_requester_raises_even_when_every_input_is_known(catalog):
-    bad = DemandDescription(requesters=("V9", "S"), inputs=(("S", "pointcloud"),))
+    bad = ("V9", "S"), (("S", "pointcloud"),)
     with pytest.raises(UnknownEntityError, match="V9"):
-        catalog.resolve(APP, "v1", bad)
+        catalog.resolve(APP, "v1", *bad)
 
 
 def test_a_source_on_the_placement_node_needs_no_connection():
@@ -218,10 +210,8 @@ def test_a_source_on_the_placement_node_needs_no_connection():
         Entity("E", EntityRole.EDGE, ("pointcloud",)),
     ]))
     catalog.register_application(reference_template())
-    demand = DemandDescription(
-        requesters=("V1", "E"), inputs=(("V1", "ego"), ("E", "pointcloud"))
-    )
-    parts = catalog.resolve(APP, "v1", demand)
+    demand = ("V1", "E"), (("V1", "ego"), ("E", "pointcloud"))
+    parts = catalog.resolve(APP, "v1", *demand)
     assert service_cr_name(APP, "objdet", "E") in [p.cr_name for p in parts.services]
     assert [c.cr_name for c in parts.connections] == [connection_cr_name("V1", "E")]
     assert parts.nodes == ("E", "V1")
@@ -263,7 +253,7 @@ def test_placement_is_decided_at_registration():
     # nothing half-registered: the failed versions stay unknown
     assert catalog.versions(APP) == ()
     catalog.register_application(template(EntityRole.CLOUD, EntityRole.CLOUD))
-    parts = catalog.resolve(APP, "v1", ego_demand("V1"))
+    parts = catalog.resolve(APP, "v1", *ego_demand("V1"))
     assert {config_value(p.config_items, "node") for p in parts.services} == {"C"}
     assert {config_value(c.config_items, "dst") for c in parts.connections} == {"C"}
     assert parts.nodes == ("C", "S", "V1")
@@ -397,16 +387,15 @@ def vehicle_demand(topology, vehicles):
         if topology.get(vehicle).provides("pointcloud"):
             inputs.append((vehicle, "pointcloud"))
     inputs.append(("S", "pointcloud"))
-    return DemandDescription(requesters=(*vehicles, "S"), inputs=tuple(inputs))
+    return (*vehicles, "S"), tuple(inputs)
 
 
 @given(vehicles=vehicle_sets)
 def test_resolution_covers_any_demand(vehicles):
     catalog = fresh_catalog()
-    demand = vehicle_demand(reference_topology(), vehicles)
-    inputs = demand.inputs
+    requesters, inputs = vehicle_demand(reference_topology(), vehicles)
 
-    parts = catalog.resolve(APP, "v1", demand)
+    parts = catalog.resolve(APP, "v1", requesters, inputs)
 
     pointcloud_sources = sorted(
         e for e, kind in inputs if kind == "pointcloud"
@@ -461,11 +450,11 @@ def test_warm_resolution_matches_a_fresh_catalog(demands):
     warm = two_version_catalog()
     topology = reference_topology()
     for vehicles, version in demands:
-        warm.resolve(APP, version, vehicle_demand(topology, vehicles))
+        warm.resolve(APP, version, *vehicle_demand(topology, vehicles))
     for vehicles, version in demands:
         demand = vehicle_demand(topology, vehicles)
-        assert warm.resolve(APP, version, demand) == (
-            two_version_catalog().resolve(APP, version, demand)
+        assert warm.resolve(APP, version, *demand) == (
+            two_version_catalog().resolve(APP, version, *demand)
         )
 
 
@@ -487,12 +476,11 @@ def cloud_template():
 def test_resolution_nodes_are_the_node_items_of_its_parts(vehicles, lidar, template):
     catalog = Catalog(reference_topology())
     catalog.register_application(template)
-    demand = vehicle_demand(reference_topology(), vehicles)
+    requesters, inputs = vehicle_demand(reference_topology(), vehicles)
     if not lidar:  # only the roadside unit brings a pointcloud
-        inputs = [(e, kind) for e, kind in demand.inputs if e == "S" or kind == "ego"]
-        demand = replace(demand, inputs=tuple(inputs))
+        inputs = tuple((e, kind) for e, kind in inputs if e == "S" or kind == "ego")
 
-    parts = catalog.resolve(APP, "v1", demand)
+    parts = catalog.resolve(APP, "v1", requesters, inputs)
 
     node_items = {
         item.value

@@ -39,6 +39,14 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: \xff\n")
+    assert main(["validate", str(bad)]) == EXIT_SCENARIO
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("scenario error: bad.yaml: 'utf-8' codec can't decode")
+
+
 def test_validate_unknown_name(capsys):
     assert main(["validate", "no-such-scenario"]) == EXIT_SCENARIO
     assert "no bundled scenario" in capsys.readouterr().err
@@ -126,6 +134,18 @@ def test_run_rejects_non_finite_geofence_numbers(tmp_path, capsys, key, text, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_validate_rejects_a_value_of_the_wrong_shape(tmp_path, capsys):
+    raw = yaml.safe_load(bundled_scenario_path("collective_perception").read_text())
+    raw["entities"][0]["capabilities"] = 5
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(scenario)]) == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("scenario error") and "capabilities must be a list" in line
 
 
 def test_run_rejects_an_unknown_log_level(capsys):

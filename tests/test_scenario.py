@@ -7,7 +7,9 @@ import pytest
 import yaml
 
 from demandflow.cli import bundled_scenario_path
+from demandflow.manager import DeploymentRequest
 from demandflow.model import (
+    DeltaAction,
     EntityRole,
     ScenarioParseError,
     ScenarioValidationError,
@@ -332,6 +334,47 @@ def test_boolean_timeline_step_is_rejected(reference_raw):
     )
 
 
+def _upgrade_to(application):
+    def mutate(r):
+        r["timeline"]["events"].append(
+            {"step": 9, "upgrade": {"application": application, "version": "v1"}}
+        )
+
+    return mutate
+
+
+# A value of the wrong shape must be refused before any lookup, set
+# membership or tuple() can raise a TypeError on it.
+@pytest.mark.parametrize(
+    "mutate, needle",
+    [
+        (lambda r: r["entities"][0].update(capabilities=5), "capabilities must be a list"),
+        (lambda r: r["entities"][0].update(capabilities=None), "capabilities must be a list"),
+        (lambda r: r["timeline"]["events"][0].update(enter=["V0"]), "unknown entity"),
+        (_upgrade_to(["x"]), "unknown application version"),
+        (lambda r: r["geofence"].update(application=["x"]), "unknown application"),
+        (lambda r: r["geofence"].update(risu=["S"]), "unknown entity"),
+        (
+            lambda r: r["applications"][0]["parts"][1].update(inputs=5),
+            "inputs must be a list",
+        ),
+        (lambda r: r["applications"][0]["parts"][1].update(inputs=[5]), "bad selector 5"),
+    ],
+    ids=[
+        "capabilities-number",
+        "capabilities-null",
+        "enter-list",
+        "upgrade-application-list",
+        "geofence-application-list",
+        "geofence-risu-list",
+        "part-inputs-number",
+        "part-input-number",
+    ],
+)
+def test_a_value_of_the_wrong_shape_is_rejected(reference_raw, mutate, needle):
+    expect_invalid(variant(reference_raw, mutate), needle)
+
+
 def test_waypoint_timeline_validation(reference_raw):
     def to_waypoints(points):
         def mutate(r):
@@ -448,9 +491,13 @@ def test_request_file_round_trip(tmp_path):
             }
         )
     )
-    request = load_request_file(path)
-    assert request["id"] == "manual-1"
-    assert request["inputs"] == ["V0:ego", "S:pointcloud"]
+    assert load_request_file(path) == DeploymentRequest(
+        request_id="manual-1",
+        action=DeltaAction.REQUEST,
+        app_name="object-detection-fusion",
+        requesters=("V0", "S"),
+        inputs=(("V0", "ego"), ("S", "pointcloud")),
+    )
 
 
 def test_request_file_validation(tmp_path):
@@ -463,5 +510,6 @@ def test_request_file_validation(tmp_path):
     with pytest.raises(ScenarioValidationError):
         load_request_file(path)
     path.write_text("a: [b\n")
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError) as info:
         load_request_file(path)
+    assert str(info.value).startswith("bad.yaml at line 2:")
