@@ -221,7 +221,7 @@ class Catalog:
         inputs: tuple[tuple[str, str], ...],
     ) -> ResolvedParts:
         template = self.template(app_name, version)
-        for entity_id in (*requesters, *(entity_id for entity_id, _ in inputs)):
+        for entity_id in (*requesters, *(e for e, _ in inputs)):
             self._topology.get(entity_id)  # raises UnknownEntityError
         # The demanded source topics in input order, by kind and by entity.
         by_kind: dict[str, list[str]] = {}
