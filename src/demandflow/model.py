@@ -206,7 +206,9 @@ class Entity:
             object.__setattr__(self, "node_id", self.entity_id)
         for kind in self.capabilities:
             if kind not in TOPIC_KINDS:
-                raise ValueError(f"entity {self.entity_id}: unknown capability {kind!r}")
+                raise ValueError(
+                    f"entity {self.entity_id}: unknown capability {kind!r}"
+                )
 
     def provides(self, kind: str) -> bool:
         return kind in self.capabilities

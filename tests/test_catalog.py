@@ -310,7 +310,10 @@ def test_template_validation_rejects_bad_rules():
         ),
         (
             PartRule(
-                "a", ServiceKind.OTHER, EntityRole.EDGE, input_selectors=("demand:sonar",)
+                "a",
+                ServiceKind.OTHER,
+                EntityRole.EDGE,
+                input_selectors=("demand:sonar",),
             ),
             "bad selector 'demand:sonar'",
         ),

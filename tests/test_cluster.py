@@ -198,7 +198,9 @@ def test_lookups_of_unknown_names_raise():
         sim.get_instance("i-9999")
 
 
-@pytest.mark.parametrize("kind", [ServiceKind.OBJECT_DETECTION, ServiceKind.OBJECT_FUSION])
+@pytest.mark.parametrize(
+    "kind", [ServiceKind.OBJECT_DETECTION, ServiceKind.OBJECT_FUSION]
+)
 @pytest.mark.parametrize("inputs", [(), ("/S/points",)], ids=["no-input", "one-input"])
 def test_a_stub_without_an_output_topic_publishes_nothing(kind, inputs):
     sim = sim_with("E")

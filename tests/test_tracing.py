@@ -49,7 +49,8 @@ def test_report_names_first_mismatch_and_count_differences():
 
 
 def test_report_names_only_the_first_mismatch_of_a_class():
-    golden = [*GOLDEN, "ACTION step=2 tick=4 cr=a action=shutdown instances=i-0001 nodes=E"]
+    shutdown = "ACTION step=2 tick=4 cr=a action=shutdown instances=i-0001 nodes=E"
+    golden = [*GOLDEN, shutdown]
     actual = [line.replace("cr=a", "cr=b") for line in golden]
     report = diff_trace_lines(actual, golden)
     assert [entry.split(":", 1)[0] for entry in report.entries] == [
