@@ -8,13 +8,16 @@ last tick and those published on it since.  Only local entries are
 forwarded, which rules out multi-hop relays and forwarding loops.  Two
 bus sets take turns: a tick reads the set filled since the last tick,
 and the set the last tick read is cleared and takes the next tick's
-entries.  The route plan (detectors, fusers and a node -> topic ->
-receiver nodes table) is built in one pass over the running instances on
-the first tick after a deploy, terminate or reconfigure, and kept until
-the next one.
+entries.  The plan (the behaviors and a node -> topic -> receiver nodes
+table) is built in one pass over the running instances on the first tick
+after a deploy, terminate or reconfigure, and kept until the next one.
 Detection and fusion instances run as stub behaviors inside the tick so
 the data plane reacts to (re)configuration without any real perception
-code.  Everything is deterministic: no wall clock, no randomness, fixed
+code.  One rule drives both: a behavior publishes its output topic once
+when any of its trigger topics is on its node's bus.  A detector's
+trigger is its first input topic, a fuser's are all of its input topics.
+All detectors run before all fusers, each in creation order.
+Everything is deterministic: no wall clock, no randomness, fixed
 iteration orders.
 """
 
@@ -85,13 +88,13 @@ class TickReport:
 
 
 Bus = tuple[list[str], list[str]]  # (arrived, local) topics, one per message
+Behavior = tuple[str, frozenset[str], str]  # node, trigger topics, output topic
 
 
 class Plan(NamedTuple):
-    """What a tick runs and where it forwards, in creation order."""
+    """What a tick runs and where it forwards."""
 
-    detectors: list[ServiceInstance]
-    fusers: list[ServiceInstance]
+    behaviors: list[Behavior]
     routes: dict[str, dict[str, list[str]]]  # node -> topic -> receiver nodes
 
 
@@ -207,10 +210,12 @@ class ClusterSim:
         plan = self._plan or self._build_plan()
 
         produced = 0
-        for instance in plan.detectors:
-            produced += self._run_detection(instance, bus[instance.node_id])
-        for instance in plan.fusers:
-            produced += self._run_fusion(instance, bus[instance.node_id])
+        for node_id, triggers, output in plan.behaviors:
+            arrived, local = bus[node_id]
+            if triggers.isdisjoint(local) and triggers.isdisjoint(arrived):
+                continue  # nothing consumed, e.g. before forwarded inputs land
+            local.append(output)
+            produced += 1
 
         forwarded = 0
         for node_id, by_topic in plan.routes.items():
@@ -223,17 +228,20 @@ class ClusterSim:
         return TickReport(produced, forwarded)
 
     def _build_plan(self) -> Plan:
-        """Creation order lets a behavior read older ones' outputs in a tick."""
-        detectors: list[ServiceInstance] = []
-        fusers: list[ServiceInstance] = []
+        """Detectors, then fusers, each in creation order: outputs feed later ones."""
+        detectors: list[Behavior] = []
+        fusers: list[Behavior] = []
         senders: list[ServiceInstance] = []
         receiver_nodes: dict[str, str] = {}
         for instance in self._instances.values():
             kind = instance.service_kind
-            if kind is ServiceKind.OBJECT_DETECTION:
-                detectors.append(instance)
-            elif kind is ServiceKind.OBJECT_FUSION:
-                fusers.append(instance)
+            output = instance.output_topic
+            if kind is ServiceKind.OBJECT_DETECTION and output is not None:
+                triggers = frozenset(instance.input_topics[:1])
+                detectors.append((instance.node_id, triggers, output))
+            elif kind is ServiceKind.OBJECT_FUSION and output is not None:
+                triggers = frozenset(instance.input_topics)
+                fusers.append((instance.node_id, triggers, output))
             elif kind is ServiceKind.COMM_SENDER:
                 senders.append(instance)
             elif kind is ServiceKind.COMM_RECEIVER:
@@ -248,7 +256,7 @@ class ClusterSim:
             by_topic = routes.setdefault(sender.node_id, {})
             for topic in sender.forward_topics:
                 by_topic.setdefault(topic, []).append(dst)
-        self._plan = Plan(detectors, fusers, routes)
+        self._plan = Plan(detectors + fusers, routes)
         return self._plan
 
     def topics_visible_at(self, node_id: str) -> tuple[str, ...]:
@@ -261,31 +269,3 @@ class ClusterSim:
         if arrived:
             topics.update(arrived)
         return tuple(sorted(topics))
-
-    # -- stub behaviors ----------------------------------------------------
-
-    def _run_detection(self, instance: ServiceInstance, bus: Bus) -> int:
-        """Publish the output when the first input topic is on the bus."""
-        inputs = instance.input_topics
-        out_topic = instance.output_topic
-        if not inputs or out_topic is None:
-            return 0
-        arrived, local = bus
-        if inputs[0] not in local and inputs[0] not in arrived:
-            return 0
-        local.append(out_topic)
-        return 1
-
-    def _run_fusion(self, instance: ServiceInstance, bus: Bus) -> int:
-        """Publish the output when any input topic is on the bus."""
-        out_topic = instance.output_topic
-        if out_topic is None:
-            return 0
-        arrived, local = bus
-        inputs = set(instance.input_topics)
-        if inputs.isdisjoint(local) and inputs.isdisjoint(arrived):
-            # Nothing consumed: legal transient (e.g. right after deploy,
-            # before forwarded inputs land); publish nothing.
-            return 0
-        local.append(out_topic)
-        return 1

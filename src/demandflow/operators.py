@@ -353,6 +353,20 @@ class Operator:
     def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
         raise NotImplementedError
 
+    def _deploy(
+        self, name: str, ledger: DemandLedger, kind: ServiceKind, node_id: str
+    ) -> str:
+        """Start one unit of `name` running the ledger's config and version."""
+        return self._sim.deploy_instance(
+            InstanceSpec(
+                cr_name=name,
+                service_kind=kind,
+                node_id=node_id,
+                config=ledger.effective_config,
+                version=ledger.version,
+            )
+        )
+
     def _teardown(self, name: str, record: _Resource) -> None:
         units, record.units = record.units, ()
         if units:
@@ -400,19 +414,9 @@ class ServiceOperator(Operator):
 
     def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
         config = ledger.effective_config
-        return (
-            self._sim.deploy_instance(
-                InstanceSpec(
-                    cr_name=name,
-                    service_kind=ServiceKind(
-                        config_value(config, CFG_SERVICE_KIND)
-                    ),
-                    node_id=config_value(config, CFG_NODE),
-                    config=config,
-                    version=ledger.version,
-                )
-            ),
-        )
+        service_kind = ServiceKind(config_value(config, CFG_SERVICE_KIND))
+        node_id = config_value(config, CFG_NODE)
+        return (self._deploy(name, ledger, service_kind, node_id),)
 
 
 class ConnectionOperator(Operator):
@@ -429,25 +433,9 @@ class ConnectionOperator(Operator):
         config = ledger.effective_config
         src = config_value(config, CFG_SRC)
         dst = config_value(config, CFG_DST)
-        receiver_id = self._sim.deploy_instance(
-            InstanceSpec(
-                cr_name=name,
-                service_kind=ServiceKind.COMM_RECEIVER,
-                node_id=dst,
-                config=config,
-                version=ledger.version,
-            )
-        )
+        receiver_id = self._deploy(name, ledger, ServiceKind.COMM_RECEIVER, dst)
         try:
-            sender_id = self._sim.deploy_instance(
-                InstanceSpec(
-                    cr_name=name,
-                    service_kind=ServiceKind.COMM_SENDER,
-                    node_id=src,
-                    config=config,
-                    version=ledger.version,
-                )
-            )
+            sender_id = self._deploy(name, ledger, ServiceKind.COMM_SENDER, src)
         except OrchestrationError:
             self._sim.terminate_instance(receiver_id)
             raise

@@ -36,7 +36,6 @@ MAX_DRAIN_ROUNDS = 50
 class System:
     """Everything a running scenario is made of."""
 
-    scenario: Scenario
     store: ResourceStore
     catalog: Catalog
     manager: AppManager
@@ -73,7 +72,6 @@ def build_system(
         for kind in entity.capabilities
     )
     return System(
-        scenario=scenario,
         store=store,
         catalog=catalog,
         manager=manager,
@@ -86,14 +84,14 @@ def build_system(
     )
 
 
-def drain(system: System, max_rounds: int = MAX_DRAIN_ROUNDS) -> None:
+def drain(system: System) -> None:
     """Run both operators until no watch or retry events remain."""
     rounds = 0
     while system.service_op.pending() or system.connection_op.pending():
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_DRAIN_ROUNDS:
             raise NonQuiescenceError(
-                f"reconcile queues still busy after {max_rounds} rounds"
+                f"reconcile queues still busy after {MAX_DRAIN_ROUNDS} rounds"
             )
         system.service_op.run_pending()
         system.connection_op.run_pending()
@@ -176,7 +174,7 @@ class ScenarioRunner:
                     self.system.detector.observe_pose(event.leave, outside)
                 elif event.upgrade is not None:
                     self._apply_upgrade(*event.upgrade)
-            self._tick(tick)
+            self._tick(self.system.detector.evaluate(tick))
             if event is not None and tick % window == 0:
                 self._snapshot_topics()
 
@@ -205,7 +203,7 @@ class ScenarioRunner:
             if requests:
                 step += 1
             self.trace.at(step, tick)
-            self._tick(tick, requests=requests)
+            self._tick(requests)
             for node in self._nodes:
                 visible = topics_visible_at(node)
                 if visible != last_topics[node]:
@@ -214,11 +212,7 @@ class ScenarioRunner:
 
     # -- shared per-tick body ----------------------------------------------
 
-    def _tick(
-        self, tick: int, requests: list[DeploymentRequest] | None = None
-    ) -> None:
-        if requests is None:
-            requests = self.system.detector.evaluate(tick)
+    def _tick(self, requests: list[DeploymentRequest]) -> None:
         copies = 2 if self.duplicate_delivery else 1
         for request in requests:
             deliver(self.system, request, copies=copies)

@@ -119,6 +119,8 @@ def _read_yaml(path: Path) -> Any:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ScenarioParseError(f"{path.name}{where}: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioParseError(f"{path.name}: nested too deeply to parse") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(f"{path.name}: {exc}") from exc
     except OSError as exc:

@@ -47,6 +47,15 @@ def test_validate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     assert line.startswith("scenario error: bad.yaml: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize("command", ["validate", "inject"])
+def test_a_too_deeply_nested_file_is_a_scenario_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    assert main([command, str(deep)]) == EXIT_SCENARIO
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "scenario error: deep.yaml: nested too deeply to parse"
+
+
 def test_validate_unknown_name(capsys):
     assert main(["validate", "no-such-scenario"]) == EXIT_SCENARIO
     assert "no bundled scenario" in capsys.readouterr().err

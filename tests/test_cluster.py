@@ -190,6 +190,20 @@ def test_detection_consumes_pointclouds_and_counts():
     assert sim.topics_visible_at("E") == ()
 
 
+def test_detection_fires_on_its_first_input_only():
+    sim = sim_with("E")
+    config = (
+        ConfigItem("input-topic", "/S/points"),
+        ConfigItem("input-topic", "/V0/ego"),
+        ConfigItem("output-topic", "/detections/S/objects"),
+    )
+    sim.deploy_instance(
+        InstanceSpec("svc-det-S", ServiceKind.OBJECT_DETECTION, "E", config)
+    )
+    feed(sim, "E", "/V0/ego")
+    assert sim.tick().produced == 0
+
+
 def test_lookups_of_unknown_names_raise():
     sim = sim_with("E")
     with pytest.raises(UnknownNodeError):

@@ -9,6 +9,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+import demandflow.runner as runner_module
 from demandflow.cli import bundled_scenario_path
 from demandflow.manager import AccessDomainPolicy
 from demandflow.model import DeltaAction, NonQuiescenceError, OrchestrationError
@@ -96,13 +97,14 @@ def test_empty_timeline_produces_no_records():
     assert system_is_empty(runner.system)
 
 
-def test_drain_round_limit(reference_scenario):
+def test_drain_round_limit(reference_scenario, monkeypatch):
     system = build_system(reference_scenario)
     system.detector.observe_pose("V0", reference_scenario.rule.center)
     (request,) = system.detector.evaluate(1)
     deliver(system, request)
+    monkeypatch.setattr(runner_module, "MAX_DRAIN_ROUNDS", 0)
     with pytest.raises(NonQuiescenceError):
-        drain(system, max_rounds=0)
+        drain(system)
 
 
 def test_policy_rejection_is_traced_and_leaves_no_state(reference_scenario):
