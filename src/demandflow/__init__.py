@@ -1,9 +1,9 @@
 """Demand-driven application orchestration on a simulated vehicle/edge cluster.
 
 The chain: a geofence detector turns vehicle movement into deployment
-requests, an application manager resolves them into per-resource demand
-deltas, operators fold the deltas into reference-counted ledgers and
-reconcile a simulated cluster, and the cluster's pub/sub data plane shows
+requests, an application manager folds them into one reference-counted
+demand ledger per resource, operators reconcile a simulated cluster
+towards those ledgers, and the cluster's pub/sub data plane shows
 the effect.  Demand is symmetric: every release mirrors a request, so
 the whole system drains back to empty when the last requester leaves.
 """
@@ -33,16 +33,10 @@ from .model import (
     ServiceKind,
     Topology,
 )
-from .operators import (
-    ConnectionOperator,
-    DemandLedger,
-    ServiceOperator,
-    apply_demand,
-    decide,
-)
+from .operators import ConnectionOperator, ServiceOperator, decide
 from .runner import ScenarioRunner, build_system, run_scenario
 from .scenario import Scenario, load_scenario, make_scale_scenario
-from .store import DemandDelta, ResourceStore
+from .store import DemandLedger, ResourceStore, apply_demand
 from .tracing import Trace, assert_trace, diff_trace_lines
 
 __version__ = "0.1.0"
@@ -56,7 +50,6 @@ __all__ = [
     "ConfigItem",
     "ConnectionOperator",
     "DeltaAction",
-    "DemandDelta",
     "DemandLedger",
     "DeploymentRequest",
     "Entity",

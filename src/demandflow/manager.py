@@ -1,13 +1,17 @@
-"""Deployment-request handling: validate, resolve, upsert demand deltas.
+"""Deployment-request handling: validate, resolve, fold demand into specs.
 
-The manager is the write side of the control plane.  It turns one
-deployment request into one demand delta per affected custom resource and
-applies them to the store, after checking the access policy on each node
-the catalog's resolution lists.  Its result cache keyed by request id is the
-one idempotency layer: a redelivered request id gets the first result
-back and never reaches the store again.  Beyond that cache it holds only
-the per-application active version (flipped by upgrades) and the owning
-application of each service resource (so an upgrade touches only its own).
+The manager is the write side of the control plane.  It resolves one
+deployment request into the custom resources it affects, checks the
+access policy on each node the catalog's resolution lists, folds the
+request's demand into each resource's current ledger and writes the
+ledgers back as the new specs.  Every part is folded before any is
+written, so a release that names more demand than some ledger holds
+rejects the whole request and leaves the store untouched.  Its result
+cache keyed by request id is the one idempotency layer: a redelivered
+request id gets the first result back and never reaches the store
+again.  Beyond that cache it holds only the per-application active
+version (flipped by upgrades) and the owning application of each service
+resource (so an upgrade touches only its own).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .model import (
     ResourceKind,
     TOPIC_KINDS,
 )
-from .store import DemandDelta, ResourceStore
+from .store import DemandLedger, ResourceStore, apply_demand
 
 log = logging.getLogger(__name__)
 
@@ -95,9 +99,10 @@ class AppManager:
     def handle_request(self, request: DeploymentRequest) -> RequestResult:
         """Process one deployment request, exactly once per request id.
 
-        Validation is atomic: a request that fails any check leaves the
-        store untouched.  Redelivery of an already processed request id
-        returns the original result without touching the store again.
+        Validation is atomic: a request that fails any check, or releases
+        more demand than a resource holds, leaves the store untouched.
+        Redelivery of an already processed request id returns the
+        original result without touching the store again.
         """
         cached = self._processed.get(request.request_id)
         if cached is not None:
@@ -107,13 +112,8 @@ class AppManager:
 
         try:
             version, services, connections = self._validate(request)
-        except OrchestrationError as exc:
-            result = _rejected(request.request_id, exc)
-        else:
-            for part in services:
-                self._owner[part.cr_name] = request.app_name
             # Connections are shared plumbing without an application
-            # version of their own, so their deltas carry none.
+            # version of their own, so their specs carry none.
             writes = [
                 (ResourceKind.MANAGED_SERVICE, p.cr_name, p.config_items, version)
                 for p in services
@@ -125,6 +125,11 @@ class AppManager:
             result = self._write(
                 request.request_id, request.action, request.requesters, writes
             )
+        except OrchestrationError as exc:
+            result = _rejected(request.request_id, exc)
+        else:
+            for part in services:
+                self._owner[part.cr_name] = request.app_name
         self._processed[request.request_id] = result
         return result
 
@@ -135,12 +140,23 @@ class AppManager:
         requesters: tuple[str, ...],
         writes: list[tuple[ResourceKind, str, tuple[ConfigItem, ...], str]],
     ) -> RequestResult:
-        """Apply one delta per (kind, name, config items, version) write."""
-        applied: list[tuple[ResourceKind, str, int]] = []
+        """Fold one change per (kind, name, config items, version) write.
+
+        Every fold happens before the first store write, so a release
+        that underflows any ledger raises and writes nothing.
+        """
+        folded: dict[tuple[ResourceKind, str], DemandLedger] = {}
         for kind, name, config_items, app_version in writes:
-            delta = DemandDelta(action, requesters, config_items, app_version)
-            applied.append((kind, name, self._store.apply_cr(kind, name, delta)))
-        return RequestResult(write_id, True, tuple(applied))
+            key = (kind, name)
+            ledger = folded.get(key) or self._store.get_spec(kind, name)
+            folded[key] = apply_demand(
+                ledger, action, requesters, config_items, app_version
+            )
+        applied = tuple(
+            (kind, name, self._store.apply_cr(kind, name, ledger))
+            for (kind, name), ledger in folded.items()
+        )
+        return RequestResult(write_id, True, applied)
 
     def _validate(
         self, request: DeploymentRequest
@@ -168,7 +184,7 @@ class AppManager:
     def upgrade_application(self, app_name: str, new_version: str) -> RequestResult:
         """Roll every live service of an application to a new version.
 
-        Emits one version-only delta per live service resource; the
+        Sets the version of every live service resource's spec; the
         operators replace the instances.  Connections are unversioned and
         untouched.
         """

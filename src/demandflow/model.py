@@ -155,6 +155,10 @@ class MalformedRequestError(OrchestrationError):
     pass
 
 
+class ReleaseUnderflowError(OrchestrationError):
+    """A release names more demand than a resource's ledger holds."""
+
+
 class NothingRunningError(OrchestrationError):
     pass
 

@@ -1,11 +1,13 @@
-"""Reference-counted demand bookkeeping and the reconcile loops.
+"""Reconcile loops that drive the cluster towards each resource's ledger.
 
-The spec of a custom resource carries only the latest demand delta, so
-the accumulated truth lives here, in each operator's ledgers: a counted
-multiset of requesters and one of countable config items.  A requester or
-config item stays part of the effective state while its count is
-positive; release deltas decrement and a count reaching zero drops the
-key.  The support set being empty is the one and only shutdown signal.
+The spec of a custom resource is its desired state, the demand ledger the
+app manager keeps: a counted multiset of requesters and one of countable
+config items.  An operator reads the current spec, decides one action
+from it and the resource's live instance, and executes it.  The support
+set being empty is the one and only shutdown signal.  A cluster failure
+re-queues the event; after MAX_ATTEMPTS failures in one drain the event
+is parked until the next drain, so a failure delays convergence and
+never drops demand.
 """
 
 from __future__ import annotations
@@ -13,21 +15,16 @@ from __future__ import annotations
 import logging
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, TypeVar
 
 from .cluster import ClusterSim, InstanceSpec, ServiceInstance
 from .model import (
-    CFG_FORWARD_TOPIC,
-    CFG_INPUT_TOPIC,
     CFG_NODE,
     CFG_SERVICE_KIND,
     CFG_SRC,
     CFG_DST,
     ChangeType,
-    ConfigItem,
-    DeltaAction,
     NotFoundError,
     NotRunningError,
     OrchestrationError,
@@ -36,106 +33,13 @@ from .model import (
     ServiceKind,
     config_value,
 )
-from .store import DemandDelta, ResourceStatus, ResourceStore, WatchEvent
+from .store import DemandLedger, ResourceStatus, ResourceStore, WatchEvent
 from .tracing import Trace
 
 log = logging.getLogger(__name__)
 
-# Config item kinds subject to reference counting; everything else is
-# adopted once from the first delta and kept as base config.
-COUNTED_CONFIG_KINDS = frozenset({CFG_INPUT_TOPIC, CFG_FORWARD_TOPIC})
-
-# Reconcile attempts per folded generation before its deltas are dropped.
+# Reconcile attempts per resource in one drain before its event is parked.
 MAX_ATTEMPTS = 3
-
-
-@dataclass(frozen=True)
-class DemandLedger:
-    """Accumulated demand for one custom resource.
-
-    Dict fields are treated as immutable; apply_demand builds new dicts
-    rather than mutating.  Key order is first-demand order, which keeps
-    rendered support lists stable across runs.
-    """
-
-    requester_counts: dict[str, int] = field(default_factory=dict)
-    config_counts: dict[ConfigItem, int] = field(default_factory=dict)
-    base_config: tuple[ConfigItem, ...] = ()
-    version: str = ""
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(self.requester_counts)
-
-    @property
-    def effective_config(self) -> tuple[ConfigItem, ...]:
-        return self.base_config + tuple(self.config_counts)
-
-    def is_empty(self) -> bool:
-        return not self.requester_counts
-
-
-@dataclass(frozen=True)
-class LedgerRejection:
-    """Why a delta could not be applied.  The ledger stays untouched."""
-
-    kind: str
-    detail: str
-
-
-K = TypeVar("K")
-
-
-def _fold(
-    counts: dict[K, int], keys: Iterable[K], sign: int
-) -> tuple[dict[K, int], K | None]:
-    """Add `sign` times each key's multiplicity in `keys` to `counts`.
-
-    Returns the new counts (keys in first-demand order, zero counts
-    dropped) and None, or the old counts and the first key, in order of
-    first appearance in `keys`, whose count would fall below zero.
-    """
-    changes: dict[K, int] = {}
-    for key in keys:
-        changes[key] = changes.get(key, 0) + sign
-    folded = dict(counts)
-    for key, change in changes.items():
-        left = folded.get(key, 0) + change
-        if left < 0:
-            return counts, key
-        if left:
-            folded[key] = left
-        else:
-            del folded[key]
-    return folded, None
-
-
-def apply_demand(
-    ledger: DemandLedger, delta: DemandDelta
-) -> tuple[DemandLedger, LedgerRejection | None]:
-    """Fold one demand delta into a ledger, atomically.
-
-    A release that would push any requester or config count below zero is
-    rejected as a whole; partial application never happens.  Only a
-    request adopts base config and version; a version-only delta folds
-    nothing, so it touches nothing but the version field.
-    """
-    base, version = ledger.base_config, ledger.version
-    sign = 1 if delta.action is DeltaAction.REQUEST else -1
-    requesters, missing = _fold(ledger.requester_counts, delta.requesters, sign)
-    if missing is not None:
-        return ledger, LedgerRejection("unknown-requester-release", missing)
-    counted = [i for i in delta.config_items if i.kind in COUNTED_CONFIG_KINDS]
-    config, missing = _fold(ledger.config_counts, counted, sign)
-    if missing is not None:
-        return ledger, LedgerRejection("unknown-config-release", missing.render())
-
-    if sign > 0:
-        base = base or tuple(
-            i for i in delta.config_items if i.kind not in COUNTED_CONFIG_KINDS
-        )
-        version = delta.app_version or version
-    return DemandLedger(requesters, config, base, version), None
 
 
 class DecisionAction(str, Enum):
@@ -169,25 +73,23 @@ def decide(
 class _Resource:
     """What an operator knows about one custom resource."""
 
-    ledger: DemandLedger | None = None  # committed; None until a fold commits
+    ledger: DemandLedger | None = None  # last reconciled; None until one is
     observed: int = 0
     units: tuple[str, ...] = ()
     retiring: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # units, nodes
-    # (target generation, failures at it); a failure at a later target
-    # restarts the count, so the pair is never cleared
-    attempts: tuple[int, int] | None = None
+    attempts: int = 0  # failed reconciles since the last success or parking
 
 
 class Operator:
     """The reconcile loop, shared by both resource kinds.
 
     One watch event is processed at a time.  Reconciling is
-    level-triggered: fold every spec generation up to the store's current
-    one into the ledger, decide, execute against the cluster, then publish
-    status and a ledger trace record; events at or below the folded
-    generation are stale.  Cluster failures roll the attempt back and
-    re-queue the event a bounded number of times before the folded deltas
-    are dropped with an error record.
+    level-triggered: read the store's current spec, decide, execute
+    against the cluster, then publish status and a ledger trace record;
+    events at or below the observed generation are stale.  A cluster
+    failure re-queues the event; the MAX_ATTEMPTS-th failure traces an
+    error and parks the event without advancing the observed generation,
+    and every event of a parked resource waits with it until `unpark`.
 
     Each resource has one `_Resource` record, dropped in one step on
     shutdown or delete.  Its units are created together by `_deploy_units`,
@@ -206,12 +108,19 @@ class Operator:
         self._trace = trace
         self._events = store.watch(self.kind)
         self._retry: deque[WatchEvent] = deque()
+        self._parked: dict[str, WatchEvent] = {}
         self._resources: dict[str, _Resource] = {}
 
     # -- queue handling ----------------------------------------------------
 
     def pending(self) -> int:
+        """Queued watch events and retries; parked events do not count."""
         return len(self._events) + len(self._retry)
+
+    def unpark(self) -> None:
+        """Re-queue every parked event for another round of attempts."""
+        self._retry.extend(self._parked.values())
+        self._parked.clear()
 
     def run_pending(self) -> int:
         """Process queued retries, then all queued watch events."""
@@ -244,40 +153,29 @@ class Operator:
                 with suppress(OrchestrationError):
                     self._teardown(name, record)
             return
+        if name in self._parked:
+            return  # the parked event covers it
         record = self._resources.get(name)
-        observed = record.observed if record else 0
-        if event.generation <= observed:
+        if record is not None and event.generation <= record.observed:
             return  # stale or duplicate event
         try:
-            target = self._store.generation(self.kind, name)
+            resource = self._store.get_cr(self.kind, name)
         except NotFoundError:
             return  # deleted meanwhile; the deletion event is behind us
         if record is None:
             record = self._resources[name] = _Resource()
 
-        ledger = record.ledger or DemandLedger()
-        rejections: list[tuple[int, LedgerRejection]] = []
-        for generation in range(observed + 1, target + 1):
-            delta = self._store.get_spec(self.kind, name, generation)
-            ledger, rejection = apply_demand(ledger, delta)
-            if rejection is not None:
-                rejections.append((generation, rejection))
-
+        ledger = resource.spec
         action = decide(ledger, self._primary_instance(record))
         try:
             self._execute(name, record, action, ledger)
         except OrchestrationError as exc:
-            self._handle_failure(record, event, target, exc)
+            self._handle_failure(record, event, resource.generation, exc)
             return
 
-        record.observed = target
+        record.observed = resource.generation
         record.ledger = ledger
-        for generation, rejection in rejections:
-            self._trace.error(
-                self.source,
-                rejection.kind,
-                f"{name}@{generation}:{rejection.detail}",
-            )
+        record.attempts = 0
         if action is DecisionAction.SHUTDOWN:
             del self._resources[name]
             self._store.delete_cr(self.kind, name)
@@ -293,18 +191,17 @@ class Operator:
     def _handle_failure(
         self, record: _Resource, event: WatchEvent, target: int, exc: OrchestrationError
     ) -> None:
-        last, attempts = record.attempts or (target, 0)
-        attempts = attempts + 1 if last == target else 1
-        if attempts < MAX_ATTEMPTS:
-            record.attempts = (target, attempts)
+        record.attempts += 1
+        if record.attempts < MAX_ATTEMPTS:
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
-                      event.name, exc, attempts)
+                      event.name, exc, record.attempts)
             self._write_status(event.name, record, Phase.PENDING)
             self._retry.append(event)
             return
-        # Give up: the folded deltas are dropped, the ledger keeps its last
-        # good state, and the trace records what happened.
-        record.observed = target
+        # Give up for this drain: the spec still holds the demand, so the
+        # parked event retries it from the next drain on.
+        record.attempts = 0
+        self._parked[event.name] = event
         self._trace.error(
             self.source,
             "reconcile-failed",

@@ -1,14 +1,15 @@
 """Wires detector, manager, store, operators, and cluster into one run.
 
 Each tick: move vehicles, evaluate the geofence, deliver any resulting
-requests, drain both reconcile queues to quiescence, publish every
-entity's source data, then advance the cluster one step.  Scripted
-timelines give each event a fixed window of ticks and snapshot node
-topics at each window's end; waypoint timelines sample every route on
-the first tick, then only the routes in motion, and snapshot topics
-whenever they change.  A request and an upgrade are traced alike: a
-REQUEST record, then one CR record per resource written, or one ERROR
-record if the manager rejected it.
+requests, drain both reconcile queues to quiescence (first re-queueing
+the events the previous drain parked), publish every entity's source
+data, then advance the cluster one step.  Scripted timelines give each
+event a fixed window of ticks and snapshot node topics at each window's
+end; waypoint timelines sample every route on the first tick, then only
+the routes in motion, and snapshot topics whenever they change.  A
+request and an upgrade are traced alike: a REQUEST record, then one CR
+record per resource written, or one ERROR record if the manager rejected
+it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ def build_system(
 
 
 def drain(system: System) -> None:
-    """Run both operators until no watch or retry events remain."""
+    """Re-queue parked events, then run both operators until none is pending."""
+    system.service_op.unpark()
+    system.connection_op.unpark()
     rounds = 0
     while system.service_op.pending() or system.connection_op.pending():
         rounds += 1

@@ -1,59 +1,124 @@
-"""Versioned custom-resource store with per-kind watch streams.
+"""Custom-resource store holding each resource's desired demand, with watches.
 
 The store is the only shared state between the request side (app manager)
-and the reconcile side (operators).  Each custom resource keeps its full
-spec history, one demand delta per generation, so an operator that wakes
-up late can replay every delta it has not applied yet.  Mutations are
-plain method calls on one object and execute serially, which is what
-makes apply/get/delete trivially linearizable here.  Every apply adds a
-generation: redelivered requests are answered by the app manager's
-request-id cache and never reach the store.  A watch is a plain deque of
-events that the subscriber pops from.
+and the reconcile side (operators).  The spec of a custom resource is its
+desired state: the whole demand ledger, a counted multiset of requesters
+and one of countable config items.  The manager folds each change into
+the current ledger and writes the result; an operator reads the current
+spec and reconciles the cluster towards it.  Every write bumps the
+resource's generation, so a status can say which spec it observed.
+Mutations are plain method calls on one object and execute serially,
+which is what makes apply/get/delete trivially linearizable here.
+Redelivered requests are answered by the app manager's request-id cache
+and never reach the store.  A watch is a plain deque of events that the
+subscriber pops from.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, TypeVar
 
 from .model import (
+    CFG_FORWARD_TOPIC,
+    CFG_INPUT_TOPIC,
     ChangeType,
     ConfigItem,
     DeltaAction,
     NotFoundError,
     Phase,
+    ReleaseUnderflowError,
     ResourceKind,
     StaleStatusError,
 )
 
+# Config item kinds subject to reference counting; everything else is
+# adopted once from the first request and kept as base config.
+COUNTED_CONFIG_KINDS = frozenset({CFG_INPUT_TOPIC, CFG_FORWARD_TOPIC})
+
 
 @dataclass(frozen=True)
-class DemandDelta:
-    """Spec payload of a custom resource: the latest change in demand.
+class DemandLedger:
+    """Accumulated demand for one custom resource: its spec.
 
-    A delta carries the requesters and config items being added or
-    removed, never accumulated totals, and no id of its own: the resource
-    name and generation identify it.  A delta with no requesters and no
-    config items is a version-only update (used for rolling upgrades) and
-    is the single exception to the non-empty requesters rule.
+    Dict fields are treated as immutable; apply_demand builds new dicts
+    rather than mutating.  Key order is first-demand order, which keeps
+    rendered support lists stable across runs.
     """
 
-    action: DeltaAction
-    requesters: tuple[str, ...] = ()
-    config_items: tuple[ConfigItem, ...] = ()
-    app_version: str = ""
+    requester_counts: dict[str, int] = field(default_factory=dict)
+    config_counts: dict[ConfigItem, int] = field(default_factory=dict)
+    base_config: tuple[ConfigItem, ...] = ()
+    version: str = ""
 
-    def is_version_only(self) -> bool:
-        return not self.requesters and not self.config_items
+    @property
+    def support(self) -> tuple[str, ...]:
+        return tuple(self.requester_counts)
 
-    def validate(self) -> None:
-        if self.is_version_only():
-            if self.action is not DeltaAction.REQUEST:
-                raise ValueError("version-only delta must use the request action")
-            if not self.app_version:
-                raise ValueError("version-only delta must name a version")
-        elif not self.requesters:
-            raise ValueError("delta requesters must be non-empty")
+    @cached_property
+    def effective_config(self) -> tuple[ConfigItem, ...]:
+        return self.base_config + tuple(self.config_counts)
+
+    def is_empty(self) -> bool:
+        return not self.requester_counts
+
+
+K = TypeVar("K")
+
+
+def _fold(counts: dict[K, int], keys: Iterable[K], sign: int) -> dict[K, int]:
+    """Add `sign` times each key's multiplicity in `keys` to `counts`.
+
+    Returns the new counts (keys in first-demand order, zero counts
+    dropped).  Raises ReleaseUnderflowError naming the first key, in order
+    of first appearance in `keys`, whose count would fall below zero.
+    """
+    changes: dict[K, int] = {}
+    for key in keys:
+        changes[key] = changes.get(key, 0) + sign
+    folded = dict(counts)
+    for key, change in changes.items():
+        left = folded.get(key, 0) + change
+        if left < 0:
+            what = (
+                f"config {key.render()}" if isinstance(key, ConfigItem)
+                else f"requester {key}"
+            )
+            raise ReleaseUnderflowError(f"release of unknown {what}")
+        if left:
+            folded[key] = left
+        else:
+            del folded[key]
+    return folded
+
+
+def apply_demand(
+    ledger: DemandLedger,
+    action: DeltaAction,
+    requesters: tuple[str, ...],
+    config_items: tuple[ConfigItem, ...] = (),
+    version: str = "",
+) -> DemandLedger:
+    """Fold one change in demand into a ledger, atomically.
+
+    A release that would push any requester or config count below zero
+    raises ReleaseUnderflowError and changes nothing.  Only a request
+    adopts base config and version; a request with no requesters and no
+    config items (a rolling upgrade) touches nothing but the version.
+    """
+    sign = 1 if action is DeltaAction.REQUEST else -1
+    counts = _fold(ledger.requester_counts, requesters, sign)
+    counted = [i for i in config_items if i.kind in COUNTED_CONFIG_KINDS]
+    config = _fold(ledger.config_counts, counted, sign)
+    base, kept_version = ledger.base_config, ledger.version
+    if sign > 0:
+        base = base or tuple(
+            i for i in config_items if i.kind not in COUNTED_CONFIG_KINDS
+        )
+        kept_version = version or kept_version
+    return DemandLedger(counts, config, base, kept_version)
 
 
 @dataclass(frozen=True)
@@ -78,19 +143,16 @@ class CustomResource:
 
     kind: ResourceKind
     name: str
-    spec: DemandDelta
+    spec: DemandLedger
     status: ResourceStatus
     generation: int
 
 
 @dataclass
 class _Record:
-    spec_history: list[DemandDelta] = field(default_factory=list)
+    spec: DemandLedger
+    generation: int = 1
     status: ResourceStatus = ResourceStatus()
-
-    @property
-    def generation(self) -> int:
-        return len(self.spec_history)
 
 
 class ResourceStore:
@@ -107,28 +169,24 @@ class ResourceStore:
 
     # -- mutations ---------------------------------------------------------
 
-    def apply_cr(self, kind: ResourceKind, name: str, spec: DemandDelta) -> int:
-        """Create the resource or append a new spec generation.
-
-        Returns the resulting generation.
-        """
-        spec.validate()
+    def apply_cr(self, kind: ResourceKind, name: str, spec: DemandLedger) -> int:
+        """Create the resource or replace its spec; returns the new generation."""
         records = self._records[kind]
         record = records.get(name)
-        created = record is None
         if record is None:
-            record = _Record()
-            records[name] = record
-        record.spec_history.append(spec)
-        change = ChangeType.CREATED if created else ChangeType.SPEC_UPDATED
+            record = records[name] = _Record(spec)
+            change = ChangeType.CREATED
+        else:
+            record.spec = spec
+            record.generation += 1
+            change = ChangeType.SPEC_UPDATED
         self._emit(WatchEvent(kind, name, record.generation, change))
         return record.generation
 
     def delete_cr(self, kind: ResourceKind, name: str) -> None:
         record = self._require(kind, name)
-        generation = record.generation
         del self._records[kind][name]
-        self._emit(WatchEvent(kind, name, generation, ChangeType.DELETED))
+        self._emit(WatchEvent(kind, name, record.generation, ChangeType.DELETED))
 
     def update_status(
         self, kind: ResourceKind, name: str, status: ResourceStatus
@@ -145,26 +203,12 @@ class ResourceStore:
 
     def get_cr(self, kind: ResourceKind, name: str) -> CustomResource:
         record = self._require(kind, name)
-        return CustomResource(
-            kind=kind,
-            name=name,
-            spec=record.spec_history[-1],
-            status=record.status,
-            generation=record.generation,
-        )
+        return CustomResource(kind, name, record.spec, record.status, record.generation)
 
-    def generation(self, kind: ResourceKind, name: str) -> int:
-        """The current generation, without building a snapshot."""
-        return self._require(kind, name).generation
-
-    def get_spec(self, kind: ResourceKind, name: str, generation: int) -> DemandDelta:
-        """The demand delta that produced `generation` of this resource."""
-        record = self._require(kind, name)
-        if not 1 <= generation <= record.generation:
-            raise NotFoundError(
-                f"{kind.value}/{name} has no generation {generation}"
-            )
-        return record.spec_history[generation - 1]
+    def get_spec(self, kind: ResourceKind, name: str) -> DemandLedger:
+        """The desired demand of a resource; an empty ledger if it has none."""
+        record = self._records[kind].get(name)
+        return record.spec if record is not None else DemandLedger()
 
     def list_crs(self, kind: ResourceKind) -> tuple[str, ...]:
         return tuple(self._records[kind])

@@ -16,14 +16,9 @@ import pytest
 from demandflow.cli import bundled_scenario_path
 from demandflow.manager import DeploymentRequest
 from demandflow.model import ConfigItem, DeltaAction
-from demandflow.operators import (
-    COUNTED_CONFIG_KINDS,
-    DemandLedger,
-    apply_demand,
-)
 from demandflow.runner import build_system, deliver, drain, run_scenario
 from demandflow.scenario import load_scenario, make_scale_scenario
-from demandflow.store import DemandDelta
+from demandflow.store import COUNTED_CONFIG_KINDS, DemandLedger, apply_demand
 from demandflow.tracing import TAG_ACTION, TAG_LEDGER, TAG_TOPICS, assert_trace
 
 APP = "object-detection-fusion"
@@ -279,15 +274,7 @@ def test_c05_ledger_matches_counting_oracle():
                 want_config.update(
                     c for c in config if c.kind in COUNTED_CONFIG_KINDS
                 )
-            ledger, rejection = apply_demand(
-                ledger,
-                DemandDelta(
-                    action=action,
-                    requesters=requesters,
-                    config_items=config,
-                ),
-            )
-            assert rejection is None
+            ledger = apply_demand(ledger, action, requesters, config)
             assert ledger.requester_counts == {
                 k: v for k, v in want_requesters.items() if v > 0
             }

@@ -1,12 +1,13 @@
-"""Request handling: atomic validation, delta upserts, dedup, upgrades."""
+"""Request handling: atomic validation, ledger folds, dedup, upgrades."""
 
 from dataclasses import replace
 
 from demandflow.catalog import Catalog
 from demandflow.manager import AccessDomainPolicy, AppManager, DeploymentRequest
 from demandflow.model import DeltaAction, ResourceKind
-from demandflow.runner import build_system, drain
+from demandflow.runner import build_system, deliver, drain
 from demandflow.store import ResourceStore
+from demandflow.tracing import TAG_CR, TAG_ERROR, TAG_REQUEST
 
 from test_catalog import APP, reference_template, reference_topology
 
@@ -56,11 +57,10 @@ def test_accepted_request_upserts_one_delta_per_part():
         (CONN, "conn-V0-E", 1),
     )
     spec = store.get_cr(SVC, f"svc-{APP}-objdet-S").spec
-    assert spec.action is DeltaAction.REQUEST
-    assert spec.requesters == ("V0", "S")
-    assert spec.app_version == "v1"
+    assert spec.requester_counts == {"V0": 1, "S": 1}
+    assert spec.version == "v1"
     # connections are unversioned shared plumbing
-    assert store.get_cr(CONN, "conn-S-E").spec.app_version == ""
+    assert store.get_cr(CONN, "conn-S-E").spec.version == ""
 
 
 def test_release_mirrors_request_content():
@@ -70,13 +70,12 @@ def test_release_mirrors_request_content():
         request("r-2", action=DeltaAction.RELEASE)
     )
     assert result.accepted
+    # the release folds every part of the request back out, to nothing
     for kind, name, generation in result.applied_crs:
         assert generation == 2
-        first = store.get_spec(kind, name, 1)
-        second = store.get_spec(kind, name, 2)
-        assert second.action is DeltaAction.RELEASE
-        assert second.requesters == first.requesters
-        assert second.config_items == first.config_items
+        spec = store.get_spec(kind, name)
+        assert spec.requester_counts == {}
+        assert spec.config_counts == {}
 
 
 def test_overlapping_demands_share_resources():
@@ -199,20 +198,23 @@ def test_access_rejection_names_the_first_denied_node_in_order():
 
 
 def test_resolution_depends_only_on_request_content():
-    # same request against a fresh store and a pre-loaded one: identical deltas
+    # same request against a fresh store and one whose earlier demand was
+    # requested and released again: identical specs
     store_a, manager_a = build_manager()
     store_b, manager_b = build_manager()
     manager_b.handle_request(request("warmup", "V2", lidar=False))
+    manager_b.handle_request(
+        request("cooldown", "V2", lidar=False, action=DeltaAction.RELEASE)
+    )
     probe = request("r-9", "V1", lidar=False)
     result_a = manager_a.handle_request(probe)
     result_b = manager_b.handle_request(probe)
     assert len(result_a.applied_crs) == len(result_b.applied_crs)
-    for (kind, name, gen_a), applied_b in zip(
+    for (kind, name, _), applied_b in zip(
         result_a.applied_crs, result_b.applied_crs
     ):
         assert applied_b[:2] == (kind, name)
-        delta_a = store_a.get_spec(kind, name, gen_a)
-        assert store_b.get_spec(kind, name, applied_b[2]) == delta_a
+        assert store_b.get_spec(kind, name) == store_a.get_spec(kind, name)
 
 
 def test_upgrade_rolls_all_live_services():
@@ -227,15 +229,17 @@ def test_upgrade_rolls_all_live_services():
         f"svc-{APP}-fusion-singleton",
     ]
     for name in upgraded:
-        spec = store.get_cr(SVC, name).spec
-        assert spec.is_version_only()
-        assert spec.app_version == "v2"
+        resource = store.get_cr(SVC, name)
+        # only the version moved; the demand stayed as it was
+        assert resource.generation == 2
+        assert resource.spec.version == "v2"
+        assert resource.spec.requester_counts == {"V0": 1, "S": 1}
     # connections keep their single generation
     assert store.get_cr(CONN, "conn-S-E").generation == 1
     # new demand now resolves at the upgraded version
     assert manager.active_version(APP) == "v2"
     manager.handle_request(request("r-2", "V1"))
-    assert store.get_cr(SVC, f"svc-{APP}-objdet-S").spec.app_version == "v2"
+    assert store.get_cr(SVC, f"svc-{APP}-objdet-S").spec.version == "v2"
 
 
 def test_upgrade_rejections():
@@ -275,3 +279,37 @@ def test_upgrade_leaves_other_applications_alone():
     ]
     assert not [name for name in upgraded if name.startswith(f"svc-{other}-")]
     assert store.get_cr(SVC, f"svc-{other}-objdet-S").generation == 1
+
+
+def store_state(store):
+    return {
+        (kind, name): (store.get_cr(kind, name).generation, store.get_spec(kind, name))
+        for kind in (SVC, CONN)
+        for name in store.list_crs(kind)
+    }
+
+
+def test_underflowing_release_is_rejected_whole(reference_scenario):
+    # V1 asks without lidar, then releases with it: objdet-S folds the
+    # release without complaint, but objdet-V1, the next part, never held
+    # V1.  The whole release is refused before anything is written.
+    system = build_system(reference_scenario)
+    deliver(system, request("r-1", "V0"))
+    deliver(system, request("r-2", "V1", lidar=False))
+    drain(system)
+    before = store_state(system.store)
+    log_size = len(system.store.event_log)
+    seen = len(system.trace.records)
+
+    deliver(system, request("r-3", "V1", lidar=True, action=DeltaAction.RELEASE))
+    new = list(system.trace.records)[seen:]
+    assert [r.tag for r in new] == [TAG_REQUEST, TAG_ERROR]
+    assert new[1].get("kind") == "request-rejected"
+    assert new[1].get("detail") == (
+        "r-3:ReleaseUnderflowError: release of unknown requester V1"
+    )
+    assert not [r for r in new if r.tag == TAG_CR]
+    assert store_state(system.store) == before
+    assert len(system.store.event_log) == log_size
+    drain(system)
+    assert store_state(system.store) == before

@@ -10,41 +10,41 @@ from demandflow.cluster import ClusterSim, ServiceInstance
 from demandflow.model import (
     ConfigItem,
     DeltaAction,
-    EntityRole,
     NothingRunningError,
     Phase,
+    ReleaseUnderflowError,
     ResourceKind,
     ServiceKind,
 )
 from demandflow.operators import (
     ConnectionOperator,
     DecisionAction,
-    DemandLedger,
-    LedgerRejection,
     MAX_ATTEMPTS,
     ServiceOperator,
-    apply_demand,
     decide,
 )
-from demandflow.store import DemandDelta, ResourceStore
+from demandflow.store import DemandLedger, ResourceStore, apply_demand
 from demandflow.tracing import Trace
 
 SVC = ResourceKind.MANAGED_SERVICE
 CONN = ResourceKind.MANAGED_CONNECTION
 
 
-def delta(
+def fold(
+    ledger,
     action=DeltaAction.REQUEST,
     requesters=("V0", "S"),
     config=(),
     version="",
 ):
-    return DemandDelta(
-        action=action,
-        requesters=tuple(requesters),
-        config_items=tuple(config),
-        app_version=version,
+    return apply_demand(
+        ledger, action, tuple(requesters), tuple(config), version
     )
+
+
+def write_demand(store, kind, name, **change):
+    """Fold one change into a resource's spec, as the app manager does."""
+    return store.apply_cr(kind, name, fold(store.get_spec(kind, name), **change))
 
 
 def in_topic(value):
@@ -58,11 +58,9 @@ BASE = (ConfigItem("node", "E"), ConfigItem("service-kind", "object-fusion"))
 
 
 def test_request_counts_requesters_and_config():
-    ledger, rejection = apply_demand(
-        DemandLedger(),
-        delta(config=BASE + (in_topic("/V0/ego"),), version="v1"),
+    ledger = fold(
+        DemandLedger(), config=BASE + (in_topic("/V0/ego"),), version="v1"
     )
-    assert rejection is None
     assert ledger.requester_counts == {"V0": 1, "S": 1}
     assert ledger.config_counts == {in_topic("/V0/ego"): 1}
     assert ledger.base_config == BASE
@@ -74,7 +72,7 @@ def test_request_counts_requesters_and_config():
 def test_shared_keys_accumulate_counts():
     ledger = DemandLedger()
     for vehicle in ["V0", "V1", "V2", "V3"]:
-        ledger, _ = apply_demand(ledger, delta(requesters=(vehicle, "S")))
+        ledger = fold(ledger, requesters=(vehicle, "S"))
     assert ledger.requester_counts == {
         "V0": 1, "S": 4, "V1": 1, "V2": 1, "V3": 1,
     }
@@ -86,66 +84,45 @@ def test_release_drops_only_exhausted_keys():
     # references must survive a release that names it
     ledger = DemandLedger()
     for vehicle in ["V0", "V1", "V2", "V3"]:
-        ledger, _ = apply_demand(ledger, delta(requesters=(vehicle, "S")))
-    ledger, rejection = apply_demand(
-        ledger, delta(action=DeltaAction.RELEASE, requesters=("V0", "S"))
-    )
-    assert rejection is None
+        ledger = fold(ledger, requesters=(vehicle, "S"))
+    ledger = fold(ledger, DeltaAction.RELEASE, requesters=("V0", "S"))
     assert ledger.requester_counts == {"S": 3, "V1": 1, "V2": 1, "V3": 1}
     assert ledger.support == ("S", "V1", "V2", "V3")
 
 
 def test_release_unknown_requester_is_atomic():
-    ledger, _ = apply_demand(DemandLedger(), delta(requesters=("A",)))
-    after, rejection = apply_demand(
-        ledger, delta(action=DeltaAction.RELEASE, requesters=("A", "B"))
-    )
-    assert rejection is not None
-    assert rejection.kind == "unknown-requester-release"
-    assert rejection.detail == "B"
+    ledger = fold(DemandLedger(), requesters=("A",))
+    with pytest.raises(ReleaseUnderflowError, match="unknown requester B$"):
+        fold(ledger, DeltaAction.RELEASE, requesters=("A", "B"))
     # nothing was decremented, not even the valid half
-    assert after == ledger
-    assert after.requester_counts == {"A": 1}
+    assert ledger.requester_counts == {"A": 1}
 
 
 def test_release_counts_each_key_over_the_whole_delta():
     # "A" is named twice but held once, so the release underflows on "A"
     # even though "B" comes before its second appearance
-    ledger, _ = apply_demand(DemandLedger(), delta(requesters=("A",)))
-    after, rejection = apply_demand(
-        ledger,
-        delta(action=DeltaAction.RELEASE, requesters=("A", "B", "A")),
-    )
-    assert rejection == LedgerRejection("unknown-requester-release", "A")
-    assert after == ledger
-    assert after.requester_counts == {"A": 1}
+    ledger = fold(DemandLedger(), requesters=("A",))
+    with pytest.raises(ReleaseUnderflowError, match="unknown requester A$"):
+        fold(ledger, DeltaAction.RELEASE, requesters=("A", "B", "A"))
+    assert ledger.requester_counts == {"A": 1}
 
 
 def test_release_unknown_config_is_atomic():
-    ledger, _ = apply_demand(
-        DemandLedger(), delta(config=(in_topic("/a"),))
-    )
-    after, rejection = apply_demand(
-        ledger,
-        delta(
-            action=DeltaAction.RELEASE,
+    ledger = fold(DemandLedger(), config=(in_topic("/a"),))
+    with pytest.raises(
+        ReleaseUnderflowError, match="unknown config input-topic:/b$"
+    ):
+        fold(
+            ledger,
+            DeltaAction.RELEASE,
             config=(in_topic("/a"), in_topic("/b")),
-        ),
-    )
-    assert rejection is not None
-    assert rejection.kind == "unknown-config-release"
-    assert rejection.detail == "input-topic:/b"
-    assert after == ledger
+        )
+    assert ledger.config_counts == {in_topic("/a"): 1}
 
 
 def test_version_only_delta_touches_only_the_version():
-    ledger, _ = apply_demand(
-        DemandLedger(), delta(config=BASE, version="v1")
-    )
-    after, rejection = apply_demand(
-        ledger, delta(requesters=(), version="v2")
-    )
-    assert rejection is None
+    ledger = fold(DemandLedger(), config=BASE, version="v1")
+    after = fold(ledger, requesters=(), version="v2")
     assert after.version == "v2"
     assert after.requester_counts == ledger.requester_counts
     assert after.config_counts == ledger.config_counts
@@ -153,44 +130,44 @@ def test_version_only_delta_touches_only_the_version():
 
 
 def test_release_leaves_version_and_base_alone():
-    ledger, _ = apply_demand(
-        DemandLedger(), delta(config=BASE + (in_topic("/a"),), version="v1")
-    )
-    after, rejection = apply_demand(
+    ledger = fold(DemandLedger(), config=BASE + (in_topic("/a"),), version="v1")
+    after = fold(
         ledger,
-        delta(
-            action=DeltaAction.RELEASE,
-            config=(ConfigItem("node", "X"), in_topic("/a")),
-            version="v2",
-        ),
+        DeltaAction.RELEASE,
+        config=(ConfigItem("node", "X"), in_topic("/a")),
+        version="v2",
     )
-    assert rejection is None
     assert after.version == "v1"
     assert after.base_config == BASE
     assert after.config_counts == {}
 
 
 def test_base_config_is_adopted_once():
-    ledger, _ = apply_demand(DemandLedger(), delta(config=BASE))
-    other_base = (ConfigItem("node", "X"),)
-    ledger, _ = apply_demand(ledger, delta(config=other_base))
+    ledger = fold(DemandLedger(), config=BASE)
+    ledger = fold(ledger, config=(ConfigItem("node", "X"),))
     assert ledger.base_config == BASE
 
 
 def test_request_release_round_trip_counts_to_zero():
     config = BASE + (in_topic("/V0/ego"), in_topic("/S/points"))
-    ledger, _ = apply_demand(DemandLedger(), delta(config=config))
-    ledger, rejection = apply_demand(
-        ledger, delta(action=DeltaAction.RELEASE, config=config)
-    )
-    assert rejection is None
+    ledger = fold(DemandLedger(), config=config)
+    ledger = fold(ledger, DeltaAction.RELEASE, config=config)
     assert ledger.is_empty()
     assert ledger.requester_counts == {}
     assert ledger.config_counts == {}
 
 
-# A release only ever succeeds wholesale; on rejection the ledger object
-# that comes back must be the untouched input.
+def test_effective_config_is_built_once_per_ledger():
+    ledger = fold(DemandLedger(), config=BASE + (in_topic("/a"),))
+    assert ledger.effective_config is ledger.effective_config
+    # a fold builds a new ledger, and with it a new effective config
+    grown = fold(ledger, config=(in_topic("/b"),))
+    assert grown.effective_config == BASE + (in_topic("/a"), in_topic("/b"))
+    assert ledger.effective_config == BASE + (in_topic("/a"),)
+
+
+# A release only ever succeeds wholesale; on rejection the input ledger
+# is untouched.
 
 requester_lists = st.lists(
     st.sampled_from(["A", "B", "C", "D"]), min_size=1, max_size=4
@@ -204,23 +181,20 @@ requester_lists = st.lists(
 def test_release_atomicity_property(setup, attempt):
     ledger = DemandLedger()
     for requesters in setup:
-        ledger, rejection = apply_demand(ledger, delta(requesters=requesters))
-        assert rejection is None
-    before = ledger
-    after, rejection = apply_demand(
-        ledger, delta(action=DeltaAction.RELEASE, requesters=attempt)
-    )
+        ledger = fold(ledger, requesters=requesters)
+    before = dict(ledger.requester_counts)
     available = Counter()
     for requesters in setup:
         available.update(requesters)
     feasible = not (Counter(attempt) - available)
     if feasible:
-        assert rejection is None
+        after = fold(ledger, DeltaAction.RELEASE, requesters=attempt)
         expected = available - Counter(attempt)
         assert Counter(after.requester_counts) == expected
     else:
-        assert rejection is not None
-        assert after == before
+        with pytest.raises(ReleaseUnderflowError):
+            fold(ledger, DeltaAction.RELEASE, requesters=attempt)
+    assert ledger.requester_counts == before
 
 
 # -- decide ----------------------------------------------------------------
@@ -238,11 +212,9 @@ def make_instance(config, version="v1"):
 
 
 def ledger_with(requesters=("V0",), config=(), version="v1"):
-    ledger, _ = apply_demand(
-        DemandLedger(),
-        delta(requesters=requesters, config=config, version=version),
+    return fold(
+        DemandLedger(), requesters=requesters, config=config, version=version
     )
-    return ledger
 
 
 def test_decide_deploys_without_instance():
@@ -308,9 +280,9 @@ def svc_config(extra=()):
 
 def test_created_resource_deploys_an_instance(rig):
     store, sim, trace, service_op, _ = rig
-    store.apply_cr(
-        SVC, "svc-x",
-        delta(config=svc_config((in_topic("/V0/ego"),)), version="v1"),
+    write_demand(
+        store, SVC, "svc-x",
+        config=svc_config((in_topic("/V0/ego"),)), version="v1",
     )
     assert service_op.run_pending() == 1
     instances = sim.instances_of("svc-x")
@@ -326,11 +298,11 @@ def test_created_resource_deploys_an_instance(rig):
 
 def test_growing_support_does_not_redeploy(rig):
     store, sim, _, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
+    write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
     first = sim.instances_of("svc-x")[0]
-    store.apply_cr(
-        SVC, "svc-x", delta(requesters=("V1", "S"), config=svc_config())
+    write_demand(
+        store, SVC, "svc-x", requesters=("V1", "S"), config=svc_config()
     )
     service_op.run_pending()
     after = sim.instances_of("svc-x")[0]
@@ -342,14 +314,11 @@ def test_growing_support_does_not_redeploy(rig):
 
 def test_config_change_reconfigures_in_place(rig):
     store, sim, _, service_op, _ = rig
-    store.apply_cr(
-        SVC, "svc-x", delta(config=svc_config((in_topic("/V0/ego"),)))
-    )
+    write_demand(store, SVC, "svc-x", config=svc_config((in_topic("/V0/ego"),)))
     service_op.run_pending()
-    store.apply_cr(
-        SVC, "svc-x",
-        delta(requesters=("V1", "S"),
-              config=svc_config((in_topic("/V1/ego"),))),
+    write_demand(
+        store, SVC, "svc-x",
+        requesters=("V1", "S"), config=svc_config((in_topic("/V1/ego"),)),
     )
     service_op.run_pending()
     instance = sim.instances_of("svc-x")[0]
@@ -361,12 +330,9 @@ def test_config_change_reconfigures_in_place(rig):
 def test_emptied_support_terminates_and_deletes(rig):
     store, sim, _, service_op, _ = rig
     config = svc_config((in_topic("/V0/ego"),))
-    store.apply_cr(SVC, "svc-x", delta(config=config))
+    write_demand(store, SVC, "svc-x", config=config)
     service_op.run_pending()
-    store.apply_cr(
-        SVC, "svc-x",
-        delta(action=DeltaAction.RELEASE, config=config),
-    )
+    write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
     service_op.run_pending()
     assert sim.instances_of("svc-x") == ()
     assert not store.exists(SVC, "svc-x")
@@ -375,20 +341,24 @@ def test_emptied_support_terminates_and_deletes(rig):
 
 def test_batched_events_apply_every_generation_once(rig):
     store, sim, _, service_op, _ = rig
-    # three deltas queue up before the operator runs at all
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
-    store.apply_cr(SVC, "svc-x", delta(requesters=("V1", "S")))
-    store.apply_cr(SVC, "svc-x", delta(requesters=("V0", "S")))
+    # three writes queue up before the operator runs at all; the first
+    # event reconciles the latest spec and the other two are stale
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
+    write_demand(store, SVC, "svc-x", requesters=("V0", "S"))
     service_op.run_pending()
     ledger = service_op.ledger("svc-x")
     assert ledger.requester_counts == {"V0": 2, "S": 3, "V1": 1}
     assert len(sim.instances_of("svc-x")) == 1
+    assert store.get_cr(SVC, "svc-x").status.observed_generation == 3
 
 
 def test_late_operator_replays_history(rig):
     store, sim, trace, _, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
-    store.apply_cr(SVC, "svc-x", delta(requesters=("V1", "S")))
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
+    # the late watch starts with one snapshot event; the spec it reads
+    # already holds every change made before
     late = ServiceOperator(store, sim, trace)
     late.run_pending()
     assert late.ledger("svc-x").requester_counts == {"V0": 1, "S": 2, "V1": 1}
@@ -396,7 +366,7 @@ def test_late_operator_replays_history(rig):
 
 def test_stale_events_are_ignored(rig):
     store, sim, _, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
+    write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
     watcher_event = store.event_log[0]
     before = service_op.ledger("svc-x")
@@ -405,32 +375,14 @@ def test_stale_events_are_ignored(rig):
     assert len(sim.instances_of("svc-x")) == 1
 
 
-def test_underflow_release_is_traced_and_skipped(rig):
-    store, sim, trace, service_op, _ = rig
-    # a release arriving for a resource that never saw the request
-    store.apply_cr(
-        SVC, "svc-x",
-        delta(action=DeltaAction.RELEASE, config=svc_config()),
-    )
-    service_op.run_pending()
-    errors = [r for r in trace.records if r.tag == "ERROR"]
-    assert len(errors) == 1
-    assert errors[0].get("kind") == "unknown-requester-release"
-    # the bogus resource is cleaned up, nothing deployed
-    assert not store.exists(SVC, "svc-x")
-    assert sim.instances() == ()
-
-
 def test_connection_pair_deploys_both_halves(rig):
     store, sim, _, _, connection_op = rig
-    store.apply_cr(
-        CONN, "conn-V0-E",
-        delta(
-            config=(
-                ConfigItem("src", "V0"),
-                ConfigItem("dst", "E"),
-                ConfigItem("forward-topic", "/V0/ego"),
-            ),
+    write_demand(
+        store, CONN, "conn-V0-E",
+        config=(
+            ConfigItem("src", "V0"),
+            ConfigItem("dst", "E"),
+            ConfigItem("forward-topic", "/V0/ego"),
         ),
     )
     connection_op.run_pending()
@@ -447,44 +399,55 @@ def test_connection_pair_is_all_or_nothing(rig):
     store, sim, trace, _, connection_op = rig
     # src node does not exist: the sender can never start, so the
     # receiver must not survive either
-    store.apply_cr(
-        CONN, "conn-X-E",
-        delta(
-            config=(
-                ConfigItem("src", "X"),
-                ConfigItem("dst", "E"),
-                ConfigItem("forward-topic", "/X/ego"),
-            ),
+    write_demand(
+        store, CONN, "conn-X-E",
+        config=(
+            ConfigItem("src", "X"),
+            ConfigItem("dst", "E"),
+            ConfigItem("forward-topic", "/X/ego"),
         ),
     )
-    connection_op.run_pending()
-    # first failure re-queues; drain the retries
-    while connection_op.pending():
-        connection_op.run_pending()
-    assert sim.instances() == ()
-    errors = [r for r in trace.records if r.tag == "ERROR"]
-    assert len(errors) == 1
-    assert errors[0].get("kind") == "reconcile-failed"
-    assert connection_op.pending() == 0
+    for drain_no in (1, 2):
+        connection_op.unpark()
+        # failures re-queue until the give-up parks the event
+        while connection_op.pending():
+            connection_op.run_pending()
+        assert sim.instances() == ()
+        errors = [r for r in trace.records if r.tag == "ERROR"]
+        # one give-up per drain, and the demand is kept for the next one
+        assert [r.get("kind") for r in errors] == ["reconcile-failed"] * drain_no
+        assert connection_op.pending() == 0
+        assert store.exists(CONN, "conn-X-E")
 
 
 def test_failure_keeps_status_pending_until_giving_up(rig):
-    store, sim, _, service_op, _ = rig
-    store.apply_cr(
-        SVC, "svc-x",
-        delta(config=(
+    store, sim, trace, service_op, _ = rig
+    write_demand(
+        store, SVC, "svc-x",
+        config=(
             ConfigItem("node", "X"),  # unknown node
             ConfigItem("service-kind", "object-fusion"),
-        )),
+        ),
     )
     service_op.run_pending()
     assert store.get_cr(SVC, "svc-x").status.phase is Phase.PENDING
     assert service_op.pending() == 1  # re-queued for retry
+    while service_op.pending():
+        service_op.run_pending()
+    # given up for this drain: still pending, nothing observed, parked
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.PENDING
+    assert status.observed_generation == 0
+    assert [r.get("kind") for r in trace.records if r.tag == "ERROR"] == [
+        "reconcile-failed"
+    ]
+    service_op.unpark()
+    assert service_op.pending() == 1
 
 
 def test_failed_reconfigure_of_a_running_resource_is_pending(rig):
     store, sim, _, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config((in_topic("/V0/ego"),))))
+    write_demand(store, SVC, "svc-x", config=svc_config((in_topic("/V0/ego"),)))
     service_op.run_pending()
     assert store.get_cr(SVC, "svc-x").status.phase is Phase.RUNNING
 
@@ -492,9 +455,9 @@ def test_failed_reconfigure_of_a_running_resource_is_pending(rig):
         raise NothingRunningError("injected reconfigure failure")
 
     sim.reconfigure_instance = reconfigure
-    store.apply_cr(
-        SVC, "svc-x",
-        delta(requesters=("V1", "S"), config=svc_config((in_topic("/V1/ego"),))),
+    write_demand(
+        store, SVC, "svc-x",
+        requesters=("V1", "S"), config=svc_config((in_topic("/V1/ego"),)),
     )
     service_op.run_pending()
     status = store.get_cr(SVC, "svc-x").status
@@ -518,7 +481,7 @@ def test_recreated_resource_gets_every_attempt(rig):
         return real(spec)
 
     sim.deploy_instance = deploy
-    store.apply_cr(SVC, "svc-x", delta(config=config))
+    write_demand(store, SVC, "svc-x", config=config)
     service_op.run_pending()
     assert len(deploys) == 1
     # an external delete ends the lifecycle with one attempt spent
@@ -526,7 +489,7 @@ def test_recreated_resource_gets_every_attempt(rig):
     service_op.run_pending()
     deploys.clear()
 
-    store.apply_cr(SVC, "svc-x", delta(config=config))
+    write_demand(store, SVC, "svc-x", config=config)
     while service_op.pending():
         service_op.run_pending()
     assert len(deploys) == MAX_ATTEMPTS
@@ -536,11 +499,11 @@ def test_recreated_resource_gets_every_attempt(rig):
 
 def test_observed_generation_never_regresses(rig):
     store, _, _, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
+    write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
     seen = [store.get_cr(SVC, "svc-x").status.observed_generation]
     for _ in range(2, 6):
-        store.apply_cr(SVC, "svc-x", delta(requesters=("V1", "S")))
+        write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
         service_op.run_pending()
         seen.append(store.get_cr(SVC, "svc-x").status.observed_generation)
     assert seen == sorted(seen)
@@ -556,22 +519,19 @@ def test_ledger_agrees_with_multiset_oracle(seed):
     entities = ["A", "B", "C", "D", "E5", "F"]
     topics = [in_topic(f"/t{i}") for i in range(8)]
     ledger = DemandLedger()
-    active = []  # deltas requested and not yet released
+    active = []  # changes requested and not yet released
     for _ in range(rng.randrange(5, 25)):
         if active and rng.random() < 0.45:
             requesters, config = active.pop(rng.randrange(len(active)))
-            d = delta(
-                action=DeltaAction.RELEASE, requesters=requesters, config=config
-            )
+            action = DeltaAction.RELEASE
         else:
             requesters = rng.sample(entities, rng.randrange(1, 4))
             config = rng.sample(topics, rng.randrange(0, 4))
             active.append((tuple(requesters), tuple(config)))
-            d = delta(requesters=requesters, config=config)
-        ledger, rejection = apply_demand(ledger, d)
-        assert rejection is None
+            action = DeltaAction.REQUEST
+        ledger = fold(ledger, action, requesters=requesters, config=config)
 
-        # the oracle: counts are the plain sum over unreleased deltas
+        # the oracle: counts are the plain sum over unreleased changes
         expected_requesters = Counter()
         expected_config = Counter()
         for requesters, config in active:
@@ -585,15 +545,11 @@ def test_ledger_agrees_with_multiset_oracle(seed):
 def test_same_tick_release_and_request_keep_the_new_demand(rig):
     store, sim, trace, service_op, _ = rig
     config = svc_config((in_topic("/V0/ego"),))
-    store.apply_cr(SVC, "svc-x", delta(config=config))
+    write_demand(store, SVC, "svc-x", config=config)
     service_op.run_pending()
     # the last supporter leaves and a new one arrives before the drain
-    store.apply_cr(
-        SVC, "svc-x", delta(action=DeltaAction.RELEASE, config=config)
-    )
-    store.apply_cr(
-        SVC, "svc-x", delta(requesters=("V1", "S"), config=config)
-    )
+    write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
+    write_demand(store, SVC, "svc-x", requesters=("V1", "S"), config=config)
     while service_op.pending():
         service_op.run_pending()
     assert store.exists(SVC, "svc-x")
@@ -620,13 +576,11 @@ def failing_terminate(sim, fail_calls):
 
 def test_replace_retry_reuses_the_new_instance(rig):
     store, sim, trace, service_op, _ = rig
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config(), version="v1"))
+    write_demand(store, SVC, "svc-x", config=svc_config(), version="v1")
     service_op.run_pending()
     (old,) = sim.instances_of("svc-x")
     failing_terminate(sim, {1, 2})
-    store.apply_cr(
-        SVC, "svc-x", delta(requesters=(), config=(), version="v2")
-    )
+    write_demand(store, SVC, "svc-x", requesters=(), config=(), version="v2")
     while service_op.pending():
         service_op.run_pending()
     (live,) = sim.instances_of("svc-x")
@@ -648,13 +602,13 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
         ConfigItem("dst", "E"),
         ConfigItem("forward-topic", "/V0/ego"),
     )
-    store.apply_cr(CONN, "conn-V0-E", delta(config=config))
+    write_demand(store, CONN, "conn-V0-E", config=config)
     connection_op.run_pending()
     pair = tuple(i.instance_id for i in sim.instances_of("conn-V0-E"))
     # the first half goes, the second half fails once
     failing_terminate(sim, {2})
-    store.apply_cr(
-        CONN, "conn-V0-E", delta(action=DeltaAction.RELEASE, config=config)
+    write_demand(
+        store, CONN, "conn-V0-E", action=DeltaAction.RELEASE, config=config
     )
     while connection_op.pending():
         connection_op.run_pending()
@@ -666,16 +620,37 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
     assert [r for r in trace.records if r.tag == "ERROR"] == []
 
 
+def test_given_up_release_is_finished_by_the_next_drain(rig):
+    store, sim, trace, service_op, _ = rig
+    config = svc_config((in_topic("/V0/ego"),))
+    write_demand(store, SVC, "svc-x", config=config)
+    service_op.run_pending()
+    failing_terminate(sim, set(range(1, MAX_ATTEMPTS + 1)))
+    write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
+    while service_op.pending():
+        service_op.run_pending()
+    # the give-up keeps both the instance and the emptied spec
+    assert len(sim.instances_of("svc-x")) == 1
+    assert store.get_spec(SVC, "svc-x").is_empty()
+    service_op.unpark()
+    while service_op.pending():
+        service_op.run_pending()
+    assert sim.instances() == ()
+    assert not store.exists(SVC, "svc-x")
+    errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
+    assert errors == ["reconcile-failed"]
+
+
 def test_external_delete_tears_down_like_a_shutdown(rig):
     store, sim, trace, service_op, connection_op = rig
-    store.apply_cr(SVC, "svc-x", delta(config=svc_config()))
-    store.apply_cr(
-        CONN, "conn-V0-E",
-        delta(config=(
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    write_demand(
+        store, CONN, "conn-V0-E",
+        config=(
             ConfigItem("src", "V0"),
             ConfigItem("dst", "E"),
             ConfigItem("forward-topic", "/V0/ego"),
-        )),
+        ),
     )
     service_op.run_pending()
     connection_op.run_pending()

@@ -1,4 +1,4 @@
-"""Store behavior: generations, watches, event sourcing."""
+"""Store behavior: desired-state specs, generations, watches, event log."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from demandflow.model import (
     ChangeType,
-    ConfigItem,
     DeltaAction,
     NotFoundError,
     Phase,
@@ -14,20 +13,19 @@ from demandflow.model import (
     StaleStatusError,
 )
 from demandflow.store import (
-    DemandDelta,
+    DemandLedger,
     ResourceStatus,
     ResourceStore,
+    apply_demand,
 )
 
 SVC = ResourceKind.MANAGED_SERVICE
 CONN = ResourceKind.MANAGED_CONNECTION
 
 
-def delta(action=DeltaAction.REQUEST, requesters=("A",), version=""):
-    return DemandDelta(
-        action=action,
-        requesters=tuple(requesters),
-        app_version=version,
+def spec(requesters=("A",), version=""):
+    return apply_demand(
+        DemandLedger(), DeltaAction.REQUEST, tuple(requesters), (), version
     )
 
 
@@ -37,44 +35,46 @@ def store():
 
 
 def test_generations_start_at_one_and_increment(store):
-    first, second = delta(), delta(requesters=("B",))
+    first, second = spec(), spec(requesters=("B",))
     assert store.apply_cr(SVC, "x", first) == 1
     assert store.apply_cr(SVC, "x", second) == 2
     resource = store.get_cr(SVC, "x")
     assert resource.generation == 2
+    # a write replaces the desired state; no earlier spec is kept
     assert resource.spec == second
-    # every generation's delta stays addressable
-    assert store.get_spec(SVC, "x", 1) == first
-    with pytest.raises(NotFoundError):
-        store.get_spec(SVC, "x", 3)
+    assert store.get_spec(SVC, "x") == second
+    # a resource that does not exist wants nothing
+    assert store.get_spec(SVC, "ghost") == DemandLedger()
+    assert store.get_spec(CONN, "x").is_empty()
 
 
 def test_names_are_scoped_per_kind(store):
-    store.apply_cr(SVC, "x", delta())
-    store.apply_cr(CONN, "x", delta())
+    store.apply_cr(SVC, "x", spec())
+    store.apply_cr(CONN, "x", spec())
     assert store.get_cr(SVC, "x").generation == 1
     assert store.get_cr(CONN, "x").generation == 1
 
 
 def test_demand_ids_reset_with_a_new_lifecycle(store):
-    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", spec())
     store.delete_cr(SVC, "x")
     # the name is free again, with a fresh generation count
-    assert store.apply_cr(SVC, "x", delta()) == 1
+    assert store.apply_cr(SVC, "x", spec()) == 1
 
 
 def test_generation_reads_the_current_generation(store):
     for n in range(1, 4):
-        store.apply_cr(SVC, "x", delta())
-        assert store.generation(SVC, "x") == store.get_cr(SVC, "x").generation == n
-    store.apply_cr(CONN, "x", delta())
-    assert store.generation(CONN, "x") == 1
+        assert store.apply_cr(SVC, "x", spec(version=f"v{n}")) == n
+        resource = store.get_cr(SVC, "x")
+        assert (resource.generation, resource.spec.version) == (n, f"v{n}")
+    store.apply_cr(CONN, "x", spec())
+    assert store.get_cr(CONN, "x").generation == 1
     with pytest.raises(NotFoundError):
-        store.generation(SVC, "ghost")
+        store.get_cr(SVC, "ghost")
     store.delete_cr(SVC, "x")
     with pytest.raises(NotFoundError):
-        store.generation(SVC, "x")
-    assert store.generation(CONN, "x") == 1
+        store.get_cr(SVC, "x")
+    assert store.get_cr(CONN, "x").generation == 1
 
 
 def test_missing_resources_raise(store):
@@ -86,27 +86,8 @@ def test_missing_resources_raise(store):
         store.update_status(SVC, "ghost", ResourceStatus())
 
 
-def test_delta_validation():
-    with pytest.raises(ValueError):
-        delta(requesters=()).validate()  # empty but not version-only
-    with pytest.raises(ValueError):
-        delta(action=DeltaAction.RELEASE, requesters=(),
-              version="v2").validate()
-    # the version-only escape hatch
-    delta(requesters=(), version="v2").validate()
-
-
-def test_a_delta_with_config_but_no_requesters_is_refused(store):
-    items = (ConfigItem("input-topic", "/V0/ego"),)
-    for version in ("", "v2"):
-        spec = DemandDelta(DeltaAction.REQUEST, (), items, version)
-        with pytest.raises(ValueError, match="requesters must be non-empty"):
-            store.apply_cr(SVC, "x", spec)
-    assert store.list_crs(SVC) == ()
-
-
 def test_status_updates_emit_no_events(store):
-    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", spec())
     watcher = store.watch(SVC)
     watcher.popleft()  # synthetic snapshot event
     store.update_status(
@@ -117,8 +98,8 @@ def test_status_updates_emit_no_events(store):
 
 
 def test_status_observed_generation_cannot_regress(store):
-    store.apply_cr(SVC, "x", delta())
-    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", spec())
+    store.apply_cr(SVC, "x", spec())
     store.update_status(SVC, "x", ResourceStatus(observed_generation=2))
     with pytest.raises(StaleStatusError):
         store.update_status(SVC, "x", ResourceStatus(observed_generation=1))
@@ -126,8 +107,8 @@ def test_status_observed_generation_cannot_regress(store):
 
 def test_watch_sees_live_changes_in_order(store):
     watcher = store.watch(SVC)
-    store.apply_cr(SVC, "x", delta())
-    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", spec())
+    store.apply_cr(SVC, "x", spec())
     store.delete_cr(SVC, "x")
     events = [watcher.popleft() for _ in range(3)]
     assert [(e.change, e.generation) for e in events] == [
@@ -139,9 +120,9 @@ def test_watch_sees_live_changes_in_order(store):
 
 
 def test_late_watcher_gets_one_snapshot_event_per_resource(store):
-    store.apply_cr(SVC, "x", delta())
-    store.apply_cr(SVC, "x", delta())
-    store.apply_cr(SVC, "y", delta())
+    store.apply_cr(SVC, "x", spec())
+    store.apply_cr(SVC, "x", spec())
+    store.apply_cr(SVC, "y", spec())
     log_before = list(store.event_log)
     watcher = store.watch(SVC)
     events = list(watcher)
@@ -156,7 +137,7 @@ def test_late_watcher_gets_one_snapshot_event_per_resource(store):
 
 def test_watchers_only_see_their_kind(store):
     watcher = store.watch(CONN)
-    store.apply_cr(SVC, "x", delta())
+    store.apply_cr(SVC, "x", spec())
     assert len(watcher) == 0
 
 
@@ -172,7 +153,7 @@ def _random_ops(seed, store):
             store.delete_cr(kind, name)
             del mirror[key]
         else:
-            store.apply_cr(kind, name, delta())
+            store.apply_cr(kind, name, spec())
             mirror[key] = mirror.get(key, 0) + 1
     return mirror
 
