@@ -33,7 +33,7 @@ from .model import (
     ServiceKind,
     Topology,
 )
-from .operators import ConnectionOperator, ServiceOperator, decide
+from .operators import Operator, decide
 from .runner import ScenarioRunner, build_system, run_scenario
 from .scenario import Scenario, load_scenario, make_scale_scenario
 from .store import DemandLedger, ResourceStore, apply_demand
@@ -48,7 +48,6 @@ __all__ = [
     "Catalog",
     "ClusterSim",
     "ConfigItem",
-    "ConnectionOperator",
     "DeltaAction",
     "DemandLedger",
     "DeploymentRequest",
@@ -57,6 +56,7 @@ __all__ = [
     "EventDetector",
     "GeofenceRule",
     "InstanceSpec",
+    "Operator",
     "OrchestrationError",
     "PartRule",
     "RequestResult",
@@ -65,7 +65,6 @@ __all__ = [
     "Scenario",
     "ScenarioRunner",
     "ServiceKind",
-    "ServiceOperator",
     "TickReport",
     "Topology",
     "Trace",

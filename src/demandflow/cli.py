@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .model import OrchestrationError, ResourceKind, ScenarioError
 from .runner import ScenarioRunner, build_system, deliver, drain
-from .scenario import Scenario, load_request_file, load_scenario
+from .scenario import MODE_SCRIPTED, Scenario, load_request_file, load_scenario
 from .tracing import assert_trace
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     timeline = scenario.timeline
     detail = (
         f"{len(timeline.events)} scripted events"
-        if timeline.mode == "scripted"
+        if timeline.mode == MODE_SCRIPTED
         else f"waypoints for {len(timeline.waypoints)} vehicles"
     )
     print(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .cluster import ClusterSim, InstanceSpec, ServiceInstance
@@ -40,6 +40,17 @@ log = logging.getLogger(__name__)
 
 # Reconcile attempts per resource in one drain before its event is parked.
 MAX_ATTEMPTS = 3
+
+# The cluster units of each resource kind, in record order: service kind
+# (None: the one the config names) and the config key of the unit's node.
+# The first unit is compared against the ledger and reconfigured in place.
+UNITS: dict[ResourceKind, tuple[tuple[ServiceKind | None, str], ...]] = {
+    ResourceKind.MANAGED_SERVICE: ((None, CFG_NODE),),
+    ResourceKind.MANAGED_CONNECTION: (
+        (ServiceKind.COMM_SENDER, CFG_SRC),
+        (ServiceKind.COMM_RECEIVER, CFG_DST),
+    ),
+}
 
 
 class DecisionAction(str, Enum):
@@ -77,36 +88,37 @@ class _Resource:
     observed: int = 0
     units: tuple[str, ...] = ()
     retiring: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # units, nodes
+    strays: tuple[str, ...] = ()  # started by a failed deploy, never traced
     attempts: int = 0  # failed reconciles since the last success or parking
 
 
 class Operator:
-    """The reconcile loop, shared by both resource kinds.
+    """The reconcile loop of one resource kind.
 
     One watch event is processed at a time.  Reconciling is
     level-triggered: read the store's current spec, decide, execute
     against the cluster, then publish status and a ledger trace record;
-    events at or below the observed generation are stale.  A cluster
+    events at or below the observed generation are stale.  A deleted
+    resource's spec is empty, so its units go as on a shutdown.  A cluster
     failure re-queues the event; the MAX_ATTEMPTS-th failure traces an
     error and parks the event without advancing the observed generation,
     and every event of a parked resource waits with it until `unpark`.
 
     Each resource has one `_Resource` record, dropped in one step on
-    shutdown or delete.  Its units are created together by `_deploy_units`,
-    the one hook per kind; the first unit is the one compared against the
-    ledger and reconfigured in place.  Units that a replace or teardown
+    shutdown or delete.  Its units are the `UNITS` row of its kind,
+    started together by `_deploy_units`.  Units that a replace or teardown
     must terminate wait in `retiring` until all are gone, so a step that
     failed halfway is finished, not repeated.
     """
 
-    kind: ResourceKind
-    source: str
-
-    def __init__(self, store: ResourceStore, sim: ClusterSim, trace: Trace):
+    def __init__(
+        self, kind: ResourceKind, store: ResourceStore, sim: ClusterSim, trace: Trace
+    ):
+        self.kind = kind
         self._store = store
         self._sim = sim
         self._trace = trace
-        self._events = store.watch(self.kind)
+        self._events = store.watch(kind)
         self._retry: deque[WatchEvent] = deque()
         self._parked: dict[str, WatchEvent] = {}
         self._resources: dict[str, _Resource] = {}
@@ -147,46 +159,54 @@ class Operator:
 
     def reconcile(self, event: WatchEvent) -> None:
         name = event.name
-        if event.change is ChangeType.DELETED:
-            record = self._resources.pop(name, None)
-            if record is not None:
-                with suppress(OrchestrationError):
-                    self._teardown(name, record)
-            return
-        if name in self._parked:
-            return  # the parked event covers it
         record = self._resources.get(name)
-        if record is not None and event.generation <= record.observed:
+        if event.change is ChangeType.DELETED:
+            if record is None:
+                return  # never reconciled, or its shutdown deleted it
+            # A resource re-created under this name starts afresh, with the
+            # units left; a retry of this event only reconciles the name.
+            record.observed = record.attempts = 0
+            record.ledger = None
+            event = replace(event, change=ChangeType.SPEC_UPDATED)
+        elif name in self._parked:
+            return  # the parked event covers it
+        elif record is not None and event.generation <= record.observed:
             return  # stale or duplicate event
         try:
             resource = self._store.get_cr(self.kind, name)
         except NotFoundError:
-            return  # deleted meanwhile; the deletion event is behind us
+            if record is None:
+                return  # deleted, and nothing of it is left to end
+            resource = None  # deleted: the empty spec shuts it down
         if record is None:
             record = self._resources[name] = _Resource()
 
-        ledger = resource.spec
+        ledger = resource.spec if resource is not None else DemandLedger()
         action = decide(ledger, self._primary_instance(record))
         try:
             self._execute(name, record, action, ledger)
         except OrchestrationError as exc:
-            self._handle_failure(record, event, resource.generation, exc)
+            if resource is not None:
+                self._write_status(name, record, Phase.PENDING)
+            target = resource.generation if resource is not None else event.generation
+            self._handle_failure(record, event, target, exc)
             return
 
+        if action is DecisionAction.SHUTDOWN:
+            del self._resources[name]
+            if resource is not None:
+                self._store.delete_cr(self.kind, name)
+            self._trace.ledger_state(name, (), ())
+            return
         record.observed = resource.generation
         record.ledger = ledger
         record.attempts = 0
-        if action is DecisionAction.SHUTDOWN:
-            del self._resources[name]
-            self._store.delete_cr(self.kind, name)
-            self._trace.ledger_state(name, (), ())
-        else:
-            self._write_status(name, record, Phase.RUNNING)
-            self._trace.ledger_state(
-                name,
-                ledger.support,
-                (i.render() for i in ledger.effective_config),
-            )
+        self._write_status(name, record, Phase.RUNNING)
+        self._trace.ledger_state(
+            name,
+            ledger.support,
+            (i.render() for i in ledger.effective_config),
+        )
 
     def _handle_failure(
         self, record: _Resource, event: WatchEvent, target: int, exc: OrchestrationError
@@ -195,7 +215,6 @@ class Operator:
         if record.attempts < MAX_ATTEMPTS:
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
                       event.name, exc, record.attempts)
-            self._write_status(event.name, record, Phase.PENDING)
             self._retry.append(event)
             return
         # Give up for this drain: the spec still holds the demand, so the
@@ -203,7 +222,7 @@ class Operator:
         record.attempts = 0
         self._parked[event.name] = event
         self._trace.error(
-            self.source,
+            f"{self.kind.value}-operator",
             "reconcile-failed",
             f"{event.name}@{target}:{type(exc).__name__}",
         )
@@ -229,7 +248,7 @@ class Operator:
         self._retire(name, record)
         units = record.units
         if action is DecisionAction.DEPLOY:
-            new = record.units = self._deploy_units(name, ledger)
+            new = record.units = self._deploy_units(name, record, ledger)
             self._trace.instance_action(name, "deploy", new, self._nodes(new))
         elif action is DecisionAction.RECONFIGURE:
             primary = units[:1]
@@ -241,28 +260,42 @@ class Operator:
             # Record the new units before the old ones go, so a retry after
             # a failed terminate reuses them instead of deploying again.
             retiring = (units, self._nodes(units))
-            record.units = self._deploy_units(name, ledger)
+            record.units = self._deploy_units(name, record, ledger)
             record.retiring = retiring
             self._retire(name, record)
         elif action is DecisionAction.SHUTDOWN:
             self._teardown(name, record)
 
-    def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
-        raise NotImplementedError
+    def _deploy_units(
+        self, name: str, record: _Resource, ledger: DemandLedger
+    ) -> tuple[str, ...]:
+        """Start every unit of `name`, last first; all of them or none.
 
-    def _deploy(
-        self, name: str, ledger: DemandLedger, kind: ServiceKind, node_id: str
-    ) -> str:
-        """Start one unit of `name` running the ledger's config and version."""
-        return self._sim.deploy_instance(
+        Returns them in record order; a connection's receiver starts before
+        its sender.  A started unit whose rollback fails is left in
+        `strays` for the next `_retire`.
+        """
+        config = ledger.effective_config
+        specs = [
             InstanceSpec(
                 cr_name=name,
-                service_kind=kind,
-                node_id=node_id,
-                config=ledger.effective_config,
+                service_kind=kind
+                or ServiceKind(config_value(config, CFG_SERVICE_KIND)),
+                node_id=config_value(config, node_key),
+                config=config,
                 version=ledger.version,
             )
-        )
+            for kind, node_key in UNITS[self.kind]
+        ]
+        started: list[str] = []
+        try:
+            for spec in reversed(specs):
+                started.append(self._sim.deploy_instance(spec))
+        except OrchestrationError:
+            record.strays = tuple(started)
+            self._retire(name, record)  # nothing else retires mid-deploy
+            raise
+        return tuple(reversed(started))
 
     def _teardown(self, name: str, record: _Resource) -> None:
         units, record.units = record.units, ()
@@ -271,18 +304,21 @@ class Operator:
         self._retire(name, record)
 
     def _retire(self, name: str, record: _Resource) -> None:
-        """Terminate the units a replace or teardown still owes, then trace it.
+        """Terminate the strays and the units a replace or teardown owes.
 
         A unit that is already gone counts as terminated, so a retry after
-        a partly failed attempt finishes the job.
+        a partly failed attempt finishes the job.  Strays end untraced, as
+        a rollback that succeeds at once does.
         """
-        if record.retiring is None:
+        if record.retiring is None and not record.strays:
             return
-        units, nodes = record.retiring
-        for unit in units:
+        units, nodes = record.retiring or ((), ())
+        for unit in record.strays + units:
             with suppress(NotRunningError):
                 self._sim.terminate_instance(unit)
-        record.retiring = None
+        record.strays, record.retiring = (), None
+        if not units:
+            return
         new = record.units
         if new:
             self._trace.instance_action(
@@ -301,39 +337,3 @@ class Operator:
 
     def _nodes(self, units: tuple[str, ...]) -> tuple[str, ...]:
         return tuple(self._sim.get_instance(u).node_id for u in units)
-
-
-class ServiceOperator(Operator):
-    """Reconciles managed services onto single cluster instances."""
-
-    kind = ResourceKind.MANAGED_SERVICE
-    source = "service-operator"
-
-    def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
-        config = ledger.effective_config
-        service_kind = ServiceKind(config_value(config, CFG_SERVICE_KIND))
-        node_id = config_value(config, CFG_NODE)
-        return (self._deploy(name, ledger, service_kind, node_id),)
-
-
-class ConnectionOperator(Operator):
-    """Reconciles managed connections onto sender/receiver instance pairs.
-
-    The pair is atomic: a deploy that cannot complete both halves tears
-    the first half down again, so no half-connected state survives.
-    """
-
-    kind = ResourceKind.MANAGED_CONNECTION
-    source = "connection-operator"
-
-    def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
-        config = ledger.effective_config
-        src = config_value(config, CFG_SRC)
-        dst = config_value(config, CFG_DST)
-        receiver_id = self._deploy(name, ledger, ServiceKind.COMM_RECEIVER, dst)
-        try:
-            sender_id = self._deploy(name, ledger, ServiceKind.COMM_SENDER, src)
-        except OrchestrationError:
-            self._sim.terminate_instance(receiver_id)
-            raise
-        return sender_id, receiver_id

@@ -22,10 +22,11 @@ from .detector import EventDetector
 from .manager import AppManager, AccessDomainPolicy, DeploymentRequest, RequestResult
 from .model import (
     NonQuiescenceError,
+    ResourceKind,
     Topology,
     source_topic,
 )
-from .operators import ConnectionOperator, ServiceOperator
+from .operators import Operator
 from .scenario import MODE_SCRIPTED, Scenario, interpolate
 from .store import ResourceStore
 from .tracing import Trace
@@ -42,8 +43,8 @@ class System:
     manager: AppManager
     sim: ClusterSim
     detector: EventDetector
-    service_op: ServiceOperator
-    connection_op: ConnectionOperator
+    service_op: Operator
+    connection_op: Operator
     trace: Trace
     # (node, topic) per entity capability: one message each per tick.
     sources: tuple[tuple[str, str], ...]
@@ -64,8 +65,6 @@ def build_system(
     sim = ClusterSim()
     for entity in scenario.entities:
         sim.add_node(entity.node_id)
-    service_op = ServiceOperator(store, sim, trace)
-    connection_op = ConnectionOperator(store, sim, trace)
     detector = EventDetector(scenario.rule, topology)
     sources = tuple(
         (entity.node_id, source_topic(entity.entity_id, kind))
@@ -78,8 +77,8 @@ def build_system(
         manager=manager,
         sim=sim,
         detector=detector,
-        service_op=service_op,
-        connection_op=connection_op,
+        service_op=Operator(ResourceKind.MANAGED_SERVICE, store, sim, trace),
+        connection_op=Operator(ResourceKind.MANAGED_CONNECTION, store, sim, trace),
         trace=trace,
         sources=sources,
     )
@@ -87,17 +86,18 @@ def build_system(
 
 def drain(system: System) -> None:
     """Re-queue parked events, then run both operators until none is pending."""
-    system.service_op.unpark()
-    system.connection_op.unpark()
+    operators = (system.service_op, system.connection_op)
+    for operator in operators:
+        operator.unpark()
     rounds = 0
-    while system.service_op.pending() or system.connection_op.pending():
+    while any(operator.pending() for operator in operators):
         rounds += 1
         if rounds > MAX_DRAIN_ROUNDS:
             raise NonQuiescenceError(
                 f"reconcile queues still busy after {MAX_DRAIN_ROUNDS} rounds"
             )
-        system.service_op.run_pending()
-        system.connection_op.run_pending()
+        for operator in operators:
+            operator.run_pending()
 
 
 def deliver(system: System, request: DeploymentRequest, copies: int = 1) -> None:

@@ -17,10 +17,9 @@ from demandflow.model import (
     ServiceKind,
 )
 from demandflow.operators import (
-    ConnectionOperator,
     DecisionAction,
     MAX_ATTEMPTS,
-    ServiceOperator,
+    Operator,
     decide,
 )
 from demandflow.store import DemandLedger, ResourceStore, apply_demand
@@ -264,8 +263,8 @@ def rig():
     for node in ("E", "S", "V0", "V1"):
         sim.add_node(node)
     trace = Trace()
-    service_op = ServiceOperator(store, sim, trace)
-    connection_op = ConnectionOperator(store, sim, trace)
+    service_op = Operator(SVC, store, sim, trace)
+    connection_op = Operator(CONN, store, sim, trace)
     return store, sim, trace, service_op, connection_op
 
 
@@ -359,7 +358,7 @@ def test_late_operator_replays_history(rig):
     write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
     # the late watch starts with one snapshot event; the spec it reads
     # already holds every change made before
-    late = ServiceOperator(store, sim, trace)
+    late = Operator(SVC, store, sim, trace)
     late.run_pending()
     assert late.ledger("svc-x").requester_counts == {"V0": 1, "S": 2, "V1": 1}
 
@@ -559,19 +558,19 @@ def test_same_tick_release_and_request_keep_the_new_demand(rig):
     assert [r for r in trace.records if r.tag == "ERROR"] == []
 
 
-def failing_terminate(sim, fail_calls):
-    """Make the given 1-based calls of `sim.terminate_instance` raise."""
-    real = sim.terminate_instance
-    calls = []
+def failing(sim, method, fail_calls):
+    """Make the given 1-based calls of the cluster's `method` raise."""
+    real = getattr(sim, method)
+    calls = 0
 
-    def terminate(instance_id):
-        calls.append(instance_id)
-        if len(calls) in fail_calls:
-            raise NothingRunningError("injected terminate failure")
-        real(instance_id)
+    def wrapped(*args):
+        nonlocal calls
+        calls += 1
+        if calls in fail_calls:
+            raise NothingRunningError(f"injected {method} failure")
+        return real(*args)
 
-    sim.terminate_instance = terminate
-    return calls
+    setattr(sim, method, wrapped)
 
 
 def test_replace_retry_reuses_the_new_instance(rig):
@@ -579,7 +578,7 @@ def test_replace_retry_reuses_the_new_instance(rig):
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v1")
     service_op.run_pending()
     (old,) = sim.instances_of("svc-x")
-    failing_terminate(sim, {1, 2})
+    failing(sim, "terminate_instance", {1, 2})
     write_demand(store, SVC, "svc-x", requesters=(), config=(), version="v2")
     while service_op.pending():
         service_op.run_pending()
@@ -606,7 +605,7 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
     connection_op.run_pending()
     pair = tuple(i.instance_id for i in sim.instances_of("conn-V0-E"))
     # the first half goes, the second half fails once
-    failing_terminate(sim, {2})
+    failing(sim, "terminate_instance", {2})
     write_demand(
         store, CONN, "conn-V0-E", action=DeltaAction.RELEASE, config=config
     )
@@ -625,7 +624,7 @@ def test_given_up_release_is_finished_by_the_next_drain(rig):
     config = svc_config((in_topic("/V0/ego"),))
     write_demand(store, SVC, "svc-x", config=config)
     service_op.run_pending()
-    failing_terminate(sim, set(range(1, MAX_ATTEMPTS + 1)))
+    failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
     write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
     while service_op.pending():
         service_op.run_pending()
@@ -665,3 +664,83 @@ def test_external_delete_tears_down_like_a_shutdown(rig):
     terminates = [r for r in trace.records if r.get("action") == "terminate"]
     assert sorted(r.get("cr") for r in terminates) == ["conn-V0-E", "svc-x"]
     assert [r for r in trace.records if r.tag == "ERROR"] == []
+
+
+def test_failed_rollback_of_a_half_deployed_pair_is_finished_later(rig):
+    store, sim, trace, _, connection_op = rig
+    config = (
+        ConfigItem("src", "V0"),
+        ConfigItem("dst", "E"),
+        ConfigItem("forward-topic", "/V0/ego"),
+    )
+    # the sender fails to start after its receiver did, and the terminate
+    # that rolls the receiver back fails too
+    failing(sim, "deploy_instance", {2})
+    failing(sim, "terminate_instance", {1})
+    write_demand(store, CONN, "conn-V0-E", config=config)
+    while connection_op.pending():
+        connection_op.run_pending()
+    pair = store.get_cr(CONN, "conn-V0-E").status.instance_ids
+    assert {i.instance_id for i in sim.instances()} == set(pair)
+    write_demand(
+        store, CONN, "conn-V0-E", action=DeltaAction.RELEASE, config=config
+    )
+    while connection_op.pending():
+        connection_op.run_pending()
+    assert sim.instances() == ()
+    assert not store.exists(CONN, "conn-V0-E")
+    # the stray receiver ends untraced, like a rollback that succeeds
+    actions = [r for r in trace.records if r.tag == "ACTION"]
+    assert [(r.get("action"), r.get("instances")) for r in actions] == [
+        ("deploy", ",".join(pair)),
+        ("terminate", ",".join(pair)),
+    ]
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
+
+
+def test_failed_teardown_of_a_deleted_resource_is_retried(rig):
+    store, sim, trace, service_op, _ = rig
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    service_op.run_pending()
+    failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
+    store.delete_cr(SVC, "svc-x")
+    while service_op.pending():
+        service_op.run_pending()
+    # every attempt of this drain failed: the unit is kept, the event parked
+    assert len(sim.instances_of("svc-x")) == 1
+    errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
+    assert errors == ["reconcile-failed"]
+    service_op.unpark()
+    while service_op.pending():
+        service_op.run_pending()
+    assert sim.instances() == ()
+    assert service_op.ledgers() == {}
+    errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
+    assert errors == ["reconcile-failed"]
+
+
+def test_resource_recreated_during_a_failed_teardown_starts_afresh(rig):
+    store, sim, trace, service_op, _ = rig
+    write_demand(store, SVC, "svc-x", config=svc_config(), version="v1")
+    service_op.run_pending()
+    (old,) = sim.instances_of("svc-x")
+    failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
+    store.delete_cr(SVC, "svc-x")
+    while service_op.pending():
+        service_op.run_pending()
+    write_demand(store, SVC, "svc-x", config=svc_config(), version="v2")
+    service_op.unpark()
+    while service_op.pending():
+        service_op.run_pending()
+    # the old unit goes before the new resource's own one starts
+    (live,) = sim.instances_of("svc-x")
+    assert live.version == "v2"
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.RUNNING
+    assert status.instance_ids == (live.instance_id,)
+    assert status.observed_generation == 1
+    actions = [r for r in trace.records if r.tag == "ACTION"]
+    assert [(r.get("action"), r.get("instances")) for r in actions][1:] == [
+        ("terminate", old.instance_id),
+        ("deploy", live.instance_id),
+    ]

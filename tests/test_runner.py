@@ -155,24 +155,31 @@ def test_upgrade_run_replaces_and_then_reconfigures_new_instances(
     assert system_is_empty(runner.system)
 
 
-def run_failing(scenario, method, failing):
-    """Run `scenario` with the listed calls of the cluster's `method` failing.
+CLUSTER_CALLS = ("deploy_instance", "terminate_instance", "reconfigure_instance")
 
-    Calls count from 1.  Returns the runner and the number of calls made.
+
+def run_failing(scenario, failing, methods=CLUSTER_CALLS):
+    """Run `scenario` with the listed calls of the cluster's `methods` failing.
+
+    The methods count their calls together, from 1.  Returns the runner
+    and the number of calls made.
     """
     runner = ScenarioRunner(scenario)
     sim = runner.system.sim
-    real = getattr(sim, method)
     calls = 0
 
-    def wrapped(*args):
-        nonlocal calls
-        calls += 1
-        if calls in failing:
-            raise OrchestrationError(f"injected {method} failure")
-        return real(*args)
+    def failing_calls(method, real):
+        def wrapped(*args):
+            nonlocal calls
+            calls += 1
+            if calls in failing:
+                raise OrchestrationError(f"injected {method} failure")
+            return real(*args)
 
-    setattr(sim, method, wrapped)
+        return wrapped
+
+    for method in methods:
+        setattr(sim, method, failing_calls(method, getattr(sim, method)))
     runner.run()
     return runner, calls
 
@@ -180,31 +187,31 @@ def run_failing(scenario, method, failing):
 def test_failed_terminates_still_empty_the_system(reference_scenario):
     # Terminate calls 3-5 fail: the release of conn-V0-E gives up at
     # tick 13, and the parked event tears conn-V0-E down on the next tick.
-    runner, _ = run_failing(reference_scenario, "terminate_instance", {3, 4, 5})
+    runner, _ = run_failing(
+        reference_scenario, {3, 4, 5}, methods=("terminate_instance",)
+    )
     assert system_is_empty(runner.system)
     errors = records_with(runner.trace, TAG_ERROR)
     assert [(r.tick, r.get("kind")) for r in errors] == [(13, "reconcile-failed")]
 
 
-def assert_failures_retried_away(scenario, method, width):
-    """Fail calls k..k+width-1 of `method`, for every k; each run ends empty.
+def assert_failures_retried_away(scenario, width, methods=CLUSTER_CALLS):
+    """Fail calls k..k+width-1 of `methods`, for every k; each run ends empty.
 
     A give-up is the only error a run may trace, and none at width 1.
     """
-    _, calls = run_failing(scenario, method, ())
+    _, calls = run_failing(scenario, (), methods)
     assert calls
     allowed = {"reconcile-failed"} if width > 1 else set()
     for k in range(1, calls + 1):
-        runner, _ = run_failing(scenario, method, set(range(k, k + width)))
+        runner, _ = run_failing(scenario, set(range(k, k + width)), methods)
         burst = f"calls {k}..{k + width - 1}"
         assert system_is_empty(runner.system), burst
         kinds = {r.get("kind") for r in records_with(runner.trace, TAG_ERROR)}
         assert kinds <= allowed, burst
 
 
-@pytest.mark.parametrize(
-    "method", ["deploy_instance", "terminate_instance", "reconfigure_instance"]
-)
+@pytest.mark.parametrize("method", CLUSTER_CALLS)
 @pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
 def test_any_single_cluster_failure_is_retried_away(request, fixture, method):
     # One failed call costs one retry, well within MAX_ATTEMPTS, so each
@@ -213,7 +220,16 @@ def test_any_single_cluster_failure_is_retried_away(request, fixture, method):
     # the next tick, which both scenarios' settle windows provide.
     scenario = request.getfixturevalue(fixture)
     for width in (1, 3):
-        assert_failures_retried_away(scenario, method, width)
+        assert_failures_retried_away(scenario, width, (method,))
+
+
+@pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
+def test_failure_windows_across_cluster_calls_are_retried_away(request, fixture):
+    # Counted together, a window can fail a connection's sender deploy and
+    # then the terminate that rolls its receiver back.
+    scenario = request.getfixturevalue(fixture)
+    for width in (2, 3):
+        assert_failures_retried_away(scenario, width)
 
 
 def hysteresis_oracle(scenario):
@@ -436,13 +452,15 @@ def churn_mapping():
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "method", ["deploy_instance", "terminate_instance", "reconfigure_instance"]
+    "methods",
+    [(method,) for method in CLUSTER_CALLS] + [CLUSTER_CALLS],
+    ids=[*CLUSTER_CALLS, "all"],
 )
-def test_failure_bursts_on_the_churn_walk_are_retried_away(method):
+def test_failure_bursts_on_the_churn_walk_are_retried_away(methods):
     # One settle tick per step leaves every burst a tick after it.
     raw = churn_mapping()
     raw["timeline"]["settle_ticks"] = 1
-    assert_failures_retried_away(scenario_from_mapping(raw), method, 3)
+    assert_failures_retried_away(scenario_from_mapping(raw), 3, methods)
 
 
 # Digests of the churn walk above, rendered before resolution was memoized
