@@ -16,7 +16,7 @@ OUTSIDE = (500.0, 0.0)
 
 
 def show_fusion(system, label):
-    instances = system.sim.instances_of(FUSION)
+    instances = [i for i in system.sim.instances() if i.cr_name == FUSION]
     if not instances:
         print(f"{label:28s}  (no fusion instance)")
         return

@@ -17,6 +17,12 @@ code.  One rule drives both: a behavior publishes its output topic once
 when any of its trigger topics is on its node's bus.  A detector's
 trigger is its first input topic, a fuser's are all of its input topics.
 All detectors run before all fusers, each in creation order.
+`changed_nodes` names the nodes whose visible topics the last tick may
+have changed, a superset of those that did.  Beyond its own published
+sources, a node's bus holds only the outputs of behaviors on it and the
+entries routes delivered to it, so if the last two ticks read the same
+sources tuple, only nodes where either tick ran a behavior or received
+arrivals can differ; otherwise every node can.
 Everything is deterministic: no wall clock, no randomness, fixed
 iteration orders.
 """
@@ -96,6 +102,8 @@ class Plan(NamedTuple):
 
     behaviors: list[Behavior]
     routes: dict[str, dict[str, list[str]]]  # node -> topic -> receiver nodes
+    behavior_nodes: frozenset[str]  # nodes a behavior runs on
+    receiver_nodes: frozenset[str]  # nodes of receivers: routes deliver there
 
 
 class ClusterSim:
@@ -105,6 +113,13 @@ class ClusterSim:
         # Both bus sets hold every node.
         self._next: dict[str, Bus] = {}  # the buses the next tick reads
         self._bus: dict[str, Bus] = {}  # the buses the last tick read
+        # What the next tick reads: None if nothing was published, the
+        # sources tuple of one whole publish, else a fresh object.
+        self._published: object = None
+        self._read: tuple[object, object] = (None, None)  # by the last two ticks
+        # Behavior nodes, receiver nodes of the last three ticks' plans,
+        # oldest first.  Not the plans: a dropped plan is freed at once.
+        self._ran: tuple[frozenset[str], ...] = (frozenset(),) * 6
         self._deploy_counts: dict[str, int] = {}
         self._iid_seq = 0
 
@@ -170,11 +185,6 @@ class ClusterSim:
     def instances(self) -> tuple[ServiceInstance, ...]:
         return tuple(self._instances.values())
 
-    def instances_of(self, cr_name: str) -> tuple[ServiceInstance, ...]:
-        return tuple(
-            i for i in self._instances.values() if i.cr_name == cr_name
-        )
-
     def _require_running(self, instance_id: str) -> ServiceInstance:
         instance = self._instances.get(instance_id)
         if instance is None:
@@ -185,12 +195,16 @@ class ClusterSim:
 
     def publish_sources(self, sources: Iterable[tuple[str, str]]) -> None:
         """Queue one message per `(node, topic)` for the next tick."""
+        once = self._published is None and type(sources) is tuple
+        self._published = object()  # until the whole tuple is queued
         buses = self._next
         for node_id, topic in sources:
             bus = buses.get(node_id)
             if bus is None:
                 raise UnknownNodeError(f"unknown node {node_id!r}")
             bus[1].append(topic)
+        if once:
+            self._published = sources
 
     # -- the tick ----------------------------------------------------------
 
@@ -225,7 +239,21 @@ class ClusterSim:
                     forwarded += 1
 
         self._bus = bus
+        self._read = (self._read[1], self._published)
+        self._published = None
+        self._ran = (*self._ran[2:], plan.behavior_nodes, plan.receiver_nodes)
         return TickReport(produced, forwarded)
+
+    def changed_nodes(self) -> list[str]:
+        """Nodes whose visible topics the last tick may have changed.
+
+        A superset of the nodes that changed, in `add_node` order.
+        """
+        if self._read[0] is not self._read[1]:
+            return list(self._bus)
+        _, routed_before, ran_last, routed_last, ran_now, _ = self._ran
+        stirred = ran_now | routed_last | ran_last | routed_before
+        return [node for node in self._bus if node in stirred]
 
     def _build_plan(self) -> Plan:
         """Detectors, then fusers, each in creation order: outputs feed later ones."""
@@ -256,7 +284,13 @@ class ClusterSim:
             by_topic = routes.setdefault(sender.node_id, {})
             for topic in sender.forward_topics:
                 by_topic.setdefault(topic, []).append(dst)
-        self._plan = Plan(detectors + fusers, routes)
+        behaviors = detectors + fusers
+        self._plan = Plan(
+            behaviors,
+            routes,
+            frozenset([node for node, _, _ in behaviors]),
+            frozenset(receiver_nodes.values()),
+        )
         return self._plan
 
     def topics_visible_at(self, node_id: str) -> tuple[str, ...]:

@@ -6,10 +6,12 @@ the events the previous drain parked), publish every entity's source
 data, then advance the cluster one step.  Scripted timelines give each
 event a fixed window of ticks and snapshot node topics at each window's
 end; waypoint timelines sample every route on the first tick, then only
-the routes in motion, and snapshot topics whenever they change.  A
-request and an upgrade are traced alike: a REQUEST record, then one CR
+the routes in motion, and snapshot a node's topics whenever they change,
+comparing only the nodes the cluster says the last tick may have changed.
+A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
-it.
+it.  A run ends with one more drain, so an event parked in the last tick
+is still retried.
 """
 
 from __future__ import annotations
@@ -142,14 +144,14 @@ class ScenarioRunner:
         self.duplicate_delivery = duplicate_delivery
         self.system = build_system(scenario, trace=trace, policy=policy)
         self.trace = self.system.trace
-        self._nodes = tuple(e.node_id for e in scenario.entities)
-        self._nodes_sorted = tuple(sorted(self._nodes))
+        self._nodes_sorted = tuple(sorted(e.node_id for e in scenario.entities))
 
     def run(self) -> Trace:
         if self.scenario.timeline.mode == MODE_SCRIPTED:
             self._run_scripted()
         else:
             self._run_waypoints()
+        drain(self.system)  # retries what the last tick gave up on
         return self.trace
 
     # -- scripted timelines ------------------------------------------------
@@ -195,8 +197,9 @@ class ScenarioRunner:
             for vehicle_id, route in self.scenario.timeline.waypoints.items()
         ]
         detector = self.system.detector
+        changed_nodes = self.system.sim.changed_nodes
         topics_visible_at = self.system.sim.topics_visible_at
-        last_topics = dict.fromkeys(self._nodes, ())
+        last_topics: dict[str, tuple[str, ...]] = {}
         step = 0
         for tick in range(1, self.scenario.tick_budget + 1):
             for vehicle_id, route, first, last in routes:
@@ -207,9 +210,9 @@ class ScenarioRunner:
                 step += 1
             self.trace.at(step, tick)
             self._tick(requests)
-            for node in self._nodes:
+            for node in changed_nodes():
                 visible = topics_visible_at(node)
-                if visible != last_topics[node]:
+                if visible != last_topics.get(node, ()):
                     self.trace.topics(node, visible)
                     last_topics[node] = visible
 

@@ -562,3 +562,150 @@ def test_publish_sources_rejects_an_unknown_node():
     sim = sim_with("A")
     with pytest.raises(UnknownNodeError):
         sim.publish_sources((("B", "/B/ego"),))
+
+
+# -- the nodes a tick may have changed --------------------------------------
+
+TOPICS = ("/a", "/b", "/c", "/d")
+STUBS = (ServiceKind.OBJECT_DETECTION, ServiceKind.OBJECT_FUSION)
+
+
+def stub_config(rng):
+    """Zero to two input topics and, mostly, an output topic."""
+    inputs = rng.sample(TOPICS, rng.randint(0, 2))
+    items = [ConfigItem("input-topic", t) for t in inputs]
+    if rng.random() < 0.8:
+        items.append(ConfigItem("output-topic", rng.choice(TOPICS)))
+    return tuple(items)
+
+
+def change_something(rng, sim, nodes, live, name):
+    """Deploy, terminate or reconfigure an instance, or add a node."""
+    roll = rng.random()
+    if roll < 0.3:  # a pair between any two nodes, not only into the edge
+        src, dst = rng.sample(nodes, 2)
+        carried = rng.sample(TOPICS, rng.randint(1, 2))
+        live.extend(deploy_pair(sim, src, dst, carried, cr_name=f"conn-{name}"))
+    elif roll < 0.5:
+        kind = rng.choice(STUBS)
+        spec = InstanceSpec(f"svc-{name}", kind, rng.choice(nodes), stub_config(rng))
+        live.append(sim.deploy_instance(spec))
+    elif roll < 0.75 and live:  # may end a receiver with arrivals in flight
+        sim.terminate_instance(live.pop(rng.randrange(len(live))))
+    elif roll < 0.95 and live:
+        instance = sim.get_instance(rng.choice(live))
+        if instance.service_kind in STUBS:
+            config = stub_config(rng)
+        else:
+            carried = rng.sample(TOPICS, rng.randint(0, 2))
+            config = tuple(
+                i for i in instance.config if i.kind != "forward-topic"
+            ) + tuple(ConfigItem("forward-topic", t) for t in carried)
+        sim.reconfigure_instance(instance.instance_id, config)
+    elif roll >= 0.95:
+        nodes.append(f"N{len(nodes)}")
+        sim.add_node(nodes[-1])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_nodes_left_out_of_changed_nodes_keep_their_topics(seed):
+    rng = random.Random(seed)
+    nodes = ["A", "B", "C", "E"]
+    sim = sim_with(*nodes)
+
+    def sources():
+        count = rng.randint(0, 6)
+        return tuple((rng.choice(nodes), rng.choice(TOPICS)) for _ in range(count))
+
+    usual, other = sources(), sources()
+    left_out = 0
+    live = []
+    for step in range(150):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            change_something(rng, sim, nodes, live, step)
+        before = {node: sim.topics_visible_at(node) for node in nodes}
+        roll = rng.random()
+        if roll < 0.7:
+            sim.publish_sources(usual)  # the same tuple, as the runner does
+        elif roll < 0.75:
+            sim.publish_sources(other)
+        elif roll < 0.8:
+            usual = sources()  # equal or not, a new tuple
+            sim.publish_sources(usual)
+        elif roll < 0.85:
+            sim.publish_sources(list(usual))
+        elif roll < 0.9:
+            sim.publish_sources(other)
+            sim.publish_sources(usual)
+        elif roll < 0.95:
+            sim.publish_sources(usual)
+            sim.publish_sources(usual)
+        # else: nothing published this tick
+        sim.tick()
+        changed = sim.changed_nodes()
+        assert changed == [node for node in nodes if node in changed]
+        for node in nodes:
+            if node not in changed:
+                left_out += 1
+                assert sim.topics_visible_at(node) == before[node], (step, node)
+    assert left_out
+
+
+def test_arrivals_of_a_removed_connection_change_their_node_twice():
+    sim = sim_with("A", "B", "E")
+    sources = (("A", "/A/ego"), ("B", "/B/ego"))
+    pair = deploy_pair(sim, "A", "E", ["/A/ego"])
+    sim.publish_sources(sources)
+    sim.tick()
+    assert sim.changed_nodes() == ["A", "B", "E"]  # new sources
+    for instance_id in pair:
+        sim.terminate_instance(instance_id)
+    sim.publish_sources(sources)
+    sim.tick()  # the last forwarded entries land
+    assert sim.topics_visible_at("E") == ("/A/ego",)
+    assert sim.changed_nodes() == ["E"]
+    sim.publish_sources(sources)
+    sim.tick()  # and are gone
+    assert sim.topics_visible_at("E") == ()
+    assert sim.changed_nodes() == ["E"]
+    sim.publish_sources(sources)
+    sim.tick()
+    assert sim.changed_nodes() == []
+
+
+def test_behaviors_change_their_node_only_while_sources_stay_the_same():
+    sim = sim_with("A", "E")
+    detector = sim.deploy_instance(DETECTION_SPEC)
+    sources = (("A", "/A/ego"), ("E", "/S/points"))
+    assert sim.changed_nodes() == []  # no tick yet
+    for _ in range(3):
+        sim.publish_sources(sources)
+        sim.tick()
+    assert sim.changed_nodes() == ["E"]
+    sim.terminate_instance(detector)
+    sim.publish_sources(sources)
+    sim.tick()  # its output is gone
+    assert sim.topics_visible_at("E") == ("/S/points",)
+    assert sim.changed_nodes() == ["E"]
+    sim.publish_sources(sources)
+    sim.tick()
+    assert sim.changed_nodes() == []
+    sim.publish_sources(sources[:1])
+    sim.tick()
+    assert sim.changed_nodes() == ["A", "E"]
+    sim.tick()  # nothing published
+    assert sim.changed_nodes() == ["A", "E"]
+    sim.tick()
+    assert sim.changed_nodes() == []
+
+
+def test_a_list_of_sources_is_never_taken_for_the_last_ones():
+    sim = sim_with("A", "E")
+    sources = [("A", "/A/ego")]
+    sim.publish_sources(sources)
+    sim.tick()
+    sources.append(("E", "/E/ego"))  # the same list, changed in place
+    sim.publish_sources(sources)
+    sim.tick()
+    assert sim.topics_visible_at("E") == ("/E/ego",)
+    assert sim.changed_nodes() == ["A", "E"]

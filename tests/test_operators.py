@@ -50,6 +50,11 @@ def in_topic(value):
     return ConfigItem("input-topic", value)
 
 
+def instances_of(sim, cr_name):
+    """The running instances of one resource, in creation order."""
+    return tuple(i for i in sim.instances() if i.cr_name == cr_name)
+
+
 BASE = (ConfigItem("node", "E"), ConfigItem("service-kind", "object-fusion"))
 
 
@@ -284,7 +289,7 @@ def test_created_resource_deploys_an_instance(rig):
         config=svc_config((in_topic("/V0/ego"),)), version="v1",
     )
     assert service_op.run_pending() == 1
-    instances = sim.instances_of("svc-x")
+    instances = instances_of(sim, "svc-x")
     assert len(instances) == 1
     assert instances[0].node_id == "E"
     assert instances[0].version == "v1"
@@ -299,12 +304,12 @@ def test_growing_support_does_not_redeploy(rig):
     store, sim, _, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
-    first = sim.instances_of("svc-x")[0]
+    first = instances_of(sim, "svc-x")[0]
     write_demand(
         store, SVC, "svc-x", requesters=("V1", "S"), config=svc_config()
     )
     service_op.run_pending()
-    after = sim.instances_of("svc-x")[0]
+    after = instances_of(sim, "svc-x")[0]
     assert after.instance_id == first.instance_id
     assert after.restart_count == 0
     assert after.config_version == 0
@@ -320,7 +325,7 @@ def test_config_change_reconfigures_in_place(rig):
         requesters=("V1", "S"), config=svc_config((in_topic("/V1/ego"),)),
     )
     service_op.run_pending()
-    instance = sim.instances_of("svc-x")[0]
+    instance = instances_of(sim, "svc-x")[0]
     assert instance.config_version == 1
     assert instance.restart_count == 0
     assert set(instance.input_topics) == {"/V0/ego", "/V1/ego"}
@@ -333,7 +338,7 @@ def test_emptied_support_terminates_and_deletes(rig):
     service_op.run_pending()
     write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
     service_op.run_pending()
-    assert sim.instances_of("svc-x") == ()
+    assert instances_of(sim, "svc-x") == ()
     assert not store.exists(SVC, "svc-x")
     assert service_op.ledger("svc-x") is None
 
@@ -348,7 +353,7 @@ def test_batched_events_apply_every_generation_once(rig):
     service_op.run_pending()
     ledger = service_op.ledger("svc-x")
     assert ledger.requester_counts == {"V0": 2, "S": 3, "V1": 1}
-    assert len(sim.instances_of("svc-x")) == 1
+    assert len(instances_of(sim, "svc-x")) == 1
     assert store.get_cr(SVC, "svc-x").status.observed_generation == 3
 
 
@@ -371,7 +376,7 @@ def test_stale_events_are_ignored(rig):
     before = service_op.ledger("svc-x")
     service_op.reconcile(watcher_event)  # replayed duplicate
     assert service_op.ledger("svc-x") == before
-    assert len(sim.instances_of("svc-x")) == 1
+    assert len(instances_of(sim, "svc-x")) == 1
 
 
 def test_connection_pair_deploys_both_halves(rig):
@@ -385,7 +390,7 @@ def test_connection_pair_deploys_both_halves(rig):
         ),
     )
     connection_op.run_pending()
-    pair = sim.instances_of("conn-V0-E")
+    pair = instances_of(sim, "conn-V0-E")
     assert len(pair) == 2
     kinds = {i.service_kind for i in pair}
     assert kinds == {ServiceKind.COMM_SENDER, ServiceKind.COMM_RECEIVER}
@@ -554,7 +559,7 @@ def test_same_tick_release_and_request_keep_the_new_demand(rig):
     assert store.exists(SVC, "svc-x")
     assert store.get_cr(SVC, "svc-x").status.support == ("V1", "S")
     assert service_op.ledger("svc-x").support == ("V1", "S")
-    assert len(sim.instances_of("svc-x")) == 1
+    assert len(instances_of(sim, "svc-x")) == 1
     assert [r for r in trace.records if r.tag == "ERROR"] == []
 
 
@@ -577,12 +582,12 @@ def test_replace_retry_reuses_the_new_instance(rig):
     store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v1")
     service_op.run_pending()
-    (old,) = sim.instances_of("svc-x")
+    (old,) = instances_of(sim, "svc-x")
     failing(sim, "terminate_instance", {1, 2})
     write_demand(store, SVC, "svc-x", requesters=(), config=(), version="v2")
     while service_op.pending():
         service_op.run_pending()
-    (live,) = sim.instances_of("svc-x")
+    (live,) = instances_of(sim, "svc-x")
     assert live.version == "v2"
     assert store.get_cr(SVC, "svc-x").status.instance_ids == (
         live.instance_id,
@@ -603,7 +608,7 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
     )
     write_demand(store, CONN, "conn-V0-E", config=config)
     connection_op.run_pending()
-    pair = tuple(i.instance_id for i in sim.instances_of("conn-V0-E"))
+    pair = tuple(i.instance_id for i in instances_of(sim, "conn-V0-E"))
     # the first half goes, the second half fails once
     failing(sim, "terminate_instance", {2})
     write_demand(
@@ -629,7 +634,7 @@ def test_given_up_release_is_finished_by_the_next_drain(rig):
     while service_op.pending():
         service_op.run_pending()
     # the give-up keeps both the instance and the emptied spec
-    assert len(sim.instances_of("svc-x")) == 1
+    assert len(instances_of(sim, "svc-x")) == 1
     assert store.get_spec(SVC, "svc-x").is_empty()
     service_op.unpark()
     while service_op.pending():
@@ -707,7 +712,7 @@ def test_failed_teardown_of_a_deleted_resource_is_retried(rig):
     while service_op.pending():
         service_op.run_pending()
     # every attempt of this drain failed: the unit is kept, the event parked
-    assert len(sim.instances_of("svc-x")) == 1
+    assert len(instances_of(sim, "svc-x")) == 1
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
     assert errors == ["reconcile-failed"]
     service_op.unpark()
@@ -723,7 +728,7 @@ def test_resource_recreated_during_a_failed_teardown_starts_afresh(rig):
     store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v1")
     service_op.run_pending()
-    (old,) = sim.instances_of("svc-x")
+    (old,) = instances_of(sim, "svc-x")
     failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
     store.delete_cr(SVC, "svc-x")
     while service_op.pending():
@@ -733,7 +738,7 @@ def test_resource_recreated_during_a_failed_teardown_starts_afresh(rig):
     while service_op.pending():
         service_op.run_pending()
     # the old unit goes before the new resource's own one starts
-    (live,) = sim.instances_of("svc-x")
+    (live,) = instances_of(sim, "svc-x")
     assert live.version == "v2"
     status = store.get_cr(SVC, "svc-x").status
     assert status.phase is Phase.RUNNING

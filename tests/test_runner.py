@@ -463,6 +463,19 @@ def test_failure_bursts_on_the_churn_walk_are_retried_away(methods):
     assert_failures_retried_away(scenario_from_mapping(raw), 3, methods)
 
 
+@pytest.mark.parametrize("failing", [(175, 176, 177), (176, 177, 178)])
+def test_give_up_in_the_last_tick_is_retried_before_the_run_ends(failing):
+    # The walk makes 176 terminate calls, the last ones in its last tick
+    # (129): the give-up there parks its event with no tick left to run it.
+    scenario = scenario_from_mapping(churn_mapping())
+    runner, _ = run_failing(scenario, set(failing), ("terminate_instance",))
+    errors = records_with(runner.trace, TAG_ERROR)
+    assert [(r.tick, r.get("kind")) for r in errors] == [
+        (scenario.tick_budget, "reconcile-failed")
+    ]
+    assert system_is_empty(runner.system)
+
+
 # Digests of the churn walk above, rendered before resolution was memoized
 # and the ledger fold lost its Counter; repeated identical demands and a
 # reconcile on every tick exercise the control plane far more than the
@@ -551,6 +564,43 @@ def test_waypoint_run_trace_is_frozen():
     assert max(per_tick.values()) >= 2
     assert not records_with(runner.trace, TAG_ERROR)
     assert system_is_empty(runner.system)
+
+
+def assert_snapshots_match_a_full_diff(scenario):
+    """A run renders the same trace when its snapshots compare every node."""
+    every_node = ScenarioRunner(scenario)
+    nodes = [entity.node_id for entity in scenario.entities]
+    every_node.system.sim.changed_nodes = lambda: nodes
+    assert run_scenario(scenario).trace.render() == every_node.run().render()
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_waypoint_snapshots_match_a_diff_of_every_node(seed):
+    # Each walk has dwells in the hysteresis band and a tick with two
+    # transitions.
+    assert_snapshots_match_a_full_diff(scenario_from_mapping(waypoint_mapping(seed)))
+
+
+@pytest.mark.parametrize(
+    "routes",
+    [
+        # dwells in the band on the way in and on the way out
+        [[(1, 300.0, 0.0), (3, 160.0, 0.0), (6, 160.0, 0.0), (2, 0.0, 0.0),
+          (2, 160.0, 0.0), (5, 160.0, 0.0), (2, 300.0, 0.0)]],
+        # three vehicles cross each threshold on the same ticks
+        [[(1, 300.0, 0.0), (4, 0.0, 0.0), (4, 300.0, 0.0)]] * 3,
+    ],
+    ids=["band-dwells", "same-tick"],
+)
+def test_fuzzed_waypoint_snapshots_match_a_diff_of_every_node(routes):
+    assert_snapshots_match_a_full_diff(fuzz_scenario(routes))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2])
+def test_large_fleet_snapshots_match_a_diff_of_every_node(seed):
+    raw = waypoint_mapping(seed, vehicles=80, ticks=1000)
+    assert_snapshots_match_a_full_diff(scenario_from_mapping(raw))
 
 
 # make_scale_scenario(400) rendered before the cluster kept its route plan
