@@ -120,6 +120,7 @@ class ClusterSim:
         # Behavior nodes, receiver nodes of the last three ticks' plans,
         # oldest first.  Not the plans: a dropped plan is freed at once.
         self._ran: tuple[frozenset[str], ...] = (frozenset(),) * 6
+        self._order: dict[str, int] = {}  # node -> its add_node index
         self._deploy_counts: dict[str, int] = {}
         self._iid_seq = 0
 
@@ -130,6 +131,7 @@ class ClusterSim:
             raise DuplicateNodeError(f"node {node_id!r} already exists")
         self._next[node_id] = ([], [])
         self._bus[node_id] = ([], [])
+        self._order[node_id] = len(self._order)
 
     def _require_node(self, node_id: str) -> None:
         if node_id not in self._bus:
@@ -253,7 +255,7 @@ class ClusterSim:
             return list(self._bus)
         _, routed_before, ran_last, routed_last, ran_now, _ = self._ran
         stirred = ran_now | routed_last | ran_last | routed_before
-        return [node for node in self._bus if node in stirred]
+        return sorted(stirred, key=self._order.__getitem__)
 
     def _build_plan(self) -> Plan:
         """Detectors, then fusers, each in creation order: outputs feed later ones."""

@@ -85,6 +85,7 @@ class _Resource:
     """What an operator knows about one custom resource."""
 
     ledger: DemandLedger | None = None  # last reconciled; None until one is
+    uid: int = 0  # the life `ledger` and `observed` belong to; 0: none
     observed: int = 0
     units: tuple[str, ...] = ()
     retiring: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # units, nodes
@@ -97,9 +98,11 @@ class Operator:
 
     One watch event is processed at a time.  Reconciling is
     level-triggered: read the store's current spec, decide, execute
-    against the cluster, then publish status and a ledger trace record;
-    events at or below the observed generation are stale.  A deleted
-    resource's spec is empty, so its units go as on a shutdown.  A cluster
+    against the cluster, then publish status and a ledger trace record.
+    Uids order the lives of a name, so an event is stale if its
+    (uid, generation) is at or below the observed one.  A deleted
+    resource's spec is empty, so its units go as on a shutdown; a new
+    life of the name starts afresh with the units left.  A cluster
     failure re-queues the event; the MAX_ATTEMPTS-th failure traces an
     error and parks the event without advancing the observed generation,
     and every event of a parked resource waits with it until `unpark`.
@@ -163,15 +166,14 @@ class Operator:
         if event.change is ChangeType.DELETED:
             if record is None:
                 return  # never reconciled, or its shutdown deleted it
-            # A resource re-created under this name starts afresh, with the
-            # units left; a retry of this event only reconciles the name.
-            record.observed = record.attempts = 0
-            record.ledger = None
+            # A retry of this event only reconciles the name.
             event = replace(event, change=ChangeType.SPEC_UPDATED)
         elif name in self._parked:
             return  # the parked event covers it
-        elif record is not None and event.generation <= record.observed:
-            return  # stale or duplicate event
+        elif record is not None and (event.uid, event.generation) <= (
+            record.uid, record.observed
+        ):
+            return  # of an earlier life, stale or a duplicate
         try:
             resource = self._store.get_cr(self.kind, name)
         except NotFoundError:
@@ -180,6 +182,12 @@ class Operator:
             resource = None  # deleted: the empty spec shuts it down
         if record is None:
             record = self._resources[name] = _Resource()
+        uid = resource.uid if resource is not None else 0
+        if uid != record.uid:
+            # Another life of the name, or none: no generation of the
+            # last life may reach its status.
+            record.uid, record.observed, record.attempts = uid, 0, 0
+            record.ledger = None
 
         ledger = resource.spec if resource is not None else DemandLedger()
         action = decide(ledger, self._primary_instance(record))

@@ -3,11 +3,14 @@
 Each tick: move vehicles, evaluate the geofence, deliver any resulting
 requests, drain both reconcile queues to quiescence (first re-queueing
 the events the previous drain parked), publish every entity's source
-data, then advance the cluster one step.  Scripted timelines give each
-event a fixed window of ticks and snapshot node topics at each window's
-end; waypoint timelines sample every route on the first tick, then only
-the routes in motion, and snapshot a node's topics whenever they change,
-comparing only the nodes the cluster says the last tick may have changed.
+data, then advance the cluster one step.  Both timelines keep one cache
+of each node's visible topics: after every tick the nodes the cluster
+says the tick may have changed are marked stale, and a refresh
+recomputes only those.  Scripted timelines give each event a fixed
+window of ticks, refresh at each window's end and snapshot every node's
+topics from the cache; waypoint timelines sample every route on the
+first tick, then only the routes in motion, refresh after every tick
+and snapshot a node's topics whenever they change.
 A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
 it.  A run ends with one more drain, so an event parked in the last tick
@@ -144,7 +147,13 @@ class ScenarioRunner:
         self.duplicate_delivery = duplicate_delivery
         self.system = build_system(scenario, trace=trace, policy=policy)
         self.trace = self.system.trace
-        self._nodes_sorted = tuple(sorted(e.node_id for e in scenario.entities))
+        # Each node's visible topics at the last refresh, in sorted order;
+        # exact for the nodes not in `_stale`, as before tick 1 all are ().
+        self._topics: dict[str, tuple[str, ...]] = dict.fromkeys(
+            sorted(e.node_id for e in scenario.entities), ()
+        )
+        # Nodes `changed_nodes` listed since the last refresh, in order.
+        self._stale: dict[str, None] = {}
 
     def run(self) -> Trace:
         if self.scenario.timeline.mode == MODE_SCRIPTED:
@@ -181,7 +190,9 @@ class ScenarioRunner:
                     self._apply_upgrade(*event.upgrade)
             self._tick(self.system.detector.evaluate(tick))
             if event is not None and tick % window == 0:
-                self._snapshot_topics()
+                self._refresh_topics()
+                for node, topics in self._topics.items():
+                    self.trace.topics(node, topics)
 
     def _apply_upgrade(self, app_name: str, version: str) -> None:
         result = self.system.manager.upgrade_application(app_name, version)
@@ -197,9 +208,6 @@ class ScenarioRunner:
             for vehicle_id, route in self.scenario.timeline.waypoints.items()
         ]
         detector = self.system.detector
-        changed_nodes = self.system.sim.changed_nodes
-        topics_visible_at = self.system.sim.topics_visible_at
-        last_topics: dict[str, tuple[str, ...]] = {}
         step = 0
         for tick in range(1, self.scenario.tick_budget + 1):
             for vehicle_id, route, first, last in routes:
@@ -210,11 +218,8 @@ class ScenarioRunner:
                 step += 1
             self.trace.at(step, tick)
             self._tick(requests)
-            for node in changed_nodes():
-                visible = topics_visible_at(node)
-                if visible != last_topics.get(node, ()):
-                    self.trace.topics(node, visible)
-                    last_topics[node] = visible
+            for node in self._refresh_topics():
+                self.trace.topics(node, self._topics[node])
 
     # -- shared per-tick body ----------------------------------------------
 
@@ -224,11 +229,24 @@ class ScenarioRunner:
             deliver(self.system, request, copies=copies)
         drain(self.system)
         publish_source_data(self.system)
-        self.system.sim.tick()
+        sim = self.system.sim
+        sim.tick()
+        stale = self._stale
+        for node in sim.changed_nodes():
+            stale[node] = None
 
-    def _snapshot_topics(self) -> None:
-        for node in self._nodes_sorted:
-            self.trace.topics(node, self.system.sim.topics_visible_at(node))
+    def _refresh_topics(self) -> list[str]:
+        """Recompute the stale nodes' topics; returns those that changed."""
+        topics_visible_at = self.system.sim.topics_visible_at
+        cache = self._topics
+        changed = []
+        for node in self._stale:
+            visible = topics_visible_at(node)
+            if visible != cache[node]:
+                cache[node] = visible
+                changed.append(node)
+        self._stale.clear()
+        return changed
 
 
 def run_scenario(

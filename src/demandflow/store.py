@@ -7,6 +7,9 @@ and one of countable config items.  The manager folds each change into
 the current ledger and writes the result; an operator reads the current
 spec and reconciles the cluster towards it.  Every write bumps the
 resource's generation, so a status can say which spec it observed.
+Each life of a name (from its creation to its delete) has its own uid,
+like Kubernetes `metadata.uid`, which its watch events carry: a status
+counts generations of one life only.
 Mutations are plain method calls on one object and execute serially,
 which is what makes apply/get/delete trivially linearizable here.
 Redelivered requests are answered by the app manager's request-id cache
@@ -17,6 +20,7 @@ subscriber pops from.
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, TypeVar
@@ -135,6 +139,7 @@ class WatchEvent:
     name: str
     generation: int
     change: ChangeType
+    uid: int  # the life of `name` the change belongs to
 
 
 @dataclass(frozen=True)
@@ -146,11 +151,13 @@ class CustomResource:
     spec: DemandLedger
     status: ResourceStatus
     generation: int
+    uid: int
 
 
 @dataclass
 class _Record:
     spec: DemandLedger
+    uid: int
     generation: int = 1
     status: ResourceStatus = ResourceStatus()
 
@@ -166,6 +173,7 @@ class ResourceStore:
         # History of every real mutation, in order.  Synthetic snapshot
         # events handed to late subscribers are not part of it.
         self.event_log: list[WatchEvent] = []
+        self._uids = count(1)
 
     # -- mutations ---------------------------------------------------------
 
@@ -174,19 +182,21 @@ class ResourceStore:
         records = self._records[kind]
         record = records.get(name)
         if record is None:
-            record = records[name] = _Record(spec)
+            record = records[name] = _Record(spec, next(self._uids))
             change = ChangeType.CREATED
         else:
             record.spec = spec
             record.generation += 1
             change = ChangeType.SPEC_UPDATED
-        self._emit(WatchEvent(kind, name, record.generation, change))
+        self._emit(WatchEvent(kind, name, record.generation, change, record.uid))
         return record.generation
 
     def delete_cr(self, kind: ResourceKind, name: str) -> None:
         record = self._require(kind, name)
         del self._records[kind][name]
-        self._emit(WatchEvent(kind, name, record.generation, ChangeType.DELETED))
+        self._emit(
+            WatchEvent(kind, name, record.generation, ChangeType.DELETED, record.uid)
+        )
 
     def update_status(
         self, kind: ResourceKind, name: str, status: ResourceStatus
@@ -203,7 +213,9 @@ class ResourceStore:
 
     def get_cr(self, kind: ResourceKind, name: str) -> CustomResource:
         record = self._require(kind, name)
-        return CustomResource(kind, name, record.spec, record.status, record.generation)
+        return CustomResource(
+            kind, name, record.spec, record.status, record.generation, record.uid
+        )
 
     def get_spec(self, kind: ResourceKind, name: str) -> DemandLedger:
         """The desired demand of a resource; an empty ledger if it has none."""
@@ -229,7 +241,7 @@ class ResourceStore:
         can catch up before live events resume.
         """
         queue = deque(
-            WatchEvent(kind, name, record.generation, ChangeType.CREATED)
+            WatchEvent(kind, name, record.generation, ChangeType.CREATED, record.uid)
             for name, record in self._records[kind].items()
         )
         self._watchers[kind].append(queue)

@@ -749,3 +749,33 @@ def test_resource_recreated_during_a_failed_teardown_starts_afresh(rig):
         ("terminate", old.instance_id),
         ("deploy", live.instance_id),
     ]
+
+
+def test_a_retry_of_a_deleted_life_leaves_the_recreated_one_alone(rig):
+    store, sim, trace, service_op, _ = rig
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    service_op.run_pending()
+    (unit,) = instances_of(sim, "svc-x")
+    # generation 2 fails to reconfigure and is re-queued; then the
+    # resource is deleted and created again, a new life at generation 1
+    failing(sim, "reconfigure_instance", {1, 2, 3})
+    wanted = svc_config((in_topic("/V0/ego"),))
+    write_demand(store, SVC, "svc-x", config=wanted)
+    service_op.run_pending()
+    assert service_op.pending() == 1
+    store.delete_cr(SVC, "svc-x")
+    write_demand(store, SVC, "svc-x", config=wanted)
+    while service_op.pending():
+        service_op.run_pending()
+    # the new life adopts the old unit and is observed at its own generation
+    (live,) = instances_of(sim, "svc-x")
+    assert live.instance_id == unit.instance_id
+    assert set(live.config) == set(wanted)
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.RUNNING
+    assert status.observed_generation == 1
+    assert status.instance_ids == (unit.instance_id,)
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
+    # the old life's events are stale once the new life is observed
+    ledgers = [r for r in trace.records if r.tag == "LEDGER"]
+    assert [r.get("support") for r in ledgers] == ["V0,S", "V0,S"]

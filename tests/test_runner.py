@@ -566,12 +566,13 @@ def test_waypoint_run_trace_is_frozen():
     assert system_is_empty(runner.system)
 
 
-def assert_snapshots_match_a_full_diff(scenario):
+def assert_snapshots_match_a_full_diff(scenario, duplicate_delivery=False):
     """A run renders the same trace when its snapshots compare every node."""
-    every_node = ScenarioRunner(scenario)
+    every_node = ScenarioRunner(scenario, duplicate_delivery=duplicate_delivery)
     nodes = [entity.node_id for entity in scenario.entities]
     every_node.system.sim.changed_nodes = lambda: nodes
-    assert run_scenario(scenario).trace.render() == every_node.run().render()
+    listed = run_scenario(scenario, duplicate_delivery=duplicate_delivery)
+    assert listed.trace.render() == every_node.run().render()
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -594,6 +595,68 @@ def test_waypoint_snapshots_match_a_diff_of_every_node(seed):
 )
 def test_fuzzed_waypoint_snapshots_match_a_diff_of_every_node(routes):
     assert_snapshots_match_a_full_diff(fuzz_scenario(routes))
+
+
+@pytest.mark.parametrize("duplicate_delivery", [False, True])
+def test_scale_snapshots_match_a_diff_of_every_node(duplicate_delivery):
+    assert_snapshots_match_a_full_diff(make_scale_scenario(30), duplicate_delivery)
+
+
+@pytest.mark.parametrize(
+    "name", ["collective_perception", "collective_perception_upgrade"]
+)
+def test_bundled_scripted_snapshots_match_a_diff_of_every_node(name):
+    assert_snapshots_match_a_full_diff(load_scenario(bundled_scenario_path(name)))
+
+
+def test_churn_snapshots_match_a_diff_of_every_node():
+    # One tick per step: every tick is a window end.
+    assert_snapshots_match_a_full_diff(scenario_from_mapping(churn_mapping()))
+
+
+def changes_left_unlisted_at_window_ends(scenario):
+    """Nodes that changed inside a window but are not listed at its end.
+
+    Returns (tick, node) for each node whose topics changed on a tick
+    before the window's last one, and that the last tick's
+    `changed_nodes` leaves out.
+    """
+    runner = ScenarioRunner(scenario)
+    sim = runner.system.sim
+    nodes = [entity.node_id for entity in scenario.entities]
+    tick = sim.tick
+    per_tick = []  # (nodes whose topics changed, changed_nodes())
+
+    def watched_tick():
+        before = [sim.topics_visible_at(node) for node in nodes]
+        report = tick()
+        after = [sim.topics_visible_at(node) for node in nodes]
+        moved = {n for n, b, a in zip(nodes, before, after) if b != a}
+        per_tick.append((moved, set(sim.changed_nodes())))
+        return report
+
+    sim.tick = watched_tick
+    runner.run()
+    window = scenario.timeline.window
+    unlisted = []
+    for start in range(0, len(per_tick), window):
+        *inside, (_, listed_at_end) = per_tick[start:start + window]
+        for offset, (moved, _) in enumerate(inside):
+            unlisted += [(start + offset + 1, n) for n in moved - listed_at_end]
+    return unlisted
+
+
+def test_changes_inside_a_window_reach_its_snapshot():
+    # Three ticks per step: a node that changes on a step's first or
+    # second tick and rests on its third is written from the stale set
+    # gathered since the last snapshot, not from the last tick's list.
+    # Past the first step, E does so whenever the last vehicle leaves.
+    raw = churn_mapping()
+    raw["timeline"]["settle_ticks"] = 2
+    scenario = scenario_from_mapping(raw)
+    unlisted = changes_left_unlisted_at_window_ends(scenario)
+    assert any(tick > 3 for tick, _ in unlisted)
+    assert_snapshots_match_a_full_diff(scenario)
 
 
 @pytest.mark.slow
