@@ -100,7 +100,9 @@ class Operator:
     level-triggered: read the store's current spec, decide, execute
     against the cluster, then publish status and a ledger trace record.
     Uids order the lives of a name, so an event is stale if its
-    (uid, generation) is at or below the observed one.  A deleted
+    (uid, generation) is at or below the observed one; a reconcile
+    re-tags its event to the life and generation it read, so a re-queued
+    or parked event always belongs to the current life.  A deleted
     resource's spec is empty, so its units go as on a shutdown; a new
     life of the name starts afresh with the units left.  A cluster
     failure re-queues the event; the MAX_ATTEMPTS-th failure traces an
@@ -188,6 +190,10 @@ class Operator:
             # last life may reach its status.
             record.uid, record.observed, record.attempts = uid, 0, 0
             record.ledger = None
+        # A retry or parked event belongs to the life read here.
+        generation = resource.generation if resource is not None else event.generation
+        if (event.uid, event.generation) != (uid, generation):
+            event = replace(event, uid=uid, generation=generation)
 
         ledger = resource.spec if resource is not None else DemandLedger()
         action = decide(ledger, self._primary_instance(record))
@@ -196,8 +202,7 @@ class Operator:
         except OrchestrationError as exc:
             if resource is not None:
                 self._write_status(name, record, Phase.PENDING)
-            target = resource.generation if resource is not None else event.generation
-            self._handle_failure(record, event, target, exc)
+            self._handle_failure(record, event, exc)
             return
 
         if action is DecisionAction.SHUTDOWN:
@@ -217,7 +222,7 @@ class Operator:
         )
 
     def _handle_failure(
-        self, record: _Resource, event: WatchEvent, target: int, exc: OrchestrationError
+        self, record: _Resource, event: WatchEvent, exc: OrchestrationError
     ) -> None:
         record.attempts += 1
         if record.attempts < MAX_ATTEMPTS:
@@ -232,7 +237,7 @@ class Operator:
         self._trace.error(
             f"{self.kind.value}-operator",
             "reconcile-failed",
-            f"{event.name}@{target}:{type(exc).__name__}",
+            f"{event.name}@{event.generation}:{type(exc).__name__}",
         )
 
     def _write_status(self, name: str, record: _Resource, phase: Phase) -> None:

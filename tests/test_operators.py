@@ -779,3 +779,30 @@ def test_a_retry_of_a_deleted_life_leaves_the_recreated_one_alone(rig):
     # the old life's events are stale once the new life is observed
     ledgers = [r for r in trace.records if r.tag == "LEDGER"]
     assert [r.get("support") for r in ledgers] == ["V0,S", "V0,S"]
+
+
+def test_a_failed_retry_after_a_recreate_still_reconciles_the_new_life(rig):
+    store, sim, trace, service_op, _ = rig
+    write_demand(store, SVC, "svc-x", config=svc_config(), version="v1")
+    service_op.run_pending()
+    failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
+    store.delete_cr(SVC, "svc-x")
+    while service_op.pending():
+        service_op.run_pending()
+    # the old life's event is parked and covers the new life's creation,
+    # whose first deploy then fails once after the unpark
+    write_demand(store, SVC, "svc-x", config=svc_config(), version="v2")
+    service_op.run_pending()
+    assert service_op.pending() == 0
+    failing(sim, "deploy_instance", {1})
+    service_op.unpark()
+    service_op.run_pending()
+    assert service_op.pending() == 1
+    while service_op.pending():
+        service_op.run_pending()
+    (live,) = instances_of(sim, "svc-x")
+    assert live.version == "v2"
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.RUNNING
+    assert status.observed_generation == 1
+    assert status.instance_ids == (live.instance_id,)
