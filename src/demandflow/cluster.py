@@ -5,24 +5,23 @@ deployed sender/receiver pair forwards it, with one tick of latency.
 A bus carries topic names, one entry per message.  During a tick it is
 an `(arrived, local)` pair of lists: the entries forwarded to the node
 last tick and those published on it since.  Only local entries are
-forwarded, which rules out multi-hop relays and forwarding loops.  Two
-bus sets take turns: a tick reads the set filled since the last tick,
-and the set the last tick read is cleared and takes the next tick's
-entries.  The plan (the behaviors and a node -> topic -> receiver nodes
-table) is built in one pass over the running instances on the first tick
-after a deploy, terminate or reconfigure, and kept until the next one.
+forwarded, which rules out multi-hop relays and forwarding loops.
+The plan (the behaviors and a node -> topic -> receiver nodes table) is
+built in one pass over the running instances on the first tick after a
+deploy, terminate or reconfigure, and kept until the next one.
 Detection and fusion instances run as stub behaviors inside the tick so
 the data plane reacts to (re)configuration without any real perception
 code.  One rule drives both: a behavior publishes its output topic once
 when any of its trigger topics is on its node's bus.  A detector's
 trigger is its first input topic, a fuser's are all of its input topics.
 All detectors run before all fusers, each in creation order.
-`changed_nodes` names the nodes whose visible topics the last tick may
-have changed, a superset of those that did.  Beyond its own published
-sources, a node's bus holds only the outputs of behaviors on it and the
-entries routes delivered to it, so if the last two ticks read the same
-sources tuple, only nodes where either tick ran a behavior or received
-arrivals can differ; otherwise every node can.
+A tick rebuilds only the buses it can change, and `changed_nodes` lists
+them.  Beyond its own published sources, a node's bus holds only the
+outputs of behaviors on it and the entries routes delivered to it.  So
+if a tick reads the same sources tuple as the last one, only nodes where
+either tick ran a behavior or delivered arrivals can differ; every other
+bus is kept as it is, and the sources stay on it rather than being queued
+again.  Otherwise every bus is rebuilt.
 Everything is deterministic: no wall clock, no randomness, fixed
 iteration orders.
 """
@@ -110,16 +109,22 @@ class ClusterSim:
     def __init__(self) -> None:
         self._instances: dict[str, ServiceInstance] = {}
         self._plan: Plan | None = None  # dropped by every lifecycle call
-        # Both bus sets hold every node.
-        self._next: dict[str, Bus] = {}  # the buses the next tick reads
-        self._bus: dict[str, Bus] = {}  # the buses the last tick read
+        self._bus: dict[str, Bus] = {}  # what the last tick read, every node
+        # Sources published since the last tick, and those the last tick
+        # read: node -> topics, only nodes with some.
+        self._queued: dict[str, list[str]] = {}
+        self._sources: dict[str, list[str]] = {}
         # What the next tick reads: None if nothing was published, the
         # sources tuple of one whole publish, else a fresh object.
         self._published: object = None
-        self._read: tuple[object, object] = (None, None)  # by the last two ticks
-        # Behavior nodes, receiver nodes of the last three ticks' plans,
-        # oldest first.  Not the plans: a dropped plan is freed at once.
-        self._ran: tuple[frozenset[str], ...] = (frozenset(),) * 6
+        # What the last tick read.  Published again, a tuple is held: its
+        # entries are still on the buses, so none is queued.
+        self._held: object = None
+        self._arriving: dict[str, list[str]] = {}  # receiver node -> entries
+        # Nodes the last tick ran behaviors on or delivered arrivals to,
+        # and those it rebuilt (None: every node).
+        self._stirred: frozenset[str] = frozenset()
+        self._rebuilt: frozenset[str] | None = frozenset()
         self._order: dict[str, int] = {}  # node -> its add_node index
         self._deploy_counts: dict[str, int] = {}
         self._iid_seq = 0
@@ -129,7 +134,6 @@ class ClusterSim:
     def add_node(self, node_id: str) -> None:
         if node_id in self._bus:
             raise DuplicateNodeError(f"node {node_id!r} already exists")
-        self._next[node_id] = ([], [])
         self._bus[node_id] = ([], [])
         self._order[node_id] = len(self._order)
 
@@ -196,17 +200,26 @@ class ClusterSim:
     # -- publishing --------------------------------------------------------
 
     def publish_sources(self, sources: Iterable[tuple[str, str]]) -> None:
-        """Queue one message per `(node, topic)` for the next tick."""
+        """Queue one message per `(node, topic)` for the next tick.
+
+        All or nothing: a call naming an unknown node queues nothing.
+        """
+        held = self._held
         once = self._published is None and type(sources) is tuple
-        self._published = object()  # until the whole tuple is queued
-        buses = self._next
-        for node_id, topic in sources:
-            bus = buses.get(node_id)
-            if bus is None:
-                raise UnknownNodeError(f"unknown node {node_id!r}")
-            bus[1].append(topic)
-        if once:
-            self._published = sources
+        if once and sources is held:
+            self._published = held  # still on the buses: queue nothing
+            return
+        entries = tuple(sources)
+        for node_id, _ in entries:
+            self._require_node(node_id)
+        if self._published is held and held is not None:
+            self._queue(held)  # not queued until now
+        self._queue(entries)
+        self._published = sources if once else object()
+
+    def _queue(self, entries: tuple[tuple[str, str], ...]) -> None:
+        for node_id, topic in entries:
+            self._queued.setdefault(node_id, []).append(topic)
 
     # -- the tick ----------------------------------------------------------
 
@@ -217,13 +230,20 @@ class ClusterSim:
         visible, detection then fusion behaviors run (their outputs are
         visible and forwardable the same tick), then running connection
         pairs pick up locally published messages for delivery next tick.
+        Only the buses that may differ from the last tick's are rebuilt.
         """
-        bus = self._next
-        arriving = self._next = self._bus
-        for arrived, local in arriving.values():
-            arrived.clear()
-            local.clear()
         plan = self._plan or self._build_plan()
+        bus = self._bus
+        arrivals = self._arriving
+        stirred = plan.behavior_nodes.union(arrivals)
+        if self._published is self._held:  # the same sources as last tick
+            rebuilt = stirred | self._stirred
+        else:
+            self._sources, self._queued = self._queued, {}
+            rebuilt = None
+        sources = self._sources
+        for node_id in bus if rebuilt is None else rebuilt:
+            bus[node_id] = (arrivals.get(node_id) or [], list(sources.get(node_id, ())))
 
         produced = 0
         for node_id, triggers, output in plan.behaviors:
@@ -233,29 +253,26 @@ class ClusterSim:
             local.append(output)
             produced += 1
 
+        arriving = self._arriving = {node: [] for node in plan.receiver_nodes}
         forwarded = 0
         for node_id, by_topic in plan.routes.items():
             for topic in bus[node_id][1]:
                 for dst in by_topic.get(topic, ()):
-                    arriving[dst][0].append(topic)
+                    arriving[dst].append(topic)
                     forwarded += 1
 
-        self._bus = bus
-        self._read = (self._read[1], self._published)
-        self._published = None
-        self._ran = (*self._ran[2:], plan.behavior_nodes, plan.receiver_nodes)
+        self._held, self._published = self._published, None
+        self._stirred, self._rebuilt = stirred, rebuilt
         return TickReport(produced, forwarded)
 
     def changed_nodes(self) -> list[str]:
-        """Nodes whose visible topics the last tick may have changed.
+        """The nodes the last tick rebuilt, in `add_node` order.
 
-        A superset of the nodes that changed, in `add_node` order.
+        A superset of the nodes whose visible topics it changed.
         """
-        if self._read[0] is not self._read[1]:
+        if self._rebuilt is None:
             return list(self._bus)
-        _, routed_before, ran_last, routed_last, ran_now, _ = self._ran
-        stirred = ran_now | routed_last | ran_last | routed_before
-        return sorted(stirred, key=self._order.__getitem__)
+        return sorted(self._rebuilt, key=self._order.__getitem__)
 
     def _build_plan(self) -> Plan:
         """Detectors, then fusers, each in creation order: outputs feed later ones."""

@@ -3,14 +3,16 @@
 Each tick: move vehicles, evaluate the geofence, deliver any resulting
 requests, drain both reconcile queues to quiescence (first re-queueing
 the events the previous drain parked), publish every entity's source
-data, then advance the cluster one step.  Both timelines keep one cache
-of each node's visible topics: after every tick the nodes the cluster
-says the tick may have changed are marked stale, and a refresh
-recomputes only those.  Scripted timelines give each event a fixed
-window of ticks, refresh at each window's end and snapshot every node's
-topics from the cache; waypoint timelines sample every route on the
-first tick, then only the routes in motion, refresh after every tick
-and snapshot a node's topics whenever they change.
+data, then advance the cluster one step.  The sources are one tuple for
+the whole run, so after the first tick the cluster keeps them on its
+buses and rebuilds only the nodes a tick can change.  Both timelines
+keep one cache of each node's visible topics: after every tick the nodes
+the cluster rebuilt are marked stale, and a refresh recomputes only
+those.  Scripted timelines give each event a fixed window of ticks,
+refresh at each window's end and snapshot every node's topics from the
+cache; waypoint timelines sample every route on the first tick, then
+only the routes in motion, refresh after every tick and snapshot a
+node's topics whenever they change.
 A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
 it.  A run ends with one more drain, so an event parked in the last tick
@@ -131,7 +133,10 @@ def _trace_result(
 
 
 def publish_source_data(system: System) -> None:
-    """Every entity publishes one message per capability on its own node."""
+    """Every entity publishes one message per capability on its own node.
+
+    Always the same tuple, so the cluster can keep it on its buses.
+    """
     system.sim.publish_sources(system.sources)
 
 

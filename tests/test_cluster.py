@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from demandflow.cluster import ClusterSim, InstanceSpec
+from demandflow.cluster import ClusterSim, InstanceSpec, TickReport
 from demandflow.model import (
     ConfigItem,
     DuplicateNodeError,
@@ -495,7 +495,7 @@ def test_views_of_a_tick_survive_the_next_tick():
     sim.tick()
     topics = sim.topics_visible_at("E")
     assert topics == ("/A/ego", "/E/ego")
-    sim.tick()  # clears and refills the buses that view was read from
+    sim.tick()  # rebuilds the bus that view was read from
     assert sim.topics_visible_at("E") == ()
     assert topics == ("/A/ego", "/E/ego")
 
@@ -564,6 +564,68 @@ def test_publish_sources_rejects_an_unknown_node():
         sim.publish_sources((("B", "/B/ego"),))
 
 
+def test_a_rejected_publish_queues_nothing():
+    sim = sim_with("A")
+    with pytest.raises(UnknownNodeError):
+        sim.publish_sources((("A", "/A/ego"), ("B", "/B/ego")))
+    sim.tick()
+    assert sim.topics_visible_at("A") == ()
+    sources = (("A", "/A/ego"),)
+    sim.publish_sources(sources)
+    sim.tick()
+    sim.publish_sources(sources)  # held on the buses, not queued
+    with pytest.raises(UnknownNodeError):
+        sim.publish_sources((("A", "/A/points"), ("B", "/B/ego")))
+    sim.tick()
+    assert sim.topics_visible_at("A") == ("/A/ego",)
+    assert sim.changed_nodes() == []
+
+
+def test_a_publish_after_the_held_sources_adds_to_them():
+    sim = sim_with("A", "E")
+    deploy_pair(sim, "A", "E", ["/A/ego"])
+    sources = (("A", "/A/ego"),)
+    sim.publish_sources(sources)
+    assert sim.tick() == TickReport(0, 1)
+    sim.publish_sources(sources)  # held on the buses
+    feed(sim, "E", "/E/ego")
+    assert sim.tick() == TickReport(0, 1)
+    assert sim.changed_nodes() == ["A", "E"]
+    assert sim.topics_visible_at("A") == ("/A/ego",)
+    assert sim.topics_visible_at("E") == ("/A/ego", "/E/ego")
+
+
+def test_the_same_sources_after_an_idle_tick_are_back_everywhere():
+    sim = sim_with("A", "B", "E")
+    sources = (("A", "/A/ego"), ("B", "/B/ego"))
+    sim.publish_sources(sources)
+    sim.tick()
+    sim.tick()  # nothing published
+    assert sim.changed_nodes() == ["A", "B", "E"]
+    assert sim.topics_visible_at("A") == ()
+    sim.publish_sources(sources)
+    sim.tick()
+    assert sim.changed_nodes() == ["A", "B", "E"]
+    assert sim.topics_visible_at("A") == ("/A/ego",)
+    assert sim.topics_visible_at("B") == ("/B/ego",)
+
+
+def test_a_node_added_under_held_sources_stays_empty_and_unchanged():
+    sim = sim_with("A")
+    sources = (("A", "/A/ego"),)
+    for _ in range(2):
+        sim.publish_sources(sources)
+        sim.tick()
+    assert sim.changed_nodes() == []  # the sources were held
+    sim.add_node("E")
+    assert sim.topics_visible_at("E") == ()
+    sim.publish_sources(sources)
+    sim.tick()
+    assert sim.changed_nodes() == []
+    assert sim.topics_visible_at("A") == ("/A/ego",)
+    assert sim.topics_visible_at("E") == ()
+
+
 # -- the nodes a tick may have changed --------------------------------------
 
 TOPICS = ("/a", "/b", "/c", "/d")
@@ -607,44 +669,67 @@ def change_something(rng, sim, nodes, live, name):
         sim.add_node(nodes[-1])
 
 
+class Lockstep:
+    """Makes each call on a sim and on its twin; returns the sim's result."""
+
+    def __init__(self, sim, twin):
+        self.sim, self.twin = sim, twin
+
+    def __getattr__(self, name):
+        def call(*args):
+            getattr(self.twin, name)(*args)
+            return getattr(self.sim, name)(*args)
+
+        return call
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_nodes_left_out_of_changed_nodes_keep_their_topics(seed):
+    # The twin is given lists, never taken for the last sources, so each
+    # of its ticks rebuilds every node: a full recompute to compare with.
     rng = random.Random(seed)
     nodes = ["A", "B", "C", "E"]
-    sim = sim_with(*nodes)
+    sim, twin = sim_with(*nodes), sim_with(*nodes)
+    both = Lockstep(sim, twin)
 
     def sources():
         count = rng.randint(0, 6)
         return tuple((rng.choice(nodes), rng.choice(TOPICS)) for _ in range(count))
+
+    def publish(*calls):
+        for entries in calls:
+            sim.publish_sources(entries)
+        twin.publish_sources([e for entries in calls for e in entries])
 
     usual, other = sources(), sources()
     left_out = 0
     live = []
     for step in range(150):
         for _ in range(rng.choice((0, 0, 1, 2))):
-            change_something(rng, sim, nodes, live, step)
+            change_something(rng, both, nodes, live, step)
         before = {node: sim.topics_visible_at(node) for node in nodes}
         roll = rng.random()
         if roll < 0.7:
-            sim.publish_sources(usual)  # the same tuple, as the runner does
+            publish(usual)  # the same tuple, as the runner does
         elif roll < 0.75:
-            sim.publish_sources(other)
+            publish(other)
         elif roll < 0.8:
             usual = sources()  # equal or not, a new tuple
-            sim.publish_sources(usual)
+            publish(usual)
         elif roll < 0.85:
-            sim.publish_sources(list(usual))
+            publish(list(usual))
         elif roll < 0.9:
-            sim.publish_sources(other)
-            sim.publish_sources(usual)
+            publish(other, usual)
         elif roll < 0.95:
-            sim.publish_sources(usual)
-            sim.publish_sources(usual)
-        # else: nothing published this tick
-        sim.tick()
+            publish(usual, usual)
+        else:
+            publish()  # nothing for the sim this tick
+        assert sim.tick() == twin.tick(), step
+        assert twin.changed_nodes() == nodes
         changed = sim.changed_nodes()
         assert changed == [node for node in nodes if node in changed]
         for node in nodes:
+            assert sim.topics_visible_at(node) == twin.topics_visible_at(node)
             if node not in changed:
                 left_out += 1
                 assert sim.topics_visible_at(node) == before[node], (step, node)

@@ -384,6 +384,10 @@ TRAFFIC_TOTALS = {
     "collective_perception_upgrade": (60, 99),
     "waypoint_drive": (116, 142),
     "scale-30": (352, 2877),
+    # Walks defined below: a churn of every-tick reconciles, and waypoint
+    # passes with several transitions in one tick.
+    "churn": (335, 632),
+    "waypoint-3": (728, 1274),
 }
 
 
@@ -391,6 +395,10 @@ TRAFFIC_TOTALS = {
 def test_run_traffic_totals_are_frozen(name):
     if name == "scale-30":
         scenario = make_scale_scenario(30)
+    elif name == "churn":
+        scenario = scenario_from_mapping(churn_mapping())
+    elif name == "waypoint-3":
+        scenario = scenario_from_mapping(waypoint_mapping(3))
     else:
         scenario = load_scenario(bundled_scenario_path(name))
     runner = ScenarioRunner(scenario)
