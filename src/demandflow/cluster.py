@@ -21,7 +21,9 @@ outputs of behaviors on it and the entries routes delivered to it.  So
 if a tick reads the same sources tuple as the last one, only nodes where
 either tick ran a behavior or delivered arrivals can differ; every other
 bus is kept as it is, and the sources stay on it rather than being queued
-again.  Otherwise every bus is rebuilt.
+again.  Otherwise every bus is rebuilt.  A tick that runs the last tick's
+plan on held sources, with the arrivals the last tick delivered, is a
+fixed point: it touches no bus and returns the last report.
 Everything is deterministic: no wall clock, no randomness, fixed
 iteration orders.
 """
@@ -120,7 +122,10 @@ class ClusterSim:
         # What the last tick read.  Published again, a tuple is held: its
         # entries are still on the buses, so none is queued.
         self._held: object = None
-        self._arriving: dict[str, list[str]] = {}  # receiver node -> entries
+        # Receiver node -> entries the next tick delivers, and the last did.
+        self._arriving: dict[str, list[str]] = {}
+        self._landed: dict[str, list[str]] = {}
+        self._report = TickReport(0, 0)  # what the last tick returned
         # Nodes the last tick ran behaviors on or delivered arrivals to,
         # and those it rebuilt (None: every node).
         self._stirred: frozenset[str] = frozenset()
@@ -230,13 +235,20 @@ class ClusterSim:
         visible, detection then fusion behaviors run (their outputs are
         visible and forwardable the same tick), then running connection
         pairs pick up locally published messages for delivery next tick.
-        Only the buses that may differ from the last tick's are rebuilt.
+        Only the buses that may differ from the last tick's are rebuilt,
+        and none at a fixed point: the last tick's plan, held sources and
+        the arrivals the last tick delivered give the last tick's buses.
         """
-        plan = self._plan or self._build_plan()
+        plan, arrivals = self._plan, self._arriving
+        held = self._published is self._held  # the same sources as last tick
+        if plan is not None and held and arrivals == self._landed:
+            self._published, self._rebuilt = None, frozenset()
+            return self._report
+        plan = plan or self._build_plan()
         bus = self._bus
-        arrivals = self._arriving
+        self._landed = arrivals
         stirred = plan.behavior_nodes.union(arrivals)
-        if self._published is self._held:  # the same sources as last tick
+        if held:
             rebuilt = stirred | self._stirred
         else:
             self._sources, self._queued = self._queued, {}
@@ -263,12 +275,14 @@ class ClusterSim:
 
         self._held, self._published = self._published, None
         self._stirred, self._rebuilt = stirred, rebuilt
-        return TickReport(produced, forwarded)
+        self._report = TickReport(produced, forwarded)
+        return self._report
 
     def changed_nodes(self) -> list[str]:
         """The nodes the last tick rebuilt, in `add_node` order.
 
-        A superset of the nodes whose visible topics it changed.
+        A superset of the nodes whose visible topics it changed; empty
+        after a fixed point.
         """
         if self._rebuilt is None:
             return list(self._bus)

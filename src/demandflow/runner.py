@@ -6,13 +6,14 @@ the events the previous drain parked), publish every entity's source
 data, then advance the cluster one step.  The sources are one tuple for
 the whole run, so after the first tick the cluster keeps them on its
 buses and rebuilds only the nodes a tick can change.  Both timelines
-keep one cache of each node's visible topics: after every tick the nodes
-the cluster rebuilt are marked stale, and a refresh recomputes only
-those.  Scripted timelines give each event a fixed window of ticks,
-refresh at each window's end and snapshot every node's topics from the
-cache; waypoint timelines sample every route on the first tick, then
-only the routes in motion, refresh after every tick and snapshot a
-node's topics whenever they change.
+keep one cache of each node's visible topics and its rendered TOPICS
+tail: after every tick the nodes the cluster rebuilt are marked stale,
+and a refresh recomputes only those, re-rendering a tail only when its
+topics change.  Scripted timelines give each event a fixed window of
+ticks, refresh at each window's end and write every node's tail from the
+cache in one batch; waypoint timelines sample every route on the first
+tick, then only the routes in motion, refresh after every tick and
+write the tails of the nodes whose topics changed.
 A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
 it.  A run ends with one more drain, so an event parked in the last tick
@@ -36,7 +37,7 @@ from .model import (
 from .operators import Operator
 from .scenario import MODE_SCRIPTED, Scenario, interpolate
 from .store import ResourceStore
-from .tracing import Trace
+from .tracing import Trace, topics_tail
 
 MAX_DRAIN_ROUNDS = 50
 
@@ -157,6 +158,9 @@ class ScenarioRunner:
         self._topics: dict[str, tuple[str, ...]] = dict.fromkeys(
             sorted(e.node_id for e in scenario.entities), ()
         )
+        # The TOPICS tail of each node whose topics changed at a refresh;
+        # a scripted run starts with every node's, in the same order.
+        self._tails: dict[str, str] = {}
         # Nodes `changed_nodes` listed since the last refresh, in order.
         self._stale: dict[str, None] = {}
 
@@ -179,6 +183,7 @@ class ScenarioRunner:
             rule.center[0] + 2 * rule.d_stop + 10.0,
             rule.center[1],
         )
+        tails = self._tails = {n: topics_tail(n, t) for n, t in self._topics.items()}
         step = 0
         for tick in range(1, self.scenario.tick_budget + 1):
             index = (tick - 1) // window
@@ -196,8 +201,7 @@ class ScenarioRunner:
             self._tick(self.system.detector.evaluate(tick))
             if event is not None and tick % window == 0:
                 self._refresh_topics()
-                for node, topics in self._topics.items():
-                    self.trace.topics(node, topics)
+                self.trace.topics(tails.values())
 
     def _apply_upgrade(self, app_name: str, version: str) -> None:
         result = self.system.manager.upgrade_application(app_name, version)
@@ -223,8 +227,9 @@ class ScenarioRunner:
                 step += 1
             self.trace.at(step, tick)
             self._tick(requests)
-            for node in self._refresh_topics():
-                self.trace.topics(node, self._topics[node])
+            changed = self._refresh_topics()
+            if changed:
+                self.trace.topics(changed)
 
     # -- shared per-tick body ----------------------------------------------
 
@@ -241,15 +246,16 @@ class ScenarioRunner:
             stale[node] = None
 
     def _refresh_topics(self) -> list[str]:
-        """Recompute the stale nodes' topics; returns those that changed."""
+        """Recompute the stale nodes' topics; returns the changed nodes' tails."""
         topics_visible_at = self.system.sim.topics_visible_at
-        cache = self._topics
+        cache, tails = self._topics, self._tails
         changed = []
         for node in self._stale:
             visible = topics_visible_at(node)
             if visible != cache[node]:
                 cache[node] = visible
-                changed.append(node)
+                tails[node] = tail = topics_tail(node, visible)
+                changed.append(tail)
         self._stale.clear()
         return changed
 

@@ -72,6 +72,11 @@ class TraceRecords(Sequence[TraceRecord]):
         return map(_parse, self._lines)
 
 
+def topics_tail(node_id: str, topics: Iterable[str]) -> str:
+    """A TOPICS record's fields, the part of its line after the position."""
+    return f"node={node_id} topics={','.join(topics)}"
+
+
 class Trace:
     """Append-only line sink with a current (step, tick) position.
 
@@ -129,10 +134,10 @@ class Trace:
             f"{' replaced=' + ','.join(replaced) if replaced else ''}"
         )
 
-    def topics(self, node_id: str, topics: Iterable[str]) -> None:
-        self._lines.append(
-            f"{TAG_TOPICS} {self._at} node={node_id} topics={','.join(topics)}"
-        )
+    def topics(self, tails: Iterable[str]) -> None:
+        """One TOPICS record per `topics_tail`, all at the current position."""
+        prefix = f"{TAG_TOPICS} {self._at} "
+        self._lines.extend([prefix + tail for tail in tails])
 
     def error(self, source: str, kind: str, detail: str) -> None:
         self._lines.append(

@@ -669,6 +669,22 @@ def change_something(rng, sim, nodes, live, name):
         sim.add_node(nodes[-1])
 
 
+def runs_something(sim):
+    """Whether a tick of `sim` runs a behavior or forwards along a route."""
+    instances = sim.instances()
+    received = {
+        i.cr_name for i in instances if i.service_kind is ServiceKind.COMM_RECEIVER
+    }
+    return any(
+        i.output_topic is not None
+        if i.service_kind in STUBS
+        else i.service_kind is ServiceKind.COMM_SENDER
+        and i.cr_name in received
+        and bool(i.forward_topics)
+        for i in instances
+    )
+
+
 class Lockstep:
     """Makes each call on a sim and on its twin; returns the sim's result."""
 
@@ -702,7 +718,7 @@ def test_nodes_left_out_of_changed_nodes_keep_their_topics(seed):
         twin.publish_sources([e for entries in calls for e in entries])
 
     usual, other = sources(), sources()
-    left_out = 0
+    left_out = quiet = 0
     live = []
     for step in range(150):
         for _ in range(rng.choice((0, 0, 1, 2))):
@@ -728,12 +744,14 @@ def test_nodes_left_out_of_changed_nodes_keep_their_topics(seed):
         assert twin.changed_nodes() == nodes
         changed = sim.changed_nodes()
         assert changed == [node for node in nodes if node in changed]
+        quiet += not changed and runs_something(sim)
         for node in nodes:
             assert sim.topics_visible_at(node) == twin.topics_visible_at(node)
             if node not in changed:
                 left_out += 1
                 assert sim.topics_visible_at(node) == before[node], (step, node)
     assert left_out
+    assert quiet  # fixed points with behaviors or routes to skip
 
 
 def test_arrivals_of_a_removed_connection_change_their_node_twice():
@@ -766,7 +784,7 @@ def test_behaviors_change_their_node_only_while_sources_stay_the_same():
     for _ in range(3):
         sim.publish_sources(sources)
         sim.tick()
-    assert sim.changed_nodes() == ["E"]
+    assert sim.changed_nodes() == []  # a fixed point since the second tick
     sim.terminate_instance(detector)
     sim.publish_sources(sources)
     sim.tick()  # its output is gone
@@ -794,3 +812,137 @@ def test_a_list_of_sources_is_never_taken_for_the_last_ones():
     sim.tick()
     assert sim.topics_visible_at("E") == ("/E/ego",)
     assert sim.changed_nodes() == ["A", "E"]
+
+
+# -- fixed points: ticks that change nothing --------------------------------
+
+
+def tick_both(sim, twin, *calls):
+    """Publish each of `calls` on the sim and their entries as one list on
+    the twin, tick both and check they agree; returns the sim's report."""
+    for entries in calls:
+        sim.publish_sources(entries)
+    twin.publish_sources([e for entries in calls for e in entries])
+    report = sim.tick()
+    assert report == twin.tick()
+    for node in twin.changed_nodes():  # every node: the twin is fed lists
+        assert sim.topics_visible_at(node) == twin.topics_visible_at(node), node
+    return report
+
+
+def detector_rig():
+    """A detector on E, steady on held sources: a fixed point."""
+    sim, twin = sim_with("A", "E"), sim_with("A", "E")
+    both = Lockstep(sim, twin)
+    detector = both.deploy_instance(DETECTION_SPEC)
+    sources = (("A", "/A/ego"), ("E", "/S/points"))
+    assert tick_both(sim, twin, sources) == TickReport(1, 0)
+    assert sim.changed_nodes() == ["A", "E"]
+    assert tick_both(sim, twin, sources) == TickReport(1, 0)
+    assert sim.changed_nodes() == []
+    return sim, twin, both, detector, sources
+
+
+@pytest.mark.parametrize("call", ["deploy", "reconfigure", "terminate"])
+def test_a_lifecycle_call_ends_a_fixed_point(call):
+    sim, twin, both, detector, sources = detector_rig()
+    if call == "deploy":
+        both.deploy_instance(fusion_spec(["/detections/S/objects"]))
+        want = TickReport(2, 0)
+    elif call == "reconfigure":  # the same config: the plan is still rebuilt
+        both.reconfigure_instance(detector, DETECTION_SPEC.config)
+        want = TickReport(1, 0)
+    else:
+        both.terminate_instance(detector)
+        want = TickReport(0, 0)
+    assert tick_both(sim, twin, sources) == want
+    assert sim.changed_nodes() == ["E"]
+    assert tick_both(sim, twin, sources) == want
+    assert sim.changed_nodes() == []
+
+
+@pytest.mark.parametrize(
+    "publish",
+    [
+        lambda sources: [tuple(list(sources))],  # equal, but a new tuple
+        lambda sources: [list(sources)],
+        lambda sources: [sources, (("A", "/A/points"),)],  # more after the held
+        lambda sources: [],  # nothing
+    ],
+    ids=["new-tuple", "list", "extra-publish", "nothing"],
+)
+def test_new_sources_end_a_fixed_point(publish):
+    sim, twin, _, _, sources = detector_rig()
+    calls = publish(sources)
+    report = tick_both(sim, twin, *calls)
+    assert sim.changed_nodes() == ["A", "E"]
+    assert report == TickReport(1 if calls else 0, 0)
+    if len(calls) == 1 and type(calls[0]) is tuple:
+        assert tick_both(sim, twin, *calls) == report  # now held
+        assert sim.changed_nodes() == []
+    assert tick_both(sim, twin, sources) == TickReport(1, 0)
+    assert sim.changed_nodes() == ["A", "E"]
+    assert tick_both(sim, twin, sources) == TickReport(1, 0)
+    assert sim.changed_nodes() == []
+
+
+def chain_rig():
+    """A -> E -> B: E fuses what A sends and sends the result on to B."""
+    nodes = ("A", "B", "E")
+    sim, twin = sim_with(*nodes), sim_with(*nodes)
+    both = Lockstep(sim, twin)
+    both.deploy_instance(fusion_spec(["/A/ego"]))
+    deploy_pair(both, "E", "B", ["/fusion/objects"])
+    return sim, twin, both
+
+
+def test_arrivals_settle_one_and_two_ticks_after_a_connection_appears():
+    sim, twin, both = chain_rig()
+    sources = (("A", "/A/ego"),)
+    for _ in range(3):
+        assert tick_both(sim, twin, sources) == TickReport(0, 0)
+    assert sim.changed_nodes() == []
+    deploy_pair(both, "A", "E", ["/A/ego"])
+    steps = []
+    for _ in range(4):
+        steps.append((tick_both(sim, twin, sources), sim.changed_nodes()))
+    assert steps == [
+        (TickReport(0, 1), ["B", "E"]),  # A sends; the plan is new
+        (TickReport(1, 2), ["B", "E"]),  # E receives, fuses and sends on
+        (TickReport(1, 2), ["B", "E"]),  # B receives
+        (TickReport(1, 2), []),  # settled
+    ]
+    assert sim.topics_visible_at("B") == ("/fusion/objects",)
+
+
+def test_arrivals_settle_one_and_two_ticks_after_a_connection_is_torn_down():
+    sim, twin, both = chain_rig()
+    sources = (("A", "/A/ego"),)
+    upstream = deploy_pair(both, "A", "E", ["/A/ego"])
+    for _ in range(4):
+        tick_both(sim, twin, sources)
+    assert tick_both(sim, twin, sources) == TickReport(1, 2)
+    assert sim.changed_nodes() == []
+    for instance_id in upstream:
+        both.terminate_instance(instance_id)
+    steps = []
+    for _ in range(4):
+        steps.append((tick_both(sim, twin, sources), sim.changed_nodes()))
+    assert steps == [
+        (TickReport(1, 1), ["B", "E"]),  # the last /A/ego lands on E
+        (TickReport(0, 0), ["B", "E"]),  # E fuses nothing
+        (TickReport(0, 0), ["B", "E"]),  # B's last arrival is gone
+        (TickReport(0, 0), []),  # settled
+    ]
+    assert sim.topics_visible_at("B") == ()
+
+
+def test_a_node_added_during_a_fixed_point_keeps_it_until_fed():
+    sim, twin, both, _, sources = detector_rig()
+    both.add_node("N")
+    assert tick_both(sim, twin, sources) == TickReport(1, 0)
+    assert sim.changed_nodes() == []
+    assert sim.topics_visible_at("N") == ()
+    assert tick_both(sim, twin, sources, (("N", "/N/ego"),)) == TickReport(1, 0)
+    assert sim.changed_nodes() == ["A", "E", "N"]
+    assert sim.topics_visible_at("N") == ("/N/ego",)

@@ -14,6 +14,7 @@ from demandflow.tracing import (
     TAG_TOPICS,
     Trace,
     diff_trace_lines,
+    topics_tail,
 )
 
 GOLDEN = [
@@ -109,7 +110,7 @@ records_to_make = st.one_of(
     st.builds(
         lambda node, topics: _call(
             "topics", TAG_TOPICS, [("node", node), ("topics", ",".join(topics))],
-            node, topics,
+            [topics_tail(node, topics)],
         ),
         tokens, csvs,
     ),
@@ -165,13 +166,32 @@ def test_lines_keep_their_fixed_format():
     assert error.get("detail") == "req-1:bad input V0:radar, want a=b"
 
 
+def test_a_topics_batch_writes_one_line_per_node_at_one_position():
+    trace = Trace()
+    trace.at(4, 9)
+    trace.topics(
+        topics_tail(node, topics)
+        for node, topics in (("A", ("/A/ego",)), ("C", ()), ("E", ("/S/points", "/V0/ego")))
+    )
+    trace.at(5, 10)
+    trace.topics([])  # an empty batch writes nothing
+    assert trace.render() == (
+        "TOPICS step=4 tick=9 node=A topics=/A/ego\n"
+        "TOPICS step=4 tick=9 node=C topics=\n"
+        "TOPICS step=4 tick=9 node=E topics=/S/points,/V0/ego\n"
+    )
+    assert [r.values("topics") for r in trace.records] == [
+        ("/A/ego",), (), ("/S/points", "/V0/ego"),
+    ]
+
+
 def test_records_is_a_read_only_view_of_the_lines():
     trace = Trace()
     records = trace.records
     assert len(records) == 0
-    trace.topics("E", ["/S/points", "/V0/ego"])
+    trace.topics([topics_tail("E", ["/S/points", "/V0/ego"])])
     trace.at(1, 2)
-    trace.topics("V0", ())
+    trace.topics([topics_tail("V0", ())])
     # taken before the appends, the view still sees them, in order
     assert len(records) == 2
     assert [(r.get("node"), r.tick) for r in records] == [("E", 0), ("V0", 2)]
