@@ -6,9 +6,9 @@ A bus carries topic names, one entry per message.  During a tick it is
 an `(arrived, local)` pair of lists: the entries forwarded to the node
 last tick and those published on it since.  Only local entries are
 forwarded, which rules out multi-hop relays and forwarding loops.
-The plan (the behaviors and a node -> topic -> receiver nodes table) is
-built in one pass over the running instances on the first tick after a
-deploy, terminate or reconfigure, and kept until the next one.
+The plan (the behaviors, a node -> topic -> receiver nodes table and
+the nodes they use) is a set of tables that a deploy, terminate or
+reconfigure patches for its own instance, or its connection's routes.
 Detection and fusion instances run as stub behaviors inside the tick so
 the data plane reacts to (re)configuration without any real perception
 code.  One rule drives both: a behavior publishes its output topic once
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable
 
 from .model import (
     CFG_FORWARD_TOPIC,
@@ -96,21 +96,32 @@ class TickReport:
 
 Bus = tuple[list[str], list[str]]  # (arrived, local) topics, one per message
 Behavior = tuple[str, frozenset[str], str]  # node, trigger topics, output topic
+SENDER, RECEIVER = ServiceKind.COMM_SENDER, ServiceKind.COMM_RECEIVER
+# Stub kinds in the order they run, and how many input topics trigger each.
+TRIGGERS = {ServiceKind.OBJECT_DETECTION: 1, ServiceKind.OBJECT_FUSION: None}
 
 
-class Plan(NamedTuple):
-    """What a tick runs and where it forwards."""
-
-    behaviors: list[Behavior]
-    routes: dict[str, dict[str, list[str]]]  # node -> topic -> receiver nodes
-    behavior_nodes: frozenset[str]  # nodes a behavior runs on
-    receiver_nodes: frozenset[str]  # nodes of receivers: routes deliver there
+def _count(counts: dict[str, int], node: str, sign: int) -> None:
+    counts[node] = counts.get(node, 0) + sign
+    if not counts[node]:  # only nodes with some are kept
+        del counts[node]
 
 
 class ClusterSim:
     def __init__(self) -> None:
         self._instances: dict[str, ServiceInstance] = {}
-        self._plan: Plan | None = None  # dropped by every lifecycle call
+        # The plan: stub kind -> instance id -> behavior (None without an
+        # output topic); connection name -> its instances; node -> topic ->
+        # first receiver's node, once per sender carrying the topic; and
+        # node -> how many behaviors, and connections' first receivers, it has.
+        self._behaviors: dict[ServiceKind, dict[str, Behavior | None]] = {
+            kind: {} for kind in TRIGGERS
+        }
+        self._links: dict[str, dict[str, ServiceInstance]] = {}
+        self._routes: dict[str, dict[str, list[str]]] = {}
+        self._behavior_nodes: dict[str, int] = {}
+        self._receiver_nodes: dict[str, int] = {}
+        self._patched = False  # a lifecycle call since the last tick
         self._bus: dict[str, Bus] = {}  # what the last tick read, every node
         # Sources published since the last tick, and those the last tick
         # read: node -> topics, only nodes with some.
@@ -128,8 +139,8 @@ class ClusterSim:
         self._report = TickReport(0, 0)  # what the last tick returned
         # Nodes the last tick ran behaviors on or delivered arrivals to,
         # and those it rebuilt (None: every node).
-        self._stirred: frozenset[str] = frozenset()
-        self._rebuilt: frozenset[str] | None = frozenset()
+        self._stirred: AbstractSet[str] = frozenset()
+        self._rebuilt: AbstractSet[str] | None = frozenset()
         self._order: dict[str, int] = {}  # node -> its add_node index
         self._deploy_counts: dict[str, int] = {}
         self._iid_seq = 0
@@ -159,7 +170,7 @@ class ClusterSim:
         instance_id = f"i-{self._iid_seq:04d}"
         lineage = self._deploy_counts.get(spec.cr_name, 0)
         self._deploy_counts[spec.cr_name] = lineage + 1
-        self._instances[instance_id] = ServiceInstance(
+        instance = ServiceInstance(
             instance_id=instance_id,
             cr_name=spec.cr_name,
             service_kind=spec.service_kind,
@@ -168,7 +179,9 @@ class ClusterSim:
             version=spec.version,
             restart_count=lineage,
         )
-        self._plan = None
+        self._patch(instance, -1)
+        self._instances[instance_id] = instance
+        self._patch(instance, 1)
         log.debug("deployed %s (%s) on %s", instance_id, spec.cr_name, spec.node_id)
         return instance_id
 
@@ -177,15 +190,17 @@ class ClusterSim:
     ) -> None:
         """Swap the config in place; bumps config_version, never restarts."""
         instance = self._require_running(instance_id)
+        self._patch(instance, -1)
         instance.config = config
         instance._parse_topics()
         instance.config_version += 1
-        self._plan = None
+        self._patch(instance, 1)
 
     def terminate_instance(self, instance_id: str) -> None:
-        self._require_running(instance_id)
+        instance = self._require_running(instance_id)
+        self._patch(instance, -1)
         del self._instances[instance_id]
-        self._plan = None
+        self._patch(instance, 1)
 
     def get_instance(self, instance_id: str) -> ServiceInstance:
         try:
@@ -201,6 +216,57 @@ class ClusterSim:
         if instance is None:
             raise NotRunningError(f"instance {instance_id!r} is not running")
         return instance
+
+    def _patch(self, instance: ServiceInstance, sign: int) -> None:
+        """Take `instance`'s share of the plan out (-1), or put it in as the
+        instance now is (1): its behavior, or its connection's routes.  A
+        lifecycle call does both around its change, so slots stay in place.
+        """
+        self._patched = True
+        kind, instance_id = instance.service_kind, instance.instance_id
+        live = instance_id in self._instances
+        if kind is SENDER or kind is RECEIVER:
+            members = self._links.setdefault(instance.cr_name, {})
+            if sign > 0 and live:
+                members[instance_id] = instance
+            elif sign > 0:
+                del members[instance_id]
+            self._link(members, sign)
+            if not members:
+                del self._links[instance.cr_name]
+        elif kind in self._behaviors:
+            behaviors = self._behaviors[kind]
+            if sign > 0 and not live:
+                del behaviors[instance_id]
+            elif sign > 0:
+                output = instance.output_topic
+                triggers = frozenset(instance.input_topics[: TRIGGERS[kind]])
+                behavior = (instance.node_id, triggers, output)
+                behaviors[instance_id] = None if output is None else behavior
+            if behaviors.get(instance_id) is not None:
+                _count(self._behavior_nodes, instance.node_id, sign)
+
+    def _link(self, members: dict[str, ServiceInstance], sign: int) -> None:
+        """Add (1) or remove (-1) the routes of one connection name."""
+        receivers = [i for i in members.values() if i.service_kind is RECEIVER]
+        if not receivers:
+            return
+        dst = receivers[0].node_id
+        _count(self._receiver_nodes, dst, sign)
+        for sender in members.values():
+            if sender.service_kind is not SENDER:
+                continue
+            by_topic = self._routes.setdefault(sender.node_id, {})
+            for topic in sender.forward_topics:
+                dsts = by_topic.setdefault(topic, [])
+                if sign > 0:
+                    dsts.append(dst)
+                    continue
+                dsts.remove(dst)
+                if not dsts:
+                    del by_topic[topic]
+            if not by_topic:
+                del self._routes[sender.node_id]
 
     # -- publishing --------------------------------------------------------
 
@@ -236,18 +302,17 @@ class ClusterSim:
         visible and forwardable the same tick), then running connection
         pairs pick up locally published messages for delivery next tick.
         Only the buses that may differ from the last tick's are rebuilt,
-        and none at a fixed point: the last tick's plan, held sources and
-        the arrivals the last tick delivered give the last tick's buses.
+        and none at a fixed point: with no lifecycle call since, held
+        sources and the arrivals the last tick delivered give its buses.
         """
-        plan, arrivals = self._plan, self._arriving
+        arrivals = self._arriving
         held = self._published is self._held  # the same sources as last tick
-        if plan is not None and held and arrivals == self._landed:
+        if not self._patched and held and arrivals == self._landed:
             self._published, self._rebuilt = None, frozenset()
             return self._report
-        plan = plan or self._build_plan()
         bus = self._bus
-        self._landed = arrivals
-        stirred = plan.behavior_nodes.union(arrivals)
+        self._landed, self._patched = arrivals, False
+        stirred = self._behavior_nodes.keys() | arrivals.keys()
         if held:
             rebuilt = stirred | self._stirred
         else:
@@ -258,16 +323,17 @@ class ClusterSim:
             bus[node_id] = (arrivals.get(node_id) or [], list(sources.get(node_id, ())))
 
         produced = 0
-        for node_id, triggers, output in plan.behaviors:
-            arrived, local = bus[node_id]
-            if triggers.isdisjoint(local) and triggers.isdisjoint(arrived):
-                continue  # nothing consumed, e.g. before forwarded inputs land
-            local.append(output)
-            produced += 1
+        for behaviors in self._behaviors.values():  # skips None: no output
+            for node_id, triggers, output in filter(None, behaviors.values()):
+                arrived, local = bus[node_id]
+                if triggers.isdisjoint(local) and triggers.isdisjoint(arrived):
+                    continue  # nothing consumed, e.g. before inputs land
+                local.append(output)
+                produced += 1
 
-        arriving = self._arriving = {node: [] for node in plan.receiver_nodes}
+        arriving = self._arriving = {node: [] for node in self._receiver_nodes}
         forwarded = 0
-        for node_id, by_topic in plan.routes.items():
+        for node_id, by_topic in self._routes.items():
             for topic in bus[node_id][1]:
                 for dst in by_topic.get(topic, ()):
                     arriving[dst].append(topic)
@@ -287,44 +353,6 @@ class ClusterSim:
         if self._rebuilt is None:
             return list(self._bus)
         return sorted(self._rebuilt, key=self._order.__getitem__)
-
-    def _build_plan(self) -> Plan:
-        """Detectors, then fusers, each in creation order: outputs feed later ones."""
-        detectors: list[Behavior] = []
-        fusers: list[Behavior] = []
-        senders: list[ServiceInstance] = []
-        receiver_nodes: dict[str, str] = {}
-        for instance in self._instances.values():
-            kind = instance.service_kind
-            output = instance.output_topic
-            if kind is ServiceKind.OBJECT_DETECTION and output is not None:
-                triggers = frozenset(instance.input_topics[:1])
-                detectors.append((instance.node_id, triggers, output))
-            elif kind is ServiceKind.OBJECT_FUSION and output is not None:
-                triggers = frozenset(instance.input_topics)
-                fusers.append((instance.node_id, triggers, output))
-            elif kind is ServiceKind.COMM_SENDER:
-                senders.append(instance)
-            elif kind is ServiceKind.COMM_RECEIVER:
-                receiver_nodes.setdefault(instance.cr_name, instance.node_id)
-
-        # node -> topic -> receiver nodes, one entry per sender carrying it
-        routes: dict[str, dict[str, list[str]]] = {}
-        for sender in senders:
-            dst = receiver_nodes.get(sender.cr_name)
-            if dst is None:
-                continue
-            by_topic = routes.setdefault(sender.node_id, {})
-            for topic in sender.forward_topics:
-                by_topic.setdefault(topic, []).append(dst)
-        behaviors = detectors + fusers
-        self._plan = Plan(
-            behaviors,
-            routes,
-            frozenset([node for node, _, _ in behaviors]),
-            frozenset(receiver_nodes.values()),
-        )
-        return self._plan
 
     def topics_visible_at(self, node_id: str) -> tuple[str, ...]:
         """Topics with at least one message on the node during the last tick."""

@@ -1,6 +1,8 @@
 """Data-plane behavior: locality, forwarding latency, stub services."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -656,17 +658,20 @@ def change_something(rng, sim, nodes, live, name):
         sim.terminate_instance(live.pop(rng.randrange(len(live))))
     elif roll < 0.95 and live:
         instance = sim.get_instance(rng.choice(live))
-        if instance.service_kind in STUBS:
-            config = stub_config(rng)
-        else:
-            carried = rng.sample(TOPICS, rng.randint(0, 2))
-            config = tuple(
-                i for i in instance.config if i.kind != "forward-topic"
-            ) + tuple(ConfigItem("forward-topic", t) for t in carried)
-        sim.reconfigure_instance(instance.instance_id, config)
+        sim.reconfigure_instance(instance.instance_id, new_config(rng, instance))
     elif roll >= 0.95:
         nodes.append(f"N{len(nodes)}")
         sim.add_node(nodes[-1])
+
+
+def new_config(rng, instance):
+    """A random stub config, or the instance's with other forward topics."""
+    if instance.service_kind in STUBS:
+        return stub_config(rng)
+    carried = rng.sample(TOPICS, rng.randint(0, 2))
+    return tuple(
+        i for i in instance.config if i.kind != "forward-topic"
+    ) + tuple(ConfigItem("forward-topic", t) for t in carried)
 
 
 def runs_something(sim):
@@ -849,7 +854,7 @@ def test_a_lifecycle_call_ends_a_fixed_point(call):
     if call == "deploy":
         both.deploy_instance(fusion_spec(["/detections/S/objects"]))
         want = TickReport(2, 0)
-    elif call == "reconfigure":  # the same config: the plan is still rebuilt
+    elif call == "reconfigure":  # the same config still ends it
         both.reconfigure_instance(detector, DETECTION_SPEC.config)
         want = TickReport(1, 0)
     else:
@@ -946,3 +951,217 @@ def test_a_node_added_during_a_fixed_point_keeps_it_until_fed():
     assert tick_both(sim, twin, sources, (("N", "/N/ego"),)) == TickReport(1, 0)
     assert sim.changed_nodes() == ["A", "E", "N"]
     assert sim.topics_visible_at("N") == ("/N/ego",)
+
+
+# -- the plan is patched by each lifecycle call, never rebuilt --------------
+
+LINKS = (ServiceKind.COMM_SENDER, ServiceKind.COMM_RECEIVER)
+
+
+def full_plan(sim):
+    """The plan built from scratch over the running instances.
+
+    Behaviors: detectors, then fusers, each in creation order, without
+    the stubs that have no output topic.  Routes: per (node, topic), one
+    receiver node per sender carrying the topic, that of its connection
+    name's first receiver in creation order.  Then how many behaviors run
+    on each node, and how many connection names' first receivers are on it.
+    """
+    detectors, fusers, senders, first_receivers = [], [], [], {}
+    for instance in sim.instances():
+        kind, output = instance.service_kind, instance.output_topic
+        if kind is ServiceKind.OBJECT_DETECTION and output is not None:
+            triggers = frozenset(instance.input_topics[:1])
+            detectors.append((instance.node_id, triggers, output))
+        elif kind is ServiceKind.OBJECT_FUSION and output is not None:
+            triggers = frozenset(instance.input_topics)
+            fusers.append((instance.node_id, triggers, output))
+        elif kind is ServiceKind.COMM_SENDER:
+            senders.append(instance)
+        elif kind is ServiceKind.COMM_RECEIVER:
+            first_receivers.setdefault(instance.cr_name, instance.node_id)
+    routes = {}
+    for sender in senders:
+        dst = first_receivers.get(sender.cr_name)
+        for topic in sender.forward_topics if dst else ():
+            routes.setdefault((sender.node_id, topic), []).append(dst)
+    behaviors = detectors + fusers
+    return (
+        behaviors,
+        {key: sorted(dsts) for key, dsts in routes.items()},
+        Counter(node for node, _, _ in behaviors),
+        Counter(first_receivers.values()),
+    )
+
+
+def patched_plan(sim):
+    """The same four parts, read from the tables the lifecycle calls patch."""
+    routes = {
+        (node, topic): sorted(dsts)
+        for node, by_topic in sim._routes.items()
+        for topic, dsts in by_topic.items()
+    }
+    assert all(sim._routes.values()) and all(routes.values()), "empty routes kept"
+    return (
+        [b for table in sim._behaviors.values() for b in table.values() if b],
+        routes,
+        Counter(sim._behavior_nodes),
+        Counter(sim._receiver_nodes),
+    )
+
+
+def check_plan(sim):
+    """The patched plan is the rebuilt one, and every running stub or
+    connection instance holds a slot, in creation order."""
+    assert patched_plan(sim) == full_plan(sim)
+    running = sim.instances()
+    stubs = [i.instance_id for k in STUBS for i in running if i.service_kind is k]
+    assert [iid for table in sim._behaviors.values() for iid in table] == stubs
+    links = {}
+    for instance in running:
+        if instance.service_kind in LINKS:
+            links.setdefault(instance.cr_name, []).append(instance.instance_id)
+    assert {name: list(members) for name, members in sim._links.items()} == links
+
+
+class Checked:
+    """Makes each call on a sim, failed or not, then checks its plan."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def __getattr__(self, name):
+        def call(*args):
+            try:
+                return getattr(self.sim, name)(*args)
+            finally:
+                check_plan(self.sim)
+
+        return call
+
+
+def patch_something(rng, sim, nodes, live):
+    """A random lifecycle call.  Connection names repeat, so a name may get
+    two senders or two receivers, and either end may come first."""
+    roll = rng.random()
+    name = rng.choice("xyz")
+    if roll < 0.35:
+        src, dst = rng.sample(nodes, 2)
+        carried = rng.sample(TOPICS, rng.randint(0, 2))
+        ends = pair_specs(src, dst, carried, cr_name=f"conn-{name}")
+        live.append(sim.deploy_instance(rng.choice(ends)))
+    elif roll < 0.55:
+        kind, node = rng.choice(STUBS), rng.choice(nodes)
+        spec = InstanceSpec(f"svc-{name}", kind, node, stub_config(rng))
+        live.append(sim.deploy_instance(spec))
+    elif roll < 0.75 and live:
+        sim.terminate_instance(live.pop(rng.randrange(len(live))))
+    elif roll < 0.95 and live:
+        instance = sim.get_instance(rng.choice(live))
+        sim.reconfigure_instance(instance.instance_id, new_config(rng, instance))
+    else:
+        with pytest.raises(NotRunningError):
+            sim.reconfigure_instance("i-0000", ())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_patched_plan_matches_a_rebuild(seed):
+    rng = random.Random(seed)
+    nodes = ["A", "B", "C", "E"]
+    checked, live = Checked(sim_with(*nodes)), []
+    for _ in range(150):
+        patch_something(rng, checked, nodes, live)
+
+
+def test_patched_plan_follows_each_kind_of_change():
+    sim = sim_with("A", "B", "C", "E")
+    checked = Checked(sim)
+    first_sender, receiver = pair_specs("A", "E", ["/a", "/b"], cr_name="conn")
+    second_sender, _ = pair_specs("B", "E", ["/a"], cr_name="conn")
+    checked.deploy_instance(first_sender)  # senders before any receiver
+    sender_id = checked.deploy_instance(second_sender)
+    assert sim._routes == {}
+    first = checked.deploy_instance(receiver)
+    second = checked.deploy_instance(replace(receiver, node_id="C"))
+    checked.reconfigure_instance(first, receiver.config)
+    assert sim._routes == {"A": {"/a": ["E"], "/b": ["E"]}, "B": {"/a": ["E"]}}
+    config = pair_specs("B", "E", ["/c", "/d"])[0].config
+    checked.reconfigure_instance(sender_id, config)  # other forward topics
+    checked.terminate_instance(first)  # the second receiver becomes first
+    assert sim._routes["B"] == {"/c": ["C"], "/d": ["C"]}
+    detector = checked.deploy_instance(DETECTION_SPEC)
+    without_output = DETECTION_SPEC.config[:-1]
+    checked.reconfigure_instance(detector, without_output)
+    assert sim._behaviors[ServiceKind.OBJECT_DETECTION] == {detector: None}
+    checked.reconfigure_instance(detector, DETECTION_SPEC.config)
+    for instance_id in (second, detector, sender_id):
+        checked.terminate_instance(instance_id)
+    assert sim._routes == sim._receiver_nodes == sim._behavior_nodes == {}
+
+
+def test_reconfigured_chained_fusers_keep_their_order():
+    sim = sim_with("E")
+
+    def fuser(cr_name, source, output):
+        config = (
+            ConfigItem("input-topic", source),
+            ConfigItem("output-topic", output),
+        )
+        return InstanceSpec(cr_name, ServiceKind.OBJECT_FUSION, "E", config)
+
+    upstream = sim.deploy_instance(fuser("svc-a", "/x", "/f1"))
+    downstream = sim.deploy_instance(fuser("svc-b", "/f1", "/f2"))
+    sources = (("E", "/x"),)
+    sim.publish_sources(sources)
+    report = sim.tick()
+    assert report.produced == 2
+    for instance_id in (downstream, upstream):  # re-added, B would run first
+        sim.reconfigure_instance(instance_id, sim.get_instance(instance_id).config)
+    sim.publish_sources(sources)
+    assert sim.tick() == report
+    assert sim.topics_visible_at("E") == ("/f1", "/f2", "/x")
+
+
+def test_a_reconfigured_receiver_stays_its_connections_first():
+    sim = sim_with("A", "B", "E")
+    sender, receiver = pair_specs("A", "E", ["/A/ego"])
+    sim.deploy_instance(sender)
+    first = sim.deploy_instance(receiver)
+    sim.deploy_instance(replace(receiver, node_id="B"))  # a second receiver
+    sim.reconfigure_instance(first, receiver.config)
+    feed(sim, "A", "/A/ego")
+    assert sim.tick().forwarded == 1
+    sim.tick()
+    assert sim.topics_visible_at("E") == ("/A/ego",)
+    assert sim.topics_visible_at("B") == ()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda sim, gone: sim.terminate_instance(gone), NotRunningError),
+        (lambda sim, gone: sim.reconfigure_instance(gone, ()), NotRunningError),
+        (lambda sim, gone: sim.terminate_instance("i-9999"), NotRunningError),
+        (
+            lambda sim, gone: sim.deploy_instance(replace(DETECTION_SPEC, node_id="B")),
+            UnknownNodeError,
+        ),
+    ],
+    ids=["terminate", "reconfigure", "never-deployed", "unknown-node"],
+)
+def test_a_failed_lifecycle_call_keeps_a_fixed_point(call, error):
+    # operators make such calls in their teardown, suppressing the error
+    sim = sim_with("A", "E")
+    gone = sim.deploy_instance(DETECTION_SPEC)
+    sim.terminate_instance(gone)
+    sim.deploy_instance(DETECTION_SPEC)
+    sources = (("A", "/A/ego"), ("E", "/S/points"))
+    for _ in range(2):
+        sim.publish_sources(sources)
+        report = sim.tick()
+    assert sim.changed_nodes() == []
+    with pytest.raises(error):
+        call(sim, gone)
+    sim.publish_sources(sources)
+    assert sim.tick() == report == TickReport(1, 0)
+    assert sim.changed_nodes() == []
