@@ -3,9 +3,9 @@
 Each node has its own topic bus; nothing crosses node boundaries unless a
 deployed sender/receiver pair forwards it, with one tick of latency.
 A bus carries topic names, one entry per message.  During a tick it is
-an `(arrived, local)` pair of lists: the entries forwarded to the node
-last tick and those published on it since.  Only local entries are
-forwarded, which rules out multi-hop relays and forwarding loops.
+an `(arrived, local)` pair: topic -> count of the entries forwarded to
+the node last tick, and the list of those published on it since.  Only
+local entries are forwarded, which rules out multi-hop relays and loops.
 The plan (the behaviors, a node -> topic -> receiver nodes table and
 the nodes they use) is a set of tables that a deploy, terminate or
 reconfigure patches for its own instance, or its connection's routes.
@@ -21,9 +21,11 @@ outputs of behaviors on it and the entries routes delivered to it.  So
 if a tick reads the same sources tuple as the last one, only nodes where
 either tick ran a behavior or delivered arrivals can differ; every other
 bus is kept as it is, and the sources stay on it rather than being queued
-again.  Otherwise every bus is rebuilt.  A tick that runs the last tick's
-plan on held sources, with the arrivals the last tick delivered, is a
-fixed point: it touches no bus and returns the last report.
+again.  Otherwise every bus is rebuilt.  Each sender node keeps its share
+of the arriving counts, and only the senders a tick rebuilt, or whose
+routes a lifecycle call changed, are walked again.  A tick that runs the
+last tick's plan on held sources, after one that changed no arriving
+count, is a fixed point: it touches no bus and returns the last report.
 Everything is deterministic: no wall clock, no randomness, fixed
 iteration orders.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Mapping
 
 from .model import (
     CFG_FORWARD_TOPIC,
@@ -94,7 +96,8 @@ class TickReport:
     forwarded: int
 
 
-Bus = tuple[list[str], list[str]]  # (arrived, local) topics, one per message
+Bus = tuple[Mapping[str, int], list[str]]  # arrived topic -> count, local topics
+Share = list[tuple[str, str]]  # (receiver node, topic) per entry forwarded
 Behavior = tuple[str, frozenset[str], str]  # node, trigger topics, output topic
 SENDER, RECEIVER = ServiceKind.COMM_SENDER, ServiceKind.COMM_RECEIVER
 # Stub kinds in the order they run, and how many input topics trigger each.
@@ -122,6 +125,7 @@ class ClusterSim:
         self._behavior_nodes: dict[str, int] = {}
         self._receiver_nodes: dict[str, int] = {}
         self._patched = False  # a lifecycle call since the last tick
+        self._relinked: set[str] = set()  # sender nodes whose routes those changed
         self._bus: dict[str, Bus] = {}  # what the last tick read, every node
         # Sources published since the last tick, and those the last tick
         # read: node -> topics, only nodes with some.
@@ -133,9 +137,12 @@ class ClusterSim:
         # What the last tick read.  Published again, a tuple is held: its
         # entries are still on the buses, so none is queued.
         self._held: object = None
-        # Receiver node -> entries the next tick delivers, and the last did.
-        self._arriving: dict[str, list[str]] = {}
-        self._landed: dict[str, list[str]] = {}
+        # Receiver node (as of the last tick) -> topic -> entries the next
+        # tick delivers.  A mapping a bus holds is replaced, never changed.
+        self._arriving: dict[str, dict[str, int]] = {}
+        self._shares: dict[str, Share] = {}  # sender node -> its share of them
+        self._forwarded = 0  # entries in all shares
+        self._moved = False  # the last tick changed `_arriving`
         self._report = TickReport(0, 0)  # what the last tick returned
         # Nodes the last tick ran behaviors on or delivered arrivals to,
         # and those it rebuilt (None: every node).
@@ -150,7 +157,7 @@ class ClusterSim:
     def add_node(self, node_id: str) -> None:
         if node_id in self._bus:
             raise DuplicateNodeError(f"node {node_id!r} already exists")
-        self._bus[node_id] = ([], [])
+        self._bus[node_id] = ({}, [])
         self._order[node_id] = len(self._order)
 
     def _require_node(self, node_id: str) -> None:
@@ -256,6 +263,7 @@ class ClusterSim:
         for sender in members.values():
             if sender.service_kind is not SENDER:
                 continue
+            self._relinked.add(sender.node_id)
             by_topic = self._routes.setdefault(sender.node_id, {})
             for topic in sender.forward_topics:
                 dsts = by_topic.setdefault(topic, [])
@@ -302,17 +310,17 @@ class ClusterSim:
         visible and forwardable the same tick), then running connection
         pairs pick up locally published messages for delivery next tick.
         Only the buses that may differ from the last tick's are rebuilt,
-        and none at a fixed point: with no lifecycle call since, held
-        sources and the arrivals the last tick delivered give its buses.
+        and only the senders among them or with changed routes walked
+        again; nothing at a fixed point: with no lifecycle call since, held
+        sources and arriving counts the last tick left alone give its buses.
         """
-        arrivals = self._arriving
+        arriving = self._arriving
         held = self._published is self._held  # the same sources as last tick
-        if not self._patched and held and arrivals == self._landed:
+        if not self._patched and held and not self._moved:
             self._published, self._rebuilt = None, frozenset()
             return self._report
-        bus = self._bus
-        self._landed, self._patched = arrivals, False
-        stirred = self._behavior_nodes.keys() | arrivals.keys()
+        bus, routes = self._bus, self._routes
+        stirred = self._behavior_nodes.keys() | arriving.keys()
         if held:
             rebuilt = stirred | self._stirred
         else:
@@ -320,7 +328,7 @@ class ClusterSim:
             rebuilt = None
         sources = self._sources
         for node_id in bus if rebuilt is None else rebuilt:
-            bus[node_id] = (arrivals.get(node_id) or [], list(sources.get(node_id, ())))
+            bus[node_id] = (arriving.get(node_id, {}), list(sources.get(node_id, ())))
 
         produced = 0
         for behaviors in self._behaviors.values():  # skips None: no output
@@ -331,17 +339,41 @@ class ClusterSim:
                 local.append(output)
                 produced += 1
 
-        arriving = self._arriving = {node: [] for node in self._receiver_nodes}
-        forwarded = 0
-        for node_id, by_topic in self._routes.items():
-            for topic in bus[node_id][1]:
-                for dst in by_topic.get(topic, ()):
-                    arriving[dst].append(topic)
-                    forwarded += 1
+        # Walk again only the senders rebuilt or with changed routes, and
+        # apply what their shares changed to the arriving counts.  A bus
+        # holds the counts it read, so a receiver's are copied before they
+        # change; `replaced` keeps the ones from before.
+        senders, shares, replaced = self._relinked, self._shares, {}
+        senders.update(routes.keys() if rebuilt is None else rebuilt & routes.keys())
+        for node_id in senders:
+            by_topic, local = routes.get(node_id, {}), bus[node_id][1]
+            share = [(dst, topic) for topic in local for dst in by_topic.get(topic, ())]
+            old, shares[node_id] = shares.get(node_id, []), share
+            if share == old:
+                continue
+            self._forwarded += len(share) - len(old)
+            for sign, part in ((-1, old), (1, share)):
+                for dst, topic in part:
+                    counts = arriving.get(dst, {})
+                    if dst not in replaced:
+                        replaced[dst], counts = counts, dict(counts)
+                        arriving[dst] = counts
+                    counts[topic] = left = counts.get(topic, 0) + sign
+                    if not left:
+                        del counts[topic]
+        moved = False
+        for dst, old in replaced.items():  # equal if the changes cancelled out
+            moved |= arriving[dst] != old
+        if self._patched and arriving.keys() != self._receiver_nodes.keys():
+            for node_id in arriving.keys() ^ self._receiver_nodes.keys():
+                if arriving.pop(node_id, None) is None:  # a new receiver node
+                    arriving[node_id] = {}
+                moved = True
+        self._moved, self._patched, self._relinked = moved, False, set()
 
         self._held, self._published = self._published, None
         self._stirred, self._rebuilt = stirred, rebuilt
-        self._report = TickReport(produced, forwarded)
+        self._report = TickReport(produced, self._forwarded)
         return self._report
 
     def changed_nodes(self) -> list[str]:

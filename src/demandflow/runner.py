@@ -11,9 +11,10 @@ tail: after every tick the nodes the cluster rebuilt are marked stale,
 and a refresh recomputes only those, re-rendering a tail only when its
 topics change.  Scripted timelines give each event a fixed window of
 ticks, refresh at each window's end and write every node's tail from the
-cache in one batch; waypoint timelines sample every route on the first
-tick, then only the routes in motion, refresh after every tick and
-write the tails of the nodes whose topics changed.
+cache in one batch; waypoint timelines sample every vehicle on the first
+tick, then each only on a leg between waypoints at different places,
+refresh after every tick and write the tails of the nodes whose topics
+changed.
 A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
 it.  A run ends with one more drain, so an event parked in the last tick
@@ -211,17 +212,21 @@ class ScenarioRunner:
     # -- waypoint timelines ------------------------------------------------
 
     def _run_waypoints(self) -> None:
-        # After tick 1 a pose moves only inside its route's span.
-        routes = [
-            (vehicle_id, route, route[0].tick, route[-1].tick)
-            for vehicle_id, route in self.scenario.timeline.waypoints.items()
-        ]
+        # After tick 1 a pose moves only on a leg between two waypoints at
+        # different places; elsewhere it equals the last one observed.
+        budget = self.scenario.tick_budget
+        waypoints = self.scenario.timeline.waypoints
+        moving: dict[int, list] = {1: list(waypoints.items())}
+        for vehicle_id, route in waypoints.items():
+            for a, b in zip(route, route[1:]):
+                if (a.x, a.y) != (b.x, b.y):
+                    for tick in range(max(a.tick + 1, 2), min(b.tick, budget) + 1):
+                        moving.setdefault(tick, []).append((vehicle_id, route))
         detector = self.system.detector
         step = 0
-        for tick in range(1, self.scenario.tick_budget + 1):
-            for vehicle_id, route, first, last in routes:
-                if tick == 1 or first < tick <= last:
-                    detector.observe_pose(vehicle_id, interpolate(route, tick))
+        for tick in range(1, budget + 1):
+            for vehicle_id, route in moving.pop(tick, ()):
+                detector.observe_pose(vehicle_id, interpolate(route, tick))
             requests = detector.evaluate(tick)
             if requests:
                 step += 1

@@ -1165,3 +1165,135 @@ def test_a_failed_lifecycle_call_keeps_a_fixed_point(call, error):
     sim.publish_sources(sources)
     assert sim.tick() == report == TickReport(1, 0)
     assert sim.changed_nodes() == []
+
+
+# -- differential forwarding: a tick walks only the senders that changed ----
+
+
+def full_forward(sim):
+    """What the last tick forwarded, walked over every route: a Counter of
+    topics per receiver node (each receiver node, with entries or not),
+    and how many entries in all."""
+    arriving = {node: Counter() for node in sim._receiver_nodes}
+    total = 0
+    for node, by_topic in sim._routes.items():
+        for topic in sim._bus[node][1]:
+            for dst in by_topic.get(topic, ()):
+                arriving[dst][topic] += 1
+                total += 1
+    return arriving, total
+
+
+def check_forward(sim, report):
+    """The arriving counts and `forwarded` equal a walk of every route."""
+    arriving, total = full_forward(sim)
+    assert sim._arriving == {node: dict(c) for node, c in arriving.items()}
+    assert report.forwarded == total
+    assert sim._arriving.keys() == sim._receiver_nodes.keys()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_differential_forward_matches_a_walk_of_every_route(seed):
+    rng = random.Random(seed)
+    nodes = ["A", "B", "C", "E"]
+    sim, live = sim_with(*nodes), []
+
+    def sources():
+        count = rng.randint(0, 6)
+        return tuple((rng.choice(nodes), rng.choice(TOPICS)) for _ in range(count))
+
+    usual = sources()
+    forwarding = 0
+    for _ in range(150):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            patch_something(rng, sim, nodes, live)
+        roll = rng.random()
+        if roll < 0.75:
+            sim.publish_sources(usual)  # held
+        elif roll < 0.85:
+            usual = sources()
+            sim.publish_sources(usual)
+        elif roll < 0.95:
+            sim.publish_sources(list(sources()))
+        report = sim.tick()
+        check_forward(sim, report)
+        forwarding += report.forwarded > 0
+    assert forwarding  # some ticks forward something
+
+
+def test_differential_forward_follows_each_kind_of_change():
+    sim = sim_with("A", "B", "C", "E")
+    held = (("A", "/a"), ("A", "/b"), ("B", "/a"))
+    steps = []
+
+    def tick(sources=held):
+        sim.publish_sources(sources)
+        report = sim.tick()
+        check_forward(sim, report)
+        steps.append(report.forwarded)
+
+    tick()
+    sender, receiver = pair_specs("A", "E", ["/a"], cr_name="conn")
+    first = sim.deploy_instance(receiver)
+    tick()  # a receiver live across a tick before its sender
+    sender_id = sim.deploy_instance(sender)
+    tick()
+    other = pair_specs("A", "E", ["/b"], cr_name="other")
+    deploy_pair(sim, "B", "E", ["/a"])
+    other_ids = [sim.deploy_instance(spec) for spec in other]  # two on A
+    tick()
+    config = pair_specs("A", "E", ["/b"])[0].config
+    sim.reconfigure_instance(sender_id, config)  # other topics
+    tick()
+    second = sim.deploy_instance(replace(receiver, node_id="C"))
+    sim.terminate_instance(first)  # the second receiver becomes first
+    tick()
+    assert sim._arriving["C"] == {"/b": 1}
+    sim.terminate_instance(second)  # the last receiver of `conn`
+    tick()
+    tick((("A", "/b"), ("A", "/b"), ("B", "/c")))  # changed sources
+    tick()  # held
+    for instance_id in other_ids:
+        sim.terminate_instance(instance_id)
+    tick(held)
+    assert steps == [0, 0, 1, 3, 3, 3, 2, 2, 2, 1]
+
+
+def test_a_receiver_alone_changes_its_node_on_the_second_tick():
+    # operators start a connection's receiver first; its node is listed
+    # one tick late, as arrivals to it are delivered from then on
+    sim = sim_with("A", "E")
+    sources = (("A", "/A/ego"),)
+    for _ in range(2):
+        sim.publish_sources(sources)
+        sim.tick()
+    assert sim.changed_nodes() == []
+    sim.deploy_instance(pair_specs("A", "E", ["/A/ego"])[1])
+    steps = []
+    for _ in range(3):
+        sim.publish_sources(sources)
+        check_forward(sim, sim.tick())
+        steps.append(sim.changed_nodes())
+    assert steps == [[], ["E"], []]
+
+
+def test_differential_forward_changes_that_cancel_out_keep_a_fixed_point():
+    # A stops forwarding /a to E as B starts: E's counts stay as they were
+    sim = sim_with("A", "B", "E")
+    sources = (("A", "/a"), ("B", "/a"))
+    from_a = deploy_pair(sim, "A", "E", ["/a"], cr_name="x")[0]
+    from_b = deploy_pair(sim, "B", "E", [], cr_name="y")[0]
+    for _ in range(3):
+        sim.publish_sources(sources)
+        check_forward(sim, sim.tick())
+    assert sim.changed_nodes() == []
+    sim.reconfigure_instance(from_a, pair_specs("A", "E", [])[0].config)
+    sim.reconfigure_instance(from_b, pair_specs("B", "E", ["/a"])[0].config)
+    steps = []
+    for _ in range(2):
+        sim.publish_sources(sources)
+        report = sim.tick()
+        check_forward(sim, report)
+        steps.append((report.forwarded, sim.changed_nodes()))
+    assert steps == [(1, ["E"]), (1, [])]
+    assert sim._shares["A"] == [] and sim._shares["B"] == [("E", "/a")]

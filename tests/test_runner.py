@@ -304,22 +304,88 @@ def fuzz_scenario(vehicle_routes):
     return scenario_from_mapping(raw)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(waypoint_routes, min_size=1, max_size=5))
-# one waypoint; the first waypoint after tick 1, inside; ending inside
-@example([[(1, 0.0, 0.0)], [(9, 10.0, 0.0), (5, 300.0, 0.0)],
-          [(1, 300.0, 0.0), (8, 20.0, 5.0)]])
-# dwells in the band on the way in and on the way out
-@example([[(1, 300.0, 0.0), (3, 160.0, 0.0), (6, 160.0, 0.0), (2, 0.0, 0.0),
-           (2, 160.0, 0.0), (5, 160.0, 0.0), (2, 300.0, 0.0)]])
-# ends on d_start from outside, where plain interpolation rounds outward
-@example([[(1, -261.0, -100.0), (10, -122.39765766268816, -86.71109155516032)]])
-# three vehicles cross each threshold on the same ticks
-@example([[(1, 300.0, 0.0), (4, 0.0, 0.0), (4, 300.0, 0.0)]] * 3)
+ROUTE_EXAMPLES = [
+    # one waypoint; the first waypoint after tick 1, inside; ending inside
+    [[(1, 0.0, 0.0)], [(9, 10.0, 0.0), (5, 300.0, 0.0)],
+     [(1, 300.0, 0.0), (8, 20.0, 5.0)]],
+    # dwells in the band on the way in and on the way out
+    [[(1, 300.0, 0.0), (3, 160.0, 0.0), (6, 160.0, 0.0), (2, 0.0, 0.0),
+      (2, 160.0, 0.0), (5, 160.0, 0.0), (2, 300.0, 0.0)]],
+    # ends on d_start from outside, where plain interpolation rounds outward
+    [[(1, -261.0, -100.0), (10, -122.39765766268816, -86.71109155516032)]],
+    # three vehicles cross each threshold on the same ticks
+    [[(1, 300.0, 0.0), (4, 0.0, 0.0), (4, 300.0, 0.0)]] * 3,
+    # a leg that runs past the last tick
+    [[(1, 300.0, 0.0), (50, 0.0, 0.0)]],
+]
+
+
+def with_fuzzed_routes(test):
+    """Runs `test` on generated routes, and on each of ROUTE_EXAMPLES."""
+    for routes in reversed(ROUTE_EXAMPLES):
+        test = example(routes)(test)
+    test = given(st.lists(waypoint_routes, min_size=1, max_size=5))(test)
+    return settings(max_examples=60, deadline=None)(test)
+
+
+@with_fuzzed_routes
 def test_waypoint_requests_match_full_scan(vehicle_routes):
     scenario = fuzz_scenario(vehicle_routes)
     runner = run_scenario(scenario)
     assert request_transitions(runner.trace) == hysteresis_oracle(scenario)
+
+
+def watch_detector(runner, on_evaluate):
+    """Calls `on_evaluate(tick, vehicles observed since the last call)`
+    before each of the run's `evaluate` calls."""
+    detector = runner.system.detector
+    observe_pose, evaluate = detector.observe_pose, detector.evaluate
+    observed = []
+
+    def observing(vehicle_id, position):
+        observed.append(vehicle_id)
+        observe_pose(vehicle_id, position)
+
+    def evaluating(tick):
+        on_evaluate(tick, observed[:])
+        observed.clear()
+        return evaluate(tick)
+
+    detector.observe_pose, detector.evaluate = observing, evaluating
+
+
+@with_fuzzed_routes
+def test_waypoint_poses_match_interpolation_after_every_tick(vehicle_routes):
+    scenario = fuzz_scenario(vehicle_routes)
+    routes = scenario.timeline.waypoints
+    runner = ScenarioRunner(scenario)
+    poses = runner.system.detector._poses
+    ticks = []
+
+    def check(tick, _):
+        assert poses == {v: interpolate(route, tick) for v, route in routes.items()}
+        ticks.append(tick)
+
+    watch_detector(runner, check)
+    runner.run()
+    assert ticks == list(range(1, scenario.tick_budget + 1))
+
+
+def test_a_vehicle_parked_on_one_place_is_observed_once():
+    # V0 holds one place from tick 0 to 5; V1 moves until tick 3, then holds
+    scenario = fuzz_scenario(
+        [[(1, 300.0, 0.0), (5, 300.0, 0.0)],
+         [(1, 300.0, 0.0), (3, 0.0, 0.0), (3, 0.0, 0.0)]]
+    )
+    runner = ScenarioRunner(scenario)
+    observed = {}
+    watch_detector(runner, lambda tick, vehicles: observed.update({tick: vehicles}))
+    runner.run()
+    assert {tick: v for tick, v in observed.items() if v} == {
+        1: ["V0", "V1"],
+        2: ["V1"],
+        3: ["V1"],
+    }
 
 
 def test_route_ending_on_d_start_enters_on_its_last_tick():
