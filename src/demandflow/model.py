@@ -35,12 +35,6 @@ class Phase(str, Enum):
     RUNNING = "running"
 
 
-class ChangeType(str, Enum):
-    CREATED = "created"
-    SPEC_UPDATED = "spec-updated"
-    DELETED = "deleted"
-
-
 class ServiceKind(str, Enum):
     OBJECT_DETECTION = "object-detection"
     OBJECT_FUSION = "object-fusion"

@@ -2,12 +2,12 @@
 
 The spec of a custom resource is its desired state, the demand ledger the
 app manager keeps: a counted multiset of requesters and one of countable
-config items.  An operator reads the current spec, decides one action
-from it and the resource's live instance, and executes it.  The support
-set being empty is the one and only shutdown signal.  A cluster failure
-re-queues the event; after MAX_ATTEMPTS failures in one drain the event
-is parked until the next drain, so a failure delays convergence and
-never drops demand.
+config items.  An operator reconciles a resource by name: it reads the
+current spec, decides one action from it and the resource's live
+instance, and executes it.  The support set being empty is the one and
+only shutdown signal.  A cluster failure re-queues the name; after
+MAX_ATTEMPTS failures in one drain the name is parked until the next
+drain, so a failure delays convergence and never drops demand.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .cluster import ClusterSim, InstanceSpec, ServiceInstance
@@ -24,7 +24,6 @@ from .model import (
     CFG_SERVICE_KIND,
     CFG_SRC,
     CFG_DST,
-    ChangeType,
     NotFoundError,
     NotRunningError,
     OrchestrationError,
@@ -33,12 +32,12 @@ from .model import (
     ServiceKind,
     config_value,
 )
-from .store import DemandLedger, ResourceStatus, ResourceStore, WatchEvent
+from .store import DemandLedger, ResourceStatus, ResourceStore
 from .tracing import Trace
 
 log = logging.getLogger(__name__)
 
-# Reconcile attempts per resource in one drain before its event is parked.
+# Reconcile attempts per resource in one drain before its name is parked.
 MAX_ATTEMPTS = 3
 
 # The cluster units of each resource kind, in record order: service kind
@@ -87,6 +86,7 @@ class _Resource:
     ledger: DemandLedger | None = None  # last reconciled; None until one is
     uid: int = 0  # the life `ledger` and `observed` belong to; 0: none
     observed: int = 0
+    generation: int = 0  # last read from the store, of any life
     units: tuple[str, ...] = ()
     retiring: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # units, nodes
     strays: tuple[str, ...] = ()  # started by a failed deploy, never traced
@@ -96,18 +96,18 @@ class _Resource:
 class Operator:
     """The reconcile loop of one resource kind.
 
-    One watch event is processed at a time.  Reconciling is
+    A watch of the store queues the name of every written or deleted
+    resource, and one name is processed at a time.  Reconciling is
     level-triggered: read the store's current spec, decide, execute
     against the cluster, then publish status and a ledger trace record.
-    Uids order the lives of a name, so an event is stale if its
-    (uid, generation) is at or below the observed one; a reconcile
-    re-tags its event to the life and generation it read, so a re-queued
-    or parked event always belongs to the current life.  A deleted
-    resource's spec is empty, so its units go as on a shutdown; a new
-    life of the name starts afresh with the units left.  A cluster
-    failure re-queues the event; the MAX_ATTEMPTS-th failure traces an
-    error and parks the event without advancing the observed generation,
-    and every event of a parked resource waits with it until `unpark`.
+    A name whose stored (uid, generation) equals the record's
+    (uid, observed) is reconciled already, so a duplicate costs one read.
+    A new uid is another life of the name and resets the record; a
+    deleted resource's spec is empty, so its units go as on a shutdown,
+    and a new life of the name starts afresh with the units left.  A
+    cluster failure re-queues the name; the MAX_ATTEMPTS-th failure traces
+    an error and parks the name without advancing the observed
+    generation, and the name waits until `unpark`.
 
     Each resource has one `_Resource` record, dropped in one step on
     shutdown or delete.  Its units are the `UNITS` row of its kind,
@@ -123,32 +123,31 @@ class Operator:
         self._store = store
         self._sim = sim
         self._trace = trace
-        self._events = store.watch(kind)
-        self._retry: deque[WatchEvent] = deque()
-        self._parked: dict[str, WatchEvent] = {}
+        self._names = store.watch(kind)
+        self._retry: deque[str] = deque()
+        # A dict, not a set: unpark re-queues in parking order, trace order.
+        self._parked: dict[str, None] = {}
         self._resources: dict[str, _Resource] = {}
 
     # -- queue handling ----------------------------------------------------
 
     def pending(self) -> int:
-        """Queued watch events and retries; parked events do not count."""
-        return len(self._events) + len(self._retry)
+        """Queued watched names and retries; parked names do not count."""
+        return len(self._names) + len(self._retry)
 
     def unpark(self) -> None:
-        """Re-queue every parked event for another round of attempts."""
-        self._retry.extend(self._parked.values())
+        """Re-queue every parked name for another round of attempts."""
+        self._retry.extend(self._parked)
         self._parked.clear()
 
     def run_pending(self) -> int:
-        """Process queued retries, then all queued watch events."""
-        processed = 0
-        retries = list(self._retry)
-        self._retry.clear()
-        for event in retries:
-            self.reconcile(event)
-            processed += 1
-        while self._events:
-            self.reconcile(self._events.popleft())
+        """Process queued retries, then all queued watched names."""
+        retries, self._retry = self._retry, deque()
+        for name in retries:
+            self.reconcile(name)
+        processed = len(retries)
+        while self._names:
+            self.reconcile(self._names.popleft())
             processed += 1
         return processed
 
@@ -162,38 +161,28 @@ class Operator:
 
     # -- the reconcile step ------------------------------------------------
 
-    def reconcile(self, event: WatchEvent) -> None:
-        name = event.name
+    def reconcile(self, name: str) -> None:
+        if name in self._parked:
+            return  # the next unpark retries it
         record = self._resources.get(name)
-        if event.change is ChangeType.DELETED:
-            if record is None:
-                return  # never reconciled, or its shutdown deleted it
-            # A retry of this event only reconciles the name.
-            event = replace(event, change=ChangeType.SPEC_UPDATED)
-        elif name in self._parked:
-            return  # the parked event covers it
-        elif record is not None and (event.uid, event.generation) <= (
-            record.uid, record.observed
-        ):
-            return  # of an earlier life, stale or a duplicate
         try:
             resource = self._store.get_cr(self.kind, name)
         except NotFoundError:
             if record is None:
                 return  # deleted, and nothing of it is left to end
-            resource = None  # deleted: the empty spec shuts it down
-        if record is None:
-            record = self._resources[name] = _Resource()
-        uid = resource.uid if resource is not None else 0
+            resource, uid = None, 0  # deleted: the empty spec shuts it down
+        else:
+            uid = resource.uid
+            if record is None:
+                record = self._resources[name] = _Resource()
+            elif (uid, resource.generation) == (record.uid, record.observed):
+                return  # reconciled at this generation already
+            record.generation = resource.generation
         if uid != record.uid:
             # Another life of the name, or none: no generation of the
             # last life may reach its status.
             record.uid, record.observed, record.attempts = uid, 0, 0
             record.ledger = None
-        # A retry or parked event belongs to the life read here.
-        generation = resource.generation if resource is not None else event.generation
-        if (event.uid, event.generation) != (uid, generation):
-            event = replace(event, uid=uid, generation=generation)
 
         ledger = resource.spec if resource is not None else DemandLedger()
         action = decide(ledger, self._primary_instance(record))
@@ -202,7 +191,7 @@ class Operator:
         except OrchestrationError as exc:
             if resource is not None:
                 self._write_status(name, record, Phase.PENDING)
-            self._handle_failure(record, event, exc)
+            self._handle_failure(name, record, exc)
             return
 
         if action is DecisionAction.SHUTDOWN:
@@ -222,22 +211,22 @@ class Operator:
         )
 
     def _handle_failure(
-        self, record: _Resource, event: WatchEvent, exc: OrchestrationError
+        self, name: str, record: _Resource, exc: OrchestrationError
     ) -> None:
         record.attempts += 1
         if record.attempts < MAX_ATTEMPTS:
             log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
-                      event.name, exc, record.attempts)
-            self._retry.append(event)
+                      name, exc, record.attempts)
+            self._retry.append(name)
             return
         # Give up for this drain: the spec still holds the demand, so the
-        # parked event retries it from the next drain on.
+        # parked name retries it from the next drain on.
         record.attempts = 0
-        self._parked[event.name] = event
+        self._parked[name] = None
         self._trace.error(
             f"{self.kind.value}-operator",
             "reconcile-failed",
-            f"{event.name}@{event.generation}:{type(exc).__name__}",
+            f"{name}@{record.generation}:{type(exc).__name__}",
         )
 
     def _write_status(self, name: str, record: _Resource, phase: Phase) -> None:

@@ -2,7 +2,7 @@
 
 Each tick: move vehicles, evaluate the geofence, deliver any resulting
 requests, drain both reconcile queues to quiescence (first re-queueing
-the events the previous drain parked), publish every entity's source
+the names the previous drain parked), publish every entity's source
 data, then advance the cluster one step.  The sources are one tuple for
 the whole run, so after the first tick the cluster keeps them on its
 buses and rebuilds only the nodes a tick can change.  Both timelines
@@ -17,7 +17,7 @@ refresh after every tick and write the tails of the nodes whose topics
 changed.
 A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
-it.  A run ends with one more drain, so an event parked in the last tick
+it.  A run ends with one more drain, so a name parked in the last tick
 is still retried.
 """
 
@@ -94,7 +94,7 @@ def build_system(
 
 
 def drain(system: System) -> None:
-    """Re-queue parked events, then run both operators until none is pending."""
+    """Re-queue parked names, then run both operators until none is pending."""
     operators = (system.service_op, system.connection_op)
     for operator in operators:
         operator.unpark()

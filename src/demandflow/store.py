@@ -8,13 +8,14 @@ the current ledger and writes the result; an operator reads the current
 spec and reconciles the cluster towards it.  Every write bumps the
 resource's generation, so a status can say which spec it observed.
 Each life of a name (from its creation to its delete) has its own uid,
-like Kubernetes `metadata.uid`, which its watch events carry: a status
-counts generations of one life only.
+like Kubernetes `metadata.uid`, which a read returns: a status counts
+generations of one life only.
 Mutations are plain method calls on one object and execute serially,
 which is what makes apply/get/delete trivially linearizable here.
 Redelivered requests are answered by the app manager's request-id cache
-and never reach the store.  A watch is a plain deque of events that the
-subscriber pops from.
+and never reach the store.  A watch is a plain deque of the names of
+changed resources that the subscriber pops from and reads back, as a
+controller-runtime request carries only a name.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Iterable, TypeVar
 from .model import (
     CFG_FORWARD_TOPIC,
     CFG_INPUT_TOPIC,
-    ChangeType,
     ConfigItem,
     DeltaAction,
     NotFoundError,
@@ -134,15 +134,6 @@ class ResourceStatus:
 
 
 @dataclass(frozen=True)
-class WatchEvent:
-    kind: ResourceKind
-    name: str
-    generation: int
-    change: ChangeType
-    uid: int  # the life of `name` the change belongs to
-
-
-@dataclass(frozen=True)
 class CustomResource:
     """Read-only snapshot of one stored resource."""
 
@@ -167,12 +158,12 @@ class ResourceStore:
         self._records: dict[ResourceKind, dict[str, _Record]] = {
             kind: {} for kind in ResourceKind
         }
-        self._watchers: dict[ResourceKind, list[deque[WatchEvent]]] = {
+        self._watchers: dict[ResourceKind, list[deque[str]]] = {
             kind: [] for kind in ResourceKind
         }
-        # History of every real mutation, in order.  Synthetic snapshot
-        # events handed to late subscribers are not part of it.
-        self.event_log: list[WatchEvent] = []
+        # The name of every real mutation, in order; the names a late
+        # watch is primed with are not part of it.
+        self.event_log: list[str] = []
         self._uids = count(1)
 
     # -- mutations ---------------------------------------------------------
@@ -183,25 +174,21 @@ class ResourceStore:
         record = records.get(name)
         if record is None:
             record = records[name] = _Record(spec, next(self._uids))
-            change = ChangeType.CREATED
         else:
             record.spec = spec
             record.generation += 1
-            change = ChangeType.SPEC_UPDATED
-        self._emit(WatchEvent(kind, name, record.generation, change, record.uid))
+        self._emit(kind, name)
         return record.generation
 
     def delete_cr(self, kind: ResourceKind, name: str) -> None:
-        record = self._require(kind, name)
+        self._require(kind, name)
         del self._records[kind][name]
-        self._emit(
-            WatchEvent(kind, name, record.generation, ChangeType.DELETED, record.uid)
-        )
+        self._emit(kind, name)
 
     def update_status(
         self, kind: ResourceKind, name: str, status: ResourceStatus
     ) -> None:
-        """Replace the status subresource.  Emits no watch event."""
+        """Replace the status subresource.  Queues no name on a watch."""
         record = self._require(kind, name)
         if status.observed_generation < record.status.observed_generation:
             raise StaleStatusError(
@@ -233,17 +220,14 @@ class ResourceStore:
 
     # -- watching ----------------------------------------------------------
 
-    def watch(self, kind: ResourceKind) -> deque[WatchEvent]:
-        """Subscribe to changes of one kind; the store appends, you pop.
+    def watch(self, kind: ResourceKind) -> deque[str]:
+        """Subscribe to changes of one kind; the store appends names, you pop.
 
-        The queue is primed with one synthetic Created event per existing
-        resource (carrying its current generation) so a late subscriber
-        can catch up before live events resume.
+        The queue is primed with the name of every existing resource, in
+        creation order, so a late subscriber catches up before live
+        changes resume.
         """
-        queue = deque(
-            WatchEvent(kind, name, record.generation, ChangeType.CREATED, record.uid)
-            for name, record in self._records[kind].items()
-        )
+        queue = deque(self._records[kind])
         self._watchers[kind].append(queue)
         return queue
 
@@ -255,7 +239,7 @@ class ResourceStore:
         except KeyError:
             raise NotFoundError(f"no such resource {kind.value}/{name}") from None
 
-    def _emit(self, event: WatchEvent) -> None:
-        self.event_log.append(event)
-        for queue in self._watchers[event.kind]:
-            queue.append(event)
+    def _emit(self, kind: ResourceKind, name: str) -> None:
+        self.event_log.append(name)
+        for queue in self._watchers[kind]:
+            queue.append(name)

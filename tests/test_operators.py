@@ -344,39 +344,44 @@ def test_emptied_support_terminates_and_deletes(rig):
 
 
 def test_batched_events_apply_every_generation_once(rig):
-    store, sim, _, service_op, _ = rig
-    # three writes queue up before the operator runs at all; the first
-    # event reconciles the latest spec and the other two are stale
+    store, sim, trace, service_op, _ = rig
+    # three writes queue the name three times before the operator runs at
+    # all; the first reconciles the latest spec and the other two find
+    # that generation observed
     write_demand(store, SVC, "svc-x", config=svc_config())
     write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
     write_demand(store, SVC, "svc-x", requesters=("V0", "S"))
-    service_op.run_pending()
+    assert service_op.pending() == 3
+    assert service_op.run_pending() == 3
     ledger = service_op.ledger("svc-x")
     assert ledger.requester_counts == {"V0": 2, "S": 3, "V1": 1}
     assert len(instances_of(sim, "svc-x")) == 1
     assert store.get_cr(SVC, "svc-x").status.observed_generation == 3
+    assert [r.tag for r in trace.records] == ["ACTION", "LEDGER"]
 
 
 def test_late_operator_replays_history(rig):
     store, sim, trace, _, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config())
     write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
-    # the late watch starts with one snapshot event; the spec it reads
+    # the late watch starts with the name once; the spec it reads
     # already holds every change made before
     late = Operator(SVC, store, sim, trace)
+    assert late.pending() == 1
     late.run_pending()
     assert late.ledger("svc-x").requester_counts == {"V0": 1, "S": 2, "V1": 1}
 
 
 def test_stale_events_are_ignored(rig):
-    store, sim, _, service_op, _ = rig
+    store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
-    watcher_event = store.event_log[0]
     before = service_op.ledger("svc-x")
-    service_op.reconcile(watcher_event)  # replayed duplicate
+    ledgers = [r for r in trace.records if r.tag == "LEDGER"]
+    service_op.reconcile("svc-x")  # a duplicate of the observed generation
     assert service_op.ledger("svc-x") == before
     assert len(instances_of(sim, "svc-x")) == 1
+    assert [r for r in trace.records if r.tag == "LEDGER"] == ledgers
 
 
 def test_connection_pair_deploys_both_halves(rig):
@@ -413,7 +418,7 @@ def test_connection_pair_is_all_or_nothing(rig):
     )
     for drain_no in (1, 2):
         connection_op.unpark()
-        # failures re-queue until the give-up parks the event
+        # failures re-queue until the give-up parks the name
         while connection_op.pending():
             connection_op.run_pending()
         assert sim.instances() == ()
@@ -706,20 +711,27 @@ def test_failed_rollback_of_a_half_deployed_pair_is_finished_later(rig):
 def test_failed_teardown_of_a_deleted_resource_is_retried(rig):
     store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config())
+    write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
     service_op.run_pending()
+    assert store.get_cr(SVC, "svc-x").status.observed_generation == 2
+    # generation 3 is written and deleted before the operator reads it
+    write_demand(store, SVC, "svc-x", requesters=("V2", "S"))
     failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
     store.delete_cr(SVC, "svc-x")
     while service_op.pending():
         service_op.run_pending()
-    # every attempt of this drain failed: the unit is kept, the event parked
+    # every attempt of this drain failed: the unit is kept, the name parked
     assert len(instances_of(sim, "svc-x")) == 1
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
     assert errors == ["reconcile-failed"]
+    # the give-up names the last generation the operator read
+    assert trace.records[-1].get("detail") == "svc-x@2:NothingRunningError"
+    # the record has no life left (uid 0), and its retry still tears down
     service_op.unpark()
     while service_op.pending():
         service_op.run_pending()
     assert sim.instances() == ()
-    assert service_op.ledgers() == {}
+    assert service_op._resources == {}
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
     assert errors == ["reconcile-failed"]
 
@@ -776,7 +788,7 @@ def test_a_retry_of_a_deleted_life_leaves_the_recreated_one_alone(rig):
     assert status.observed_generation == 1
     assert status.instance_ids == (unit.instance_id,)
     assert [r for r in trace.records if r.tag == "ERROR"] == []
-    # the old life's events are stale once the new life is observed
+    # the queued names find the new life observed
     ledgers = [r for r in trace.records if r.tag == "LEDGER"]
     assert [r.get("support") for r in ledgers] == ["V0,S", "V0,S"]
 
@@ -789,8 +801,8 @@ def test_a_failed_retry_after_a_recreate_still_reconciles_the_new_life(rig):
     store.delete_cr(SVC, "svc-x")
     while service_op.pending():
         service_op.run_pending()
-    # the old life's event is parked and covers the new life's creation,
-    # whose first deploy then fails once after the unpark
+    # the name is parked, so the new life's creation waits for the
+    # unpark, after which its first deploy fails once
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v2")
     service_op.run_pending()
     assert service_op.pending() == 0

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -186,13 +187,46 @@ def run_failing(scenario, failing, methods=CLUSTER_CALLS):
 
 def test_failed_terminates_still_empty_the_system(reference_scenario):
     # Terminate calls 3-5 fail: the release of conn-V0-E gives up at
-    # tick 13, and the parked event tears conn-V0-E down on the next tick.
+    # tick 13, and the parked name tears conn-V0-E down on the next tick.
     runner, _ = run_failing(
         reference_scenario, {3, 4, 5}, methods=("terminate_instance",)
     )
     assert system_is_empty(runner.system)
     errors = records_with(runner.trace, TAG_ERROR)
     assert [(r.tick, r.get("kind")) for r in errors] == [(13, "reconcile-failed")]
+
+
+# Every call fails: `calls in EVERY_CALL` holds for any count.
+EVERY_CALL = range(1, sys.maxsize)
+
+# The ERROR lines of the persistent deploy outage below, in order.
+OUTAGE_ERRORS_DIGEST = (
+    "20565e6585a99d669f0da8c7a8265e9a6dd9691f97ec9fe8123341807a92246c"
+)
+
+
+def test_persistent_deploy_outage_retries_and_parks_in_a_fixed_order(
+    reference_scenario,
+):
+    # No deploy ever succeeds: each failing resource costs MAX_ATTEMPTS
+    # calls and one give-up per tick until its demand is released, and
+    # the order of its give-ups is the order of its retries and parking.
+    runner, calls = run_failing(
+        reference_scenario, EVERY_CALL, ("deploy_instance",)
+    )
+    errors = records_with(runner.trace, TAG_ERROR)
+    assert (calls, len(errors)) == (369, 123)
+    assert {r.get("kind") for r in errors} == {"reconcile-failed"}
+    # the last give-up comes three ticks before the run's 24 end
+    assert (errors[-1].tick, errors[-1].get("detail")) == (
+        21, "conn-V3-E@1:OrchestrationError"
+    )
+    lines = [line for line in runner.trace.render().splitlines()
+             if line.startswith(TAG_ERROR)]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == OUTAGE_ERRORS_DIGEST
+    assert not records_with(runner.trace, TAG_ACTION)
+    assert system_is_empty(runner.system)
 
 
 def assert_failures_retried_away(scenario, width, methods=CLUSTER_CALLS):
@@ -216,7 +250,7 @@ def assert_failures_retried_away(scenario, width, methods=CLUSTER_CALLS):
 def test_any_single_cluster_failure_is_retried_away(request, fixture, method):
     # One failed call costs one retry, well within MAX_ATTEMPTS, so each
     # run still serves and drops all of its demand.  Three in a row may
-    # exhaust a drain's attempts; the parked event finishes the work on
+    # exhaust a drain's attempts; the parked name finishes the work on
     # the next tick, which both scenarios' settle windows provide.
     scenario = request.getfixturevalue(fixture)
     for width in (1, 3):
@@ -540,7 +574,7 @@ def test_failure_bursts_on_the_churn_walk_are_retried_away(methods):
 @pytest.mark.parametrize("failing", [(175, 176, 177), (176, 177, 178)])
 def test_give_up_in_the_last_tick_is_retried_before_the_run_ends(failing):
     # The walk makes 176 terminate calls, the last ones in its last tick
-    # (129): the give-up there parks its event with no tick left to run it.
+    # (129): the give-up there parks its name with no tick left to run it.
     scenario = scenario_from_mapping(churn_mapping())
     runner, _ = run_failing(scenario, set(failing), ("terminate_instance",))
     errors = records_with(runner.trace, TAG_ERROR)

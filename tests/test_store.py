@@ -1,11 +1,10 @@
-"""Store behavior: desired-state specs, generations, watches, event log."""
+"""Store behavior: desired-state specs, generations, watches, mutation log."""
 
 import random
 
 import pytest
 
 from demandflow.model import (
-    ChangeType,
     DeltaAction,
     NotFoundError,
     Phase,
@@ -89,7 +88,7 @@ def test_missing_resources_raise(store):
 def test_status_updates_emit_no_events(store):
     store.apply_cr(SVC, "x", spec())
     watcher = store.watch(SVC)
-    watcher.popleft()  # synthetic snapshot event
+    assert watcher.popleft() == "x"  # the name the watch is primed with
     store.update_status(
         SVC, "x", ResourceStatus(phase=Phase.RUNNING, observed_generation=1)
     )
@@ -110,12 +109,8 @@ def test_watch_sees_live_changes_in_order(store):
     store.apply_cr(SVC, "x", spec())
     store.apply_cr(SVC, "x", spec())
     store.delete_cr(SVC, "x")
-    events = [watcher.popleft() for _ in range(3)]
-    assert [(e.change, e.generation) for e in events] == [
-        (ChangeType.CREATED, 1),
-        (ChangeType.SPEC_UPDATED, 2),
-        (ChangeType.DELETED, 2),
-    ]
+    # a create, an update and a delete each queue the name
+    assert [watcher.popleft() for _ in range(3)] == ["x", "x", "x"]
     assert not watcher
 
 
@@ -125,13 +120,9 @@ def test_late_watcher_gets_one_snapshot_event_per_resource(store):
     store.apply_cr(SVC, "y", spec())
     log_before = list(store.event_log)
     watcher = store.watch(SVC)
-    events = list(watcher)
-    # one synthetic Created per resource at its current generation
-    assert [(e.name, e.change, e.generation) for e in events] == [
-        ("x", ChangeType.CREATED, 2),
-        ("y", ChangeType.CREATED, 1),
-    ]
-    # snapshot events are per-subscriber, not history
+    # one name per existing resource, in creation order
+    assert list(watcher) == ["x", "y"]
+    # the priming is per-subscriber, not history
     assert store.event_log == log_before
 
 
@@ -141,10 +132,15 @@ def test_watchers_only_see_their_kind(store):
     assert len(watcher) == 0
 
 
-def _random_ops(seed, store):
-    """Drive a random op sequence; returns the mirror of expected state."""
+def _random_ops(seed, store, after_op=lambda kind, name, mirror: None):
+    """Drive a random op sequence, calling `after_op` after each op.
+
+    Returns the mirror of expected state, (kind, name) -> generation, and
+    the (kind, name) of every op in order.
+    """
     rng = random.Random(seed)
     mirror = {}
+    ops = []
     for _ in range(rng.randrange(10, 40)):
         kind = rng.choice([SVC, CONN])
         name = rng.choice("abc")
@@ -155,44 +151,44 @@ def _random_ops(seed, store):
         else:
             store.apply_cr(kind, name, spec())
             mirror[key] = mirror.get(key, 0) + 1
-    return mirror
+        ops.append(key)
+        after_op(kind, name, mirror)
+    return mirror, ops
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_per_name_generations_are_gap_free(seed, store):
-    watcher_svc = store.watch(SVC)
-    watcher_conn = store.watch(CONN)
-    _random_ops(seed, store)
-    expected_next = {}
-    for watcher in (watcher_svc, watcher_conn):
-        while watcher:
-            event = watcher.popleft()
-            key = (event.kind, event.name)
-            if event.change is ChangeType.DELETED:
-                # deletion carries the final generation and resets the count
-                assert event.generation == expected_next[key] - 1
-                expected_next[key] = 1
-                continue
-            assert event.generation == expected_next.get(key, 1)
-            expected_next[key] = event.generation + 1
+    watchers = {SVC: store.watch(SVC), CONN: store.watch(CONN)}
+    last = {}
+
+    def check(kind, name, mirror):
+        key = (kind, name)
+        if key in mirror:
+            # each write adds one; a life's first write is generation 1
+            generation = store.get_cr(kind, name).generation
+            assert generation == last.get(key, 0) + 1
+            last[key] = generation
+        else:
+            # a delete ends the life; the next write restarts the count
+            assert not store.exists(kind, name)
+            del last[key]
+
+    _, ops = _random_ops(seed, store, check)
+    # each watch queued the name of every op on its kind, in order
+    for kind, watcher in watchers.items():
+        assert list(watcher) == [name for k, name in ops if k == kind]
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_event_log_replay_reconstructs_final_state(seed, store):
-    mirror = _random_ops(seed, store)
-    # fold the log into the surviving (kind, name) -> generation map
-    replayed = {}
-    for event in store.event_log:
-        key = (event.kind, event.name)
-        if event.change is ChangeType.DELETED:
-            replayed.pop(key, None)
-        else:
-            replayed[key] = event.generation
-    assert replayed == mirror
-    # and the replay agrees with the store's own listing
+    mirror, ops = _random_ops(seed, store)
+    # the log holds one name per real mutation, in order
+    assert len(store.event_log) == len(ops)
+    assert store.event_log == [name for _, name in ops]
+    # and the store's own listing agrees with the mirror
     listed = {
         (kind, name): store.get_cr(kind, name).generation
         for kind in (SVC, CONN)
         for name in store.list_crs(kind)
     }
-    assert replayed == listed
+    assert listed == mirror
