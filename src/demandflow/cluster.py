@@ -33,6 +33,7 @@ iteration orders.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
 
@@ -46,7 +47,6 @@ from .model import (
     NotRunningError,
     ServiceKind,
     UnknownNodeError,
-    config_values,
 )
 
 log = logging.getLogger(__name__)
@@ -82,12 +82,14 @@ class ServiceInstance:
         self._parse_topics()
 
     def _parse_topics(self) -> None:
-        self.input_topics = config_values(self.config, CFG_INPUT_TOPIC)
-        outputs = config_values(self.config, CFG_OUTPUT_TOPIC)
+        """Group the values by kind in one pass; the first output wins."""
+        topics: defaultdict[str, list[str]] = defaultdict(list)
+        for kind, value in self.config:
+            topics[kind].append(value)
+        outputs = topics[CFG_OUTPUT_TOPIC]
+        self.input_topics = tuple(topics[CFG_INPUT_TOPIC])
         self.output_topic = outputs[0] if outputs else None
-        self.forward_topics = frozenset(
-            config_values(self.config, CFG_FORWARD_TOPIC)
-        )
+        self.forward_topics = frozenset(topics[CFG_FORWARD_TOPIC])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class EntityRole(str, Enum):
@@ -70,13 +70,13 @@ def source_topic(entity_id: str, kind: str) -> str:
     raise ValueError(f"unknown topic kind {kind!r}")
 
 
-@dataclass(frozen=True, order=True)
-class ConfigItem:
+class ConfigItem(NamedTuple):
     """One typed configuration entry of a service or connection.
 
     `kind` is a short token such as ``input-topic`` or ``node``; items of
     the same kind may repeat with different values (e.g. several input
-    topics).
+    topics).  A tuple, so hashing and comparing it run in C; its hash is
+    `hash((kind, value))`.
     """
 
     kind: str

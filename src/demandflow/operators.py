@@ -74,7 +74,13 @@ def decide(
         return DecisionAction.DEPLOY
     if ledger.version and instance.version != ledger.version:
         return DecisionAction.REPLACE
-    if set(ledger.effective_config) != set(instance.config):
+    config, running = ledger.effective_config, instance.config
+    if config is running:
+        return DecisionAction.NOOP
+    # Items are unique, so configs of different lengths differ as sets.
+    if len(config) != len(running) or (
+        config != running and set(config) != set(running)
+    ):
         return DecisionAction.RECONFIGURE
     return DecisionAction.NOOP
 
@@ -165,49 +171,46 @@ class Operator:
         if name in self._parked:
             return  # the next unpark retries it
         record = self._resources.get(name)
-        try:
-            resource = self._store.get_cr(self.kind, name)
-        except NotFoundError:
+        stored = self._store.find(self.kind, name)
+        if stored is None:
             if record is None:
                 return  # deleted, and nothing of it is left to end
-            resource, uid = None, 0  # deleted: the empty spec shuts it down
+            # Deleted: the empty spec shuts it down.
+            ledger, generation, uid = DemandLedger(), 0, 0
         else:
-            uid = resource.uid
+            ledger, generation, uid = stored
             if record is None:
                 record = self._resources[name] = _Resource()
-            elif (uid, resource.generation) == (record.uid, record.observed):
+            elif uid == record.uid and generation == record.observed:
                 return  # reconciled at this generation already
-            record.generation = resource.generation
+            record.generation = generation
         if uid != record.uid:
             # Another life of the name, or none: no generation of the
             # last life may reach its status.
             record.uid, record.observed, record.attempts = uid, 0, 0
             record.ledger = None
 
-        ledger = resource.spec if resource is not None else DemandLedger()
         action = decide(ledger, self._primary_instance(record))
         try:
             self._execute(name, record, action, ledger)
         except OrchestrationError as exc:
-            if resource is not None:
+            if stored is not None:
                 self._write_status(name, record, Phase.PENDING)
             self._handle_failure(name, record, exc)
             return
 
         if action is DecisionAction.SHUTDOWN:
             del self._resources[name]
-            if resource is not None:
+            if stored is not None:
                 self._store.delete_cr(self.kind, name)
             self._trace.ledger_state(name, (), ())
             return
-        record.observed = resource.generation
+        record.observed = generation
         record.ledger = ledger
         record.attempts = 0
         self._write_status(name, record, Phase.RUNNING)
         self._trace.ledger_state(
-            name,
-            ledger.support,
-            (i.render() for i in ledger.effective_config),
+            name, ledger.support, [f"{k}:{v}" for k, v in ledger.effective_config]
         )
 
     def _handle_failure(

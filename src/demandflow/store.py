@@ -9,7 +9,9 @@ spec and reconciles the cluster towards it.  Every write bumps the
 resource's generation, so a status can say which spec it observed.
 Each life of a name (from its creation to its delete) has its own uid,
 like Kubernetes `metadata.uid`, which a read returns: a status counts
-generations of one life only.
+generations of one life only.  Operators read through `find`, a plain
+(spec, generation, uid) tuple; `get_cr` builds a `CustomResource`
+snapshot for the CLI, the tests and the benchmark.
 Mutations are plain method calls on one object and execute serially,
 which is what makes apply/get/delete trivially linearizable here.
 Redelivered requests are answered by the app manager's request-id cache
@@ -24,7 +26,7 @@ from collections import deque
 from itertools import count
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, TypeVar
+from typing import Iterable, NamedTuple, TypeVar
 
 from .model import (
     CFG_FORWARD_TOPIC,
@@ -125,16 +127,14 @@ def apply_demand(
     return DemandLedger(counts, config, base, kept_version)
 
 
-@dataclass(frozen=True)
-class ResourceStatus:
+class ResourceStatus(NamedTuple):
     phase: Phase = Phase.PENDING
     support: tuple[str, ...] = ()
     instance_ids: tuple[str, ...] = ()
     observed_generation: int = 0
 
 
-@dataclass(frozen=True)
-class CustomResource:
+class CustomResource(NamedTuple):
     """Read-only snapshot of one stored resource."""
 
     kind: ResourceKind
@@ -203,6 +203,13 @@ class ResourceStore:
         return CustomResource(
             kind, name, record.spec, record.status, record.generation, record.uid
         )
+
+    def find(
+        self, kind: ResourceKind, name: str
+    ) -> tuple[DemandLedger, int, int] | None:
+        """The (spec, generation, uid) of a resource; None if there is none."""
+        record = self._records[kind].get(name)
+        return None if record is None else (record.spec, record.generation, record.uid)
 
     def get_spec(self, kind: ResourceKind, name: str) -> DemandLedger:
         """The desired demand of a resource; an empty ledger if it has none."""

@@ -5,15 +5,20 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from demandflow.cluster import ClusterSim, InstanceSpec, TickReport
+from demandflow.cluster import ClusterSim, InstanceSpec, ServiceInstance, TickReport
 from demandflow.model import (
+    CFG_FORWARD_TOPIC,
+    CFG_INPUT_TOPIC,
+    CFG_OUTPUT_TOPIC,
     ConfigItem,
     DuplicateNodeError,
     NotFoundError,
     NotRunningError,
     ServiceKind,
     UnknownNodeError,
+    config_values,
 )
 
 
@@ -435,6 +440,65 @@ def test_two_senders_on_one_node_both_deliver_a_topic():
     sim.tick()
     assert sim.topics_visible_at("E") == ("/A/ego",)
     assert sim.topics_visible_at("B") == ("/A/ego",)
+
+
+# -- topics parsed from a config ------------------------------------------
+
+
+def assert_topics_match_config_values(instance):
+    config = instance.config
+    assert instance.input_topics == config_values(config, CFG_INPUT_TOPIC)
+    outputs = config_values(config, CFG_OUTPUT_TOPIC)
+    assert instance.output_topic == (outputs[0] if outputs else None)
+    assert instance.forward_topics == frozenset(
+        config_values(config, CFG_FORWARD_TOPIC)
+    )
+
+
+config_items = st.lists(
+    st.builds(
+        ConfigItem,
+        st.sampled_from(
+            [CFG_INPUT_TOPIC, CFG_OUTPUT_TOPIC, CFG_FORWARD_TOPIC, "node", "src"]
+        ),
+        st.sampled_from(["/a", "/b", "/c", "E"]),
+    ),
+    max_size=12,
+)
+
+
+@given(first=config_items, second=config_items, kind=st.sampled_from(ServiceKind))
+def test_parse_topics_twin_matches_config_values(first, second, kind):
+    """Each kind's topics, at deploy and after a reconfigure, as three
+    `config_values` scans find them; repeats and several outputs too."""
+    sim = sim_with("E")
+    instance_id = sim.deploy_instance(InstanceSpec("x", kind, "E", tuple(first)))
+    assert_topics_match_config_values(sim.get_instance(instance_id))
+    sim.reconfigure_instance(instance_id, tuple(second))
+    assert_topics_match_config_values(sim.get_instance(instance_id))
+
+
+def test_parse_topics_twin_cases():
+    config = (
+        ConfigItem(CFG_OUTPUT_TOPIC, "/first"),
+        ConfigItem(CFG_FORWARD_TOPIC, "/a"),
+        ConfigItem(CFG_INPUT_TOPIC, "/b"),
+        ConfigItem(CFG_FORWARD_TOPIC, "/a"),
+        ConfigItem(CFG_OUTPUT_TOPIC, "/second"),
+        ConfigItem(CFG_INPUT_TOPIC, "/a"),
+        ConfigItem(CFG_FORWARD_TOPIC, "/c"),
+    )
+    instance = ServiceInstance(
+        "i-0001", "x", ServiceKind.OBJECT_FUSION, "E", config, "v1"
+    )
+    assert instance.output_topic == "/first"  # the first one wins
+    assert instance.input_topics == ("/b", "/a")
+    assert instance.forward_topics == frozenset({"/a", "/c"})
+    assert_topics_match_config_values(instance)
+    bare = ServiceInstance("i-0002", "x", ServiceKind.COMM_RECEIVER, "E", (), "")
+    assert (bare.input_topics, bare.output_topic, bare.forward_topics) == (
+        (), None, frozenset()
+    )
 
 
 # -- the route plan follows every lifecycle call ----------------------------

@@ -42,6 +42,36 @@ def test_config_item_renders_and_orders():
     assert ConfigItem("a", "1") < ConfigItem("b", "0")
 
 
+@pytest.mark.parametrize(
+    "kind, value", [("src", "V0"), ("input-topic", "/V1/ego"), ("", "")]
+)
+def test_config_item_hashes_as_its_fields(kind, value):
+    """The hash of the (kind, value) pair, as the frozen dataclass had, so
+    no set or dict of items iterates in another order."""
+    assert hash(ConfigItem(kind, value)) == hash((kind, value))
+    assert hash(ConfigItem(kind=kind, value=value)) == hash(ConfigItem(kind, value))
+
+
+def test_config_item_compares_by_kind_then_value():
+    items = [
+        ConfigItem("node", "E"),
+        ConfigItem("input-topic", "/b"),
+        ConfigItem("input-topic", "/a"),
+        ConfigItem("forward-topic", "/a"),
+    ]
+    assert sorted(items) == [items[3], items[2], items[1], items[0]]
+    assert ConfigItem("a", "2") > ConfigItem("a", "10")  # values compare as text
+    assert ConfigItem("src", "V0") == ConfigItem("src", "V0")
+    assert ConfigItem("src", "V0") != ConfigItem("dst", "V0")
+    assert ConfigItem("src", "V0") != ConfigItem("src", "V1")
+    assert len({ConfigItem("src", "V0"), ConfigItem("src", "V0")}) == 1
+    assert [item.render() for item in items] == [
+        "node:E", "input-topic:/b", "input-topic:/a", "forward-topic:/a"
+    ]
+    with pytest.raises(AttributeError):
+        items[0].value = "F"
+
+
 def test_entity_defaults_node_to_its_id():
     entity = Entity("V0", EntityRole.CV, ("ego",))
     assert entity.node_id == "V0"

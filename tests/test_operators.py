@@ -258,6 +258,78 @@ def test_decide_replaces_on_version_change():
     assert decide(unversioned, instance) is DecisionAction.NOOP
 
 
+def decide_by_sets(ledger, instance):
+    """`decide` as it was: the configs compared as two fresh sets."""
+    if ledger.is_empty():
+        return DecisionAction.SHUTDOWN
+    if instance is None:
+        return DecisionAction.DEPLOY
+    if ledger.version and instance.version != ledger.version:
+        return DecisionAction.REPLACE
+    if set(ledger.effective_config) != set(instance.config):
+        return DecisionAction.RECONFIGURE
+    return DecisionAction.NOOP
+
+
+COUNTED_POOL = [in_topic(f"/in/{i}") for i in range(4)] + [
+    ConfigItem("forward-topic", "/fwd/0")
+]
+
+
+@given(
+    changes=st.lists(
+        st.tuples(
+            st.sampled_from([DeltaAction.REQUEST, DeltaAction.RELEASE]),
+            st.lists(st.sampled_from(COUNTED_POOL), min_size=1, max_size=3),
+        ),
+        max_size=8,
+    ),
+    data=st.data(),
+)
+def test_decide_twin_matches_set_comparison(changes, data):
+    """Every ledger of a history against every unit config an earlier,
+    the same or a later one gave, as that very tuple and reordered."""
+    ledgers = [ledger_with(config=BASE)]
+    for action, items in changes:
+        try:
+            ledgers.append(fold(ledgers[-1], action, requesters=(), config=items))
+        except ReleaseUnderflowError:
+            continue
+    for ledger in ledgers:
+        for given_by in ledgers:
+            running = given_by.effective_config
+            shuffled = tuple(data.draw(st.permutations(running)))
+            for config in (running, shuffled):
+                instance = make_instance(config)
+                assert decide(ledger, instance) is decide_by_sets(ledger, instance)
+
+
+def test_decide_twin_cases():
+    ledger = ledger_with(config=BASE + (in_topic("/a"), in_topic("/b")))
+    # the unit runs the ledger's own tuple
+    assert decide(ledger, make_instance(ledger.effective_config)) \
+        is DecisionAction.NOOP
+    # a release and a re-request move one item to the end: same set
+    again = fold(
+        fold(ledger, DeltaAction.RELEASE, requesters=(), config=(in_topic("/a"),)),
+        requesters=(), config=(in_topic("/a"),),
+    )
+    assert again.effective_config != ledger.effective_config
+    assert decide(again, make_instance(ledger.effective_config)) \
+        is DecisionAction.NOOP
+    # another length, and the same length with another item
+    grown = fold(ledger, requesters=(), config=(in_topic("/c"),))
+    assert decide(grown, make_instance(ledger.effective_config)) \
+        is DecisionAction.RECONFIGURE
+    swapped = fold(
+        fold(ledger, DeltaAction.RELEASE, requesters=(), config=(in_topic("/a"),)),
+        requesters=(), config=(in_topic("/c"),),
+    )
+    assert len(swapped.effective_config) == len(ledger.effective_config)
+    assert decide(swapped, make_instance(ledger.effective_config)) \
+        is DecisionAction.RECONFIGURE
+
+
 # -- operators against store + cluster ------------------------------------
 
 

@@ -85,6 +85,45 @@ def test_missing_resources_raise(store):
         store.update_status(SVC, "ghost", ResourceStatus())
 
 
+def test_find_reads_spec_generation_and_uid(store):
+    assert store.find(SVC, "x") is None
+    first = spec()
+    store.apply_cr(SVC, "x", first)
+    uid = store.get_cr(SVC, "x").uid
+    assert store.find(SVC, "x") == (first, 1, uid)
+    assert store.find(CONN, "x") is None  # names are scoped per kind
+    second = spec(requesters=("B",))
+    store.apply_cr(SVC, "x", second)
+    assert store.find(SVC, "x") == (second, 2, uid)
+    store.delete_cr(SVC, "x")
+    assert store.find(SVC, "x") is None
+    store.apply_cr(SVC, "x", first)
+    reborn = store.find(SVC, "x")
+    assert reborn[:2] == (first, 1) and reborn[2] != uid  # another life
+
+
+@pytest.mark.parametrize(
+    "field", ["phase", "support", "instance_ids", "observed_generation"]
+)
+def test_a_status_is_read_only(field):
+    status = ResourceStatus(phase=Phase.RUNNING, support=("A",))
+    with pytest.raises(AttributeError):
+        setattr(status, field, getattr(status, field))
+    assert status == ResourceStatus(Phase.RUNNING, ("A",), (), 0)
+    assert ResourceStatus().phase is Phase.PENDING
+
+
+@pytest.mark.parametrize(
+    "field", ["kind", "name", "spec", "status", "generation", "uid"]
+)
+def test_a_read_resource_is_read_only(store, field):
+    store.apply_cr(SVC, "x", spec())
+    resource = store.get_cr(SVC, "x")
+    with pytest.raises(AttributeError):
+        setattr(resource, field, getattr(resource, field))
+    assert (resource.kind, resource.name, resource.generation) == (SVC, "x", 1)
+
+
 def test_status_updates_emit_no_events(store):
     store.apply_cr(SVC, "x", spec())
     watcher = store.watch(SVC)
