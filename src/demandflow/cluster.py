@@ -115,14 +115,15 @@ def _count(counts: dict[str, int], node: str, sign: int) -> None:
 class ClusterSim:
     def __init__(self) -> None:
         self._instances: dict[str, ServiceInstance] = {}
+        # cr_name -> instance id -> each live instance, in deploy order.
+        self._owned: dict[str, dict[str, ServiceInstance]] = {}
         # The plan: stub kind -> instance id -> behavior (None without an
-        # output topic); connection name -> its instances; node -> topic ->
-        # first receiver's node, once per sender carrying the topic; and
-        # node -> how many behaviors, and connections' first receivers, it has.
+        # output topic); node -> topic -> first receiver's node, once per
+        # sender carrying the topic; and node -> how many behaviors, and
+        # connections' first receivers, it has.
         self._behaviors: dict[ServiceKind, dict[str, Behavior | None]] = {
             kind: {} for kind in TRIGGERS
         }
-        self._links: dict[str, dict[str, ServiceInstance]] = {}
         self._routes: dict[str, dict[str, list[str]]] = {}
         self._behavior_nodes: dict[str, int] = {}
         self._receiver_nodes: dict[str, int] = {}
@@ -190,6 +191,7 @@ class ClusterSim:
         )
         self._patch(instance, -1)
         self._instances[instance_id] = instance
+        self._owned.setdefault(spec.cr_name, {})[instance_id] = instance
         self._patch(instance, 1)
         log.debug("deployed %s (%s) on %s", instance_id, spec.cr_name, spec.node_id)
         return instance_id
@@ -209,6 +211,9 @@ class ClusterSim:
         instance = self._require_running(instance_id)
         self._patch(instance, -1)
         del self._instances[instance_id]
+        del self._owned[instance.cr_name][instance_id]
+        if not self._owned[instance.cr_name]:
+            del self._owned[instance.cr_name]
         self._patch(instance, 1)
 
     def get_instance(self, instance_id: str) -> ServiceInstance:
@@ -219,6 +224,10 @@ class ClusterSim:
 
     def instances(self) -> tuple[ServiceInstance, ...]:
         return tuple(self._instances.values())
+
+    def owned(self, cr_name: str) -> tuple[str, ...]:
+        """The ids of the instances running under `cr_name`, in deploy order."""
+        return tuple(self._owned.get(cr_name, ()))
 
     def _require_running(self, instance_id: str) -> ServiceInstance:
         instance = self._instances.get(instance_id)
@@ -233,19 +242,11 @@ class ClusterSim:
         """
         self._patched = True
         kind, instance_id = instance.service_kind, instance.instance_id
-        live = instance_id in self._instances
         if kind is SENDER or kind is RECEIVER:
-            members = self._links.setdefault(instance.cr_name, {})
-            if sign > 0 and live:
-                members[instance_id] = instance
-            elif sign > 0:
-                del members[instance_id]
-            self._link(members, sign)
-            if not members:
-                del self._links[instance.cr_name]
+            self._link(self._owned.get(instance.cr_name, {}), sign)
         elif kind in self._behaviors:
             behaviors = self._behaviors[kind]
-            if sign > 0 and not live:
+            if sign > 0 and instance_id not in self._instances:
                 del behaviors[instance_id]
             elif sign > 0:
                 output = instance.output_topic

@@ -7,16 +7,17 @@ current spec, decides one action from it and the resource's live
 instance, and executes it.  The support set being empty is the one and
 only shutdown signal.  A cluster failure re-queues the name; after
 MAX_ATTEMPTS failures in one drain the name is parked until the next
-drain, so a failure delays convergence and never drops demand.
+drain, so a failure delays convergence and never drops demand.  What
+runs under a name is read from the cluster: adopted, or ended as a stray.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .cluster import ClusterSim, InstanceSpec, ServiceInstance
 from .model import (
@@ -25,7 +26,6 @@ from .model import (
     CFG_SRC,
     CFG_DST,
     NotFoundError,
-    NotRunningError,
     OrchestrationError,
     Phase,
     ResourceKind,
@@ -94,8 +94,6 @@ class _Resource:
     observed: int = 0
     generation: int = 0  # last read from the store, of any life
     units: tuple[str, ...] = ()
-    retiring: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # units, nodes
-    strays: tuple[str, ...] = ()  # started by a failed deploy, never traced
     attempts: int = 0  # failed reconciles since the last success or parking
 
 
@@ -117,9 +115,11 @@ class Operator:
 
     Each resource has one `_Resource` record, dropped in one step on
     shutdown or delete.  Its units are the `UNITS` row of its kind,
-    started together by `_deploy_units`.  Units that a replace or teardown
-    must terminate wait in `retiring` until all are gone, so a step that
-    failed halfway is finished, not repeated.
+    started together by `_deploy_units`; a new record, as after a
+    restart, adopts the newest set running under its name.  Each attempt
+    first ends the strays, what else runs there, untraced.  A replace or
+    teardown traces its `ACTION` before it terminates, even if that fails,
+    and a retry then ends only the old units still running.
     """
 
     def __init__(
@@ -180,7 +180,7 @@ class Operator:
         else:
             ledger, generation, uid = stored
             if record is None:
-                record = self._resources[name] = _Resource()
+                record = self._resources[name] = _Resource(units=self._adopt(name))
             elif uid == record.uid and generation == record.observed:
                 return  # reconciled at this generation already
             record.generation = generation
@@ -250,10 +250,11 @@ class Operator:
     def _execute(
         self, name: str, record: _Resource, action: DecisionAction, ledger: DemandLedger
     ) -> None:
-        self._retire(name, record)
-        units = record.units
+        units, owned = record.units, self._sim.owned(name)
+        if len(owned) > len(units):  # strays: not this record's units
+            self._end(unit for unit in owned if unit not in units)
         if action is DecisionAction.DEPLOY:
-            new = record.units = self._deploy_units(name, record, ledger)
+            new = record.units = self._deploy_units(name, ledger)
             self._trace.instance_action(name, "deploy", new, self._nodes(new))
         elif action is DecisionAction.RECONFIGURE:
             primary = units[:1]
@@ -262,23 +263,22 @@ class Operator:
                 name, "reconfigure", primary, self._nodes(primary)
             )
         elif action is DecisionAction.REPLACE:
-            # Record the new units before the old ones go, so a retry after
-            # a failed terminate reuses them instead of deploying again.
-            retiring = (units, self._nodes(units))
-            record.units = self._deploy_units(name, record, ledger)
-            record.retiring = retiring
-            self._retire(name, record)
-        elif action is DecisionAction.SHUTDOWN:
-            self._teardown(name, record)
+            new = record.units = self._deploy_units(name, ledger)
+            self._trace.instance_action(
+                name, "replace", new, self._nodes(new), replaced=units
+            )
+            self._end(units)
+        elif action is DecisionAction.SHUTDOWN and units:
+            self._trace.instance_action(name, "terminate", units, self._nodes(units))
+            record.units = ()
+            self._end(units)
 
-    def _deploy_units(
-        self, name: str, record: _Resource, ledger: DemandLedger
-    ) -> tuple[str, ...]:
+    def _deploy_units(self, name: str, ledger: DemandLedger) -> tuple[str, ...]:
         """Start every unit of `name`, last first; all of them or none.
 
         Returns them in record order; a connection's receiver starts before
-        its sender.  A started unit whose rollback fails is left in
-        `strays` for the next `_retire`.
+        its sender.  A started unit whose rollback fails runs on under
+        `name`, a stray the next attempt ends.
         """
         config = ledger.effective_config
         specs = [
@@ -297,40 +297,18 @@ class Operator:
             for spec in reversed(specs):
                 started.append(self._sim.deploy_instance(spec))
         except OrchestrationError:
-            record.strays = tuple(started)
-            self._retire(name, record)  # nothing else retires mid-deploy
+            self._end(started)
             raise
         return tuple(reversed(started))
 
-    def _teardown(self, name: str, record: _Resource) -> None:
-        units, record.units = record.units, ()
-        if units:
-            record.retiring = (units, self._nodes(units))
-        self._retire(name, record)
+    def _end(self, units: Iterable[str]) -> None:
+        for unit in units:
+            self._sim.terminate_instance(unit)
 
-    def _retire(self, name: str, record: _Resource) -> None:
-        """Terminate the strays and the units a replace or teardown owes.
-
-        A unit that is already gone counts as terminated, so a retry after
-        a partly failed attempt finishes the job.  Strays end untraced, as
-        a rollback that succeeds at once does.
-        """
-        if record.retiring is None and not record.strays:
-            return
-        units, nodes = record.retiring or ((), ())
-        for unit in record.strays + units:
-            with suppress(NotRunningError):
-                self._sim.terminate_instance(unit)
-        record.strays, record.retiring = (), None
-        if not units:
-            return
-        new = record.units
-        if new:
-            self._trace.instance_action(
-                name, "replace", new, self._nodes(new), replaced=units
-            )
-        else:
-            self._trace.instance_action(name, "terminate", units, nodes)
+    def _adopt(self, name: str) -> tuple[str, ...]:
+        """The newest whole set of units under `name`, in record order, or ()."""
+        owned, count = self._sim.owned(name), len(UNITS[self.kind])
+        return owned[-count:][::-1] if len(owned) >= count else ()
 
     def _primary_instance(self, record: _Resource) -> ServiceInstance | None:
         if not record.units:

@@ -1019,8 +1019,6 @@ def test_a_node_added_during_a_fixed_point_keeps_it_until_fed():
 
 # -- the plan is patched by each lifecycle call, never rebuilt --------------
 
-LINKS = (ServiceKind.COMM_SENDER, ServiceKind.COMM_RECEIVER)
-
 
 def full_plan(sim):
     """The plan built from scratch over the running instances.
@@ -1075,17 +1073,18 @@ def patched_plan(sim):
 
 
 def check_plan(sim):
-    """The patched plan is the rebuilt one, and every running stub or
-    connection instance holds a slot, in creation order."""
+    """The patched plan is the rebuilt one, every running stub instance
+    holds a slot, and every running instance is owned by its name, each in
+    creation order."""
     assert patched_plan(sim) == full_plan(sim)
     running = sim.instances()
     stubs = [i.instance_id for k in STUBS for i in running if i.service_kind is k]
     assert [iid for table in sim._behaviors.values() for iid in table] == stubs
-    links = {}
+    owned = {}
     for instance in running:
-        if instance.service_kind in LINKS:
-            links.setdefault(instance.cr_name, []).append(instance.instance_id)
-    assert {name: list(members) for name, members in sim._links.items()} == links
+        owned.setdefault(instance.cr_name, []).append(instance.instance_id)
+    assert {name: list(members) for name, members in sim._owned.items()} == owned
+    assert all(sim.owned(name) == tuple(ids) for name, ids in owned.items())
 
 
 class Checked:

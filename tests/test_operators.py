@@ -722,6 +722,45 @@ def test_given_up_release_is_finished_by_the_next_drain(rig):
     assert errors == ["reconcile-failed"]
 
 
+def test_a_failed_teardown_traces_its_terminate_once_before_giving_up(rig):
+    store, sim, trace, _, connection_op = rig
+    config = (
+        ConfigItem("src", "V0"),
+        ConfigItem("dst", "E"),
+        ConfigItem("forward-topic", "/V0/ego"),
+    )
+    write_demand(store, CONN, "conn-V0-E", config=config)
+    connection_op.run_pending()
+    sender, receiver = store.get_cr(CONN, "conn-V0-E").status.instance_ids
+    # the sender goes, then every attempt fails to end the receiver
+    failing(sim, "terminate_instance", set(range(2, MAX_ATTEMPTS + 2)))
+    terminated = []
+    real = sim.terminate_instance
+    sim.terminate_instance = lambda unit: terminated.append(unit) or real(unit)
+    write_demand(
+        store, CONN, "conn-V0-E", action=DeltaAction.RELEASE, config=config
+    )
+    while connection_op.pending():
+        connection_op.run_pending()
+    # the step traces its terminate as it begins, once, then gives up
+    traced = [
+        (r.tag, r.get("action") or r.get("kind"))
+        for r in trace.records if r.tag in ("ACTION", "ERROR")
+    ]
+    assert traced == [
+        ("ACTION", "deploy"), ("ACTION", "terminate"), ("ERROR", "reconcile-failed")
+    ]
+    seen = len(trace.records)
+    # the unpark retry ends the receiver alone, with no further ACTION
+    connection_op.unpark()
+    while connection_op.pending():
+        connection_op.run_pending()
+    assert sim.instances() == ()
+    assert not store.exists(CONN, "conn-V0-E")
+    assert terminated == [sender] + [receiver] * (MAX_ATTEMPTS + 1)
+    assert [r.tag for r in trace.records][seen:] == ["LEDGER"]
+
+
 def test_external_delete_tears_down_like_a_shutdown(rig):
     store, sim, trace, service_op, connection_op = rig
     write_demand(store, SVC, "svc-x", config=svc_config())

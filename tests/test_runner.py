@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from collections import Counter
+from itertools import count
 
 import pytest
 import yaml
@@ -14,6 +15,7 @@ import demandflow.runner as runner_module
 from demandflow.cli import bundled_scenario_path
 from demandflow.manager import AccessDomainPolicy
 from demandflow.model import DeltaAction, NonQuiescenceError, OrchestrationError
+from demandflow.operators import Operator
 from demandflow.runner import (
     ScenarioRunner,
     build_system,
@@ -27,7 +29,13 @@ from demandflow.scenario import (
     make_scale_scenario,
     scenario_from_mapping,
 )
-from demandflow.tracing import TAG_ACTION, TAG_ERROR, TAG_LEDGER, TAG_REQUEST
+from demandflow.tracing import (
+    TAG_ACTION,
+    TAG_ERROR,
+    TAG_LEDGER,
+    TAG_REQUEST,
+    TAG_TOPICS,
+)
 
 
 def records_with(trace, tag):
@@ -159,21 +167,23 @@ def test_upgrade_run_replaces_and_then_reconfigures_new_instances(
 CLUSTER_CALLS = ("deploy_instance", "terminate_instance", "reconfigure_instance")
 
 
-def run_failing(scenario, failing, methods=CLUSTER_CALLS):
+def run_failing(scenario, failing, methods=CLUSTER_CALLS, restart=False):
     """Run `scenario` with the listed calls of the cluster's `methods` failing.
 
-    The methods count their calls together, from 1.  Returns the runner
-    and the number of calls made.
+    The methods count their calls together, from 1.  With `restart`, the
+    operators restart before the first tick after the first failed call.
+    Returns the runner and the number of calls made.
     """
     runner = ScenarioRunner(scenario)
     sim = runner.system.sim
-    calls = 0
+    calls, failed = 0, False
 
     def failing_calls(method, real):
         def wrapped(*args):
-            nonlocal calls
+            nonlocal calls, failed
             calls += 1
             if calls in failing:
+                failed = True
                 raise OrchestrationError(f"injected {method} failure")
             return real(*args)
 
@@ -181,6 +191,8 @@ def run_failing(scenario, failing, methods=CLUSTER_CALLS):
 
     for method in methods:
         setattr(sim, method, failing_calls(method, getattr(sim, method)))
+    if restart:
+        restart_operators_once(runner, lambda tick: failed)
     runner.run()
     return runner, calls
 
@@ -229,7 +241,9 @@ def test_persistent_deploy_outage_retries_and_parks_in_a_fixed_order(
     assert system_is_empty(runner.system)
 
 
-def assert_failures_retried_away(scenario, width, methods=CLUSTER_CALLS):
+def assert_failures_retried_away(
+    scenario, width, methods=CLUSTER_CALLS, restart=False
+):
     """Fail calls k..k+width-1 of `methods`, for every k; each run ends empty.
 
     A give-up is the only error a run may trace, and none at width 1.
@@ -238,7 +252,8 @@ def assert_failures_retried_away(scenario, width, methods=CLUSTER_CALLS):
     assert calls
     allowed = {"reconcile-failed"} if width > 1 else set()
     for k in range(1, calls + 1):
-        runner, _ = run_failing(scenario, set(range(k, k + width)), methods)
+        failing = set(range(k, k + width))
+        runner, _ = run_failing(scenario, failing, methods, restart)
         burst = f"calls {k}..{k + width - 1}"
         assert system_is_empty(runner.system), burst
         kinds = {r.get("kind") for r in records_with(runner.trace, TAG_ERROR)}
@@ -607,6 +622,79 @@ def test_churn_run_trace_is_frozen(duplicate_delivery):
     assert actions == {"deploy", "reconfigure", "replace", "terminate"}
     assert not records_with(runner.trace, TAG_ERROR)
     assert system_is_empty(runner.system)
+
+
+# -- operator restarts ------------------------------------------------------
+
+
+def restart_operators_once(runner, due, check=lambda system: None):
+    """Before the first tick `due(tick)` allows, replace both operators by
+    fresh ones over the same store, cluster and trace, and let them catch
+    up on every listed resource before the tick's requests, as a restarted
+    controller syncs; `check(system)` runs after every tick."""
+    system, tick_body, ticks = runner.system, runner._tick, count(1)
+    restarted = False
+
+    def tick(requests):
+        nonlocal restarted
+        if not restarted and due(next(ticks)):
+            restarted = True
+            for role in ("service_op", "connection_op"):
+                kind = getattr(system, role).kind
+                operator = Operator(kind, system.store, system.sim, system.trace)
+                setattr(system, role, operator)
+            drain(system)
+        tick_body(requests)
+        check(system)
+
+    runner._tick = tick
+
+
+def one_instance_per_unit(system):
+    units = Counter((i.cr_name, i.service_kind) for i in system.sim.instances())
+    assert max(units.values(), default=1) == 1, units
+
+
+def actions_and_topics(trace):
+    return [line for line in trace.lines() if line.startswith((TAG_ACTION, TAG_TOPICS))]
+
+
+def assert_restarts_change_nothing(scenario, ticks, duplicate_delivery=False):
+    """A restart before any one of `ticks` keeps every tick's units single,
+    the ACTION and TOPICS lines of the run without one, and its empty end."""
+    expected = actions_and_topics(run_scenario(scenario, duplicate_delivery).trace)
+    for at in ticks:
+        runner = ScenarioRunner(scenario, duplicate_delivery=duplicate_delivery)
+        restart_operators_once(runner, at.__eq__, one_instance_per_unit)
+        runner.run()
+        assert actions_and_topics(runner.trace) == expected, f"restart at {at}"
+        assert system_is_empty(runner.system), f"restart at {at}"
+
+
+@pytest.mark.parametrize("duplicate_delivery", [False, True])
+@pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
+def test_restarted_operators_adopt_what_runs(request, fixture, duplicate_delivery):
+    # The new operators' watches list every resource, and each new record
+    # adopts the units running under its name instead of deploying again.
+    scenario = request.getfixturevalue(fixture)
+    ticks = range(1, scenario.tick_budget + 1)
+    assert_restarts_change_nothing(scenario, ticks, duplicate_delivery)
+
+
+@pytest.mark.parametrize("duplicate_delivery", [False, True])
+def test_restarted_operators_adopt_what_runs_on_the_churn_walk(duplicate_delivery):
+    scenario = scenario_from_mapping(churn_mapping())
+    ticks = range(3, scenario.tick_budget + 1, 9)
+    assert_restarts_change_nothing(scenario, ticks, duplicate_delivery)
+
+
+@pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
+def test_a_restart_inside_a_fault_burst_is_retried_away(request, fixture):
+    # The restart comes while the burst's names are parked or retrying,
+    # with strays or a half-done replace or teardown running: the new
+    # operators end what is not a whole set of units and finish the rest.
+    scenario = request.getfixturevalue(fixture)
+    assert_failures_retried_away(scenario, 3, restart=True)
 
 
 def waypoint_mapping(seed, vehicles=24, ticks=300):
