@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .model import (
     CFG_FORWARD_TOPIC,
@@ -52,8 +52,7 @@ from .model import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     """What an operator asks the cluster to run."""
 
     cr_name: str
@@ -92,8 +91,7 @@ class ServiceInstance:
         self.forward_topics = frozenset(topics[CFG_FORWARD_TOPIC])
 
 
-@dataclass(frozen=True)
-class TickReport:
+class TickReport(NamedTuple):
     produced: int
     forwarded: int
 

@@ -17,8 +17,7 @@ resource (so an upgrade touches only its own).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .catalog import Catalog, PartSpec
 from .model import (
@@ -36,8 +35,7 @@ from .store import DemandLedger, ResourceStore, apply_demand
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class DeploymentRequest:
+class DeploymentRequest(NamedTuple):
     request_id: str
     action: DeltaAction
     app_name: str
@@ -46,8 +44,7 @@ class DeploymentRequest:
     issued_at: int = 0
 
 
-@dataclass(frozen=True)
-class RequestResult:
+class RequestResult(NamedTuple):
     request_id: str
     accepted: bool
     applied_crs: tuple[tuple[ResourceKind, str, int], ...] = ()

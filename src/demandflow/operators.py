@@ -137,6 +137,10 @@ class Operator:
 
     # -- queue handling ----------------------------------------------------
 
+    def stop(self) -> None:
+        """End the watch, as a replaced operator does."""
+        self._store.unwatch(self.kind, self._names)
+
     def pending(self) -> int:
         """Queued watched names and retries; parked names do not count."""
         return len(self._names) + len(self._retry)
@@ -238,10 +242,10 @@ class Operator:
             self.kind,
             name,
             ResourceStatus(
-                phase=phase,
-                support=record.ledger.support if record.ledger is not None else (),
-                instance_ids=record.units,
-                observed_generation=record.observed,
+                phase,
+                record.ledger.support if record.ledger is not None else (),
+                record.units,
+                record.observed,
             ),
         )
 

@@ -111,16 +111,17 @@ def drain(system: System) -> None:
 
 def deliver(system: System, request: DeploymentRequest, copies: int = 1) -> None:
     """Hand a request to the manager, possibly more than once."""
+    action = request.action.value
     for _ in range(copies):
         system.trace.request(
             request.request_id,
-            request.action.value,
+            action,
             request.app_name,
             request.requesters,
             request.inputs,
         )
         result = system.manager.handle_request(request)
-        _trace_result(system.trace, result, request.action.value, "request-rejected")
+        _trace_result(system.trace, result, action, "request-rejected")
 
 
 def _trace_result(

@@ -4,9 +4,10 @@ The store is the only shared state between the request side (app manager)
 and the reconcile side (operators).  The spec of a custom resource is its
 desired state: the whole demand ledger, a counted multiset of requesters
 and one of countable config items.  The manager folds each change into
-the current ledger and writes the result; an operator reads the current
-spec and reconciles the cluster towards it.  Every write bumps the
-resource's generation, so a status can say which spec it observed.
+the current ledger, which derives its support and config at the fold,
+and writes the result; an operator reads the current spec and
+reconciles the cluster towards it.  Every write bumps the resource's
+generation, so a status can say which spec it observed.
 Each life of a name (from its creation to its delete) has its own uid,
 like Kubernetes `metadata.uid`, which a read returns: a status counts
 generations of one life only.  Operators read through `find`, a plain
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import count
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, TypeVar
 
 from .model import (
@@ -45,27 +45,22 @@ from .model import (
 COUNTED_CONFIG_KINDS = frozenset({CFG_INPUT_TOPIC, CFG_FORWARD_TOPIC})
 
 
-@dataclass(frozen=True)
-class DemandLedger:
+class DemandLedger(NamedTuple):
     """Accumulated demand for one custom resource: its spec.
 
-    Dict fields are treated as immutable; apply_demand builds new dicts
-    rather than mutating.  Key order is first-demand order, which keeps
-    rendered support lists stable across runs.
+    Key order is first-demand order, which keeps rendered support lists
+    stable.  `apply_demand` derives `support` and `effective_config` (base
+    config, then counted items) once.  `DemandLedger()` is the empty
+    ledger; every empty ledger shares its `{}` defaults, which is safe as
+    no ledger's dicts are mutated: `_fold` copies before it counts.
     """
 
-    requester_counts: dict[str, int] = field(default_factory=dict)
-    config_counts: dict[ConfigItem, int] = field(default_factory=dict)
+    requester_counts: dict[str, int] = {}
+    config_counts: dict[ConfigItem, int] = {}
     base_config: tuple[ConfigItem, ...] = ()
     version: str = ""
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(self.requester_counts)
-
-    @cached_property
-    def effective_config(self) -> tuple[ConfigItem, ...]:
-        return self.base_config + tuple(self.config_counts)
+    support: tuple[str, ...] = ()
+    effective_config: tuple[ConfigItem, ...] = ()
 
     def is_empty(self) -> bool:
         return not self.requester_counts
@@ -124,7 +119,8 @@ def apply_demand(
             i for i in config_items if i.kind not in COUNTED_CONFIG_KINDS
         )
         kept_version = version or kept_version
-    return DemandLedger(counts, config, base, kept_version)
+    effective = base + tuple(config)
+    return DemandLedger(counts, config, base, kept_version, tuple(counts), effective)
 
 
 class ResourceStatus(NamedTuple):
@@ -237,6 +233,10 @@ class ResourceStore:
         queue = deque(self._records[kind])
         self._watchers[kind].append(queue)
         return queue
+
+    def unwatch(self, kind: ResourceKind, queue: deque[str]) -> None:
+        """End the watch that returned `queue`, by identity: deques compare equal."""
+        self._watchers[kind] = [q for q in self._watchers[kind] if q is not queue]
 
     # -- internals ---------------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +62,24 @@ def test_node_management():
         sim.deploy_instance(
             InstanceSpec("svc-x", ServiceKind.OTHER, "B", ())
         )
+
+
+@pytest.mark.parametrize(
+    "field", ["cr_name", "service_kind", "node_id", "config", "version"]
+)
+def test_an_instance_spec_is_read_only(field):
+    spec = InstanceSpec("svc-x", ServiceKind.OTHER, "A", ())
+    with pytest.raises(AttributeError):
+        setattr(spec, field, getattr(spec, field))
+    assert spec.version == ""
+
+
+@pytest.mark.parametrize("field", ["produced", "forwarded"])
+def test_a_tick_report_is_read_only(field):
+    report = TickReport(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(report, field, getattr(report, field))
+    assert (report.produced, report.forwarded) == (1, 2)
 
 
 def test_instance_counters_track_lineage():
@@ -1145,7 +1162,7 @@ def test_patched_plan_follows_each_kind_of_change():
     sender_id = checked.deploy_instance(second_sender)
     assert sim._routes == {}
     first = checked.deploy_instance(receiver)
-    second = checked.deploy_instance(replace(receiver, node_id="C"))
+    second = checked.deploy_instance(receiver._replace(node_id="C"))
     checked.reconfigure_instance(first, receiver.config)
     assert sim._routes == {"A": {"/a": ["E"], "/b": ["E"]}, "B": {"/a": ["E"]}}
     config = pair_specs("B", "E", ["/c", "/d"])[0].config
@@ -1190,7 +1207,7 @@ def test_a_reconfigured_receiver_stays_its_connections_first():
     sender, receiver = pair_specs("A", "E", ["/A/ego"])
     sim.deploy_instance(sender)
     first = sim.deploy_instance(receiver)
-    sim.deploy_instance(replace(receiver, node_id="B"))  # a second receiver
+    sim.deploy_instance(receiver._replace(node_id="B"))  # a second receiver
     sim.reconfigure_instance(first, receiver.config)
     feed(sim, "A", "/A/ego")
     assert sim.tick().forwarded == 1
@@ -1206,7 +1223,7 @@ def test_a_reconfigured_receiver_stays_its_connections_first():
         (lambda sim, gone: sim.reconfigure_instance(gone, ()), NotRunningError),
         (lambda sim, gone: sim.terminate_instance("i-9999"), NotRunningError),
         (
-            lambda sim, gone: sim.deploy_instance(replace(DETECTION_SPEC, node_id="B")),
+            lambda sim, gone: sim.deploy_instance(DETECTION_SPEC._replace(node_id="B")),
             UnknownNodeError,
         ),
     ],
@@ -1308,7 +1325,7 @@ def test_differential_forward_follows_each_kind_of_change():
     config = pair_specs("A", "E", ["/b"])[0].config
     sim.reconfigure_instance(sender_id, config)  # other topics
     tick()
-    second = sim.deploy_instance(replace(receiver, node_id="C"))
+    second = sim.deploy_instance(receiver._replace(node_id="C"))
     sim.terminate_instance(first)  # the second receiver becomes first
     tick()
     assert sim._arriving["C"] == {"/b": 1}

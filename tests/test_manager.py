@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from demandflow.catalog import Catalog
 from demandflow.manager import AccessDomainPolicy, AppManager, DeploymentRequest
 from demandflow.model import DeltaAction, ResourceKind
@@ -128,6 +130,25 @@ def test_empty_requesters_rejected():
     assert store.total_resources() == 0
 
 
+@pytest.mark.parametrize(
+    "field", ["request_id", "action", "app_name", "requesters", "inputs", "issued_at"]
+)
+def test_a_request_is_read_only(field):
+    sent = request()
+    with pytest.raises(AttributeError):
+        setattr(sent, field, getattr(sent, field))
+    assert sent.issued_at == 0
+
+
+@pytest.mark.parametrize("field", ["request_id", "accepted", "applied_crs", "reason"])
+def test_a_result_is_read_only(field):
+    _, manager = build_manager()
+    result = manager.handle_request(request())
+    with pytest.raises(AttributeError):
+        setattr(result, field, getattr(result, field))
+    assert result.accepted and result.reason == ""
+
+
 def test_redelivery_returns_cached_result_without_mutation():
     store, manager = build_manager()
     first = manager.handle_request(request("r-1"))
@@ -142,7 +163,7 @@ def test_redelivery_returns_cached_result_without_mutation():
 
 def test_unknown_input_kind_is_rejected():
     store, manager = build_manager()
-    radar = replace(request("r-1"), inputs=(("V0", "ego"), ("V0", "radar")))
+    radar = request("r-1")._replace(inputs=(("V0", "ego"), ("V0", "radar")))
     result = manager.handle_request(radar)
     assert not result.accepted
     assert result.reason.startswith("MalformedRequestError")

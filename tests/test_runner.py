@@ -1,11 +1,13 @@
 """End-to-end runs: determinism, idempotency, drain behavior, waypoints."""
 
 import hashlib
+import importlib.util
 import math
 import random
 import sys
 from collections import Counter
 from itertools import count
+from pathlib import Path
 
 import pytest
 import yaml
@@ -624,6 +626,44 @@ def test_churn_run_trace_is_frozen(duplicate_delivery):
     assert system_is_empty(runner.system)
 
 
+def benchmark_workloads():
+    """The benchmark's own input generators, from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up there
+    return module.WORKLOADS
+
+
+# Digests of the benchmark's seed-1 episodes, rendered before ledgers,
+# specs, requests and results became NamedTuples: `scale` (N=100), the
+# three `churn` walks with duplicate delivery, and a 1000-tick `drive`.
+BENCHMARK_DIGESTS = {
+    "churn": [
+        ("b6160550e2a8af8562616b7cb2b091ba44f1dd2d76262a4fc72945bf0e5f4bfa", 33019),
+        ("4bd57a94c3e959cf5d939e1d723bbb8094f8f1daa50de6763b02ff4338f271c4", 33063),
+        ("458ec9b179d793e2b192b53cd86a00a3215530c3942443b411ed945fb232a9cf", 33036),
+    ],
+    "drive": [
+        ("55d61c37abb6580e144681ee42b4bdbd4eb5f1bd0314fa108a8fc7ceedae1c5e", 2122),
+    ],
+    "scale": [
+        ("0ec6a97c2acc427de3c226cd1ccd296a7e843938d477511bdd8d03167ff7bc24", 22804),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_episode_traces_are_frozen(name):
+    workload = benchmark_workloads()[name]
+    digests = []
+    for raw in workload.generate(1):
+        text = workload.setup(raw).run().render()
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        digests.append((digest, text.count("\n")))
+    assert digests == BENCHMARK_DIGESTS[name]
+
+
 # -- operator restarts ------------------------------------------------------
 
 
@@ -631,7 +671,8 @@ def restart_operators_once(runner, due, check=lambda system: None):
     """Before the first tick `due(tick)` allows, replace both operators by
     fresh ones over the same store, cluster and trace, and let them catch
     up on every listed resource before the tick's requests, as a restarted
-    controller syncs; `check(system)` runs after every tick."""
+    controller syncs; the old operators stop first.  `check(system)` runs
+    after every tick."""
     system, tick_body, ticks = runner.system, runner._tick, count(1)
     restarted = False
 
@@ -640,8 +681,9 @@ def restart_operators_once(runner, due, check=lambda system: None):
         if not restarted and due(next(ticks)):
             restarted = True
             for role in ("service_op", "connection_op"):
-                kind = getattr(system, role).kind
-                operator = Operator(kind, system.store, system.sim, system.trace)
+                old = getattr(system, role)
+                old.stop()
+                operator = Operator(old.kind, system.store, system.sim, system.trace)
                 setattr(system, role, operator)
             drain(system)
         tick_body(requests)
@@ -686,6 +728,17 @@ def test_restarted_operators_adopt_what_runs_on_the_churn_walk(duplicate_deliver
     scenario = scenario_from_mapping(churn_mapping())
     ticks = range(3, scenario.tick_budget + 1, 9)
     assert_restarts_change_nothing(scenario, ticks, duplicate_delivery)
+
+
+def test_a_stopped_operator_is_sent_no_more_names():
+    # A replaced operator's queue must not collect every later name,
+    # unread: without `unwatch`, 305 and 295 names here.
+    runner = ScenarioRunner(scenario_from_mapping(churn_mapping()))
+    old = (runner.system.service_op, runner.system.connection_op)
+    restart_operators_once(runner, (10).__eq__)
+    runner.run()
+    assert [operator.pending() for operator in old] == [0, 0]
+    assert system_is_empty(runner.system)
 
 
 @pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])

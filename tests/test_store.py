@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from demandflow.model import (
+    ConfigItem,
     DeltaAction,
     NotFoundError,
     Phase,
+    ReleaseUnderflowError,
     ResourceKind,
     StaleStatusError,
 )
@@ -102,6 +105,69 @@ def test_find_reads_spec_generation_and_uid(store):
     assert reborn[:2] == (first, 1) and reborn[2] != uid  # another life
 
 
+CONFIG_POOL = [
+    ConfigItem("node", "E"),
+    ConfigItem("service-kind", "object-fusion"),
+    ConfigItem("input-topic", "/a"),
+    ConfigItem("input-topic", "/b"),
+    ConfigItem("forward-topic", "/a"),
+]
+DEMAND_CHANGE = st.tuples(
+    st.sampled_from([DeltaAction.REQUEST, DeltaAction.RELEASE]),
+    st.lists(st.sampled_from("ABC"), max_size=3),
+    st.lists(st.sampled_from(CONFIG_POOL), max_size=4),
+    st.sampled_from(["", "v1"]),
+)
+UPGRADE = st.tuples(
+    st.just(DeltaAction.REQUEST),
+    st.just([]),
+    st.just([]),
+    st.sampled_from(["v2", "v3"]),
+)
+
+
+@given(st.lists(st.one_of(DEMAND_CHANGE, UPGRADE), max_size=12))
+def test_a_ledger_derives_support_and_config_at_every_fold(changes):
+    # Requests, releases and upgrades; a release that underflows is skipped.
+    ledger = DemandLedger()
+    for action, requesters, items, version in changes:
+        try:
+            ledger = apply_demand(
+                ledger, action, tuple(requesters), tuple(items), version
+            )
+        except ReleaseUnderflowError:
+            continue
+        assert ledger.support == tuple(ledger.requester_counts)
+        assert ledger.effective_config == (
+            ledger.base_config + tuple(ledger.config_counts)
+        )
+
+
+def test_the_empty_ledger_is_what_a_missing_resource_wants(store):
+    empty = DemandLedger()
+    assert store.get_spec(SVC, "ghost") == empty
+    assert (empty.support, empty.effective_config) == ((), ())
+    assert empty.is_empty()
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "requester_counts",
+        "config_counts",
+        "base_config",
+        "version",
+        "support",
+        "effective_config",
+    ],
+)
+def test_a_ledger_is_read_only(field):
+    ledger = spec(requesters=("A", "B"), version="v1")
+    with pytest.raises(AttributeError):
+        setattr(ledger, field, getattr(ledger, field))
+    assert (ledger.support, ledger.version) == (("A", "B"), "v1")
+
+
 @pytest.mark.parametrize(
     "field", ["phase", "support", "instance_ids", "observed_generation"]
 )
@@ -163,6 +229,14 @@ def test_late_watcher_gets_one_snapshot_event_per_resource(store):
     assert list(watcher) == ["x", "y"]
     # the priming is per-subscriber, not history
     assert store.event_log == log_before
+
+
+def test_unwatch_ends_that_watch_only(store):
+    first, second = store.watch(SVC), store.watch(SVC)
+    assert first == second  # equal deques, two watches
+    store.unwatch(SVC, second)
+    store.apply_cr(SVC, "x", spec())
+    assert (list(first), list(second)) == (["x"], [])
 
 
 def test_watchers_only_see_their_kind(store):
