@@ -227,6 +227,10 @@ class ClusterSim:
         """The ids of the instances running under `cr_name`, in deploy order."""
         return tuple(self._owned.get(cr_name, ()))
 
+    def owners(self) -> tuple[str, ...]:
+        """The names with live instances, in the order their units began."""
+        return tuple(self._owned)
+
     def _require_running(self, instance_id: str) -> ServiceInstance:
         instance = self._instances.get(instance_id)
         if instance is None:

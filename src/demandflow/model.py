@@ -181,10 +181,6 @@ class ScenarioValidationError(ScenarioError):
     pass
 
 
-class NonQuiescenceError(OrchestrationError):
-    """The reconcile queues failed to drain within the per-tick round budget."""
-
-
 # --------------------------------------------------------------------------
 # Entities and topology
 # --------------------------------------------------------------------------

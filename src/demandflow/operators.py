@@ -5,16 +5,15 @@ app manager keeps: a counted multiset of requesters and one of countable
 config items.  An operator reconciles a resource by name: it reads the
 current spec, decides one action from it and the resource's live
 instance, and executes it.  The support set being empty is the one and
-only shutdown signal.  A cluster failure re-queues the name; after
-MAX_ATTEMPTS failures in one drain the name is parked until the next
-drain, so a failure delays convergence and never drops demand.  What
-runs under a name is read from the cluster: adopted, or ended as a stray.
+only shutdown signal.  A failed attempt is retried at once; after
+MAX_ATTEMPTS failures the name is parked until the next pass, so a
+failure delays convergence and never drops demand.  What runs under a
+name is read from the cluster: adopted, or ended as a stray or orphan.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -37,7 +36,7 @@ from .tracing import Trace
 
 log = logging.getLogger(__name__)
 
-# Reconcile attempts per resource in one drain before its name is parked.
+# Reconcile attempts at a name, back to back, before it is parked.
 MAX_ATTEMPTS = 3
 
 # The cluster units of each resource kind, in record order: service kind
@@ -50,6 +49,8 @@ UNITS: dict[ResourceKind, tuple[tuple[ServiceKind | None, str], ...]] = {
         (ServiceKind.COMM_RECEIVER, CFG_DST),
     ),
 }
+# The resource kind of each unit kind a row above fixes; any other is a service's.
+UNIT_OWNERS = {unit: kind for kind, row in UNITS.items() for unit, _ in row if unit}
 
 
 class DecisionAction(str, Enum):
@@ -94,7 +95,6 @@ class _Resource:
     observed: int = 0
     generation: int = 0  # last read from the store, of any life
     units: tuple[str, ...] = ()
-    attempts: int = 0  # failed reconciles since the last success or parking
 
 
 class Operator:
@@ -109,17 +109,19 @@ class Operator:
     A new uid is another life of the name and resets the record; a
     deleted resource's spec is empty, so its units go as on a shutdown,
     and a new life of the name starts afresh with the units left.  A
-    cluster failure re-queues the name; the MAX_ATTEMPTS-th failure traces
-    an error and parks the name without advancing the observed
-    generation, and the name waits until `unpark`.
+    name gets MAX_ATTEMPTS attempts back to back; if all fail, it traces
+    one error and is parked without advancing the observed generation,
+    and the next pass runs it first.
 
     Each resource has one `_Resource` record, dropped in one step on
     shutdown or delete.  Its units are the `UNITS` row of its kind,
     started together by `_deploy_units`; a new record, as after a
-    restart, adopts the newest set running under its name.  Each attempt
-    first ends the strays, what else runs there, untraced.  A replace or
-    teardown traces its `ACTION` before it terminates, even if that fails,
-    and a retry then ends only the old units still running.
+    restart, adopts the newest set running under its name.  A new
+    operator also queues each name of its kind that runs units but has no
+    resource, deleted while no operator ran, so those units shut down.
+    Each attempt first ends the strays, what else runs there, untraced.
+    A replace or teardown traces its `ACTION` before it terminates, even
+    if that fails, and a retry then ends only the old units still running.
     """
 
     def __init__(
@@ -130,8 +132,16 @@ class Operator:
         self._sim = sim
         self._trace = trace
         self._names = store.watch(kind)
-        self._retry: deque[str] = deque()
-        # A dict, not a set: unpark re-queues in parking order, trace order.
+        # A resource deleted while no operator ran left its units running
+        # under a name no watch lists: queue such names of this kind too.
+        self._names.extend(
+            name for name in sim.owners() if store.find(kind, name) is None
+            and kind is UNIT_OWNERS.get(
+                sim.get_instance(sim.owned(name)[0]).service_kind,
+                ResourceKind.MANAGED_SERVICE,
+            )
+        )
+        # A dict, not a set: the next pass runs them in parking order.
         self._parked: dict[str, None] = {}
         self._resources: dict[str, _Resource] = {}
 
@@ -142,22 +152,16 @@ class Operator:
         self._store.unwatch(self.kind, self._names)
 
     def pending(self) -> int:
-        """Queued watched names and retries; parked names do not count."""
-        return len(self._names) + len(self._retry)
-
-    def unpark(self) -> None:
-        """Re-queue every parked name for another round of attempts."""
-        self._retry.extend(self._parked)
-        self._parked.clear()
+        """Queued names; parked names do not count."""
+        return len(self._names)
 
     def run_pending(self) -> int:
-        """Process queued retries, then all queued watched names."""
-        retries, self._retry = self._retry, deque()
-        for name in retries:
-            self.reconcile(name)
-        processed = len(retries)
-        while self._names:
-            self.reconcile(self._names.popleft())
+        """One pass: the names the last pass parked, then every queued name."""
+        names, parked, self._parked = self._names, self._parked, {}
+        names.extendleft(reversed(parked))
+        processed = 0
+        while names:
+            self.reconcile(names.popleft())
             processed += 1
         return processed
 
@@ -172,26 +176,43 @@ class Operator:
     # -- the reconcile step ------------------------------------------------
 
     def reconcile(self, name: str) -> None:
+        """Attempt `name` up to MAX_ATTEMPTS times; park it if all fail."""
         if name in self._parked:
-            return  # the next unpark retries it
+            return  # the next pass retries it
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            failure = self._attempt(name)
+            if failure is None:
+                return
+            log.debug("reconcile of %s failed (%s), attempt %d", name, failure, attempt)
+        # Give up for this pass: the spec still holds the demand, so the
+        # parked name retries it in the next one.
+        self._parked[name] = None
+        self._trace.error(
+            f"{self.kind.value}-operator",
+            "reconcile-failed",
+            f"{name}@{self._resources[name].generation}:{type(failure).__name__}",
+        )
+
+    def _attempt(self, name: str) -> OrchestrationError | None:
+        """One reconcile of `name`; the cluster failure that ended it, or None."""
         record = self._resources.get(name)
         stored = self._store.find(self.kind, name)
-        if stored is None:
-            if record is None:
+        if record is None:
+            if stored is None and not self._sim.owned(name):
                 return  # deleted, and nothing of it is left to end
+            record = self._resources[name] = _Resource(units=self._adopt(name))
+        if stored is None:
             # Deleted: the empty spec shuts it down.
             ledger, generation, uid = DemandLedger(), 0, 0
         else:
             ledger, generation, uid = stored
-            if record is None:
-                record = self._resources[name] = _Resource(units=self._adopt(name))
-            elif uid == record.uid and generation == record.observed:
+            if uid == record.uid and generation == record.observed:
                 return  # reconciled at this generation already
             record.generation = generation
         if uid != record.uid:
             # Another life of the name, or none: no generation of the
             # last life may reach its status.
-            record.uid, record.observed, record.attempts = uid, 0, 0
+            record.uid, record.observed = uid, 0
             record.ledger = None
 
         action = decide(ledger, self._primary_instance(record))
@@ -200,8 +221,7 @@ class Operator:
         except OrchestrationError as exc:
             if stored is not None:
                 self._write_status(name, record, Phase.PENDING)
-            self._handle_failure(name, record, exc)
-            return
+            return exc
 
         if action is DecisionAction.SHUTDOWN:
             del self._resources[name]
@@ -211,29 +231,9 @@ class Operator:
             return
         record.observed = generation
         record.ledger = ledger
-        record.attempts = 0
         self._write_status(name, record, Phase.RUNNING)
         self._trace.ledger_state(
             name, ledger.support, [f"{k}:{v}" for k, v in ledger.effective_config]
-        )
-
-    def _handle_failure(
-        self, name: str, record: _Resource, exc: OrchestrationError
-    ) -> None:
-        record.attempts += 1
-        if record.attempts < MAX_ATTEMPTS:
-            log.debug("reconcile of %s failed (%s), attempt %d, re-queueing",
-                      name, exc, record.attempts)
-            self._retry.append(name)
-            return
-        # Give up for this drain: the spec still holds the demand, so the
-        # parked name retries it from the next drain on.
-        record.attempts = 0
-        self._parked[name] = None
-        self._trace.error(
-            f"{self.kind.value}-operator",
-            "reconcile-failed",
-            f"{name}@{record.generation}:{type(exc).__name__}",
         )
 
     def _write_status(self, name: str, record: _Resource, phase: Phase) -> None:

@@ -1,11 +1,11 @@
 """Wires detector, manager, store, operators, and cluster into one run.
 
 Each tick: move vehicles, evaluate the geofence, deliver any resulting
-requests, drain both reconcile queues to quiescence (first re-queueing
-the names the previous drain parked), publish every entity's source
-data, then advance the cluster one step.  The sources are one tuple for
-the whole run, so after the first tick the cluster keeps them on its
-buses and rebuilds only the nodes a tick can change.  Both timelines
+requests, drain both reconcile queues in one pass each (the names the
+previous drain parked first), publish every entity's source data, then
+advance the cluster one step.  The sources are one tuple for the whole
+run, so after the first tick the cluster keeps them on its buses and
+rebuilds only the nodes a tick can change.  Both timelines
 keep one cache of each node's visible topics and its rendered TOPICS
 tail: after every tick the nodes the cluster rebuilt are marked stale,
 and a refresh recomputes only those, re-rendering a tail only when its
@@ -29,18 +29,11 @@ from .catalog import Catalog
 from .cluster import ClusterSim
 from .detector import EventDetector
 from .manager import AppManager, AccessDomainPolicy, DeploymentRequest, RequestResult
-from .model import (
-    NonQuiescenceError,
-    ResourceKind,
-    Topology,
-    source_topic,
-)
+from .model import ResourceKind, Topology, source_topic
 from .operators import Operator
 from .scenario import MODE_SCRIPTED, Scenario, interpolate
 from .store import ResourceStore
 from .tracing import Trace, topics_tail
-
-MAX_DRAIN_ROUNDS = 50
 
 
 @dataclass
@@ -94,19 +87,10 @@ def build_system(
 
 
 def drain(system: System) -> None:
-    """Re-queue parked names, then run both operators until none is pending."""
-    operators = (system.service_op, system.connection_op)
-    for operator in operators:
-        operator.unpark()
-    rounds = 0
-    while any(operator.pending() for operator in operators):
-        rounds += 1
-        if rounds > MAX_DRAIN_ROUNDS:
-            raise NonQuiescenceError(
-                f"reconcile queues still busy after {MAX_DRAIN_ROUNDS} rounds"
-            )
-        for operator in operators:
-            operator.run_pending()
+    """One pass of each operator, services first.  Demand is written only
+    before a drain, and an operator queues names of its own kind only."""
+    system.service_op.run_pending()
+    system.connection_op.run_pending()
 
 
 def deliver(system: System, request: DeploymentRequest, copies: int = 1) -> None:

@@ -1092,7 +1092,7 @@ def patched_plan(sim):
 def check_plan(sim):
     """The patched plan is the rebuilt one, every running stub instance
     holds a slot, and every running instance is owned by its name, each in
-    creation order."""
+    creation order, and every name that owns one is an owner."""
     assert patched_plan(sim) == full_plan(sim)
     running = sim.instances()
     stubs = [i.instance_id for k in STUBS for i in running if i.service_kind is k]
@@ -1102,6 +1102,7 @@ def check_plan(sim):
         owned.setdefault(instance.cr_name, []).append(instance.instance_id)
     assert {name: list(members) for name, members in sim._owned.items()} == owned
     assert all(sim.owned(name) == tuple(ids) for name, ids in owned.items())
+    assert sorted(sim.owners()) == sorted(owned)
 
 
 class Checked:

@@ -489,13 +489,11 @@ def test_connection_pair_is_all_or_nothing(rig):
         ),
     )
     for drain_no in (1, 2):
-        connection_op.unpark()
-        # failures re-queue until the give-up parks the name
-        while connection_op.pending():
-            connection_op.run_pending()
+        # every attempt of the pass fails, and the give-up parks the name
+        connection_op.run_pending()
         assert sim.instances() == ()
         errors = [r for r in trace.records if r.tag == "ERROR"]
-        # one give-up per drain, and the demand is kept for the next one
+        # one give-up per pass, and the demand is kept for the next one
         assert [r.get("kind") for r in errors] == ["reconcile-failed"] * drain_no
         assert connection_op.pending() == 0
         assert store.exists(CONN, "conn-X-E")
@@ -510,20 +508,28 @@ def test_failure_keeps_status_pending_until_giving_up(rig):
             ConfigItem("service-kind", "object-fusion"),
         ),
     )
+    # the status each deploy attempt finds, the first one's included
+    phases = []
+    real = sim.deploy_instance
+
+    def deploy(spec):
+        phases.append(store.get_cr(SVC, "svc-x").status.phase)
+        return real(spec)
+
+    sim.deploy_instance = deploy
     service_op.run_pending()
-    assert store.get_cr(SVC, "svc-x").status.phase is Phase.PENDING
-    assert service_op.pending() == 1  # re-queued for retry
-    while service_op.pending():
-        service_op.run_pending()
-    # given up for this drain: still pending, nothing observed, parked
+    assert phases == [Phase.PENDING] * MAX_ATTEMPTS
+    # given up for this pass: still pending, nothing observed, parked
     status = store.get_cr(SVC, "svc-x").status
     assert status.phase is Phase.PENDING
     assert status.observed_generation == 0
     assert [r.get("kind") for r in trace.records if r.tag == "ERROR"] == [
         "reconcile-failed"
     ]
-    service_op.unpark()
-    assert service_op.pending() == 1
+    assert service_op.pending() == 0
+    # the next pass runs the parked name first, with every attempt again
+    assert service_op.run_pending() == 1
+    assert phases == [Phase.PENDING] * (2 * MAX_ATTEMPTS)
 
 
 def test_failed_reconfigure_of_a_running_resource_is_pending(rig):
@@ -545,7 +551,14 @@ def test_failed_reconfigure_of_a_running_resource_is_pending(rig):
     assert status.phase is Phase.PENDING
     assert status.observed_generation == 1
     assert status.support == ("V0", "S")  # the committed ledger
-    assert service_op.pending() == 1
+    assert service_op.pending() == 0
+    # once the cluster works again, the next pass commits the new ledger
+    del sim.reconfigure_instance
+    service_op.run_pending()
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.RUNNING
+    assert status.observed_generation == 2
+    assert status.support == ("V0", "S", "V1")
 
 
 def test_recreated_resource_gets_every_attempt(rig):
@@ -562,20 +575,21 @@ def test_recreated_resource_gets_every_attempt(rig):
         return real(spec)
 
     sim.deploy_instance = deploy
-    write_demand(store, SVC, "svc-x", config=config)
+    write_demand(store, SVC, "svc-x", config=config, requesters=("V0",))
+    write_demand(store, SVC, "svc-x", config=config, requesters=("V1",))
     service_op.run_pending()
-    assert len(deploys) == 1
-    # an external delete ends the lifecycle with one attempt spent
-    store.delete_cr(SVC, "svc-x")
-    service_op.run_pending()
-    deploys.clear()
-
-    write_demand(store, SVC, "svc-x", config=config)
-    while service_op.pending():
-        service_op.run_pending()
     assert len(deploys) == MAX_ATTEMPTS
-    errors = [r for r in trace.records if r.tag == "ERROR"]
-    assert [r.get("kind") for r in errors] == ["reconcile-failed"]
+    # an external delete ends the parked life, and a new life of the
+    # name starts at generation 1 before the next pass
+    store.delete_cr(SVC, "svc-x")
+    write_demand(store, SVC, "svc-x", config=config)
+    deploys.clear()
+    service_op.run_pending()
+    assert len(deploys) == MAX_ATTEMPTS
+    errors = [r.get("detail") for r in trace.records if r.tag == "ERROR"]
+    assert errors == [
+        "svc-x@2:UnknownNodeError", "svc-x@1:UnknownNodeError"
+    ]
 
 
 def test_observed_generation_never_regresses(rig):
@@ -631,8 +645,7 @@ def test_same_tick_release_and_request_keep_the_new_demand(rig):
     # the last supporter leaves and a new one arrives before the drain
     write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
     write_demand(store, SVC, "svc-x", requesters=("V1", "S"), config=config)
-    while service_op.pending():
-        service_op.run_pending()
+    service_op.run_pending()
     assert store.exists(SVC, "svc-x")
     assert store.get_cr(SVC, "svc-x").status.support == ("V1", "S")
     assert service_op.ledger("svc-x").support == ("V1", "S")
@@ -655,6 +668,31 @@ def failing(sim, method, fail_calls):
     setattr(sim, method, wrapped)
 
 
+def test_failing_names_spend_their_attempts_in_turn(rig):
+    store, sim, trace, service_op, _ = rig
+    failing(sim, "deploy_instance", {1})
+    deploys = []
+    real = sim.deploy_instance
+    sim.deploy_instance = lambda spec: deploys.append(spec.cr_name) or real(spec)
+    # a single failed call costs one retry in the same pass, and no ERROR
+    write_demand(store, SVC, "svc-c", config=svc_config())
+    service_op.run_pending()
+    assert deploys == ["svc-c", "svc-c"]
+    assert store.get_cr(SVC, "svc-c").status.phase is Phase.RUNNING
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
+    # two names that cannot deploy: each spends every attempt, then
+    # gives up, before the next name's first attempt
+    unknown = (ConfigItem("node", "X"), ConfigItem("service-kind", "object-fusion"))
+    write_demand(store, SVC, "svc-a", config=unknown)
+    write_demand(store, SVC, "svc-b", config=unknown)
+    deploys.clear()
+    assert service_op.run_pending() == 2
+    assert deploys == ["svc-a"] * MAX_ATTEMPTS + ["svc-b"] * MAX_ATTEMPTS
+    errors = [r.get("detail") for r in trace.records if r.tag == "ERROR"]
+    assert errors == ["svc-a@1:UnknownNodeError", "svc-b@1:UnknownNodeError"]
+    assert service_op.pending() == 0
+
+
 def test_replace_retry_reuses_the_new_instance(rig):
     store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v1")
@@ -662,8 +700,7 @@ def test_replace_retry_reuses_the_new_instance(rig):
     (old,) = instances_of(sim, "svc-x")
     failing(sim, "terminate_instance", {1, 2})
     write_demand(store, SVC, "svc-x", requesters=(), config=(), version="v2")
-    while service_op.pending():
-        service_op.run_pending()
+    service_op.run_pending()
     (live,) = instances_of(sim, "svc-x")
     assert live.version == "v2"
     assert store.get_cr(SVC, "svc-x").status.instance_ids == (
@@ -691,8 +728,7 @@ def test_partly_failed_connection_teardown_completes_on_retry(rig):
     write_demand(
         store, CONN, "conn-V0-E", action=DeltaAction.RELEASE, config=config
     )
-    while connection_op.pending():
-        connection_op.run_pending()
+    connection_op.run_pending()
     assert sim.instances() == ()
     assert not store.exists(CONN, "conn-V0-E")
     terminates = [r for r in trace.records if r.get("action") == "terminate"]
@@ -708,14 +744,11 @@ def test_given_up_release_is_finished_by_the_next_drain(rig):
     service_op.run_pending()
     failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
     write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
-    while service_op.pending():
-        service_op.run_pending()
+    service_op.run_pending()
     # the give-up keeps both the instance and the emptied spec
     assert len(instances_of(sim, "svc-x")) == 1
     assert store.get_spec(SVC, "svc-x").is_empty()
-    service_op.unpark()
-    while service_op.pending():
-        service_op.run_pending()
+    service_op.run_pending()
     assert sim.instances() == ()
     assert not store.exists(SVC, "svc-x")
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
@@ -740,8 +773,7 @@ def test_a_failed_teardown_traces_its_terminate_once_before_giving_up(rig):
     write_demand(
         store, CONN, "conn-V0-E", action=DeltaAction.RELEASE, config=config
     )
-    while connection_op.pending():
-        connection_op.run_pending()
+    connection_op.run_pending()
     # the step traces its terminate as it begins, once, then gives up
     traced = [
         (r.tag, r.get("action") or r.get("kind"))
@@ -751,10 +783,8 @@ def test_a_failed_teardown_traces_its_terminate_once_before_giving_up(rig):
         ("ACTION", "deploy"), ("ACTION", "terminate"), ("ERROR", "reconcile-failed")
     ]
     seen = len(trace.records)
-    # the unpark retry ends the receiver alone, with no further ACTION
-    connection_op.unpark()
-    while connection_op.pending():
-        connection_op.run_pending()
+    # the next pass's retry ends the receiver alone, with no further ACTION
+    connection_op.run_pending()
     assert sim.instances() == ()
     assert not store.exists(CONN, "conn-V0-E")
     assert terminated == [sender] + [receiver] * (MAX_ATTEMPTS + 1)
@@ -787,6 +817,50 @@ def test_external_delete_tears_down_like_a_shutdown(rig):
     assert [r for r in trace.records if r.tag == "ERROR"] == []
 
 
+def conn_config(src):
+    return (
+        ConfigItem("src", src),
+        ConfigItem("dst", "E"),
+        ConfigItem("forward-topic", f"/{src}/ego"),
+    )
+
+
+def test_units_of_a_resource_deleted_while_its_operator_is_down_are_ended(rig):
+    store, sim, trace, service_op, connection_op = rig
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    write_demand(store, CONN, "conn-V0-E", config=conn_config("V0"))
+    write_demand(store, SVC, "svc-y", config=svc_config())
+    write_demand(store, CONN, "conn-V1-E", config=conn_config("V1"))
+    service_op.run_pending()
+    connection_op.run_pending()
+    kept = {n: sim.owned(n) for n in ("svc-y", "conn-V1-E")}
+    assert sim.owned("svc-x") == ("i-0001",)
+    # both operators are down while a resource of each kind is deleted
+    service_op.stop()
+    connection_op.stop()
+    store.delete_cr(SVC, "svc-x")
+    store.delete_cr(CONN, "conn-V0-E")
+    seen = len(trace.records)
+    # fresh operators queue their kind's names that run units but have
+    # no resource, and leave the other kind's and the listed ones alone
+    fresh = Operator(SVC, store, sim, trace), Operator(CONN, store, sim, trace)
+    assert [operator.run_pending() for operator in fresh] == [2, 2]
+    assert sim.owners() == ("svc-y", "conn-V1-E")
+    assert {n: sim.owned(n) for n in kept} == kept
+    assert all(operator.ledgers().keys() == {n} for operator, n in zip(fresh, kept))
+    # each orphan's adopted units end as on a shutdown, traced alike,
+    # after the listed resources' catch-up
+    traced = [
+        (r.tag, r.get("cr"), r.get("action")) for r in trace.records
+    ][seen:]
+    assert traced == [
+        ("LEDGER", "svc-y", ""),
+        ("ACTION", "svc-x", "terminate"), ("LEDGER", "svc-x", ""),
+        ("LEDGER", "conn-V1-E", ""),
+        ("ACTION", "conn-V0-E", "terminate"), ("LEDGER", "conn-V0-E", ""),
+    ]
+
+
 def test_failed_rollback_of_a_half_deployed_pair_is_finished_later(rig):
     store, sim, trace, _, connection_op = rig
     config = (
@@ -799,15 +873,13 @@ def test_failed_rollback_of_a_half_deployed_pair_is_finished_later(rig):
     failing(sim, "deploy_instance", {2})
     failing(sim, "terminate_instance", {1})
     write_demand(store, CONN, "conn-V0-E", config=config)
-    while connection_op.pending():
-        connection_op.run_pending()
+    connection_op.run_pending()
     pair = store.get_cr(CONN, "conn-V0-E").status.instance_ids
     assert {i.instance_id for i in sim.instances()} == set(pair)
     write_demand(
         store, CONN, "conn-V0-E", action=DeltaAction.RELEASE, config=config
     )
-    while connection_op.pending():
-        connection_op.run_pending()
+    connection_op.run_pending()
     assert sim.instances() == ()
     assert not store.exists(CONN, "conn-V0-E")
     # the stray receiver ends untraced, like a rollback that succeeds
@@ -829,18 +901,15 @@ def test_failed_teardown_of_a_deleted_resource_is_retried(rig):
     write_demand(store, SVC, "svc-x", requesters=("V2", "S"))
     failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
     store.delete_cr(SVC, "svc-x")
-    while service_op.pending():
-        service_op.run_pending()
-    # every attempt of this drain failed: the unit is kept, the name parked
+    service_op.run_pending()
+    # every attempt of this pass failed: the unit is kept, the name parked
     assert len(instances_of(sim, "svc-x")) == 1
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
     assert errors == ["reconcile-failed"]
     # the give-up names the last generation the operator read
     assert trace.records[-1].get("detail") == "svc-x@2:NothingRunningError"
     # the record has no life left (uid 0), and its retry still tears down
-    service_op.unpark()
-    while service_op.pending():
-        service_op.run_pending()
+    service_op.run_pending()
     assert sim.instances() == ()
     assert service_op._resources == {}
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
@@ -854,12 +923,9 @@ def test_resource_recreated_during_a_failed_teardown_starts_afresh(rig):
     (old,) = instances_of(sim, "svc-x")
     failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
     store.delete_cr(SVC, "svc-x")
-    while service_op.pending():
-        service_op.run_pending()
+    service_op.run_pending()
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v2")
-    service_op.unpark()
-    while service_op.pending():
-        service_op.run_pending()
+    service_op.run_pending()
     # the old unit goes before the new resource's own one starts
     (live,) = instances_of(sim, "svc-x")
     assert live.version == "v2"
@@ -879,17 +945,18 @@ def test_a_retry_of_a_deleted_life_leaves_the_recreated_one_alone(rig):
     write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
     (unit,) = instances_of(sim, "svc-x")
-    # generation 2 fails to reconfigure and is re-queued; then the
-    # resource is deleted and created again, a new life at generation 1
-    failing(sim, "reconfigure_instance", {1, 2, 3})
+    # generation 2 fails to reconfigure and is parked; then the resource
+    # is deleted and created again, a new life at generation 1
+    failing(sim, "reconfigure_instance", set(range(1, MAX_ATTEMPTS + 1)))
     wanted = svc_config((in_topic("/V0/ego"),))
     write_demand(store, SVC, "svc-x", config=wanted)
     service_op.run_pending()
-    assert service_op.pending() == 1
+    errors = [r.get("detail") for r in trace.records if r.tag == "ERROR"]
+    assert errors == ["svc-x@2:NothingRunningError"]
     store.delete_cr(SVC, "svc-x")
     write_demand(store, SVC, "svc-x", config=wanted)
-    while service_op.pending():
-        service_op.run_pending()
+    # the parked name's retry reads the new life
+    service_op.run_pending()
     # the new life adopts the old unit and is observed at its own generation
     (live,) = instances_of(sim, "svc-x")
     assert live.instance_id == unit.instance_id
@@ -898,7 +965,7 @@ def test_a_retry_of_a_deleted_life_leaves_the_recreated_one_alone(rig):
     assert status.phase is Phase.RUNNING
     assert status.observed_generation == 1
     assert status.instance_ids == (unit.instance_id,)
-    assert [r for r in trace.records if r.tag == "ERROR"] == []
+    assert [r.get("detail") for r in trace.records if r.tag == "ERROR"] == errors
     # the queued names find the new life observed
     ledgers = [r for r in trace.records if r.tag == "LEDGER"]
     assert [r.get("support") for r in ledgers] == ["V0,S", "V0,S"]
@@ -910,19 +977,15 @@ def test_a_failed_retry_after_a_recreate_still_reconciles_the_new_life(rig):
     service_op.run_pending()
     failing(sim, "terminate_instance", set(range(1, MAX_ATTEMPTS + 1)))
     store.delete_cr(SVC, "svc-x")
-    while service_op.pending():
-        service_op.run_pending()
-    # the name is parked, so the new life's creation waits for the
-    # unpark, after which its first deploy fails once
+    service_op.run_pending()
+    # the name is parked when the new life is created, so the next pass
+    # runs it first, and the new life's first deploy fails once
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v2")
-    service_op.run_pending()
-    assert service_op.pending() == 0
     failing(sim, "deploy_instance", {1})
-    service_op.unpark()
-    service_op.run_pending()
-    assert service_op.pending() == 1
-    while service_op.pending():
-        service_op.run_pending()
+    assert service_op.run_pending() == 2
+    assert service_op.pending() == 0
+    errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
+    assert errors == ["reconcile-failed"]  # the deleted life's give-up only
     (live,) = instances_of(sim, "svc-x")
     assert live.version == "v2"
     status = store.get_cr(SVC, "svc-x").status

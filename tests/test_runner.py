@@ -16,12 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 import demandflow.runner as runner_module
 from demandflow.cli import bundled_scenario_path
 from demandflow.manager import AccessDomainPolicy
-from demandflow.model import DeltaAction, NonQuiescenceError, OrchestrationError
+from demandflow.model import DeltaAction, OrchestrationError
 from demandflow.operators import Operator
 from demandflow.runner import (
     ScenarioRunner,
-    build_system,
-    deliver,
     drain,
     run_scenario,
 )
@@ -106,16 +104,6 @@ def test_empty_timeline_produces_no_records():
     runner = run_scenario(scenario_from_mapping(raw))
     assert len(runner.trace.records) == 0
     assert system_is_empty(runner.system)
-
-
-def test_drain_round_limit(reference_scenario, monkeypatch):
-    system = build_system(reference_scenario)
-    system.detector.observe_pose("V0", reference_scenario.rule.center)
-    (request,) = system.detector.evaluate(1)
-    deliver(system, request)
-    monkeypatch.setattr(runner_module, "MAX_DRAIN_ROUNDS", 0)
-    with pytest.raises(NonQuiescenceError):
-        drain(system)
 
 
 def test_policy_rejection_is_traced_and_leaves_no_state(reference_scenario):
@@ -213,9 +201,10 @@ def test_failed_terminates_still_empty_the_system(reference_scenario):
 # Every call fails: `calls in EVERY_CALL` holds for any count.
 EVERY_CALL = range(1, sys.maxsize)
 
-# The ERROR lines of the persistent deploy outage below, in order.
+# The ERROR lines of the persistent deploy outage below, in order: each
+# name's attempts run back to back, so a tick's give-ups follow its queue.
 OUTAGE_ERRORS_DIGEST = (
-    "20565e6585a99d669f0da8c7a8265e9a6dd9691f97ec9fe8123341807a92246c"
+    "532cf3ae2c90f86de1b067900dfdfa811da47aa5b2cd65629d0005bcbb35af28"
 )
 
 
@@ -224,7 +213,7 @@ def test_persistent_deploy_outage_retries_and_parks_in_a_fixed_order(
 ):
     # No deploy ever succeeds: each failing resource costs MAX_ATTEMPTS
     # calls and one give-up per tick until its demand is released, and
-    # the order of its give-ups is the order of its retries and parking.
+    # the order of its give-ups is the order of its queue and parking.
     runner, calls = run_failing(
         reference_scenario, EVERY_CALL, ("deploy_instance",)
     )
@@ -267,7 +256,7 @@ def assert_failures_retried_away(
 def test_any_single_cluster_failure_is_retried_away(request, fixture, method):
     # One failed call costs one retry, well within MAX_ATTEMPTS, so each
     # run still serves and drops all of its demand.  Three in a row may
-    # exhaust a drain's attempts; the parked name finishes the work on
+    # exhaust a name's attempts; the parked name finishes the work on
     # the next tick, which both scenarios' settle windows provide.
     scenario = request.getfixturevalue(fixture)
     for width in (1, 3):
@@ -281,6 +270,28 @@ def test_failure_windows_across_cluster_calls_are_retried_away(request, fixture)
     scenario = request.getfixturevalue(fixture)
     for width in (2, 3):
         assert_failures_retried_away(scenario, width)
+
+
+@pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
+def test_no_drain_of_a_fault_burst_leaves_a_name_queued(
+    request, fixture, monkeypatch
+):
+    # A drain is one pass of each operator: a failure spends its name's
+    # attempts at once, and neither operator queues a name of the other's
+    # kind, so each pass ends with both queues empty.
+    real, drains = runner_module.drain, count()
+
+    def drain_then_check(system):
+        real(system)
+        next(drains)
+        assert [system.service_op.pending(), system.connection_op.pending()] == [0, 0]
+
+    monkeypatch.setattr(runner_module, "drain", drain_then_check)
+    scenario = request.getfixturevalue(fixture)
+    for method in CLUSTER_CALLS:
+        for width in (1, 2, 3):
+            assert_failures_retried_away(scenario, width, (method,))
+    assert next(drains), "drain was never called"
 
 
 def hysteresis_oracle(scenario):
