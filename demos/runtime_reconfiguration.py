@@ -3,8 +3,8 @@
 
 Drives the control plane by hand, one zone event at a time, and prints
 the fusion instance after each drain.  While vehicles come and go the
-instance id never changes; only its subscription list and config version
-move.  A version upgrade is the one thing that actually replaces it.
+instance id never changes; only its input topics move.  A version
+upgrade is the one thing that actually replaces it, with a new id.
 """
 
 from demandflow.cli import bundled_scenario_path
@@ -22,8 +22,7 @@ def show_fusion(system, label):
         return
     inst = instances[0]
     print(
-        f"{label:28s}  id={inst.instance_id}  restarts={inst.restart_count}  "
-        f"config-v{inst.config_version}  version={inst.version or '-'}  "
+        f"{label:28s}  id={inst.instance_id}  version={inst.version or '-'}  "
         f"inputs={len(inst.input_topics)}"
     )
 

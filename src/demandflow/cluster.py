@@ -70,8 +70,6 @@ class ServiceInstance:
     node_id: str
     config: tuple[ConfigItem, ...]
     version: str
-    restart_count: int = 0
-    config_version: int = 0
     # Topics parsed from `config` at deploy and on every reconfigure.
     input_topics: tuple[str, ...] = field(init=False, repr=False, compare=False)
     output_topic: str | None = field(init=False, repr=False, compare=False)
@@ -150,7 +148,6 @@ class ClusterSim:
         self._stirred: AbstractSet[str] = frozenset()
         self._rebuilt: AbstractSet[str] | None = frozenset()
         self._order: dict[str, int] = {}  # node -> its add_node index
-        self._deploy_counts: dict[str, int] = {}
         self._iid_seq = 0
 
     # -- nodes -------------------------------------------------------------
@@ -168,16 +165,10 @@ class ClusterSim:
     # -- instance lifecycle ------------------------------------------------
 
     def deploy_instance(self, spec: InstanceSpec) -> str:
-        """Start an instance; returns its id.
-
-        restart_count records how many instances of the same resource ran
-        before this one, so a first deployment always reads zero.
-        """
+        """Start an instance; returns its id, new on every deploy."""
         self._require_node(spec.node_id)
         self._iid_seq += 1
         instance_id = f"i-{self._iid_seq:04d}"
-        lineage = self._deploy_counts.get(spec.cr_name, 0)
-        self._deploy_counts[spec.cr_name] = lineage + 1
         instance = ServiceInstance(
             instance_id=instance_id,
             cr_name=spec.cr_name,
@@ -185,7 +176,6 @@ class ClusterSim:
             node_id=spec.node_id,
             config=spec.config,
             version=spec.version,
-            restart_count=lineage,
         )
         self._patch(instance, -1)
         self._instances[instance_id] = instance
@@ -197,12 +187,11 @@ class ClusterSim:
     def reconfigure_instance(
         self, instance_id: str, config: tuple[ConfigItem, ...]
     ) -> None:
-        """Swap the config in place; bumps config_version, never restarts."""
+        """Swap the config in place; the instance keeps its id."""
         instance = self._require_running(instance_id)
         self._patch(instance, -1)
         instance.config = config
         instance._parse_topics()
-        instance.config_version += 1
         self._patch(instance, 1)
 
     def terminate_instance(self, instance_id: str) -> None:

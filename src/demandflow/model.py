@@ -224,9 +224,6 @@ class Topology:
             nodes.add(entity.node_id)
             self._entities[entity.entity_id] = entity
 
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._entities
-
     def get(self, entity_id: str) -> Entity:
         try:
             return self._entities[entity_id]

@@ -5,10 +5,12 @@ app manager keeps: a counted multiset of requesters and one of countable
 config items.  An operator reconciles a resource by name: it reads the
 current spec, decides one action from it and the resource's live
 instance, and executes it.  The support set being empty is the one and
-only shutdown signal.  A failed attempt is retried at once; after
-MAX_ATTEMPTS failures the name is parked until the next pass, so a
-failure delays convergence and never drops demand.  What runs under a
-name is read from the cluster: adopted, or ended as a stray or orphan.
+only shutdown signal.  The resource's stored status records how far it
+got, so a restarted operator carries on where the last one stopped.  A
+failed attempt is retried at once; after MAX_ATTEMPTS failures the name
+is parked until the next pass, so a failure delays convergence and never
+drops demand.  What runs under a name is read from the cluster:
+adopted, or ended as a stray or orphan.
 """
 
 from __future__ import annotations
@@ -88,13 +90,10 @@ def decide(
 
 @dataclass
 class _Resource:
-    """What an operator knows about one custom resource."""
+    """The units an operator runs for one custom resource."""
 
-    ledger: DemandLedger | None = None  # last reconciled; None until one is
-    uid: int = 0  # the life `ledger` and `observed` belong to; 0: none
-    observed: int = 0
-    generation: int = 0  # last read from the store, of any life
     units: tuple[str, ...] = ()
+    generation: int = 0  # last read from the store, for the give-up ERROR
 
 
 class Operator:
@@ -104,19 +103,20 @@ class Operator:
     resource, and one name is processed at a time.  Reconciling is
     level-triggered: read the store's current spec, decide, execute
     against the cluster, then publish status and a ledger trace record.
-    A name whose stored (uid, generation) equals the record's
-    (uid, observed) is reconciled already, so a duplicate costs one read.
-    A new uid is another life of the name and resets the record; a
-    deleted resource's spec is empty, so its units go as on a shutdown,
-    and a new life of the name starts afresh with the units left.  A
-    name gets MAX_ATTEMPTS attempts back to back; if all fail, it traces
-    one error and is parked without advancing the observed generation,
-    and the next pass runs it first.
+    The stored status is the only record of progress: a name whose
+    generation equals its status's observed generation is reconciled
+    already, so a duplicate costs one read, and a restarted operator
+    skips what the last one finished.  A deleted resource's spec is
+    empty, so its units go as on a shutdown; a re-created one starts at
+    generation 1 with an empty status and the units left.  A name gets
+    MAX_ATTEMPTS attempts back to back, and a failed one writes the
+    stored status back as pending; if all fail, the name traces one
+    error and is parked, and the next pass runs it first.
 
-    Each resource has one `_Resource` record, dropped in one step on
-    shutdown or delete.  Its units are the `UNITS` row of its kind,
-    started together by `_deploy_units`; a new record, as after a
-    restart, adopts the newest set running under its name.  A new
+    Each resource has one `_Resource` record of its units, dropped on
+    shutdown or delete.  They are the `UNITS` row of its kind, started
+    together by `_deploy_units`; a new record, as after a restart,
+    adopts the newest set running under its name.  A new
     operator also queues each name of its kind that runs units but has no
     resource, deleted while no operator ran, so those units shut down.
     Each attempt first ends the strays, what else runs there, untraced.
@@ -165,13 +165,9 @@ class Operator:
             processed += 1
         return processed
 
-    def ledger(self, name: str) -> DemandLedger | None:
-        record = self._resources.get(name)
-        return record.ledger if record else None
-
-    def ledgers(self) -> dict[str, DemandLedger]:
-        records = self._resources.items()
-        return {n: r.ledger for n, r in records if r.ledger is not None}
+    def records(self) -> tuple[str, ...]:
+        """The names this operator keeps a record of units for."""
+        return tuple(self._resources)
 
     # -- the reconcile step ------------------------------------------------
 
@@ -202,25 +198,23 @@ class Operator:
                 return  # deleted, and nothing of it is left to end
             record = self._resources[name] = _Resource(units=self._adopt(name))
         if stored is None:
-            # Deleted: the empty spec shuts it down.
-            ledger, generation, uid = DemandLedger(), 0, 0
+            ledger = DemandLedger()  # deleted: the empty spec shuts it down
         else:
-            ledger, generation, uid = stored
-            if uid == record.uid and generation == record.observed:
+            ledger, generation, status = stored
+            if generation == status.observed_generation:
                 return  # reconciled at this generation already
             record.generation = generation
-        if uid != record.uid:
-            # Another life of the name, or none: no generation of the
-            # last life may reach its status.
-            record.uid, record.observed = uid, 0
-            record.ledger = None
 
         action = decide(ledger, self._primary_instance(record))
         try:
             self._execute(name, record, action, ledger)
         except OrchestrationError as exc:
             if stored is not None:
-                self._write_status(name, record, Phase.PENDING)
+                self._store.update_status(
+                    self.kind,
+                    name,
+                    status._replace(phase=Phase.PENDING, instance_ids=record.units),
+                )
             return exc
 
         if action is DecisionAction.SHUTDOWN:
@@ -229,24 +223,13 @@ class Operator:
                 self._store.delete_cr(self.kind, name)
             self._trace.ledger_state(name, (), ())
             return
-        record.observed = generation
-        record.ledger = ledger
-        self._write_status(name, record, Phase.RUNNING)
-        self._trace.ledger_state(
-            name, ledger.support, [f"{k}:{v}" for k, v in ledger.effective_config]
-        )
-
-    def _write_status(self, name: str, record: _Resource, phase: Phase) -> None:
-        """Publish the committed ledger, units and generation of `name`."""
         self._store.update_status(
             self.kind,
             name,
-            ResourceStatus(
-                phase,
-                record.ledger.support if record.ledger is not None else (),
-                record.units,
-                record.observed,
-            ),
+            ResourceStatus(Phase.RUNNING, ledger.support, record.units, generation),
+        )
+        self._trace.ledger_state(
+            name, ledger.support, [f"{k}:{v}" for k, v in ledger.effective_config]
         )
 
     # -- cluster side ------------------------------------------------------

@@ -8,11 +8,13 @@ the current ledger, which derives its support and config at the fold,
 and writes the result; an operator reads the current spec and
 reconciles the cluster towards it.  Every write bumps the resource's
 generation, so a status can say which spec it observed.
-Each life of a name (from its creation to its delete) has its own uid,
-like Kubernetes `metadata.uid`, which a read returns: a status counts
-generations of one life only.  Operators read through `find`, a plain
-(spec, generation, uid) tuple; `get_cr` builds a `CustomResource`
-snapshot for the CLI, the tests and the benchmark.
+A life of a name runs from its creation to its delete: a delete drops
+the status too, and a re-create starts at generation 1 with an empty
+status, so a status counts generations of its own life only.  The
+status is the operators' record of reconcile progress.  Operators read
+through `find`, a plain (spec, generation, status) tuple; `get_cr`
+builds a `CustomResource` snapshot for the CLI, the tests and the
+benchmark.
 Mutations are plain method calls on one object and execute serially,
 which is what makes apply/get/delete trivially linearizable here.
 Redelivered requests are answered by the app manager's request-id cache
@@ -24,7 +26,6 @@ controller-runtime request carries only a name.
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, TypeVar
 
@@ -138,13 +139,11 @@ class CustomResource(NamedTuple):
     spec: DemandLedger
     status: ResourceStatus
     generation: int
-    uid: int
 
 
 @dataclass
 class _Record:
     spec: DemandLedger
-    uid: int
     generation: int = 1
     status: ResourceStatus = ResourceStatus()
 
@@ -160,7 +159,6 @@ class ResourceStore:
         # The name of every real mutation, in order; the names a late
         # watch is primed with are not part of it.
         self.event_log: list[str] = []
-        self._uids = count(1)
 
     # -- mutations ---------------------------------------------------------
 
@@ -169,7 +167,7 @@ class ResourceStore:
         records = self._records[kind]
         record = records.get(name)
         if record is None:
-            record = records[name] = _Record(spec, next(self._uids))
+            record = records[name] = _Record(spec)
         else:
             record.spec = spec
             record.generation += 1
@@ -196,16 +194,16 @@ class ResourceStore:
 
     def get_cr(self, kind: ResourceKind, name: str) -> CustomResource:
         record = self._require(kind, name)
-        return CustomResource(
-            kind, name, record.spec, record.status, record.generation, record.uid
-        )
+        return CustomResource(kind, name, record.spec, record.status, record.generation)
 
     def find(
         self, kind: ResourceKind, name: str
-    ) -> tuple[DemandLedger, int, int] | None:
-        """The (spec, generation, uid) of a resource; None if there is none."""
+    ) -> tuple[DemandLedger, int, ResourceStatus] | None:
+        """The (spec, generation, status) of a resource; None if there is none."""
         record = self._records[kind].get(name)
-        return None if record is None else (record.spec, record.generation, record.uid)
+        if record is None:
+            return None
+        return record.spec, record.generation, record.status
 
     def get_spec(self, kind: ResourceKind, name: str) -> DemandLedger:
         """The desired demand of a resource; an empty ledger if it has none."""

@@ -125,9 +125,8 @@ class Trace:
 
     def instance_action(
         self, cr_name: str, action: str, instances: Iterable[str],
-        nodes: Iterable[str], replaced: Iterable[str] = (),
+        nodes: Iterable[str], replaced: tuple[str, ...] = (),
     ) -> None:
-        replaced = tuple(replaced)
         self._lines.append(
             f"{TAG_ACTION} {self._at} cr={cr_name} action={action} "
             f"instances={','.join(instances)} nodes={','.join(nodes)}"

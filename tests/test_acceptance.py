@@ -155,8 +155,8 @@ def stepwise_support(trace):
 def assert_system_empty(system):
     assert not system.sim.instances(), "instances still running"
     assert system.store.total_resources() == 0, "resources still stored"
-    assert not system.service_op.ledgers(), "service ledgers not empty"
-    assert not system.connection_op.ledgers(), "connection ledgers not empty"
+    assert not system.service_op.records(), "service records not empty"
+    assert not system.connection_op.records(), "connection records not empty"
 
 
 @pytest.fixture(scope="module")

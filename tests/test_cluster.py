@@ -83,20 +83,20 @@ def test_a_tick_report_is_read_only(field):
 
 
 def test_instance_counters_track_lineage():
+    # The instance id is the lineage: a reconfigure keeps it, and every
+    # deploy of the same resource gets a new one.
     sim = sim_with("A")
     spec = InstanceSpec("svc-x", ServiceKind.OTHER, "A", ())
     first = sim.deploy_instance(spec)
-    assert sim.get_instance(first).restart_count == 0
     sim.reconfigure_instance(first, (ConfigItem("k", "v"),))
-    instance = sim.get_instance(first)
-    assert instance.config_version == 1
-    assert instance.restart_count == 0
+    assert sim.owned("svc-x") == (first,)
+    assert sim.get_instance(first).config == (ConfigItem("k", "v"),)
     sim.terminate_instance(first)
     with pytest.raises(NotRunningError):
         sim.reconfigure_instance(first, ())
-    # a new instance of the same resource remembers its predecessors
     second = sim.deploy_instance(spec)
-    assert sim.get_instance(second).restart_count == 1
+    assert second != first
+    assert sim.owned("svc-x") == (second,)
 
 
 def test_messages_stay_node_local_without_a_connection():

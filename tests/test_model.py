@@ -94,7 +94,7 @@ def _entities():
 
 def test_topology_lookup_and_roles():
     topology = Topology(_entities())
-    assert "V0" in topology
+    assert topology.get("V0").entity_id == "V0"
     assert topology.get("S").role is EntityRole.RISU
     assert topology.node_of("E") == "E"
     assert topology.single_node_with_role(EntityRole.EDGE) == "E"

@@ -373,7 +373,7 @@ def test_created_resource_deploys_an_instance(rig):
 
 
 def test_growing_support_does_not_redeploy(rig):
-    store, sim, _, service_op, _ = rig
+    store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
     first = instances_of(sim, "svc-x")[0]
@@ -381,26 +381,34 @@ def test_growing_support_does_not_redeploy(rig):
         store, SVC, "svc-x", requesters=("V1", "S"), config=svc_config()
     )
     service_op.run_pending()
-    after = instances_of(sim, "svc-x")[0]
-    assert after.instance_id == first.instance_id
-    assert after.restart_count == 0
-    assert after.config_version == 0
+    (after,) = instances_of(sim, "svc-x")
+    # the same instance, untouched: no redeploy and no reconfigure
+    assert after is first
+    assert after.config == svc_config()
+    assert [r.get("action") for r in trace.records if r.tag == "ACTION"] == [
+        "deploy"
+    ]
     assert store.get_cr(SVC, "svc-x").status.support == ("V0", "S", "V1")
 
 
 def test_config_change_reconfigures_in_place(rig):
-    store, sim, _, service_op, _ = rig
+    store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config((in_topic("/V0/ego"),)))
     service_op.run_pending()
+    (first,) = instances_of(sim, "svc-x")
     write_demand(
         store, SVC, "svc-x",
         requesters=("V1", "S"), config=svc_config((in_topic("/V1/ego"),)),
     )
     service_op.run_pending()
-    instance = instances_of(sim, "svc-x")[0]
-    assert instance.config_version == 1
-    assert instance.restart_count == 0
+    # the running instance keeps its id; only its config moves
+    (instance,) = instances_of(sim, "svc-x")
+    assert instance.instance_id == first.instance_id
     assert set(instance.input_topics) == {"/V0/ego", "/V1/ego"}
+    actions = [r for r in trace.records if r.tag == "ACTION"]
+    assert [(r.get("action"), r.get("instances")) for r in actions] == [
+        ("deploy", first.instance_id), ("reconfigure", first.instance_id)
+    ]
 
 
 def test_emptied_support_terminates_and_deletes(rig):
@@ -412,7 +420,7 @@ def test_emptied_support_terminates_and_deletes(rig):
     service_op.run_pending()
     assert instances_of(sim, "svc-x") == ()
     assert not store.exists(SVC, "svc-x")
-    assert service_op.ledger("svc-x") is None
+    assert service_op.records() == ()
 
 
 def test_batched_events_apply_every_generation_once(rig):
@@ -425,10 +433,9 @@ def test_batched_events_apply_every_generation_once(rig):
     write_demand(store, SVC, "svc-x", requesters=("V0", "S"))
     assert service_op.pending() == 3
     assert service_op.run_pending() == 3
-    ledger = service_op.ledger("svc-x")
-    assert ledger.requester_counts == {"V0": 2, "S": 3, "V1": 1}
     assert len(instances_of(sim, "svc-x")) == 1
-    assert store.get_cr(SVC, "svc-x").status.observed_generation == 3
+    status = store.get_cr(SVC, "svc-x").status
+    assert (status.support, status.observed_generation) == (("V0", "S", "V1"), 3)
     assert [r.tag for r in trace.records] == ["ACTION", "LEDGER"]
 
 
@@ -441,17 +448,21 @@ def test_late_operator_replays_history(rig):
     late = Operator(SVC, store, sim, trace)
     assert late.pending() == 1
     late.run_pending()
-    assert late.ledger("svc-x").requester_counts == {"V0": 1, "S": 2, "V1": 1}
+    status = store.get_cr(SVC, "svc-x").status
+    assert (status.support, status.observed_generation) == (("V0", "S", "V1"), 2)
+    assert [r.get("support") for r in trace.records if r.tag == "LEDGER"] == [
+        "V0,S,V1"
+    ]
 
 
 def test_stale_events_are_ignored(rig):
     store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config())
     service_op.run_pending()
-    before = service_op.ledger("svc-x")
+    before = store.get_cr(SVC, "svc-x").status
     ledgers = [r for r in trace.records if r.tag == "LEDGER"]
     service_op.reconcile("svc-x")  # a duplicate of the observed generation
-    assert service_op.ledger("svc-x") == before
+    assert store.get_cr(SVC, "svc-x").status == before
     assert len(instances_of(sim, "svc-x")) == 1
     assert [r for r in trace.records if r.tag == "LEDGER"] == ledgers
 
@@ -648,7 +659,7 @@ def test_same_tick_release_and_request_keep_the_new_demand(rig):
     service_op.run_pending()
     assert store.exists(SVC, "svc-x")
     assert store.get_cr(SVC, "svc-x").status.support == ("V1", "S")
-    assert service_op.ledger("svc-x").support == ("V1", "S")
+    assert service_op.records() == ("svc-x",)
     assert len(instances_of(sim, "svc-x")) == 1
     assert [r for r in trace.records if r.tag == "ERROR"] == []
 
@@ -699,10 +710,24 @@ def test_replace_retry_reuses_the_new_instance(rig):
     service_op.run_pending()
     (old,) = instances_of(sim, "svc-x")
     failing(sim, "terminate_instance", {1, 2})
+    # the status each terminate call finds
+    seen = []
+    real = sim.terminate_instance
+
+    def terminate(unit):
+        status = store.get_cr(SVC, "svc-x").status
+        seen.append((status.phase, status.instance_ids))
+        return real(unit)
+
+    sim.terminate_instance = terminate
     write_demand(store, SVC, "svc-x", requesters=(), config=(), version="v2")
     service_op.run_pending()
     (live,) = instances_of(sim, "svc-x")
     assert live.version == "v2"
+    # a failed attempt's pending status names the units it left running
+    assert seen == [(Phase.RUNNING, (old.instance_id,))] + [
+        (Phase.PENDING, (live.instance_id,))
+    ] * 2
     assert store.get_cr(SVC, "svc-x").status.instance_ids == (
         live.instance_id,
     )
@@ -810,8 +835,8 @@ def test_external_delete_tears_down_like_a_shutdown(rig):
     service_op.run_pending()
     connection_op.run_pending()
     assert sim.instances() == ()
-    assert service_op.ledgers() == {}
-    assert connection_op.ledgers() == {}
+    assert service_op.records() == ()
+    assert connection_op.records() == ()
     terminates = [r for r in trace.records if r.get("action") == "terminate"]
     assert sorted(r.get("cr") for r in terminates) == ["conn-V0-E", "svc-x"]
     assert [r for r in trace.records if r.tag == "ERROR"] == []
@@ -847,18 +872,63 @@ def test_units_of_a_resource_deleted_while_its_operator_is_down_are_ended(rig):
     assert [operator.run_pending() for operator in fresh] == [2, 2]
     assert sim.owners() == ("svc-y", "conn-V1-E")
     assert {n: sim.owned(n) for n in kept} == kept
-    assert all(operator.ledgers().keys() == {n} for operator, n in zip(fresh, kept))
-    # each orphan's adopted units end as on a shutdown, traced alike,
-    # after the listed resources' catch-up
+    assert all(operator.records() == (n,) for operator, n in zip(fresh, kept))
+    # each orphan's adopted units end as on a shutdown, traced alike; the
+    # listed resources' statuses are current, so they trace nothing
     traced = [
         (r.tag, r.get("cr"), r.get("action")) for r in trace.records
     ][seen:]
     assert traced == [
-        ("LEDGER", "svc-y", ""),
         ("ACTION", "svc-x", "terminate"), ("LEDGER", "svc-x", ""),
-        ("LEDGER", "conn-V1-E", ""),
         ("ACTION", "conn-V0-E", "terminate"), ("LEDGER", "conn-V0-E", ""),
     ]
+
+
+def restart_over_a_changed_spec(rig, failed_reconfigures):
+    """Reconcile svc-x, stop the operator, write generation 2 and start a
+    fresh operator whose listed reconfigure calls fail; returns it."""
+    store, sim, trace, service_op, _ = rig
+    write_demand(
+        store, SVC, "svc-x",
+        requesters=("V0",), config=svc_config((in_topic("/V0/ego"),)),
+    )
+    service_op.run_pending()
+    service_op.stop()
+    write_demand(
+        store, SVC, "svc-x",
+        requesters=("V1",), config=svc_config((in_topic("/V1/ego"),)),
+    )
+    failing(sim, "reconfigure_instance", failed_reconfigures)
+    return Operator(SVC, store, sim, trace)
+
+
+def test_a_restarted_operator_survives_its_first_failed_reconcile(rig):
+    # The fresh record knows nothing of the status the last operator
+    # wrote; a failed attempt must not write generation 0 over it.
+    store, sim, trace, _, _ = rig
+    fresh = restart_over_a_changed_spec(rig, {1})
+    assert fresh.run_pending() == 1
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.RUNNING
+    assert status.observed_generation == 2
+    assert status.support == ("V0", "V1")
+    (unit,) = instances_of(sim, "svc-x")
+    assert status.instance_ids == (unit.instance_id,)
+    assert set(unit.input_topics) == {"/V0/ego", "/V1/ego"}
+    assert [r for r in trace.records if r.tag == "ERROR"] == []
+
+
+def test_a_restarted_operator_that_gives_up_keeps_the_stored_status(rig):
+    store, sim, trace, _, _ = rig
+    fresh = restart_over_a_changed_spec(rig, set(range(1, MAX_ATTEMPTS + 1)))
+    fresh.run_pending()
+    status = store.get_cr(SVC, "svc-x").status
+    assert status.phase is Phase.PENDING
+    assert status.support == ("V0",)
+    assert status.observed_generation == 1
+    assert status.instance_ids == (instances_of(sim, "svc-x")[0].instance_id,)
+    errors = [r.get("detail") for r in trace.records if r.tag == "ERROR"]
+    assert errors == ["svc-x@2:NothingRunningError"]
 
 
 def test_failed_rollback_of_a_half_deployed_pair_is_finished_later(rig):
@@ -908,7 +978,7 @@ def test_failed_teardown_of_a_deleted_resource_is_retried(rig):
     assert errors == ["reconcile-failed"]
     # the give-up names the last generation the operator read
     assert trace.records[-1].get("detail") == "svc-x@2:NothingRunningError"
-    # the record has no life left (uid 0), and its retry still tears down
+    # the resource is gone, and the record's retry still tears down
     service_op.run_pending()
     assert sim.instances() == ()
     assert service_op._resources == {}

@@ -34,7 +34,6 @@ from demandflow.tracing import (
     TAG_ERROR,
     TAG_LEDGER,
     TAG_REQUEST,
-    TAG_TOPICS,
 )
 
 
@@ -46,8 +45,8 @@ def system_is_empty(system):
     return (
         not system.sim.instances()
         and system.store.total_resources() == 0
-        and not system.service_op.ledgers()
-        and not system.connection_op.ledgers()
+        and not system.service_op.records()
+        and not system.connection_op.records()
     )
 
 
@@ -708,19 +707,15 @@ def one_instance_per_unit(system):
     assert max(units.values(), default=1) == 1, units
 
 
-def actions_and_topics(trace):
-    return [line for line in trace.lines() if line.startswith((TAG_ACTION, TAG_TOPICS))]
-
-
 def assert_restarts_change_nothing(scenario, ticks, duplicate_delivery=False):
     """A restart before any one of `ticks` keeps every tick's units single,
-    the ACTION and TOPICS lines of the run without one, and its empty end."""
-    expected = actions_and_topics(run_scenario(scenario, duplicate_delivery).trace)
+    the whole trace of the run without one, and its empty end."""
+    expected = run_scenario(scenario, duplicate_delivery).trace.render()
     for at in ticks:
         runner = ScenarioRunner(scenario, duplicate_delivery=duplicate_delivery)
         restart_operators_once(runner, at.__eq__, one_instance_per_unit)
         runner.run()
-        assert actions_and_topics(runner.trace) == expected, f"restart at {at}"
+        assert runner.trace.render() == expected, f"restart at {at}"
         assert system_is_empty(runner.system), f"restart at {at}"
 
 
@@ -729,6 +724,7 @@ def assert_restarts_change_nothing(scenario, ticks, duplicate_delivery=False):
 def test_restarted_operators_adopt_what_runs(request, fixture, duplicate_delivery):
     # The new operators' watches list every resource, and each new record
     # adopts the units running under its name instead of deploying again.
+    # Every status is current, so the catch-up reconciles and traces nothing.
     scenario = request.getfixturevalue(fixture)
     ticks = range(1, scenario.tick_budget + 1)
     assert_restarts_change_nothing(scenario, ticks, duplicate_delivery)
@@ -759,6 +755,23 @@ def test_a_restart_inside_a_fault_burst_is_retried_away(request, fixture):
     # operators end what is not a whole set of units and finish the rest.
     scenario = request.getfixturevalue(fixture)
     assert_failures_retried_away(scenario, 3, restart=True)
+
+
+@pytest.mark.parametrize(
+    "methods",
+    [(method,) for method in CLUSTER_CALLS] + [CLUSTER_CALLS],
+    ids=[*CLUSTER_CALLS, "all"],
+)
+@pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
+def test_a_restart_inside_a_longer_fault_burst_is_retried_away(
+    request, fixture, methods
+):
+    # The burst outlasts a name's attempts, so the fresh operators' first
+    # reconciles fail too, over statuses the old ones wrote: a failed
+    # attempt keeps the stored observed generation.
+    scenario = request.getfixturevalue(fixture)
+    for width in (4, 5, 6):
+        assert_failures_retried_away(scenario, width, methods, restart=True)
 
 
 def waypoint_mapping(seed, vehicles=24, ticks=300):
@@ -872,6 +885,45 @@ def test_bundled_scripted_snapshots_match_a_diff_of_every_node(name):
 def test_churn_snapshots_match_a_diff_of_every_node():
     # One tick per step: every tick is a window end.
     assert_snapshots_match_a_full_diff(scenario_from_mapping(churn_mapping()))
+
+
+@pytest.mark.parametrize("fixture", ["reference_scenario", "waypoint_scenario"])
+def test_a_refresh_reads_only_the_nodes_changed_since_the_last_one(
+    request, fixture
+):
+    # A node whose topics were read at one refresh is read again only once
+    # a later tick lists it: the stale set empties at every refresh.
+    runner = ScenarioRunner(request.getfixturevalue(fixture))
+    sim = runner.system.sim
+    listed, read, refreshes = {}, [], []
+    real_changed, real_visible = sim.changed_nodes, sim.topics_visible_at
+    real_refresh = runner._refresh_topics
+
+    def changed_nodes():
+        nodes = real_changed()
+        listed.update(dict.fromkeys(nodes))
+        return nodes
+
+    def topics_visible_at(node):
+        read.append(node)
+        return real_visible(node)
+
+    def refresh():
+        read.clear()
+        tails = real_refresh()
+        refreshes.append((list(listed), list(read)))
+        listed.clear()
+        return tails
+
+    sim.changed_nodes, sim.topics_visible_at = changed_nodes, topics_visible_at
+    runner._refresh_topics = refresh
+    runner.run()
+    assert all(reads == nodes for nodes, reads in refreshes)
+    # some refresh lists nodes, and a later one leaves some of them out
+    assert any(
+        set(earlier) - set(later)
+        for (earlier, _), (later, _) in zip(refreshes, refreshes[1:])
+    )
 
 
 def changes_left_unlisted_at_window_ends(scenario):

@@ -148,7 +148,7 @@ def test_lines_keep_their_fixed_format():
     trace.at(3, 7)
     trace.ledger_state("conn-S-E", (), ())
     trace.instance_action("svc-a", "deploy", ["i-0001"], ["E"])
-    trace.instance_action("svc-a", "replace", ["i-0002"], ["E"], replaced=["i-0001"])
+    trace.instance_action("svc-a", "replace", ["i-0002"], ["E"], replaced=("i-0001",))
     trace.error("manager", "request-rejected", "req-1:bad input V0:radar, want a=b")
     assert trace.render() == (
         "LEDGER step=3 tick=7 cr=conn-S-E support= config=\n"
