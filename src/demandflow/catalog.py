@@ -7,8 +7,10 @@ the connections that carry remote source topics to the node where they
 are consumed.  Resolution is a pure function of (template, topology,
 demand); it never inspects what is already deployed.  A part is its
 resource name and its config items; its node(s), the service kind it
-runs and the topics a connection forwards live only in those items.  A
-resolution also lists the nodes it touches.  Every part of an
+runs and the topics a connection forwards live only in those items.  It
+also carries those items split as a fold counts them, and resolutions
+that yield the same part share one object, so each part is split once.
+A resolution also lists the nodes it touches.  Every part of an
 application is placed on the single node holding its template's
 placement role; that node is looked up once, when the template is
 registered, and a template without one is refused there.  Templates are
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .model import (
     CFG_DST,
@@ -44,6 +47,7 @@ from .model import (
     UnknownVersionError,
     source_topic,
 )
+from .store import SplitConfig, split_config
 
 # Selector prefixes understood in PartRule.input_selectors.
 SELECT_DEMAND = "demand"
@@ -139,10 +143,13 @@ class ApplicationTemplate:
             seen_roles.add(rule.role)
 
 
-@dataclass(frozen=True)
-class PartSpec:
+class PartSpec(NamedTuple):
+    """A part: its resource name, its config items and those items split
+    as a fold takes them."""
+
     cr_name: str
     config_items: tuple[ConfigItem, ...]
+    split: SplitConfig
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,8 @@ class Catalog:
         self._placement: dict[tuple[str, str], str] = {}
         # (app_name, version, requesters, inputs) -> its successful resolution
         self._resolved: dict[tuple, ResolvedParts] = {}
+        # (cr_name, config items) -> every part resolved
+        self._parts: dict[tuple[str, tuple[ConfigItem, ...]], PartSpec] = {}
 
     def register_application(self, template: ApplicationTemplate) -> None:
         template.validate()
@@ -262,7 +271,7 @@ class Catalog:
                     items.append(ConfigItem(CFG_OUTPUT_TOPIC, out))
                     outputs_by_role.setdefault(rule.role, []).append(out)
                 services.append(
-                    PartSpec(service_cr_name(app_name, rule.role, source), tuple(items))
+                    self._part(service_cr_name(app_name, rule.role, source), items)
                 )
 
         connections: list[PartSpec] = []
@@ -273,7 +282,7 @@ class Catalog:
                 continue
             nodes.add(src_node)
             connections.append(
-                PartSpec(
+                self._part(
                     connection_cr_name(src_node, placed),
                     (
                         ConfigItem(CFG_SRC, src_node),
@@ -283,3 +292,13 @@ class Catalog:
                 )
             )
         return ResolvedParts(tuple(services), tuple(connections), tuple(sorted(nodes)))
+
+    def _part(self, cr_name: str, items: Iterable[ConfigItem]) -> PartSpec:
+        """The part, one object for every resolution that yields it, so its
+        config is split once."""
+        config = tuple(items)
+        part = self._parts.get((cr_name, config))
+        if part is None:
+            part = PartSpec(cr_name, config, split_config(config))
+            self._parts[cr_name, config] = part
+        return part

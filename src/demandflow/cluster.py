@@ -33,7 +33,6 @@ iteration orders.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
@@ -62,31 +61,54 @@ class InstanceSpec(NamedTuple):
     version: str = ""
 
 
+def _topics(items: Iterable[ConfigItem]) -> tuple[list[str], list[str], str | None]:
+    """The input and forward topics among config items, in order, and the
+    first output topic; one pass."""
+    inputs, forwards, output = [], [], None
+    for kind, value in items:
+        if kind == CFG_INPUT_TOPIC:
+            inputs.append(value)
+        elif kind == CFG_FORWARD_TOPIC:
+            forwards.append(value)
+        elif kind == CFG_OUTPUT_TOPIC and output is None:
+            output = value
+    return inputs, forwards, output
+
+
 @dataclass
 class ServiceInstance:
+    """One running unit.  Its input, output and forward topics are parsed
+    from `config` at deploy.  A reconfigure to a config that extends the
+    running one parses only the appended items; any other config is
+    parsed whole."""
+
     instance_id: str
     cr_name: str
     service_kind: ServiceKind
     node_id: str
     config: tuple[ConfigItem, ...]
     version: str
-    # Topics parsed from `config` at deploy and on every reconfigure.
     input_topics: tuple[str, ...] = field(init=False, repr=False, compare=False)
     output_topic: str | None = field(init=False, repr=False, compare=False)
     forward_topics: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._parse_topics()
+        inputs, forwards, self.output_topic = _topics(self.config)
+        self.input_topics, self.forward_topics = tuple(inputs), frozenset(forwards)
 
-    def _parse_topics(self) -> None:
-        """Group the values by kind in one pass; the first output wins."""
-        topics: defaultdict[str, list[str]] = defaultdict(list)
-        for kind, value in self.config:
-            topics[kind].append(value)
-        outputs = topics[CFG_OUTPUT_TOPIC]
-        self.input_topics = tuple(topics[CFG_INPUT_TOPIC])
-        self.output_topic = outputs[0] if outputs else None
-        self.forward_topics = frozenset(topics[CFG_FORWARD_TOPIC])
+    def reconfigure(self, config: tuple[ConfigItem, ...]) -> None:
+        """Swap the config in place."""
+        running, self.config = self.config, config
+        if config[: len(running)] != running:
+            self.__post_init__()  # parsed whole, as at deploy
+            return
+        inputs, forwards, output = _topics(config[len(running):])
+        if inputs:
+            self.input_topics += tuple(inputs)
+        if forwards:
+            self.forward_topics = self.forward_topics.union(forwards)
+        if self.output_topic is None:
+            self.output_topic = output
 
 
 class TickReport(NamedTuple):
@@ -190,8 +212,7 @@ class ClusterSim:
         """Swap the config in place; the instance keeps its id."""
         instance = self._require_running(instance_id)
         self._patch(instance, -1)
-        instance.config = config
-        instance._parse_topics()
+        instance.reconfigure(config)
         self._patch(instance, 1)
 
     def terminate_instance(self, instance_id: str) -> None:

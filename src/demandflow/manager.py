@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, NamedTuple
 from .catalog import Catalog, PartSpec
 from .model import (
     AccessDeniedError,
-    ConfigItem,
     DeltaAction,
     MalformedRequestError,
     NothingRunningError,
@@ -30,7 +29,14 @@ from .model import (
     ResourceKind,
     TOPIC_KINDS,
 )
-from .store import DemandLedger, ResourceStore, apply_demand
+from .store import (
+    NO_CONFIG,
+    DemandLedger,
+    ResourceStore,
+    SplitConfig,
+    fold_demand,
+    multiplicities,
+)
 
 log = logging.getLogger(__name__)
 
@@ -112,11 +118,11 @@ class AppManager:
             # Connections are shared plumbing without an application
             # version of their own, so their specs carry none.
             writes = [
-                (ResourceKind.MANAGED_SERVICE, p.cr_name, p.config_items, version)
+                (ResourceKind.MANAGED_SERVICE, p.cr_name, p.split, version)
                 for p in services
             ]
             writes += [
-                (ResourceKind.MANAGED_CONNECTION, p.cr_name, p.config_items, "")
+                (ResourceKind.MANAGED_CONNECTION, p.cr_name, p.split, "")
                 for p in connections
             ]
             result = self._write(
@@ -135,20 +141,21 @@ class AppManager:
         write_id: str,
         action: DeltaAction,
         requesters: tuple[str, ...],
-        writes: list[tuple[ResourceKind, str, tuple[ConfigItem, ...], str]],
+        writes: list[tuple[ResourceKind, str, SplitConfig, str]],
     ) -> RequestResult:
-        """Fold one change per (kind, name, config items, version) write.
+        """Fold one change per (kind, name, split config, version) write.
 
-        Every fold happens before the first store write, so a release
-        that underflows any ledger raises and writes nothing.
+        The requesters are counted once for every write.  Every fold
+        happens before the first store write, so a release that
+        underflows any ledger raises and writes nothing.
         """
+        sign = 1 if action is DeltaAction.REQUEST else -1
+        counts = multiplicities(requesters)
         folded: dict[tuple[ResourceKind, str], DemandLedger] = {}
-        for kind, name, config_items, app_version in writes:
+        for kind, name, config, app_version in writes:
             key = (kind, name)
             ledger = folded.get(key) or self._store.get_spec(kind, name)
-            folded[key] = apply_demand(
-                ledger, action, requesters, config_items, app_version
-            )
+            folded[key] = fold_demand(ledger, sign, counts, config, app_version)
         applied = tuple(
             (kind, name, self._store.apply_cr(kind, name, ledger))
             for (kind, name), ledger in folded.items()
@@ -205,7 +212,8 @@ class AppManager:
             upgrade_id,
             DeltaAction.REQUEST,
             (),
-            [(ResourceKind.MANAGED_SERVICE, name, (), new_version) for name in live],
+            [(ResourceKind.MANAGED_SERVICE, name, NO_CONFIG, new_version)
+             for name in live],
         )
         self._active_version[app_name] = new_version
         log.info("upgraded %s to %s across %d services",

@@ -100,7 +100,8 @@ class Operator:
     """The reconcile loop of one resource kind.
 
     A watch of the store queues the name of every written or deleted
-    resource, and one name is processed at a time.  Reconciling is
+    resource, once until it is popped, and one name is processed at a
+    time.  Reconciling is
     level-triggered: read the store's current spec, decide, execute
     against the cluster, then publish status and a ledger trace record.
     The stored status is the only record of progress: a name whose
@@ -134,8 +135,8 @@ class Operator:
         self._names = store.watch(kind)
         # A resource deleted while no operator ran left its units running
         # under a name no watch lists: queue such names of this kind too.
-        self._names.extend(
-            name for name in sim.owners() if store.find(kind, name) is None
+        self._names.update(
+            (name, None) for name in sim.owners() if store.find(kind, name) is None
             and kind is UNIT_OWNERS.get(
                 sim.get_instance(sim.owned(name)[0]).service_kind,
                 ResourceKind.MANAGED_SERVICE,
@@ -156,12 +157,21 @@ class Operator:
         return len(self._names)
 
     def run_pending(self) -> int:
-        """One pass: the names the last pass parked, then every queued name."""
+        """One pass: the names the last pass parked, then every queued name.
+
+        A name leaves the queue before its reconcile, so a write during it,
+        such as its own delete, queues it again.
+        """
         names, parked, self._parked = self._names, self._parked, {}
-        names.extendleft(reversed(parked))
+        if parked:  # first, and once each
+            queued = {**parked, **names}
+            names.clear()
+            names.update(queued)
         processed = 0
         while names:
-            self.reconcile(names.popleft())
+            name = next(iter(names))
+            del names[name]
+            self.reconcile(name)
             processed += 1
         return processed
 
@@ -228,9 +238,7 @@ class Operator:
             name,
             ResourceStatus(Phase.RUNNING, ledger.support, record.units, generation),
         )
-        self._trace.ledger_state(
-            name, ledger.support, [f"{k}:{v}" for k, v in ledger.effective_config]
-        )
+        self._trace.ledger_state(name, ledger.support, (ledger.rendered,))
 
     # -- cluster side ------------------------------------------------------
 

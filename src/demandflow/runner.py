@@ -17,8 +17,9 @@ refresh after every tick and write the tails of the nodes whose topics
 changed.
 A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
-it.  A run ends with one more drain, so a name parked in the last tick
-is still retried.
+it.  A redelivered copy that the manager answers from its cache repeats
+the first copy's lines, rendered once.  A run ends with one more drain,
+so a name parked in the last tick is still retried.
 """
 
 from __future__ import annotations
@@ -94,29 +95,45 @@ def drain(system: System) -> None:
 
 
 def deliver(system: System, request: DeploymentRequest, copies: int = 1) -> None:
-    """Hand a request to the manager, possibly more than once."""
-    action = request.action.value
+    """Hand a request to the manager, possibly more than once.
+
+    Each copy traces a REQUEST record and its result's records.  A copy
+    the manager answers with the very result it gave the first, from its
+    cache, appends the first copy's lines again instead of rendering them.
+    """
+    trace, action = system.trace, request.action.value
+    first = None
     for _ in range(copies):
-        system.trace.request(
+        result = system.manager.handle_request(request)
+        if result is first:
+            trace.repeat(written)
+            continue
+        first = result
+        trace.request(
             request.request_id,
             action,
             request.app_name,
             request.requesters,
             request.inputs,
         )
-        result = system.manager.handle_request(request)
-        _trace_result(system.trace, result, action, "request-rejected")
+        written = 1 + _trace_result(trace, result, action, "request-rejected")
+
+
+# What a CR record names each resource kind by.
+KIND_NAMES = {kind: kind.value for kind in ResourceKind}
 
 
 def _trace_result(
     trace: Trace, result: RequestResult, action: str, rejected: str
-) -> None:
-    """One CR record per write of an accepted result, else one ERROR."""
+) -> int:
+    """One CR record per write of an accepted result, else one ERROR;
+    returns how many records that is."""
     if result.accepted:
         for kind, name, generation in result.applied_crs:
-            trace.cr_applied(kind.value, name, generation, action)
-    else:
-        trace.error("manager", rejected, f"{result.request_id}:{result.reason}")
+            trace.cr_applied(KIND_NAMES[kind], name, generation, action)
+        return len(result.applied_crs)
+    trace.error("manager", rejected, f"{result.request_id}:{result.reason}")
+    return 1
 
 
 def publish_source_data(system: System) -> None:

@@ -4,10 +4,14 @@ The store is the only shared state between the request side (app manager)
 and the reconcile side (operators).  The spec of a custom resource is its
 desired state: the whole demand ledger, a counted multiset of requesters
 and one of countable config items.  The manager folds each change into
-the current ledger, which derives its support and config at the fold,
-and writes the result; an operator reads the current spec and
-reconciles the cluster towards it.  Every write bumps the resource's
-generation, so a status can say which spec it observed.
+the current ledger and writes the result; an operator reads the current
+spec and reconciles the cluster towards it.  A change is counted once
+(`multiplicities`, `split_config`) and folded into every ledger it
+touches, and a fold costs the change: a ledger derives its support,
+config and rendered `LEDGER` config text at the fold, keeps the last
+ledger's config and text when no counted key comes or goes, and extends
+them when keys only come.  Every write bumps the resource's generation,
+so a status can say which spec it observed.
 A life of a name runs from its creation to its delete: a delete drops
 the status too, and a re-create starts at generation 1 with an empty
 status, so a status counts generations of its own life only.  The
@@ -18,14 +22,14 @@ benchmark.
 Mutations are plain method calls on one object and execute serially,
 which is what makes apply/get/delete trivially linearizable here.
 Redelivered requests are answered by the app manager's request-id cache
-and never reach the store.  A watch is a plain deque of the names of
+and never reach the store.  A watch is a plain queue of the names of
 changed resources that the subscriber pops from and reads back, as a
-controller-runtime request carries only a name.
+controller-runtime request carries only a name; a name waits in it once
+until popped, as in a client-go workqueue.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, TypeVar
 
@@ -41,6 +45,9 @@ from .model import (
     StaleStatusError,
 )
 
+# A watch: the names of changed resources, each once, in the order first queued.
+Watch = dict[str, None]
+
 # Config item kinds subject to reference counting; everything else is
 # adopted once from the first request and kept as base config.
 COUNTED_CONFIG_KINDS = frozenset({CFG_INPUT_TOPIC, CFG_FORWARD_TOPIC})
@@ -50,10 +57,11 @@ class DemandLedger(NamedTuple):
     """Accumulated demand for one custom resource: its spec.
 
     Key order is first-demand order, which keeps rendered support lists
-    stable.  `apply_demand` derives `support` and `effective_config` (base
-    config, then counted items) once.  `DemandLedger()` is the empty
-    ledger; every empty ledger shares its `{}` defaults, which is safe as
-    no ledger's dicts are mutated: `_fold` copies before it counts.
+    stable.  The fold derives `support`, `effective_config` (base config,
+    then counted items) and `rendered`, the `LEDGER` config text, once per
+    ledger.  `DemandLedger()` is the empty ledger; every empty ledger
+    shares its `{}` defaults, which is safe as no ledger's dicts are
+    mutated: `_fold` copies before it counts.
     """
 
     requester_counts: dict[str, int] = {}
@@ -62,6 +70,7 @@ class DemandLedger(NamedTuple):
     version: str = ""
     support: tuple[str, ...] = ()
     effective_config: tuple[ConfigItem, ...] = ()
+    rendered: str = ""
 
     def is_empty(self) -> bool:
         return not self.requester_counts
@@ -70,30 +79,94 @@ class DemandLedger(NamedTuple):
 K = TypeVar("K")
 
 
-def _fold(counts: dict[K, int], keys: Iterable[K], sign: int) -> dict[K, int]:
-    """Add `sign` times each key's multiplicity in `keys` to `counts`.
+def multiplicities(keys: Iterable[K]) -> dict[K, int]:
+    """How often each key occurs, in order of first appearance."""
+    counts: dict[K, int] = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+# A change's config as the fold takes it: the multiplicity of each counted
+# item, and the base items.
+SplitConfig = tuple[dict[ConfigItem, int], tuple[ConfigItem, ...]]
+NO_CONFIG: SplitConfig = ({}, ())
+
+
+def split_config(items: tuple[ConfigItem, ...]) -> SplitConfig:
+    counted = multiplicities(i for i in items if i.kind in COUNTED_CONFIG_KINDS)
+    return counted, tuple(i for i in items if i.kind not in COUNTED_CONFIG_KINDS)
+
+
+def _fold(
+    counts: dict[K, int], changes: dict[K, int], sign: int
+) -> tuple[dict[K, int], list[K] | None]:
+    """Add `sign` times each key's multiplicity in `changes` to `counts`.
 
     Returns the new counts (keys in first-demand order, zero counts
-    dropped).  Raises ReleaseUnderflowError naming the first key, in order
-    of first appearance in `keys`, whose count would fall below zero.
+    dropped) and the keys it added, in order, or None if it dropped one.
+    Raises ReleaseUnderflowError naming the first key of `changes` whose
+    count would fall below zero.
     """
-    changes: dict[K, int] = {}
-    for key in keys:
-        changes[key] = changes.get(key, 0) + sign
+    if not changes:
+        return counts, []
     folded = dict(counts)
+    added: list[K] | None = []
     for key, change in changes.items():
-        left = folded.get(key, 0) + change
-        if left < 0:
+        had = folded.get(key, 0)
+        left = had + sign * change
+        if left > 0:
+            folded[key] = left
+            if not had and added is not None:
+                added.append(key)
+        elif not left:
+            del folded[key]
+            added = None
+        else:
             what = (
                 f"config {key.render()}" if isinstance(key, ConfigItem)
                 else f"requester {key}"
             )
             raise ReleaseUnderflowError(f"release of unknown {what}")
-        if left:
-            folded[key] = left
-        else:
-            del folded[key]
-    return folded
+    return folded, added
+
+
+def _render(items: Iterable[ConfigItem]) -> str:
+    return ",".join([f"{kind}:{value}" for kind, value in items])
+
+
+def fold_demand(
+    ledger: DemandLedger,
+    sign: int,
+    requesters: dict[str, int],
+    config: SplitConfig = NO_CONFIG,
+    version: str = "",
+) -> DemandLedger:
+    """`apply_demand` for a change counted once: `sign` 1 requests, -1
+    releases, and the requesters' `multiplicities`.  A fold that adds or
+    drops no counted key keeps the ledger's `effective_config` and
+    `rendered` objects, and one that only adds keys extends them.
+    """
+    counted, base = config
+    counts, _ = _fold(ledger.requester_counts, requesters, sign)
+    config_counts, added = _fold(ledger.config_counts, counted, sign)
+    kept_base, kept_version = ledger.base_config, ledger.version
+    effective, rendered = ledger.effective_config, ledger.rendered
+    if sign > 0:
+        kept_version = version or kept_version
+        if base and not kept_base:
+            kept_base, added = base, None
+    if added is None:
+        effective = kept_base + tuple(config_counts)
+        rendered = _render(effective)
+    elif added:
+        effective += tuple(added)
+        tail = _render(added)
+        rendered = f"{rendered},{tail}" if rendered else tail
+    return DemandLedger(
+        counts, config_counts, kept_base, kept_version, tuple(counts),
+        effective, rendered,
+    )
 
 
 def apply_demand(
@@ -111,17 +184,9 @@ def apply_demand(
     config items (a rolling upgrade) touches nothing but the version.
     """
     sign = 1 if action is DeltaAction.REQUEST else -1
-    counts = _fold(ledger.requester_counts, requesters, sign)
-    counted = [i for i in config_items if i.kind in COUNTED_CONFIG_KINDS]
-    config = _fold(ledger.config_counts, counted, sign)
-    base, kept_version = ledger.base_config, ledger.version
-    if sign > 0:
-        base = base or tuple(
-            i for i in config_items if i.kind not in COUNTED_CONFIG_KINDS
-        )
-        kept_version = version or kept_version
-    effective = base + tuple(config)
-    return DemandLedger(counts, config, base, kept_version, tuple(counts), effective)
+    return fold_demand(
+        ledger, sign, multiplicities(requesters), split_config(config_items), version
+    )
 
 
 class ResourceStatus(NamedTuple):
@@ -153,7 +218,7 @@ class ResourceStore:
         self._records: dict[ResourceKind, dict[str, _Record]] = {
             kind: {} for kind in ResourceKind
         }
-        self._watchers: dict[ResourceKind, list[deque[str]]] = {
+        self._watchers: dict[ResourceKind, list[Watch]] = {
             kind: [] for kind in ResourceKind
         }
         # The name of every real mutation, in order; the names a late
@@ -221,19 +286,21 @@ class ResourceStore:
 
     # -- watching ----------------------------------------------------------
 
-    def watch(self, kind: ResourceKind) -> deque[str]:
-        """Subscribe to changes of one kind; the store appends names, you pop.
+    def watch(self, kind: ResourceKind) -> Watch:
+        """Subscribe to changes of one kind; the store queues names, you pop.
 
-        The queue is primed with the name of every existing resource, in
-        creation order, so a late subscriber catches up before live
-        changes resume.
+        A name is queued once until it is popped, as a client-go
+        workqueue keeps a key: a write to a queued name leaves it where
+        it is.  The queue is primed with the name of every existing
+        resource, in creation order, so a late subscriber catches up
+        before live changes resume.
         """
-        queue = deque(self._records[kind])
+        queue: Watch = dict.fromkeys(self._records[kind])
         self._watchers[kind].append(queue)
         return queue
 
-    def unwatch(self, kind: ResourceKind, queue: deque[str]) -> None:
-        """End the watch that returned `queue`, by identity: deques compare equal."""
+    def unwatch(self, kind: ResourceKind, queue: Watch) -> None:
+        """End the watch that returned `queue`, by identity: queues compare equal."""
         self._watchers[kind] = [q for q in self._watchers[kind] if q is not queue]
 
     # -- internals ---------------------------------------------------------
@@ -247,4 +314,4 @@ class ResourceStore:
     def _emit(self, kind: ResourceKind, name: str) -> None:
         self.event_log.append(name)
         for queue in self._watchers[kind]:
-            queue.append(name)
+            queue[name] = None

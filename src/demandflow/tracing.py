@@ -118,6 +118,8 @@ class Trace:
     def ledger_state(
         self, cr_name: str, support: Iterable[str], config: Iterable[str]
     ) -> None:
+        """`config` parts are joined with commas, so text rendered once,
+        as a ledger's, passes as the one part."""
         self._lines.append(
             f"{TAG_LEDGER} {self._at} cr={cr_name} support={','.join(support)} "
             f"config={','.join(config)}"
@@ -142,6 +144,11 @@ class Trace:
         self._lines.append(
             f"{TAG_ERROR} {self._at} source={source} kind={kind} detail={detail}"
         )
+
+    def repeat(self, count: int) -> None:
+        """Append the last `count` lines again, as they are."""
+        lines = self._lines
+        lines.extend(lines[len(lines) - count:])
 
     # -- output ------------------------------------------------------------
 

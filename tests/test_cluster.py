@@ -495,6 +495,27 @@ def test_parse_topics_twin_matches_config_values(first, second, kind):
     assert_topics_match_config_values(sim.get_instance(instance_id))
 
 
+@given(
+    first=config_items,
+    steps=st.lists(st.tuples(st.booleans(), config_items), max_size=8),
+    kind=st.sampled_from(ServiceKind),
+)
+def test_delta_parse_against_a_fresh_parse_twin(first, steps, kind):
+    """After any sequence of reconfigures, each one appending items to the
+    running config or replacing it, an instance's topics are those of a
+    fresh parse of its config."""
+    sim = sim_with("E")
+    instance_id = sim.deploy_instance(InstanceSpec("x", kind, "E", tuple(first)))
+    instance = sim.get_instance(instance_id)
+    for extend, items in steps:
+        config = instance.config + tuple(items) if extend else tuple(items)
+        sim.reconfigure_instance(instance_id, config)
+        fresh = ServiceInstance("i-fresh", "x", kind, "E", config, "")
+        for topics in ("input_topics", "output_topic", "forward_topics"):
+            assert getattr(instance, topics) == getattr(fresh, topics)
+        assert_topics_match_config_values(instance)
+
+
 def test_parse_topics_twin_cases():
     config = (
         ConfigItem(CFG_OUTPUT_TOPIC, "/first"),

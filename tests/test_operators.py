@@ -425,18 +425,51 @@ def test_emptied_support_terminates_and_deletes(rig):
 
 def test_batched_events_apply_every_generation_once(rig):
     store, sim, trace, service_op, _ = rig
-    # three writes queue the name three times before the operator runs at
-    # all; the first reconciles the latest spec and the other two find
-    # that generation observed
+    # three writes before the operator runs at all queue the name once,
+    # and its one reconcile reads the latest spec
     write_demand(store, SVC, "svc-x", config=svc_config())
     write_demand(store, SVC, "svc-x", requesters=("V1", "S"))
     write_demand(store, SVC, "svc-x", requesters=("V0", "S"))
-    assert service_op.pending() == 3
-    assert service_op.run_pending() == 3
+    assert service_op.pending() == 1
+    assert service_op.run_pending() == 1
     assert len(instances_of(sim, "svc-x")) == 1
     status = store.get_cr(SVC, "svc-x").status
     assert (status.support, status.observed_generation) == (("V0", "S", "V1"), 3)
     assert [r.tag for r in trace.records] == ["ACTION", "LEDGER"]
+
+
+def test_a_shutdown_queues_its_name_again_and_the_pass_runs_it(rig):
+    store, sim, trace, service_op, _ = rig
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    service_op.run_pending()
+    write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE)
+    assert service_op.pending() == 1
+    # the name leaves the queue before its reconcile, so the shutdown's
+    # delete queues it again, and the same pass finds nothing left of it
+    assert service_op.run_pending() == 2
+    assert service_op.pending() == 0
+    assert not store.exists(SVC, "svc-x") and not sim.owned("svc-x")
+    assert [r.tag for r in trace.records] == ["ACTION", "LEDGER"] * 2
+
+
+def test_a_support_only_change_keeps_the_running_config(rig):
+    store, sim, trace, service_op, _ = rig
+    write_demand(store, SVC, "svc-x", config=svc_config((in_topic("/V0/ego"),)))
+    service_op.run_pending()
+    (instance,) = instances_of(sim, "svc-x")
+    # a new requester of the same topic adds no counted key: the fold
+    # keeps the config object the instance runs, so nothing is compared
+    write_demand(
+        store, SVC, "svc-x", requesters=("V1",), config=(in_topic("/V0/ego"),)
+    )
+    spec = store.get_spec(SVC, "svc-x")
+    assert spec.effective_config is instance.config
+    assert decide(spec, instance) is DecisionAction.NOOP
+    service_op.run_pending()
+    assert [r.tag for r in trace.records] == ["ACTION", "LEDGER", "LEDGER"]
+    ledger = trace.records[-1]
+    assert (ledger.get("support"), ledger.get("config")) == ("V0,S,V1", spec.rendered)
+    assert spec.rendered == ",".join(item.render() for item in instance.config)
 
 
 def test_late_operator_replays_history(rig):
@@ -1049,10 +1082,11 @@ def test_a_failed_retry_after_a_recreate_still_reconciles_the_new_life(rig):
     store.delete_cr(SVC, "svc-x")
     service_op.run_pending()
     # the name is parked when the new life is created, so the next pass
-    # runs it first, and the new life's first deploy fails once
+    # runs it first, and only there, and the new life's first deploy
+    # fails once
     write_demand(store, SVC, "svc-x", config=svc_config(), version="v2")
     failing(sim, "deploy_instance", {1})
-    assert service_op.run_pending() == 2
+    assert service_op.run_pending() == 1
     assert service_op.pending() == 0
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
     assert errors == ["reconcile-failed"]  # the deleted life's give-up only

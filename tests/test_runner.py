@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import demandflow.runner as runner_module
 from demandflow.cli import bundled_scenario_path
-from demandflow.manager import AccessDomainPolicy
-from demandflow.model import DeltaAction, OrchestrationError
+from demandflow.manager import AccessDomainPolicy, DeploymentRequest, RequestResult
+from demandflow.model import DeltaAction, OrchestrationError, ResourceKind
 from demandflow.operators import Operator
 from demandflow.runner import (
     ScenarioRunner,
@@ -34,6 +34,7 @@ from demandflow.tracing import (
     TAG_ERROR,
     TAG_LEDGER,
     TAG_REQUEST,
+    Trace,
 )
 
 
@@ -483,6 +484,59 @@ def test_scripted_and_waypoint_runs_share_the_tick_body(reference_scenario):
     assert all(
         "/V1/ego" in (r.get("topics") or "") for r in topics_records
     )
+
+
+def independent_render(position, request_id, action, app, requesters, inputs, result):
+    """The lines one copy traces, rendered by a fresh trace."""
+    trace = Trace()
+    trace.at(*position)
+    trace.request(request_id, action, app, requesters, inputs)
+    if result.accepted:
+        for kind, name, generation in result.applied_crs:
+            trace.cr_applied(kind.value, name, generation, action)
+    else:
+        rejected = "upgrade-rejected" if action == "upgrade" else "request-rejected"
+        trace.error("manager", rejected, f"{request_id}:{result.reason}")
+    return trace.lines()
+
+
+def test_a_redelivered_copy_traces_what_an_independent_render_does(upgrade_scenario):
+    runner = ScenarioRunner(upgrade_scenario)
+    system, trace = runner.system, runner.trace
+    app = "object-detection-fusion"
+    enter = DeploymentRequest(
+        "r-1", DeltaAction.REQUEST, app, ("V0", "S"),
+        (("V0", "ego"), ("V0", "pointcloud"), ("S", "pointcloud")),
+    )
+    # a release of demand nobody holds is rejected on its first copy
+    release = DeploymentRequest(
+        "r-2", DeltaAction.RELEASE, app, ("V1",), (("V1", "ego"),)
+    )
+    want = []
+    for position, request, copies in (((1, 1), enter, 2), ((2, 4), release, 3)):
+        trace.at(*position)
+        runner_module.deliver(system, request, copies=copies)
+        result = system.manager.handle_request(request)  # the cached one
+        want += copies * independent_render(
+            position, request.request_id, request.action.value, request.app_name,
+            request.requesters, request.inputs, result,
+        )
+        assert trace.lines() == want
+    # five CR lines follow each accepted copy; each rejected one, an ERROR
+    tags = [line.split(" ", 1)[0] for line in want]
+    assert tags[:7] == ["REQUEST", *["CR"] * 5, "REQUEST"]
+    assert "release of unknown requester V1" in want[-1]
+    # an upgrade is traced once, as an independent render gives it
+    trace.at(3, 7)
+    runner._apply_upgrade(app, "v2")
+    upgraded = independent_render(
+        (3, 7), "upgrade-001", "upgrade", app, (), (),
+        RequestResult("upgrade-001", True, tuple(
+            (ResourceKind.MANAGED_SERVICE, name, 2)
+            for name in system.store.list_crs(ResourceKind.MANAGED_SERVICE)
+        )),
+    )
+    assert len(upgraded) == 4 and trace.lines() == want + upgraded
 
 
 # Digests of make_scale_scenario(30) rendered before the data plane was

@@ -15,10 +15,14 @@ from demandflow.model import (
     StaleStatusError,
 )
 from demandflow.store import (
+    COUNTED_CONFIG_KINDS,
     DemandLedger,
     ResourceStatus,
     ResourceStore,
     apply_demand,
+    fold_demand,
+    multiplicities,
+    split_config,
 )
 
 SVC = ResourceKind.MANAGED_SERVICE
@@ -145,6 +149,127 @@ def test_a_ledger_derives_support_and_config_at_every_fold(changes):
         )
 
 
+def recompute(ledger, action, requesters, items, version):
+    """The fold done from scratch: every count copied and every key
+    walked, and the support, effective config and rendered text derived
+    anew from the counts."""
+    sign = 1 if action is DeltaAction.REQUEST else -1
+
+    def fold(counts, keys):
+        folded = dict(counts)
+        for key in dict.fromkeys(keys):
+            left = folded.get(key, 0) + sign * keys.count(key)
+            if left < 0:
+                what = (
+                    f"config {key.render()}" if isinstance(key, ConfigItem)
+                    else f"requester {key}"
+                )
+                raise ReleaseUnderflowError(f"release of unknown {what}")
+            folded[key] = left
+        return {key: count for key, count in folded.items() if count}
+
+    counted = [i for i in items if i.kind in COUNTED_CONFIG_KINDS]
+    requester_counts = fold(ledger.requester_counts, list(requesters))
+    config_counts = fold(ledger.config_counts, counted)
+    base = ledger.base_config
+    if sign > 0 and not base:
+        base = tuple(i for i in items if i.kind not in COUNTED_CONFIG_KINDS)
+    effective = base + tuple(config_counts)
+    return DemandLedger(
+        requester_counts,
+        config_counts,
+        base,
+        version if sign > 0 and version else ledger.version,
+        tuple(requester_counts),
+        effective,
+        ",".join(f"{k}:{v}" for k, v in effective),
+    )
+
+
+TWIN_POOL = CONFIG_POOL + [
+    ConfigItem("forward-topic", "/c"),
+    ConfigItem("input-topic", "/c"),
+    ConfigItem("output-topic", "/o"),
+]
+TWIN_CHANGE = st.tuples(
+    st.sampled_from([DeltaAction.REQUEST, DeltaAction.REQUEST, DeltaAction.RELEASE]),
+    st.lists(st.sampled_from("ABCD"), max_size=4),
+    st.lists(st.sampled_from(TWIN_POOL), max_size=6),
+    st.sampled_from(["", "v1", "v2"]),
+)
+
+
+@given(st.lists(st.one_of(TWIN_CHANGE, UPGRADE), max_size=16))
+def test_fold_against_a_full_recompute_twin(changes):
+    """Repeated requesters and items, underflowing releases and upgrades:
+    the same ledger, or the same error and the ledger left as it was."""
+    ledger = DemandLedger()
+    for action, requesters, items, version in changes:
+        args = (ledger, action, tuple(requesters), tuple(items), version)
+        try:
+            want = recompute(*args)
+        except ReleaseUnderflowError as exc:
+            with pytest.raises(ReleaseUnderflowError) as raised:
+                apply_demand(*args)
+            assert str(raised.value) == str(exc)
+            continue
+        folded = apply_demand(*args)
+        assert folded == want
+        assert list(folded.requester_counts) == list(want.requester_counts)
+        assert list(folded.config_counts) == list(want.config_counts)
+        ledger = folded
+
+
+@given(st.lists(st.one_of(TWIN_CHANGE, UPGRADE), max_size=16))
+def test_rendered_config_kept_extended_or_rebuilt_twin(changes):
+    """The `LEDGER` text always renders the effective config; a fold that
+    adds or drops no counted key keeps both objects, and one that only
+    adds keys appends to them."""
+    ledger = DemandLedger()
+    for action, requesters, items, version in changes:
+        try:
+            folded = apply_demand(
+                ledger, action, tuple(requesters), tuple(items), version
+            )
+        except ReleaseUnderflowError:
+            continue
+        effective = folded.effective_config
+        assert folded.rendered == ",".join(f"{k}:{v}" for k, v in effective)
+        if folded.base_config is ledger.base_config:
+            before, after = set(ledger.config_counts), set(folded.config_counts)
+            if before == after:
+                assert effective is ledger.effective_config
+                assert folded.rendered is ledger.rendered
+            elif before < after:
+                assert effective[: len(ledger.effective_config)] == (
+                    ledger.effective_config
+                )
+        ledger = folded
+
+
+def test_fold_counts_a_change_once_for_every_resource():
+    # the multiplicities and the split a request hands to each fold
+    items = (
+        ConfigItem("node", "E"),
+        ConfigItem("input-topic", "/a"),
+        ConfigItem("input-topic", "/a"),
+        ConfigItem("forward-topic", "/b"),
+    )
+    counted, base = split_config(items)
+    assert counted == {items[1]: 2, items[3]: 1}
+    assert base == (items[0],)
+    assert multiplicities(("A", "B", "A")) == {"A": 2, "B": 1}
+    ledger = fold_demand(DemandLedger(), 1, {"A": 2}, (counted, base), "v1")
+    assert ledger == apply_demand(
+        DemandLedger(), DeltaAction.REQUEST, ("A", "A"), items, "v1"
+    )
+    # a release of more than is held names the first key that underflows
+    with pytest.raises(ReleaseUnderflowError, match="requester B"):
+        fold_demand(ledger, -1, {"A": 1, "B": 1})
+    with pytest.raises(ReleaseUnderflowError, match="config input-topic:/a"):
+        fold_demand(ledger, -1, {}, ({items[1]: 3, items[3]: 2}, ()))
+
+
 def test_the_empty_ledger_is_what_a_missing_resource_wants(store):
     empty = DemandLedger()
     assert store.get_spec(SVC, "ghost") == empty
@@ -161,6 +286,7 @@ def test_the_empty_ledger_is_what_a_missing_resource_wants(store):
         "version",
         "support",
         "effective_config",
+        "rendered",
     ],
 )
 def test_a_ledger_is_read_only(field):
@@ -195,7 +321,8 @@ def test_a_read_resource_is_read_only(store, field):
 def test_status_updates_emit_no_events(store):
     store.apply_cr(SVC, "x", spec())
     watcher = store.watch(SVC)
-    assert watcher.popleft() == "x"  # the name the watch is primed with
+    assert list(watcher) == ["x"]  # the name the watch is primed with
+    watcher.clear()
     store.update_status(
         SVC, "x", ResourceStatus(phase=Phase.RUNNING, observed_generation=1)
     )
@@ -214,11 +341,13 @@ def test_status_observed_generation_cannot_regress(store):
 def test_watch_sees_live_changes_in_order(store):
     watcher = store.watch(SVC)
     store.apply_cr(SVC, "x", spec())
+    store.apply_cr(SVC, "y", spec())
     store.apply_cr(SVC, "x", spec())
+    # a create and an update queue a name once, where it was first queued
+    assert list(watcher) == ["x", "y"]
+    del watcher["x"]  # popped: a delete queues it again, last
     store.delete_cr(SVC, "x")
-    # a create, an update and a delete each queue the name
-    assert [watcher.popleft() for _ in range(3)] == ["x", "x", "x"]
-    assert not watcher
+    assert list(watcher) == ["y", "x"]
 
 
 def test_late_watcher_gets_one_snapshot_event_per_resource(store):
@@ -235,7 +364,7 @@ def test_late_watcher_gets_one_snapshot_event_per_resource(store):
 
 def test_unwatch_ends_that_watch_only(store):
     first, second = store.watch(SVC), store.watch(SVC)
-    assert first == second  # equal deques, two watches
+    assert first == second  # equal queues, two watches
     store.unwatch(SVC, second)
     store.apply_cr(SVC, "x", spec())
     assert (list(first), list(second)) == (["x"], [])
@@ -289,9 +418,9 @@ def test_per_name_generations_are_gap_free(seed, store):
             del last[key]
 
     _, ops = _random_ops(seed, store, check)
-    # each watch queued the name of every op on its kind, in order
+    # each watch queued each name of an op on its kind once, in order
     for kind, watcher in watchers.items():
-        assert list(watcher) == [name for k, name in ops if k == kind]
+        assert list(watcher) == list(dict.fromkeys(n for k, n in ops if k == kind))
 
 
 @pytest.mark.parametrize("seed", range(20))
