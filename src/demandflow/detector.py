@@ -10,6 +10,8 @@ mirrors the content of the corresponding request by construction.
 Only vehicles whose pose changed are evaluated again, which skips no
 transition: once evaluated at pose p, a vehicle inside has d(p) <= d_stop
 and one outside has d(p) > d_start, so neither can change sides at p.
+A pose costs one set lookup of the vehicle ids, and an evaluation reads
+the rule once and sorts the moved vehicles only when there are several.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ class GeofenceRule:
         if self.d_start <= 0:
             raise ValueError("d_start must be positive")
 
-    def distance(self, position: tuple[float, float]) -> float:
-        return math.dist(self.center, position)
-
 
 class EventDetector:
     def __init__(self, rule: GeofenceRule, topology: Topology):
@@ -65,6 +64,9 @@ class EventDetector:
         topology.single_node_with_role(EntityRole.EDGE)  # exactly one
         self._rule = rule
         self._topology = topology
+        self._vehicles = frozenset(
+            e.entity_id for e in topology.with_role(EntityRole.CV)
+        )
         self._poses: dict[str, tuple[float, float]] = {}
         self._inside: dict[str, bool] = {}
         self._moved: set[str] = set()  # pose changed since the last evaluate
@@ -74,8 +76,8 @@ class EventDetector:
         self, entity_id: str, position: tuple[float, float]
     ) -> None:
         """Record the latest pose of a vehicle (last writer wins)."""
-        entity = self._topology.get(entity_id)
-        if entity.role is not EntityRole.CV:
+        if entity_id not in self._vehicles:
+            entity = self._topology.get(entity_id)  # raises if unknown
             raise UnknownEntityError(
                 f"{entity_id} is a {entity.role.value}, only vehicles have poses"
             )
@@ -94,15 +96,19 @@ class EventDetector:
         """
         requests: list[DeploymentRequest] = []
         moved, self._moved = self._moved, set()
-        for entity_id in sorted(moved):
-            distance = self._rule.distance(self._poses[entity_id])
-            inside = self._inside.get(entity_id, False)
-            if not inside and distance <= self._rule.d_start:
-                self._inside[entity_id] = True
+        if len(moved) > 1:
+            moved = sorted(moved)
+        rule, poses, inside_of = self._rule, self._poses, self._inside
+        center, d_start, d_stop = rule.center, rule.d_start, rule.d_stop
+        for entity_id in moved:
+            distance = math.dist(center, poses[entity_id])
+            inside = inside_of.get(entity_id, False)
+            if not inside and distance <= d_start:
+                inside_of[entity_id] = True
                 log.debug("%s entered at d=%.1f (tick %d)", entity_id, distance, tick)
                 requests.append(self._build(entity_id, DeltaAction.REQUEST, tick))
-            elif inside and distance > self._rule.d_stop:
-                self._inside[entity_id] = False
+            elif inside and distance > d_stop:
+                inside_of[entity_id] = False
                 log.debug("%s left at d=%.1f (tick %d)", entity_id, distance, tick)
                 requests.append(self._build(entity_id, DeltaAction.RELEASE, tick))
         return requests

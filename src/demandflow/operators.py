@@ -9,8 +9,9 @@ only shutdown signal.  The resource's stored status records how far it
 got, so a restarted operator carries on where the last one stopped.  A
 failed attempt is retried at once; after MAX_ATTEMPTS failures the name
 is parked until the next pass, so a failure delays convergence and never
-drops demand.  What runs under a name is read from the cluster:
-adopted, or ended as a stray or orphan.
+drops demand.  A new record adopts the units its stored status lists;
+whatever else runs under a name, read from the cluster, ends as a stray
+or, with no resource left, as an orphan's.
 """
 
 from __future__ import annotations
@@ -117,9 +118,10 @@ class Operator:
     Each resource has one `_Resource` record of its units, dropped on
     shutdown or delete.  They are the `UNITS` row of its kind, started
     together by `_deploy_units`; a new record, as after a restart,
-    adopts the newest set running under its name.  A new
-    operator also queues each name of its kind that runs units but has no
-    resource, deleted while no operator ran, so those units shut down.
+    adopts the units its stored status lists.  A new operator also
+    queues each name of its kind that runs units but has no resource,
+    deleted while no operator ran; only such an orphan adopts the newest
+    set running under its name, and shuts it down.
     Each attempt first ends the strays, what else runs there, untraced.
     A replace or teardown traces its `ACTION` before it terminates, even
     if that fails, and a retry then ends only the old units still running.
@@ -204,9 +206,13 @@ class Operator:
         record = self._resources.get(name)
         stored = self._store.find(self.kind, name)
         if record is None:
-            if stored is None and not self._sim.owned(name):
+            if stored is not None:  # the units its last status listed
+                units = stored[2].instance_ids
+            elif self._sim.owned(name):  # an orphan: what runs under it
+                units = self._adopt(name)
+            else:
                 return  # deleted, and nothing of it is left to end
-            record = self._resources[name] = _Resource(units=self._adopt(name))
+            record = self._resources[name] = _Resource(units=units)
         if stored is None:
             ledger = DemandLedger()  # deleted: the empty spec shuts it down
         else:

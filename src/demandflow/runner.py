@@ -14,7 +14,9 @@ ticks, refresh at each window's end and write every node's tail from the
 cache in one batch; waypoint timelines sample every vehicle on the first
 tick, then each only on a leg between waypoints at different places,
 refresh after every tick and write the tails of the nodes whose topics
-changed.
+changed.  A table built at the start lists each tick's moving vehicles
+with their leg's two waypoints, so such a pose is one `along` call, no
+scan of the route.
 A request and an upgrade are traced alike: a REQUEST record, then one CR
 record per resource written, or one ERROR record if the manager rejected
 it.  A redelivered copy that the manager answers from its cache repeats
@@ -32,7 +34,7 @@ from .detector import EventDetector
 from .manager import AppManager, AccessDomainPolicy, DeploymentRequest, RequestResult
 from .model import ResourceKind, Topology, source_topic
 from .operators import Operator
-from .scenario import MODE_SCRIPTED, Scenario, interpolate
+from .scenario import MODE_SCRIPTED, Scenario, along, interpolate
 from .store import ResourceStore
 from .tracing import Trace, topics_tail
 
@@ -215,21 +217,27 @@ class ScenarioRunner:
 
     def _run_waypoints(self) -> None:
         # After tick 1 a pose moves only on a leg between two waypoints at
-        # different places; elsewhere it equals the last one observed.
+        # different places; elsewhere it equals the last one observed.  Each
+        # tick of such a leg gets its own (vehicle, a, b) entry.
         budget = self.scenario.tick_budget
         waypoints = self.scenario.timeline.waypoints
-        moving: dict[int, list] = {1: list(waypoints.items())}
+        moving: dict[int, list] = {}
         for vehicle_id, route in waypoints.items():
             for a, b in zip(route, route[1:]):
                 if (a.x, a.y) != (b.x, b.y):
                     for tick in range(max(a.tick + 1, 2), min(b.tick, budget) + 1):
-                        moving.setdefault(tick, []).append((vehicle_id, route))
+                        moving.setdefault(tick, []).append((vehicle_id, a, b))
+        # Looked up once, after any wrapping of the detector's methods.
         detector = self.system.detector
+        observe_pose, evaluate = detector.observe_pose, detector.evaluate
+        if budget:  # tick 1 samples every vehicle, wherever it is
+            for vehicle_id, route in waypoints.items():
+                observe_pose(vehicle_id, interpolate(route, 1))
         step = 0
         for tick in range(1, budget + 1):
-            for vehicle_id, route in moving.pop(tick, ()):
-                detector.observe_pose(vehicle_id, interpolate(route, tick))
-            requests = detector.evaluate(tick)
+            for vehicle_id, a, b in moving.pop(tick, ()):
+                observe_pose(vehicle_id, along(a, b, tick))
+            requests = evaluate(tick)
             if requests:
                 step += 1
             self.trace.at(step, tick)

@@ -93,12 +93,21 @@ def interpolate(waypoints: tuple[Waypoint, ...], tick: int) -> tuple[float, floa
     if tick <= waypoints[0].tick:
         return waypoints[0].x, waypoints[0].y
     for a, b in zip(waypoints, waypoints[1:]):
-        if tick == b.tick:
-            return b.x, b.y
-        if tick < b.tick:
-            f = (tick - a.tick) / (b.tick - a.tick)
-            return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
+        if tick <= b.tick:
+            return along(a, b, tick)
     return waypoints[-1].x, waypoints[-1].y
+
+
+def along(a: Waypoint, b: Waypoint, tick: int) -> tuple[float, float]:
+    """Pose at `tick` on the leg from `a` to `b`, for a.tick < tick <= b.tick.
+
+    On `b`'s own tick the pose is `b`, exactly: `a` plus the whole leg can
+    differ from it in the last bit.
+    """
+    if tick == b.tick:
+        return b.x, b.y
+    f = (tick - a.tick) / (b.tick - a.tick)
+    return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
 
 
 # --------------------------------------------------------------------------

@@ -156,7 +156,9 @@ class Trace:
         return list(self._lines)
 
     def render(self) -> str:
-        return "\n".join(self._lines) + "\n" if self._lines else ""
+        # The trailing "" ends a text with a newline, and an empty one with
+        # nothing, without copying the text.
+        return "\n".join([*self._lines, ""])
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.render(), encoding="utf-8")

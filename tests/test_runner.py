@@ -157,14 +157,16 @@ def test_upgrade_run_replaces_and_then_reconfigures_new_instances(
 CLUSTER_CALLS = ("deploy_instance", "terminate_instance", "reconfigure_instance")
 
 
-def run_failing(scenario, failing, methods=CLUSTER_CALLS, restart=False):
+def run_failing(
+    scenario, failing, methods=CLUSTER_CALLS, restart=False, duplicate_delivery=False
+):
     """Run `scenario` with the listed calls of the cluster's `methods` failing.
 
     The methods count their calls together, from 1.  With `restart`, the
     operators restart before the first tick after the first failed call.
     Returns the runner and the number of calls made.
     """
-    runner = ScenarioRunner(scenario)
+    runner = ScenarioRunner(scenario, duplicate_delivery=duplicate_delivery)
     sim = runner.system.sim
     calls, failed = 0, False
 
@@ -826,6 +828,38 @@ def test_a_restart_inside_a_longer_fault_burst_is_retried_away(
     scenario = request.getfixturevalue(fixture)
     for width in (4, 5, 6):
         assert_failures_retried_away(scenario, width, methods, restart=True)
+
+
+def unledgered_lines(trace):
+    return [line for line in trace.render().splitlines()
+            if not line.startswith(TAG_LEDGER)]
+
+
+@pytest.mark.parametrize("duplicate_delivery", [False, True])
+@pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
+def test_a_restart_after_a_failed_call_traces_no_action_twice(
+    request, fixture, duplicate_delivery
+):
+    # A given-up teardown traced its terminate and wrote no units into the
+    # stored status; the new record adopts those units, not the ones still
+    # running, so the restart neither repeats the terminate nor changes any
+    # other line.  Only the catch-up's LEDGER lines may differ.
+    scenario = request.getfixturevalue(fixture)
+    for methods in [(method,) for method in CLUSTER_CALLS] + [CLUSTER_CALLS]:
+        _, calls = run_failing(scenario, (), methods)
+        for width in (1, 2, 3):
+            for k in range(1, calls + 1):
+                failing = set(range(k, k + width))
+                plain, restarted = (
+                    run_failing(
+                        scenario, failing, methods, restart, duplicate_delivery
+                    )[0]
+                    for restart in (False, True)
+                )
+                burst = f"{methods} calls {k}..{k + width - 1}"
+                want = unledgered_lines(plain.trace)
+                assert unledgered_lines(restarted.trace) == want, burst
+                assert system_is_empty(restarted.system), burst
 
 
 def waypoint_mapping(seed, vehicles=24, ticks=300):

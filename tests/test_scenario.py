@@ -2,9 +2,11 @@
 
 import copy
 import math
+import struct
 
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from demandflow.cli import bundled_scenario_path
 from demandflow.manager import DeploymentRequest
@@ -16,6 +18,7 @@ from demandflow.model import (
 )
 from demandflow.scenario import (
     Waypoint,
+    along,
     interpolate,
     load_request_file,
     load_scenario,
@@ -459,6 +462,52 @@ def test_interpolate_returns_each_waypoint_exactly_on_its_tick():
     assert math.dist((0.0, 0.0), (end.x, end.y)) == 150.0
     assert interpolate((start, end), 10) == (end.x, end.y)
     assert interpolate((start, end, Waypoint(20, 0.0, 0.0)), 10) == (end.x, end.y)
+
+
+def inline_pose(route, tick):
+    """The pose formula as it stood inline in `interpolate`, one scan."""
+    if tick <= route[0].tick:
+        return route[0].x, route[0].y
+    for a, b in zip(route, route[1:]):
+        if tick == b.tick:
+            return b.x, b.y
+        if tick < b.tick:
+            f = (tick - a.tick) / (b.tick - a.tick)
+            return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
+    return route[-1].x, route[-1].y
+
+
+def bits(pose):
+    return struct.pack("<2d", *pose)
+
+
+coordinates = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def routes(draw):
+    """Waypoints at strictly increasing ticks, 1 to 30 apart."""
+    tick, route = draw(st.integers(-50, 50)), []
+    for gap, x, y in draw(st.lists(
+        st.tuples(st.integers(1, 30), coordinates, coordinates),
+        min_size=1, max_size=6,
+    )):
+        route.append(Waypoint(tick, x, y))
+        tick += gap
+    return tuple(route)
+
+
+@given(routes())
+def test_along_interpolate_twin(route):
+    # Every tick of every leg, its end tick included: `along` is the leg
+    # formula `interpolate` ran inline, to the bit, and `interpolate` too.
+    for a, b in zip(route, route[1:]):
+        for tick in range(a.tick + 1, b.tick + 1):
+            want = bits(inline_pose(route, tick))
+            assert bits(along(a, b, tick)) == want
+            assert bits(interpolate(route, tick)) == want
+    for tick in (route[0].tick - 1, route[0].tick, route[-1].tick + 1):
+        assert bits(interpolate(route, tick)) == bits(inline_pose(route, tick))
 
 
 def test_scale_scenario_shape():

@@ -142,6 +142,17 @@ def test_every_record_reads_back_through_the_view(script):
     assert trace.render() == "".join(line + "\n" for line in trace.lines())
 
 
+def test_render_is_the_joined_lines_each_ended():
+    trace = Trace()
+    assert trace.render() == ""
+    for tick in range(1, 4):
+        trace.at(1, tick)
+        trace.topics([topics_tail("E", ("/V0/ego",) * tick)])
+        trace.repeat(1)
+    assert len(trace.lines()) == 6
+    assert trace.render() == "\n".join(trace.lines()) + "\n"
+
+
 def test_lines_keep_their_fixed_format():
     trace = Trace()
     assert trace.render() == ""
