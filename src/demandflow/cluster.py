@@ -26,6 +26,10 @@ of the arriving counts, and only the senders a tick rebuilt, or whose
 routes a lifecycle call changed, are walked again.  A tick that runs the
 last tick's plan on held sources, after one that changed no arriving
 count, is a fixed point: it touches no bus and returns the last report.
+Each node's visible topics are kept sorted from one read to the next: a
+bus that holds the same arrived mapping and an equal local list gives
+the same tuple, and any other is patched by bisection with the topics
+that came and went.
 Everything is deterministic: no wall clock, no randomness, fixed
 iteration orders.
 """
@@ -33,6 +37,7 @@ iteration orders.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
@@ -170,6 +175,9 @@ class ClusterSim:
         self._stirred: AbstractSet[str] = frozenset()
         self._rebuilt: AbstractSet[str] | None = frozenset()
         self._order: dict[str, int] = {}  # node -> its add_node index
+        # Node -> the bus `topics_visible_at` last read, its visible topics
+        # and those sorted; a node gets one at its first read.
+        self._views: dict[str, tuple[Bus, set[str], tuple[str, ...]]] = {}
         self._iid_seq = 0
 
     # -- nodes -------------------------------------------------------------
@@ -402,12 +410,31 @@ class ClusterSim:
         return sorted(self._rebuilt, key=self._order.__getitem__)
 
     def topics_visible_at(self, node_id: str) -> tuple[str, ...]:
-        """Topics with at least one message on the node during the last tick."""
+        """Topics with at least one message on the node during the last tick,
+        sorted.  The same tuple again while the node's bus holds the same
+        arrived mapping and an equal local list; otherwise the last one
+        patched by bisection with the topics that came and went."""
         bus = self._bus.get(node_id)
         if bus is None:
             raise UnknownNodeError(f"unknown node {node_id!r}")
+        view = self._views.get(node_id)
+        if view is not None:
+            seen, visible, ordered = view
+            if seen is bus or seen[0] is bus[0] and seen[1] == bus[1]:
+                self._views[node_id] = (bus, visible, ordered)
+                return ordered
         arrived, local = bus
         topics = set(local)
         if arrived:
             topics.update(arrived)
-        return tuple(sorted(topics))
+        if view is None:
+            ordered = tuple(sorted(topics))
+        elif topics != visible:
+            patched = list(ordered)
+            for topic in visible - topics:
+                del patched[bisect_left(patched, topic)]
+            for topic in topics - visible:
+                insort(patched, topic)
+            ordered = tuple(patched)
+        self._views[node_id] = (bus, topics, ordered)
+        return ordered

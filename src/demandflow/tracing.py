@@ -2,10 +2,13 @@
 
 Each record constructor writes its record once, as the line it renders
 to, fields in a fixed order separated by single spaces; only the ERROR
-`detail` field, which is last, may hold spaces.  `Trace.records` reads
-the lines back through `_parse`, one record per access.  Golden
-comparison is structural: only ledger-state, instance-action, and
-node-topics records take part, each class diffed independently.
+`detail` field, which is last, may hold spaces.  A trace stores one
+string per record, except that a TOPICS batch is one string of its
+lines joined by newlines; node and topic names hold no newline, so only
+TOPICS-tagged strings are split when the lines are read back.
+`Trace.records` reads them through `_parse`, one record per access.
+Golden comparison is structural: only ledger-state, instance-action,
+and node-topics records take part, each class diffed independently.
 """
 
 from __future__ import annotations
@@ -57,19 +60,24 @@ def _parse(line: str) -> TraceRecord:
 
 
 class TraceRecords(Sequence[TraceRecord]):
-    """Read-only view of a trace's own lines, so later records show up."""
+    """Read-only view of a trace's own lines, so later records show up.
 
-    def __init__(self, lines: list[str]) -> None:
-        self._lines = lines
+    Its length is the trace's line count; an index reads the lines, so
+    iterate to read many records.
+    """
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._lines)
+        trace = self._trace
+        return len(trace._stored) + trace._extra
 
     def __getitem__(self, index: int) -> TraceRecord:
-        return _parse(self._lines[index])
+        return _parse(self._trace.lines()[index])
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return map(_parse, self._lines)
+        return map(_parse, self._trace._iter_lines())
 
 
 def topics_tail(node_id: str, topics: Iterable[str]) -> str:
@@ -85,7 +93,12 @@ class Trace:
     """
 
     def __init__(self) -> None:
-        self._lines: list[str] = []
+        # One string per record, or per TOPICS batch of lines joined by
+        # newlines; how many lines those batches hold beyond one each; and
+        # the index from which every stored string is a single line.
+        self._stored: list[str] = []
+        self._extra = 0
+        self._plain = 0
         self._at = "step=0 tick=0"
 
     def at(self, step: int, tick: int) -> None:
@@ -93,7 +106,7 @@ class Trace:
 
     @property
     def records(self) -> TraceRecords:
-        return TraceRecords(self._lines)
+        return TraceRecords(self)
 
     # -- record constructors ----------------------------------------------
 
@@ -101,7 +114,7 @@ class Trace:
         self, request_id: str, action: str, app_name: str,
         requesters: Iterable[str], inputs: Iterable[tuple[str, str]],
     ) -> None:
-        self._lines.append(
+        self._stored.append(
             f"{TAG_REQUEST} {self._at} id={request_id} action={action} "
             f"app={app_name} requesters={','.join(requesters)} "
             f"inputs={','.join(f'{e}:{k}' for e, k in inputs)}"
@@ -110,7 +123,7 @@ class Trace:
     def cr_applied(
         self, kind: str, name: str, generation: int, action: str
     ) -> None:
-        self._lines.append(
+        self._stored.append(
             f"{TAG_CR} {self._at} kind={kind} name={name} "
             f"generation={generation} action={action}"
         )
@@ -120,7 +133,7 @@ class Trace:
     ) -> None:
         """`config` parts are joined with commas, so text rendered once,
         as a ledger's, passes as the one part."""
-        self._lines.append(
+        self._stored.append(
             f"{TAG_LEDGER} {self._at} cr={cr_name} support={','.join(support)} "
             f"config={','.join(config)}"
         )
@@ -129,39 +142,63 @@ class Trace:
         self, cr_name: str, action: str, instances: Iterable[str],
         nodes: Iterable[str], replaced: tuple[str, ...] = (),
     ) -> None:
-        self._lines.append(
+        self._stored.append(
             f"{TAG_ACTION} {self._at} cr={cr_name} action={action} "
             f"instances={','.join(instances)} nodes={','.join(nodes)}"
             f"{' replaced=' + ','.join(replaced) if replaced else ''}"
         )
 
     def topics(self, tails: Iterable[str]) -> None:
-        """One TOPICS record per `topics_tail`, all at the current position."""
-        prefix = f"{TAG_TOPICS} {self._at} "
-        self._lines.extend([prefix + tail for tail in tails])
+        """One TOPICS record per `topics_tail`, all at the current position,
+        stored as one string: the lines joined by newlines."""
+        tails = list(tails)
+        if tails:
+            prefix = f"{TAG_TOPICS} {self._at} "
+            self._stored.append(prefix + ("\n" + prefix).join(tails))
+            self._extra += len(tails) - 1
+            self._plain = len(self._stored)
 
     def error(self, source: str, kind: str, detail: str) -> None:
-        self._lines.append(
+        self._stored.append(
             f"{TAG_ERROR} {self._at} source={source} kind={kind} detail={detail}"
         )
 
     def repeat(self, count: int) -> None:
-        """Append the last `count` lines again, as they are."""
-        lines = self._lines
-        lines.extend(lines[len(lines) - count:])
+        """Append the last `count` stored records again, as they are; a
+        TOPICS batch is one.  After a deliver these are always single
+        lines, so only a repeat that reaches a batch counts its lines."""
+        stored = self._stored
+        start = len(stored) - count
+        again = stored[start:]
+        if start < self._plain:
+            self._extra += sum(s.count("\n") for s in again if s.startswith(TAG_TOPICS))
+            self._plain = len(stored) + len(again)
+        stored.extend(again)
 
     # -- output ------------------------------------------------------------
 
+    def _iter_lines(self) -> Iterator[str]:
+        for stored in self._stored:
+            if stored.startswith(TAG_TOPICS):
+                yield from stored.split("\n")
+            else:
+                yield stored
+
     def lines(self) -> list[str]:
-        return list(self._lines)
+        return list(self._iter_lines())
 
     def render(self) -> str:
         # The trailing "" ends a text with a newline, and an empty one with
         # nothing, without copying the text.
-        return "\n".join([*self._lines, ""])
+        return "\n".join([*self._stored, ""])
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.render(), encoding="utf-8")
+        """Write what `render()` gives, one stored string at a time, so
+        the whole text is never held at once."""
+        with Path(path).open("w", encoding="utf-8") as out:
+            for stored in self._stored:
+                out.write(stored)
+                out.write("\n")
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from demandflow.tracing import (
     TAG_REQUEST,
     Trace,
 )
+from test_tracing import LineTrace, assert_same_trace
 
 
 def records_with(trace, tag):
@@ -1057,6 +1058,104 @@ def test_changes_inside_a_window_reach_its_snapshot():
     unlisted = changes_left_unlisted_at_window_ends(scenario)
     assert any(tick > 3 for tick, _ in unlisted)
     assert_snapshots_match_a_full_diff(scenario)
+
+
+# -- a scripted snapshot is one stored string ------------------------------
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["collective_perception", "collective_perception_upgrade", "waypoint_drive",
+     "scale-20"],
+)
+def test_a_run_traces_as_its_per_line_twin_and_writes_its_render(name, tmp_path):
+    if name == "scale-20":
+        scenario = make_scale_scenario(20)
+    else:
+        scenario = load_scenario(bundled_scenario_path(name))
+    trace = ScenarioRunner(scenario).run()
+    assert_same_trace(trace, ScenarioRunner(scenario, trace=LineTrace()).run())
+    trace.write(tmp_path / "trace.txt")
+    assert (tmp_path / "trace.txt").read_text(encoding="utf-8") == trace.render()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(waypoint_routes, min_size=1, max_size=5))
+def test_a_fuzzed_waypoint_run_traces_as_its_per_line_twin(vehicle_routes):
+    scenario = fuzz_scenario(vehicle_routes)
+    reference = ScenarioRunner(scenario, trace=LineTrace()).run()
+    assert_same_trace(ScenarioRunner(scenario).run(), reference)
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_a_scripted_snapshot_is_one_stored_string(n):
+    runner = ScenarioRunner(make_scale_scenario(n))
+    trace = runner.trace
+    batch, stored = trace.topics, []
+
+    def topics(tails):
+        before = len(trace._stored)
+        batch(tails)
+        stored.append(len(trace._stored) - before)
+
+    trace.topics = topics
+    runner.run()
+    windows = len(runner.scenario.timeline.events)
+    assert stored == [1] * windows
+    nodes = len(runner.scenario.entities)
+    assert sum(r.tag == "TOPICS" for r in trace.records) == windows * nodes
+
+
+# -- the visible topics are patched, not sorted again -----------------------
+
+
+def check_visible_topics(runner, every_tick):
+    """Check each read of a node's visible topics against a sort of its bus;
+    with `every_tick`, read every node after every tick as well."""
+    sim = runner.system.sim
+    tick, visible_at = sim.tick, sim.topics_visible_at
+    reads = []
+
+    def checked(node):
+        arrived, local = sim._bus[node]
+        visible = visible_at(node)
+        assert visible == tuple(sorted(set(local) | set(arrived)))
+        reads.append(node)
+        return visible
+
+    def checked_tick():
+        report = tick()
+        if every_tick:
+            for node in sim._bus:
+                checked(node)
+        return report
+
+    sim.tick, sim.topics_visible_at = checked_tick, checked
+    runner.run()
+    return reads
+
+
+@pytest.mark.parametrize("every_tick", [False, True])
+@pytest.mark.parametrize("name", ["churn", "collective_perception_upgrade"])
+def test_visible_topics_twin_on_scripted_runs_with_leaves_and_upgrades(
+    name, every_tick
+):
+    if name == "churn":
+        scenario = scenario_from_mapping(churn_mapping())
+    else:
+        scenario = load_scenario(bundled_scenario_path(name))
+    runner = ScenarioRunner(scenario)
+    assert check_visible_topics(runner, every_tick)
+    # topics went as well as came
+    sizes = [len(r.values("topics")) for r in records_with(runner.trace, "TOPICS")
+             if r.get("node") == "E"]
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert any(b > a for a, b in zip(sizes, sizes[1:]))
+
+
+@with_fuzzed_routes
+def test_visible_topics_twin_on_fuzzed_waypoint_runs(vehicle_routes):
+    check_visible_topics(ScenarioRunner(fuzz_scenario(vehicle_routes)), True)
 
 
 @pytest.mark.slow

@@ -212,3 +212,125 @@ def test_records_is_a_read_only_view_of_the_lines():
         records[2]
     with pytest.raises(AttributeError):
         trace.records = []
+
+
+# -- a TOPICS batch stored as one string, against one string per line -------
+
+
+class LineTrace(Trace):
+    """The reference: a TOPICS batch stored as one string per line."""
+
+    def topics(self, tails):
+        prefix = f"{TAG_TOPICS} {self._at} "
+        self._stored.extend([prefix + tail for tail in tails])
+
+
+def assert_same_trace(trace, reference):
+    """Same lines, text, length and records; and the lines are the text's."""
+    lines = reference.lines()
+    assert trace.lines() == lines == trace.render().split("\n")[:-1]
+    assert trace.render() == reference.render()
+    assert len(trace.records) == len(lines) == trace.render().count("\n")
+    assert list(trace.records) == list(reference.records)
+
+
+def twin_calls(script, *traces):
+    """Make each (step, tick, method, args) call on every trace."""
+    for step, tick, method, args in script:
+        for trace in traces:
+            trace.at(step, tick)
+            if method == "topics_generator":
+                trace.topics(tail for tail in args[0])
+            else:
+                getattr(trace, method)(*args)
+
+
+tails = st.builds(topics_tail, tokens, csvs)
+batch_calls = st.one_of(
+    records_to_make.map(lambda made: (made[0], made[1])),
+    st.tuples(st.sampled_from(["topics", "topics_generator"]),
+              st.lists(tails, max_size=4).map(lambda batch: (batch,))),
+    st.tuples(st.just("repeat"), st.integers(0, 3).map(lambda count: (count,))),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), batch_calls)
+        .map(lambda call: (call[0], call[1], *call[2])),
+        max_size=12,
+    )
+)
+def test_a_batch_trace_reads_as_its_per_line_twin(script):
+    trace, reference, alone = Trace(), LineTrace(), Trace()
+    for call in script:
+        method, args = call[2:]
+        # A repeat reaches back no further than the trace goes.
+        if method != "repeat" or args[0] <= len(alone._stored):
+            twin_calls([call], alone)
+        # After a deliver the records repeated are single lines; a batch
+        # of several repeats whole on one side, in part on the other.
+        stored = trace._stored
+        if method == "repeat" and (args[0] > len(stored) or any(
+            "\n" in s for s in stored[len(stored) - args[0]:]
+        )):
+            continue
+        twin_calls([call], trace, reference)
+    assert_same_trace(trace, reference)
+    # repeated whole, a batch still counts all its lines
+    lines = alone.lines()
+    assert lines == alone.render().split("\n")[:-1]
+    assert len(alone.records) == len(lines) == alone.render().count("\n")
+
+
+def test_batch_twin_cases():
+    batch = [topics_tail("A", ["/A/ego"]), topics_tail("E", ["/A/ego", "/E/ego"])]
+    script = [
+        (1, 1, "topics", ([],)),  # an empty batch writes nothing
+        (1, 2, "topics_generator", (batch,)),
+        (1, 3, "error", ("manager", "request-rejected", "r1:no such app")),
+        (1, 3, "repeat", (1,)),
+        (2, 4, "topics", ([topics_tail("V0", [])],)),  # one tail, then repeated
+        (2, 4, "repeat", (1,)),
+        (2, 5, "topics_generator", ([],)),
+    ]
+    trace, reference = Trace(), LineTrace()
+    twin_calls(script, trace, reference)
+    assert_same_trace(trace, reference)
+    assert len(trace.lines()) == 6
+
+
+def test_a_batch_traces_view_is_live_like_its_twins():
+    trace, reference = Trace(), LineTrace()
+    views = trace.records, reference.records
+    batch = [topics_tail(node, [f"/{node}/ego"]) for node in "ABC"]
+    for at, calls in enumerate(([("topics", (batch,))], [("repeat", (0,))],
+                                [("topics", (batch[:1],)), ("repeat", (1,))])):
+        twin_calls([(1, at, method, args) for method, args in calls], trace, reference)
+        assert len(views[0]) == len(views[1])
+        assert list(views[0]) == list(views[1])
+        assert views[0][-1] == views[1][-1] and views[0][0] == views[1][0]
+    assert [r.get("node") for r in views[0]] == ["A", "B", "C", "A", "A"]
+    with pytest.raises(IndexError):
+        views[0][5]
+
+
+def test_a_batch_is_one_stored_string_whatever_its_size():
+    for size in (1, 10, 1000):
+        trace = Trace()
+        trace.topics(topics_tail(f"N{i}", ["/t"]) for i in range(size))
+        assert len(trace._stored) == 1
+        assert len(trace.records) == size
+        trace.repeat(1)
+        assert len(trace.records) == 2 * size == trace.render().count("\n")
+
+
+def test_write_streams_what_render_gives(tmp_path):
+    trace = Trace()
+    path = tmp_path / "trace.txt"
+    trace.write(path)
+    assert path.read_bytes() == b""
+    trace.topics([topics_tail("E", ["/V0/ego"]), topics_tail("V0", [])])
+    trace.error("manager", "request-rejected", "r1:bad input, want a=b")
+    trace.write(path)
+    assert path.read_text(encoding="utf-8") == trace.render()
