@@ -8,24 +8,27 @@ are consumed.  Resolution is a pure function of (template, topology,
 demand); it never inspects what is already deployed.  A part is its
 resource name and its config items; its node(s), the service kind it
 runs and the topics a connection forwards live only in those items.  It
-also carries those items split as a fold counts them, and resolutions
-that yield the same part share one object, so each part is split once.
-A resolution also lists the nodes it touches.  Every part of an
-application is placed on the single node holding its template's
+also carries those items split as a fold counts them, built as the part
+is composed.  A resolution also lists the nodes it touches.  Every part
+of an application is placed on the single node holding its template's
 placement role; that node is looked up once, when the template is
-registered, and a template without one is refused there.  Templates are
-registered once and the topology is immutable, so `Catalog.resolve`
-memoizes successful results per (application, version, requesters,
-inputs), at most one per distinct demand and version: for
-detector-built requests, one per vehicle and version.  A call that
-raises stores nothing and raises again when repeated.
+registered, and a template without one is refused there.
+Registration also compiles each rule once: its node and service-kind
+items, its parsed selectors and its output item.  Templates are
+registered once and the topology is immutable, so the item of each
+(entity, topic kind) input, the part of each (per-source rule, source)
+pair and each connection part are prepared the first time a demand
+needs them and shared by every later resolution that yields them.  A
+resolution composes those with its singleton parts, which depend on the
+whole demand.  The catalog keeps no per-demand memo: the app manager
+keeps the writes of each demand it validated.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .model import (
     CFG_DST,
@@ -47,7 +50,7 @@ from .model import (
     UnknownVersionError,
     source_topic,
 )
-from .store import SplitConfig, split_config
+from .store import SplitConfig, multiplicities
 
 # Selector prefixes understood in PartRule.input_selectors.
 SELECT_DEMAND = "demand"
@@ -152,12 +155,31 @@ class PartSpec(NamedTuple):
     split: SplitConfig
 
 
-@dataclass(frozen=True)
-class ResolvedParts:
+class ResolvedParts(NamedTuple):
     services: tuple[PartSpec, ...]
     connections: tuple[PartSpec, ...]
     # The placement node plus every source node off it, sorted.
     nodes: tuple[str, ...]
+
+
+class _Rule(NamedTuple):
+    """A part rule compiled once for its application and placement node."""
+
+    role: str
+    # The node and service-kind items every part of the rule starts with.
+    head: tuple[ConfigItem, ...]
+    # A per-source rule: its source kind, its output topic pattern and,
+    # per source prepared so far, its part and its output as input items.
+    source_kind: str | None
+    output: str
+    sourced: dict[str, tuple[PartSpec, tuple[ConfigItem, ...]]]
+    # A singleton rule: its resource name, its selectors as (selects the
+    # demand, topic kind or rule role), the output-topic item after its
+    # input topics and its output as input items.
+    cr_name: str
+    selectors: tuple[tuple[bool, str], ...]
+    tail: tuple[ConfigItem, ...]
+    outputs: tuple[ConfigItem, ...]
 
 
 class Catalog:
@@ -165,13 +187,19 @@ class Catalog:
 
     def __init__(self, topology: Topology):
         self._topology = topology
+        # entity -> its node, for every entity a demand has named so far
+        self._node_of: dict[str, str] = {}
         self._templates: dict[tuple[str, str], ApplicationTemplate] = {}
-        # (app_name, version) -> the node every part of it is placed on
-        self._placement: dict[tuple[str, str], str] = {}
-        # (app_name, version, requesters, inputs) -> its successful resolution
-        self._resolved: dict[tuple, ResolvedParts] = {}
-        # (cr_name, config items) -> every part resolved
-        self._parts: dict[tuple[str, tuple[ConfigItem, ...]], PartSpec] = {}
+        self._first_version: dict[str, str] = {}
+        # (app_name, version) -> its placement node and compiled rules
+        self._plans: dict[tuple[str, str], tuple[str, tuple[_Rule, ...]]] = {}
+        # (app_name, placement node, rule) -> the rule compiled, shared by
+        # the versions that hold an equal rule
+        self._rules: dict[tuple[str, str, PartRule], _Rule] = {}
+        # (entity, topic kind) -> the input-topic item of that input
+        self._inputs: dict[tuple[str, str], ConfigItem] = {}
+        # (placement node, source entity, its topic kinds...) -> the part
+        self._connections: dict[tuple[str, ...], PartSpec] = {}
 
     def register_application(self, template: ApplicationTemplate) -> None:
         template.validate()
@@ -180,19 +208,22 @@ class Catalog:
             raise AlreadyRegisteredError(
                 f"{template.app_name} {template.version} declared twice"
             )
-        role = template.placement_role
-        self._placement[key] = self._topology.single_node_with_role(role)
+        placed = self._topology.single_node_with_role(template.placement_role)
+        self._plans[key] = placed, tuple(
+            self._compile(template.app_name, placed, rule) for rule in template.parts
+        )
         self._templates[key] = template
+        self._first_version.setdefault(template.app_name, template.version)
 
     def versions(self, app_name: str) -> tuple[str, ...]:
         """Registered versions of an application, in registration order."""
         return tuple(v for name, v in self._templates if name == app_name)
 
     def first_version(self, app_name: str) -> str:
-        versions = self.versions(app_name)
-        if not versions:
+        version = self._first_version.get(app_name)
+        if version is None:
             raise UnknownApplicationError(f"unknown application {app_name!r}")
-        return versions[0]
+        return version
 
     def template(self, app_name: str, version: str) -> ApplicationTemplate:
         template = self._templates.get((app_name, version))
@@ -210,95 +241,135 @@ class Catalog:
         requesters: tuple[str, ...],
         inputs: tuple[tuple[str, str], ...],
     ) -> ResolvedParts:
-        """The parts one application version needs for a demand, memoized.
+        """The parts one application version needs for a demand.
 
         `requesters` are the entities asking; `inputs` are the (entity,
         topic kind) pairs they bring, in an order kept all the way into
         the rendered config items.
         """
-        key = (app_name, version, requesters, inputs)
-        parts = self._resolved.get(key)
-        if parts is None:
-            parts = self._resolved[key] = self._resolve(*key)
-        return parts
-
-    def _resolve(
-        self,
-        app_name: str,
-        version: str,
-        requesters: tuple[str, ...],
-        inputs: tuple[tuple[str, str], ...],
-    ) -> ResolvedParts:
-        template = self.template(app_name, version)
-        for entity_id in (*requesters, *(e for e, _ in inputs)):
-            self._topology.get(entity_id)  # raises UnknownEntityError
-        # The demanded source topics in input order, by kind and by entity.
-        by_kind: dict[str, list[str]] = {}
+        plan = self._plans.get((app_name, version))
+        if plan is None:
+            self.template(app_name, version)  # raises
+        node_of = self._node_of
+        for entity_id in requesters:
+            if entity_id not in node_of:
+                # raises UnknownEntityError
+                node_of[entity_id] = self._topology.node_of(entity_id)
+        # The demanded input-topic items in input order, by kind, and the
+        # kinds each entity brings.
+        prepared = self._inputs
+        by_kind: dict[str, list[ConfigItem]] = {}
         by_entity: dict[str, list[str]] = {}
-        for entity_id, kind in inputs:
-            topic = source_topic(entity_id, kind)
-            by_kind.setdefault(kind, []).append(topic)
-            by_entity.setdefault(entity_id, []).append(topic)
-        # Every part lands on one node; every demanded source topic must
-        # be made available there.
-        placed = self._placement[(app_name, version)]
+        for key in inputs:
+            item = prepared.get(key) or self._input(inputs, key)
+            entity_id, kind = key
+            by_kind.setdefault(kind, []).append(item)
+            by_entity.setdefault(entity_id, []).append(kind)
+        placed, rules = plan
 
         services: list[PartSpec] = []
-        outputs_by_role: dict[str, list[str]] = {}
-        for rule in template.parts:
-            selected: list[str] = []
-            for selector in rule.input_selectors:
-                prefix, _, arg = selector.partition(":")
-                if prefix == SELECT_DEMAND:
-                    selected.extend(by_kind.get(arg, ()))
-                else:
-                    selected.extend(outputs_by_role.get(arg, ()))
-            # A rule without a source kind yields one part, for source None.
-            kind = rule.per_source_kind
-            sources = sorted({e for e, k in inputs if k == kind}) if kind else [None]
-            for source in sources:
-                items = [
-                    ConfigItem(CFG_NODE, placed),
-                    ConfigItem(CFG_SERVICE_KIND, rule.service_kind.value),
-                ]
-                topics = selected
-                if source is not None:
-                    items.append(ConfigItem(CFG_SOURCE, source))
-                    topics = [source_topic(source, kind)]
-                items.extend(ConfigItem(CFG_INPUT_TOPIC, t) for t in topics)
-                out = (rule.output_topic or "").format(source=source or "")
-                if out:
-                    items.append(ConfigItem(CFG_OUTPUT_TOPIC, out))
-                    outputs_by_role.setdefault(rule.role, []).append(out)
-                services.append(
-                    self._part(service_cr_name(app_name, rule.role, source), items)
-                )
-
-        connections: list[PartSpec] = []
-        nodes = {placed}
-        for source, topics in sorted(by_entity.items()):
-            src_node = self._topology.node_of(source)
-            if src_node == placed:
+        outputs: dict[str, Sequence[ConfigItem]] = {}
+        for rule in rules:
+            kind = rule.source_kind
+            if kind is None:
+                selected: list[ConfigItem] = []
+                for from_demand, arg in rule.selectors:
+                    selected += (by_kind if from_demand else outputs).get(arg, ())
+                services.append(PartSpec(
+                    rule.cr_name,
+                    (*rule.head, *selected, *rule.tail),
+                    (multiplicities(selected), rule.head + rule.tail),
+                ))
+                outputs[rule.role] = rule.outputs
                 continue
-            nodes.add(src_node)
-            connections.append(
-                self._part(
-                    connection_cr_name(src_node, placed),
-                    (
-                        ConfigItem(CFG_SRC, src_node),
-                        ConfigItem(CFG_DST, placed),
-                        *(ConfigItem(CFG_FORWARD_TOPIC, t) for t in topics),
-                    ),
+            made: list[ConfigItem] = []
+            for source in sorted({e for e, k in inputs if k == kind}):
+                part, out = rule.sourced.get(source) or self._sourced(
+                    app_name, rule, source
                 )
-            )
-        return ResolvedParts(tuple(services), tuple(connections), tuple(sorted(nodes)))
+                services.append(part)
+                made += out
+            outputs[rule.role] = made
 
-    def _part(self, cr_name: str, items: Iterable[ConfigItem]) -> PartSpec:
-        """The part, one object for every resolution that yields it, so its
-        config is split once."""
-        config = tuple(items)
-        part = self._parts.get((cr_name, config))
-        if part is None:
-            part = PartSpec(cr_name, config, split_config(config))
-            self._parts[cr_name, config] = part
+        # Every demanded source topic off the placement node is carried
+        # there, one connection per source entity.
+        connections: list[PartSpec] = []
+        nodes = [placed]
+        for entity_id in sorted(by_entity):
+            node = node_of[entity_id]
+            if node != placed:
+                kinds = by_entity[entity_id]
+                connections.append(
+                    self._connections.get((placed, entity_id, *kinds))
+                    or self._connection(placed, entity_id, kinds)
+                )
+                nodes.append(node)
+        nodes.sort()
+        return ResolvedParts(tuple(services), tuple(connections), tuple(nodes))
+
+    def _compile(self, app_name: str, placed: str, rule: PartRule) -> _Rule:
+        key = (app_name, placed, rule)
+        compiled = self._rules.get(key)
+        if compiled is None:
+            head = (
+                ConfigItem(CFG_NODE, placed),
+                ConfigItem(CFG_SERVICE_KIND, rule.service_kind.value),
+            )
+            # A rule without a source kind yields one part, for source "".
+            output = rule.output_topic or ""
+            out = output.format(source="")
+            tail = (ConfigItem(CFG_OUTPUT_TOPIC, out),) if out else ()
+            selectors = tuple(
+                (prefix == SELECT_DEMAND, arg)
+                for prefix, _, arg in (s.partition(":") for s in rule.input_selectors)
+            )
+            compiled = self._rules[key] = _Rule(
+                rule.role, head, rule.per_source_kind, output, {},
+                service_cr_name(app_name, rule.role), selectors, tail,
+                tuple(ConfigItem(CFG_INPUT_TOPIC, out) for _ in tail),
+            )
+        return compiled
+
+    def _input(
+        self, inputs: tuple[tuple[str, str], ...], key: tuple[str, str]
+    ) -> ConfigItem:
+        """Prepare an input's item on its first use.  Every input entity
+        is looked up first, so an unknown one is reported before a bad
+        kind, and the connections can read its node."""
+        for entity_id, _ in inputs:
+            # raises UnknownEntityError
+            self._node_of[entity_id] = self._topology.node_of(entity_id)
+        item = self._inputs[key] = ConfigItem(CFG_INPUT_TOPIC, source_topic(*key))
+        return item
+
+    def _sourced(
+        self, app_name: str, rule: _Rule, source: str
+    ) -> tuple[PartSpec, tuple[ConfigItem, ...]]:
+        """Prepare the part a per-source rule yields for one source."""
+        topic = self._inputs[source, rule.source_kind]
+        out = rule.output.format(source=source)
+        tail = (ConfigItem(CFG_OUTPUT_TOPIC, out),) if out else ()
+        base = (*rule.head, ConfigItem(CFG_SOURCE, source))
+        part = PartSpec(
+            service_cr_name(app_name, rule.role, source),
+            (*base, topic, *tail),
+            ({topic: 1}, base + tail),
+        )
+        made = rule.sourced[source] = (
+            part, tuple(ConfigItem(CFG_INPUT_TOPIC, out) for _ in tail)
+        )
+        return made
+
+    def _connection(self, placed: str, entity_id: str, kinds: list[str]) -> PartSpec:
+        """Prepare the connection carrying an entity's demanded topics."""
+        src = self._node_of[entity_id]
+        base = (ConfigItem(CFG_SRC, src), ConfigItem(CFG_DST, placed))
+        forwarded = [
+            ConfigItem(CFG_FORWARD_TOPIC, source_topic(entity_id, k)) for k in kinds
+        ]
+        part = self._connections[(placed, entity_id, *kinds)] = PartSpec(
+            connection_cr_name(src, placed),
+            (*base, *forwarded),
+            (multiplicities(forwarded), base),
+        )
         return part

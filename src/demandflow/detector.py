@@ -118,20 +118,20 @@ class EventDetector:
     ) -> DeploymentRequest:
         self._request_seq += 1
         vehicle = self._topology.get(vehicle_id)
-        risu = self._topology.get(self._rule.risu_id)
+        risu_id = self._rule.risu_id  # checked at construction
 
         # The vehicle brings every source topic it is capable of; the
         # infrastructure unit is part of every demand at its zone.
         inputs: list[tuple[str, str]] = [(vehicle_id, TOPIC_KIND_EGO)]
         if vehicle.provides(TOPIC_KIND_POINTCLOUD):
             inputs.append((vehicle_id, TOPIC_KIND_POINTCLOUD))
-        inputs.append((risu.entity_id, TOPIC_KIND_POINTCLOUD))
+        inputs.append((risu_id, TOPIC_KIND_POINTCLOUD))
 
         return DeploymentRequest(
             request_id=f"req-{self._request_seq:04d}",
             action=action,
             app_name=self._rule.app_name,
-            requesters=(vehicle_id, risu.entity_id),
+            requesters=(vehicle_id, risu_id),
             inputs=tuple(inputs),
             issued_at=tick,
         )

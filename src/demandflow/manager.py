@@ -9,9 +9,14 @@ written, so a release that names more demand than some ledger holds
 rejects the whole request and leaves the store untouched.  Its result
 cache keyed by request id is the one idempotency layer: a redelivered
 request id gets the first result back and never reaches the store
-again.  Beyond that cache it holds only the per-application active
-version (flipped by upgrades) and the owning application of each service
-resource (so an upgrade touches only its own).
+again.  It keeps the writes of each demand it validated, keyed by
+(application, active version, requesters, inputs): templates are
+registered once and the topology and the policy are fixed, so a
+repeated demand (a release, a re-entry) goes straight to the fold.  A
+demand that fails validation stores nothing.  Beyond that it holds only
+the per-application active version (flipped by upgrades) and the owning
+application of each service resource (so an upgrade touches only its
+own).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Mapping, NamedTuple
 
-from .catalog import Catalog, PartSpec
+from .catalog import Catalog
 from .model import (
     AccessDeniedError,
     DeltaAction,
@@ -57,6 +62,17 @@ class RequestResult(NamedTuple):
     reason: str = ""
 
 
+# One change to fold into a resource: (kind, name, split config, version).
+Write = tuple[ResourceKind, str, SplitConfig, str]
+
+
+class _Validated(NamedTuple):
+    """A validated demand: its writes, and the services it owns."""
+
+    writes: tuple[Write, ...]
+    services: tuple[str, ...]
+
+
 class AccessDomainPolicy:
     """Per-node allowlist of application names.
 
@@ -86,6 +102,8 @@ class AppManager:
         self._policy = policy or AccessDomainPolicy()
         self._processed: dict[str, RequestResult] = {}
         self._active_version: dict[str, str] = {}
+        # (application, version, requesters, inputs) -> its validated writes
+        self._validated: dict[tuple, _Validated] = {}
         self._owner: dict[str, str] = {}  # service cr name -> application
         self._upgrade_seq = 0
 
@@ -95,6 +113,7 @@ class AppManager:
         version = self._active_version.get(app_name)
         if version is None:
             version = self._catalog.first_version(app_name)
+            self._active_version[app_name] = version
         return version
 
     # -- request handling --------------------------------------------------
@@ -113,26 +132,23 @@ class AppManager:
                       request.request_id)
             return cached
 
+        app_name = request.app_name
+        key = (
+            app_name,
+            self._active_version.get(app_name),
+            request.requesters,
+            request.inputs,
+        )
         try:
-            version, services, connections = self._validate(request)
-            # Connections are shared plumbing without an application
-            # version of their own, so their specs carry none.
-            writes = [
-                (ResourceKind.MANAGED_SERVICE, p.cr_name, p.split, version)
-                for p in services
-            ]
-            writes += [
-                (ResourceKind.MANAGED_CONNECTION, p.cr_name, p.split, "")
-                for p in connections
-            ]
+            writes, services = self._validated.get(key) or self._validate(request)
             result = self._write(
                 request.request_id, request.action, request.requesters, writes
             )
         except OrchestrationError as exc:
             result = _rejected(request.request_id, exc)
         else:
-            for part in services:
-                self._owner[part.cr_name] = request.app_name
+            for name in services:
+                self._owner[name] = app_name
         self._processed[request.request_id] = result
         return result
 
@@ -141,7 +157,7 @@ class AppManager:
         write_id: str,
         action: DeltaAction,
         requesters: tuple[str, ...],
-        writes: list[tuple[ResourceKind, str, SplitConfig, str]],
+        writes: Iterable[Write],
     ) -> RequestResult:
         """Fold one change per (kind, name, split config, version) write.
 
@@ -162,9 +178,9 @@ class AppManager:
         )
         return RequestResult(write_id, True, applied)
 
-    def _validate(
-        self, request: DeploymentRequest
-    ) -> tuple[str, tuple[PartSpec, ...], tuple[PartSpec, ...]]:
+    def _validate(self, request: DeploymentRequest) -> _Validated:
+        """Check a demand, resolve it at the active version and keep its
+        writes under (application, version, requesters, inputs)."""
         if not request.requesters:
             raise MalformedRequestError("request carries no requesters")
         for entity_id, kind in request.inputs:
@@ -172,16 +188,27 @@ class AppManager:
                 raise MalformedRequestError(
                     f"input {entity_id}:{kind} names an unknown topic kind"
                 )
-        version = self.active_version(request.app_name)
-        resolved = self._catalog.resolve(
-            request.app_name, version, request.requesters, request.inputs
-        )
+        app_name = request.app_name
+        requesters, inputs = request.requesters, request.inputs
+        version = self.active_version(app_name)
+        resolved = self._catalog.resolve(app_name, version, requesters, inputs)
         for node in resolved.nodes:
-            if not self._policy.allows(request.app_name, node):
-                raise AccessDeniedError(
-                    f"{request.app_name} is not allowed on node {node}"
-                )
-        return version, resolved.services, resolved.connections
+            if not self._policy.allows(app_name, node):
+                raise AccessDeniedError(f"{app_name} is not allowed on node {node}")
+        # Connections are shared plumbing without an application version
+        # of their own, so their specs carry none.
+        writes = [
+            (ResourceKind.MANAGED_SERVICE, p.cr_name, p.split, version)
+            for p in resolved.services
+        ]
+        writes += [
+            (ResourceKind.MANAGED_CONNECTION, p.cr_name, p.split, "")
+            for p in resolved.connections
+        ]
+        validated = self._validated[app_name, version, requesters, inputs] = (
+            _Validated(tuple(writes), tuple(p.cr_name for p in resolved.services))
+        )
+        return validated
 
     # -- upgrades ----------------------------------------------------------
 

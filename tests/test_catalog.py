@@ -1,22 +1,37 @@
 """Demand resolution: which parts and connections a request turns into."""
 
+import sys
 from dataclasses import replace
+from typing import Iterable
 
 import pytest
 from hypothesis import given, strategies as st
 
 from demandflow.catalog import (
+    SELECT_DEMAND,
     ApplicationTemplate,
     Catalog,
     PartRule,
+    PartSpec,
+    ResolvedParts,
     connection_cr_name,
     service_cr_name,
 )
 from demandflow.model import (
+    CFG_DST,
+    CFG_FORWARD_TOPIC,
+    CFG_INPUT_TOPIC,
+    CFG_NODE,
+    CFG_OUTPUT_TOPIC,
+    CFG_SERVICE_KIND,
+    CFG_SOURCE,
+    CFG_SRC,
+    TOPIC_KINDS,
     AlreadyRegisteredError,
     ConfigItem,
     Entity,
     EntityRole,
+    OrchestrationError,
     ServiceKind,
     Topology,
     UnknownApplicationError,
@@ -24,7 +39,10 @@ from demandflow.model import (
     UnknownVersionError,
     config_value,
     config_values,
+    source_topic,
 )
+from demandflow.scenario import make_scale_scenario
+from demandflow.store import split_config
 
 APP = "object-detection-fusion"
 
@@ -157,8 +175,8 @@ def test_resolution_is_pure(catalog):
     catalog.resolve(APP, "v1", *ego_demand("V2"))
     second = catalog.resolve(APP, "v1", *lidar_demand())
     assert first == second
-    # a memoized answer must also be the answer of a catalog that never
-    # saw the other demand
+    # an answer composed from parts prepared for other demands must also
+    # be the answer of a catalog that never saw them
     assert second == fresh_catalog().resolve(APP, "v1", *lidar_demand())
 
 
@@ -492,3 +510,250 @@ def test_resolution_nodes_are_the_node_items_of_its_parts(vehicles, lidar, templ
         if item.kind in ("node", "src", "dst")
     }
     assert parts.nodes == tuple(sorted(node_items))
+
+
+class ReferenceCatalog(Catalog):
+    """The resolver that walks every rule for every demand, kept as the
+    reference: nothing is prepared but the parts, which `_part` shares."""
+
+    def __init__(self, topology: Topology):
+        super().__init__(topology)
+        self._placement: dict[tuple[str, str], str] = {}
+        self._parts: dict[tuple[str, tuple[ConfigItem, ...]], PartSpec] = {}
+
+    def register_application(self, template: ApplicationTemplate) -> None:
+        super().register_application(template)
+        self._placement[template.app_name, template.version] = (
+            self._topology.single_node_with_role(template.placement_role)
+        )
+
+    def resolve(self, app_name, version, requesters, inputs) -> ResolvedParts:
+        return self._resolve(app_name, version, requesters, inputs)
+
+    def _resolve(
+        self,
+        app_name: str,
+        version: str,
+        requesters: tuple[str, ...],
+        inputs: tuple[tuple[str, str], ...],
+    ) -> ResolvedParts:
+        template = self.template(app_name, version)
+        for entity_id in (*requesters, *(e for e, _ in inputs)):
+            self._topology.get(entity_id)  # raises UnknownEntityError
+        # The demanded source topics in input order, by kind and by entity.
+        by_kind: dict[str, list[str]] = {}
+        by_entity: dict[str, list[str]] = {}
+        for entity_id, kind in inputs:
+            topic = source_topic(entity_id, kind)
+            by_kind.setdefault(kind, []).append(topic)
+            by_entity.setdefault(entity_id, []).append(topic)
+        # Every part lands on one node; every demanded source topic must
+        # be made available there.
+        placed = self._placement[(app_name, version)]
+
+        services: list[PartSpec] = []
+        outputs_by_role: dict[str, list[str]] = {}
+        for rule in template.parts:
+            selected: list[str] = []
+            for selector in rule.input_selectors:
+                prefix, _, arg = selector.partition(":")
+                if prefix == SELECT_DEMAND:
+                    selected.extend(by_kind.get(arg, ()))
+                else:
+                    selected.extend(outputs_by_role.get(arg, ()))
+            # A rule without a source kind yields one part, for source None.
+            kind = rule.per_source_kind
+            sources = sorted({e for e, k in inputs if k == kind}) if kind else [None]
+            for source in sources:
+                items = [
+                    ConfigItem(CFG_NODE, placed),
+                    ConfigItem(CFG_SERVICE_KIND, rule.service_kind.value),
+                ]
+                topics = selected
+                if source is not None:
+                    items.append(ConfigItem(CFG_SOURCE, source))
+                    topics = [source_topic(source, kind)]
+                items.extend(ConfigItem(CFG_INPUT_TOPIC, t) for t in topics)
+                out = (rule.output_topic or "").format(source=source or "")
+                if out:
+                    items.append(ConfigItem(CFG_OUTPUT_TOPIC, out))
+                    outputs_by_role.setdefault(rule.role, []).append(out)
+                services.append(
+                    self._part(service_cr_name(app_name, rule.role, source), items)
+                )
+
+        connections: list[PartSpec] = []
+        nodes = {placed}
+        for source, topics in sorted(by_entity.items()):
+            src_node = self._topology.node_of(source)
+            if src_node == placed:
+                continue
+            nodes.add(src_node)
+            connections.append(
+                self._part(
+                    connection_cr_name(src_node, placed),
+                    (
+                        ConfigItem(CFG_SRC, src_node),
+                        ConfigItem(CFG_DST, placed),
+                        *(ConfigItem(CFG_FORWARD_TOPIC, t) for t in topics),
+                    ),
+                )
+            )
+        return ResolvedParts(tuple(services), tuple(connections), tuple(sorted(nodes)))
+
+    def _part(self, cr_name: str, items: Iterable[ConfigItem]) -> PartSpec:
+        """The part, one object for every resolution that yields it, so its
+        config is split once."""
+        config = tuple(items)
+        part = self._parts.get((cr_name, config))
+        if part is None:
+            part = PartSpec(cr_name, config, split_config(config))
+            self._parts[cr_name, config] = part
+        return part
+
+
+def outcome(catalog, version, requesters, inputs):
+    """A resolution as (name, items, counted items in order, base items)
+    per part, plus its nodes; or the error it raised, by type and text."""
+    try:
+        parts = catalog.resolve(APP, version, requesters, inputs)
+    except OrchestrationError as exc:
+        return type(exc), str(exc)
+    assert isinstance(parts, ResolvedParts)
+    return [
+        [(p.cr_name, p.config_items, list(p.split[0].items()), p.split[1])
+         for p in group]
+        for group in (parts.services, parts.connections)
+    ], parts.nodes
+
+
+def twin_template(draw, version):
+    """A per-source rule, a singleton that selects by demand and by
+    outputs, and sometimes a second singleton fed by the first, all on
+    the edge or all on the cloud node."""
+    placement = draw(st.sampled_from([EntityRole.EDGE, EntityRole.CLOUD]))
+    per_source = PartRule(
+        "objdet",
+        ServiceKind.OBJECT_DETECTION,
+        placement,
+        per_source_kind=draw(st.sampled_from(TOPIC_KINDS)),
+        output_topic=draw(st.sampled_from(
+            [None, "/detections/{source}/objects", "/detections/all"]
+        )),
+    )
+    selectors = draw(st.lists(
+        st.sampled_from(["demand:ego", "demand:pointcloud", "outputs:objdet"]),
+        max_size=3,
+    ))
+    fusion = PartRule(
+        "fusion",
+        ServiceKind.OBJECT_FUSION,
+        placement,
+        input_selectors=tuple(selectors),
+        output_topic=draw(st.sampled_from([None, "/fusion/objects", "/fusion/{source}"])),
+    )
+    rules = [per_source, fusion]
+    if draw(st.booleans()):
+        rules.append(PartRule(
+            "track", ServiceKind.OTHER, placement,
+            input_selectors=("outputs:fusion", "demand:ego"),
+        ))
+    return ApplicationTemplate(APP, version, tuple(rules))
+
+
+@st.composite
+def twin_cases(draw):
+    lidar = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    entities = [
+        Entity(f"V{i}", EntityRole.CV, ("ego", "pointcloud") if has else ("ego",))
+        for i, has in enumerate(lidar)
+    ]
+    entities += [
+        Entity("S", EntityRole.RISU, ("pointcloud",)),
+        # a source on the edge node needs no connection when parts run there
+        Entity("E", EntityRole.EDGE, ("pointcloud",) if draw(st.booleans()) else ()),
+        Entity("C", EntityRole.CLOUD),
+    ]
+    templates = [twin_template(draw, v) for v in ("v1", "v2")]
+    # V9 is no entity of the topology
+    names = st.sampled_from([e.entity_id for e in entities] + ["V9"])
+    demands = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["v1", "v2", "v9"]),
+            st.lists(names, min_size=1, max_size=3).map(tuple),
+            st.lists(st.tuples(names, st.sampled_from(TOPIC_KINDS)), max_size=5).map(tuple),
+        ),
+        min_size=1,
+        max_size=10,
+    ))
+    return Topology(entities), templates, demands
+
+
+def prepared_parts(parts: ResolvedParts) -> Iterable[PartSpec]:
+    """The connection parts and the parts of per-source rules."""
+    yield from parts.connections
+    yield from (
+        p for p in parts.services
+        if any(item.kind == CFG_SOURCE for item in p.config_items)
+    )
+
+
+@given(case=twin_cases())
+def test_resolution_twin_matches_the_reference_resolver(case):
+    # Per-source sources come from a set, so this runs under a second
+    # hash seed too.
+    topology, templates, demands = case
+    catalog, reference = Catalog(topology), ReferenceCatalog(topology)
+    for template in templates:
+        catalog.register_application(template)
+        reference.register_application(template)
+    shared: dict[tuple, PartSpec] = {}
+    for demand in demands:
+        got = outcome(catalog, *demand)
+        assert got == outcome(reference, *demand)
+        if isinstance(got[0], type):
+            continue
+        for part in prepared_parts(catalog.resolve(APP, *demand)):
+            assert shared.setdefault((part.cr_name, part.config_items), part) is part
+
+
+def opcodes(call, *args) -> int:
+    """How many bytecodes `call(*args)` executes, its callees included."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_a_new_vehicle_costs_a_fixed_count_of_bytecodes_under_the_reference():
+    # A count, not a timing: it repeats exactly, and a resolution that
+    # grew with the vehicles seen so far would give two counts.
+    scenario = make_scale_scenario(200)
+    opcodes(lambda: None)  # Python 3.12.1 counts 0 for a process's first trace
+    counts = []
+    for seen in (10, 100):
+        new = Catalog(Topology(scenario.entities))
+        old = ReferenceCatalog(Topology(scenario.entities))
+        for catalog in (new, old):
+            for template in scenario.templates:
+                catalog.register_application(template)
+            for i in range(seen):
+                catalog.resolve(APP, "v1", *ego_demand(f"V{i:03d}"))
+        demand = ego_demand("V150")
+        count = opcodes(new.resolve, APP, "v1", *demand)
+        assert count <= opcodes(old.resolve, APP, "v1", *demand) * 2 / 3
+        assert new.resolve(APP, "v1", *demand) == old.resolve(APP, "v1", *demand)
+        counts.append(count)
+    assert counts[0] == counts[1]

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demandflow.catalog import Catalog
 from demandflow.manager import AccessDomainPolicy, AppManager, DeploymentRequest
@@ -11,7 +12,7 @@ from demandflow.runner import build_system, deliver, drain
 from demandflow.store import ResourceStore
 from demandflow.tracing import TAG_CR, TAG_ERROR, TAG_REQUEST
 
-from test_catalog import APP, reference_template, reference_topology
+from test_catalog import APP, fresh_catalog, reference_template, reference_topology
 
 SVC = ResourceKind.MANAGED_SERVICE
 CONN = ResourceKind.MANAGED_CONNECTION
@@ -334,3 +335,78 @@ def test_underflowing_release_is_rejected_whole(reference_scenario):
     assert len(system.store.event_log) == log_size
     drain(system)
     assert store_state(system.store) == before
+
+
+def test_a_repeated_demand_never_resolves_again():
+    catalog = fresh_catalog("v1", "v2")
+    resolved = []
+    resolve = catalog.resolve
+    catalog.resolve = lambda *demand: resolved.append(demand) or resolve(*demand)
+    manager = AppManager(ResourceStore(), catalog)
+    for rid, action in [("r-1", DeltaAction.REQUEST), ("r-2", DeltaAction.RELEASE),
+                        ("r-3", DeltaAction.REQUEST)]:
+        assert manager.handle_request(request(rid, action=action)).accepted
+    assert len(resolved) == 1
+    # an upgrade changes the version the demand is resolved at, once
+    assert manager.upgrade_application(APP, "v2").accepted
+    for rid, action in [("r-4", DeltaAction.RELEASE), ("r-5", DeltaAction.REQUEST)]:
+        assert manager.handle_request(request(rid, action=action)).accepted
+    assert [version for _, version, _, _ in resolved] == ["v1", "v2"]
+
+
+class _NeverHit(dict):
+    def get(self, key, default=None):
+        return default
+
+
+class AlwaysValidatingManager(AppManager):
+    """A manager whose memo of validated writes always misses."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._validated = _NeverHit()
+
+
+# Demands a history draws from: V1's with and without lidar, so a release
+# can underflow, malformed ones, an unknown application and entity, and
+# V3's, whose node the policy closes to the application.
+TWIN_DEMANDS = [
+    *((APP, sent.requesters, sent.inputs)
+      for sent in (request(vehicle="V0"), request(vehicle="V1"),
+                   request(vehicle="V1", lidar=True), request(vehicle="V3"))),
+    (APP, (), (("V0", "ego"),)),
+    (APP, ("V1", "S"), (("V1", "radar"),)),
+    ("ghost-app", ("V0", "S"), (("V0", "ego"),)),
+    (APP, ("V9", "S"), (("V9", "ego"), ("S", "pointcloud"))),
+]
+
+twin_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(list(DeltaAction)),
+            st.sampled_from(TWIN_DEMANDS),
+            st.booleans(),  # redeliver the previous request id
+        ),
+        st.tuples(st.just("upgrade"), st.sampled_from(["v1", "v2", "v9"])),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300)
+@given(steps=twin_steps)
+def test_manager_twin_matches_one_that_validates_every_demand(steps):
+    policy = AccessDomainPolicy({"V3": ["some-other-app"]})
+    store, manager = build_manager(policy, versions=("v1", "v2"))
+    twin_store = ResourceStore()
+    twin = AlwaysValidatingManager(twin_store, fresh_catalog("v1", "v2"), policy)
+    for i, step in enumerate(steps):
+        if step[0] == "upgrade":
+            results = [m.upgrade_application(APP, step[1]) for m in (manager, twin)]
+        else:
+            action, (app, requesters, inputs), redeliver = step
+            rid = f"r-{i - 1 if redeliver and i else i}"
+            sent = DeploymentRequest(rid, action, app, requesters, inputs)
+            results = [m.handle_request(sent) for m in (manager, twin)]
+        assert results[0] == results[1]
+        assert store_state(store) == store_state(twin_store)
