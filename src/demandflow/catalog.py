@@ -14,7 +14,8 @@ of an application is placed on the single node holding its template's
 placement role; that node is looked up once, when the template is
 registered, and a template without one is refused there.
 Registration also compiles each rule once: its node and service-kind
-items, its parsed selectors and its output item.  Templates are
+items, its parsed selectors and its output item.  `check` runs the checks
+of registering without compiling, as a scenario's load does.  Templates are
 registered once and the topology is immutable, so the item of each
 (entity, topic kind) input, the part of each (per-source rule, source)
 pair and each connection part are prepared the first time a demand
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from .model import (
     CFG_DST,
@@ -145,6 +146,16 @@ class ApplicationTemplate:
                     raise ValueError(f"bad selector {selector!r}")
             seen_roles.add(rule.role)
 
+    def check(self, topology: Topology, registered: Container) -> str:
+        """`validate`, then refuse a (name, version) in `registered`;
+        returns the node that hosts every part.  Compiles no rule."""
+        self.validate()
+        if (self.app_name, self.version) in registered:
+            raise AlreadyRegisteredError(
+                f"{self.app_name} {self.version} declared twice"
+            )
+        return topology.single_node_with_role(self.placement_role)
+
 
 class PartSpec(NamedTuple):
     """A part: its resource name, its config items and those items split
@@ -202,13 +213,8 @@ class Catalog:
         self._connections: dict[tuple[str, ...], PartSpec] = {}
 
     def register_application(self, template: ApplicationTemplate) -> None:
-        template.validate()
+        placed = template.check(self._topology, self._templates)
         key = (template.app_name, template.version)
-        if key in self._templates:
-            raise AlreadyRegisteredError(
-                f"{template.app_name} {template.version} declared twice"
-            )
-        placed = self._topology.single_node_with_role(template.placement_role)
         self._plans[key] = placed, tuple(
             self._compile(template.app_name, placed, rule) for rule in template.parts
         )

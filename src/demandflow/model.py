@@ -8,7 +8,6 @@ scenario maps them explicitly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -186,23 +185,24 @@ class ScenarioValidationError(ScenarioError):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Entity:
-    """One C-ITS participant and the cluster node it hosts."""
-
+class _EntityFields(NamedTuple):
     entity_id: str
     role: EntityRole
     capabilities: tuple[str, ...] = ()
     node_id: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.node_id:
-            object.__setattr__(self, "node_id", self.entity_id)
-        for kind in self.capabilities:
+
+class Entity(_EntityFields):
+    """One C-ITS participant and the cluster node it hosts; its node
+    defaults to its own id."""
+
+    __slots__ = ()
+
+    def __new__(cls, entity_id, role, capabilities=(), node_id=""):
+        for kind in capabilities:
             if kind not in TOPIC_KINDS:
-                raise ValueError(
-                    f"entity {self.entity_id}: unknown capability {kind!r}"
-                )
+                raise ValueError(f"entity {entity_id}: unknown capability {kind!r}")
+        return tuple.__new__(cls, (entity_id, role, capabilities, node_id or entity_id))
 
     def provides(self, kind: str) -> bool:
         return kind in self.capabilities

@@ -32,7 +32,7 @@ from .catalog import Catalog
 from .cluster import ClusterSim
 from .detector import EventDetector
 from .manager import AppManager, AccessDomainPolicy, DeploymentRequest, RequestResult
-from .model import ResourceKind, Topology, source_topic
+from .model import ResourceKind, source_topic
 from .operators import Operator
 from .scenario import MODE_SCRIPTED, Scenario, along, interpolate
 from .store import ResourceStore
@@ -61,7 +61,7 @@ def build_system(
     policy: AccessDomainPolicy | None = None,
 ) -> System:
     trace = trace or Trace()
-    topology = Topology(scenario.entities)
+    topology = scenario.topology  # built once, while loading
     store = ResourceStore()
     catalog = Catalog(topology)
     for template in scenario.templates:
@@ -180,33 +180,40 @@ class ScenarioRunner:
     # -- scripted timelines ------------------------------------------------
 
     def _run_scripted(self) -> None:
-        timeline = self.scenario.timeline
-        window = timeline.window
-        events = timeline.events
+        settle = self.scenario.timeline.settle_ticks
+        budget = self.scenario.tick_budget
         rule = self.scenario.rule
         outside = (
             rule.center[0] + 2 * rule.d_stop + 10.0,
             rule.center[1],
         )
         tails = self._tails = {n: topics_tail(n, t) for n, t in self._topics.items()}
-        step = 0
-        for tick in range(1, self.scenario.tick_budget + 1):
-            index = (tick - 1) // window
-            event = events[index] if index < len(events) else None
-            if event is not None:
-                step = event.step
-            self.trace.at(step, tick)
-            if event is not None and (tick - 1) % window == 0:
-                if event.enter is not None:
-                    self.system.detector.observe_pose(event.enter, rule.center)
-                elif event.leave is not None:
-                    self.system.detector.observe_pose(event.leave, outside)
-                elif event.upgrade is not None:
-                    self._apply_upgrade(*event.upgrade)
-            self._tick(self.system.detector.evaluate(tick))
-            if event is not None and tick % window == 0:
+        trace, detector = self.trace, self.system.detector
+        step = tick = 0
+        # An event's fields are read once, for its whole window of ticks.
+        for step, enter, leave, upgrade in self.scenario.timeline.events:
+            if tick == budget:
+                return
+            tick += 1
+            trace.at(step, tick)
+            if enter is not None:
+                detector.observe_pose(enter, rule.center)
+            elif leave is not None:
+                detector.observe_pose(leave, outside)
+            elif upgrade is not None:
+                self._apply_upgrade(*upgrade)
+            self._tick(detector.evaluate(tick))
+            end = tick + settle
+            for tick in range(tick + 1, min(end, budget) + 1):
+                trace.at(step, tick)
+                self._tick(detector.evaluate(tick))
+            if tick == end:
                 self._refresh_topics()
-                self.trace.topics(tails.values())
+                trace.topics(tails.values())
+        # A budget past the last window runs on at the last step.
+        for tick in range(tick + 1, budget + 1):
+            trace.at(step, tick)
+            self._tick(detector.evaluate(tick))
 
     def _apply_upgrade(self, app_name: str, version: str) -> None:
         result = self.system.manager.upgrade_application(app_name, version)

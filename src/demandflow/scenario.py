@@ -4,7 +4,10 @@ A scenario bundles the entity topology, the application templates, the
 geofence rule, and a timeline.  Timelines come in two flavors: scripted
 (an ordered list of enter/leave/upgrade steps, each given a settle window
 of ticks) and waypoints (per-vehicle piecewise-linear trajectories that
-the runner samples while they move).
+the runner samples while they move).  Loading is one pass over a mapping:
+entities and scripted events become read-only tuples, the topology is
+built once and kept for the runner, and each template gets the checks of
+registering without a rule compiled, so a set-up compiles each rule once.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import yaml
 
-from .catalog import ApplicationTemplate, Catalog, PartRule
+from .catalog import ApplicationTemplate, PartRule
 from .detector import DEFAULT_D_START, DEFAULT_D_STOP, GeofenceRule
 from .manager import DeploymentRequest
 from .model import (
@@ -38,8 +41,7 @@ MODE_WAYPOINTS = "waypoints"
 DEFAULT_SETTLE_TICKS = 2
 
 
-@dataclass(frozen=True)
-class ScriptedEvent:
+class ScriptedEvent(NamedTuple):
     step: int
     enter: str | None = None
     leave: str | None = None
@@ -74,6 +76,8 @@ class Scenario:
     templates: tuple[ApplicationTemplate, ...]
     timeline: Timeline
     tick_budget: int
+    # Built from `entities` while loading; the runner uses this one.
+    topology: Topology = field(compare=False, repr=False)
 
     def entity(self, entity_id: str) -> Entity:
         for entity in self.entities:
@@ -160,13 +164,11 @@ def scenario_from_mapping(raw: Any, origin: str = "<inline>") -> Scenario:
         topology = Topology(entities)
     except ValueError as exc:
         raise fail(str(exc)) from None
-    # Registering checks each template, its placement and its uniqueness.
-    catalog = Catalog(topology)
-    templates = _parse_applications(raw.get("applications"), catalog, fail)
+    templates = _parse_applications(raw.get("applications"), topology, fail)
 
-    rule = _parse_geofence(raw.get("geofence"), by_id, catalog, fail)
+    rule = _parse_geofence(raw.get("geofence"), by_id, templates, fail)
 
-    timeline = _parse_timeline(raw.get("timeline"), by_id, catalog, fail)
+    timeline = _parse_timeline(raw.get("timeline"), by_id, templates, fail)
 
     budget = raw.get("tick_budget")
     if budget is None:
@@ -184,7 +186,12 @@ def scenario_from_mapping(raw: Any, origin: str = "<inline>") -> Scenario:
         templates=templates,
         timeline=timeline,
         tick_budget=budget,
+        topology=topology,
     )
+
+
+# Role value -> role: one lookup per entity instead of an Enum call.
+_ROLES = {role.value: role for role in EntityRole}
 
 
 def _parse_entities(raw: Any, fail) -> tuple[Entity, ...]:
@@ -199,35 +206,30 @@ def _parse_entities(raw: Any, fail) -> tuple[Entity, ...]:
             raise fail(f"bad entity id {entity_id!r}")
         role_raw = item.get("role")
         try:
-            role = EntityRole(role_raw)
-        except ValueError:
+            role = _ROLES[role_raw]
+        except (KeyError, TypeError):  # not a role value, or unhashable
             raise fail(f"entity {entity_id}: unknown role {role_raw!r}") from None
         capabilities = item.get("capabilities", [])
         if not isinstance(capabilities, list):
             raise fail(f"entity {entity_id}: capabilities must be a list")
-        node_id = item.get("node", entity_id)
-        if not isinstance(node_id, str) or not ID_RE.fullmatch(node_id):
+        node_id = item.get("node", entity_id)  # the default is the id, matched above
+        if node_id is not entity_id and not (
+            isinstance(node_id, str) and ID_RE.fullmatch(node_id)
+        ):
             raise fail(f"entity {entity_id}: bad node id {node_id!r}")
         try:
-            entities.append(
-                Entity(
-                    entity_id=entity_id,
-                    role=role,
-                    capabilities=tuple(capabilities),
-                    node_id=node_id,
-                )
-            )
+            entities.append(Entity(entity_id, role, tuple(capabilities), node_id))
         except ValueError as exc:
             raise fail(str(exc)) from None
     return tuple(entities)
 
 
 def _parse_applications(
-    raw: Any, catalog: Catalog, fail
+    raw: Any, topology: Topology, fail
 ) -> tuple[ApplicationTemplate, ...]:
     if not isinstance(raw, list) or not raw:
         raise fail("applications must be a non-empty list")
-    templates: list[ApplicationTemplate] = []
+    templates: dict[tuple[str, str], ApplicationTemplate] = {}
     for item in raw:
         if not isinstance(item, dict):
             raise fail("each application must be a mapping")
@@ -264,19 +266,19 @@ def _parse_applications(
             app_name=app_name, version=version, parts=tuple(parts)
         )
         try:
-            catalog.register_application(template)
+            template.check(topology, templates)
         except AlreadyRegisteredError as exc:
             raise fail(f"application {exc}") from None
         except ValueError as exc:
             raise fail(f"application {app_name} {version}: {exc}") from None
-        templates.append(template)
-    return tuple(templates)
+        templates[app_name, version] = template
+    return tuple(templates.values())
 
 
 def _parse_geofence(
     raw: Any,
     by_id: dict[str, Entity],
-    catalog: Catalog,
+    templates: tuple[ApplicationTemplate, ...],
     fail,
 ) -> GeofenceRule:
     if not isinstance(raw, dict):
@@ -293,7 +295,7 @@ def _parse_geofence(
     if not (_finite(d_start) and _finite(d_stop)):
         raise fail("geofence d_start and d_stop must be finite numbers")
     app_name = raw.get("application")
-    if not catalog.versions(app_name):
+    if not any(t.app_name == app_name for t in templates):
         raise fail(f"geofence names unknown application {app_name!r}")
     risu_id = raw.get("risu")
     risu = by_id.get(risu_id) if isinstance(risu_id, str) else None
@@ -318,7 +320,7 @@ def _parse_geofence(
 def _parse_timeline(
     raw: Any,
     by_id: dict[str, Entity],
-    catalog: Catalog,
+    templates: tuple[ApplicationTemplate, ...],
     fail,
 ) -> Timeline:
     if not isinstance(raw, dict):
@@ -333,6 +335,8 @@ def _parse_timeline(
             raise fail("timeline events must be a list")
         events: list[ScriptedEvent] = []
         last_step = 0
+        vehicle = EntityRole.CV
+        keys = [(t.app_name, t.version) for t in templates]  # `==`, no hash
         for item in events_raw:
             if not isinstance(item, dict) or "step" not in item:
                 raise fail("each timeline event needs a step number")
@@ -340,12 +344,12 @@ def _parse_timeline(
             if type(step) is not int or step < last_step:
                 raise fail(f"timeline steps must be non-decreasing (step {step})")
             last_step = step
-            keys = {"enter", "leave", "upgrade"} & item.keys()
-            if len(keys) != 1:
+            enter, leave = "enter" in item, "leave" in item
+            if enter + leave + ("upgrade" in item) != 1:
                 raise fail(
                     f"step {step}: exactly one of enter/leave/upgrade required"
                 )
-            if "upgrade" in keys:
+            if not (enter or leave):
                 up = item["upgrade"]
                 if (
                     not isinstance(up, dict)
@@ -353,7 +357,7 @@ def _parse_timeline(
                     or "version" not in up
                 ):
                     raise fail(f"step {step}: upgrade needs application and version")
-                if up["version"] not in catalog.versions(up["application"]):
+                if (up["application"], up["version"]) not in keys:
                     raise fail(
                         f"step {step}: unknown application version "
                         f"{up['application']} {up['version']}"
@@ -364,22 +368,18 @@ def _parse_timeline(
                     )
                 )
                 continue
-            key = keys.pop()
-            entity_id = item[key]
+            entity_id = item["enter" if enter else "leave"]
             entity = by_id.get(entity_id) if isinstance(entity_id, str) else None
             if entity is None:
                 raise fail(f"step {step}: unknown entity {entity_id!r}")
-            if entity.role is not EntityRole.CV:
+            if entity.role is not vehicle:
                 raise fail(
                     f"step {step}: {entity_id} is a {entity.role.value}, "
                     "only vehicles enter or leave"
                 )
             events.append(
-                ScriptedEvent(
-                    step=step,
-                    enter=entity_id if key == "enter" else None,
-                    leave=entity_id if key == "leave" else None,
-                )
+                ScriptedEvent(step, entity_id) if enter
+                else ScriptedEvent(step, None, entity_id)
             )
         return Timeline(
             mode=MODE_SCRIPTED, events=tuple(events), settle_ticks=settle

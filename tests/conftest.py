@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from demandflow.cli import bundled_scenario_path
@@ -21,6 +25,16 @@ def upgrade_scenario():
 @pytest.fixture(scope="session")
 def waypoint_scenario():
     return load_scenario(bundled_scenario_path("waypoint_drive"))
+
+
+@pytest.fixture(scope="session")
+def benchmark_workloads():
+    """The benchmark's own input generators: perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up there
+    return module
 
 
 # One line per acceptance test at the end of the run, pass or fail, so the

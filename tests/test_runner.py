@@ -1,13 +1,11 @@
 """End-to-end runs: determinism, idempotency, drain behavior, waypoints."""
 
 import hashlib
-import importlib.util
 import math
 import random
 import sys
 from collections import Counter
 from itertools import count
-from pathlib import Path
 
 import pytest
 import yaml
@@ -693,15 +691,6 @@ def test_churn_run_trace_is_frozen(duplicate_delivery):
     assert system_is_empty(runner.system)
 
 
-def benchmark_workloads():
-    """The benchmark's own input generators, from perfbench/workloads.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # its dataclass looks itself up there
-    return module.WORKLOADS
-
-
 # Digests of the benchmark's seed-1 episodes, rendered before ledgers,
 # specs, requests and results became NamedTuples: `scale` (N=100), the
 # three `churn` walks with duplicate delivery, and a 1000-tick `drive`.
@@ -721,8 +710,8 @@ BENCHMARK_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_DIGESTS))
-def test_benchmark_episode_traces_are_frozen(name):
-    workload = benchmark_workloads()[name]
+def test_benchmark_episode_traces_are_frozen(benchmark_workloads, name):
+    workload = benchmark_workloads.WORKLOADS[name]
     digests = []
     for raw in workload.generate(1):
         text = workload.setup(raw).run().render()

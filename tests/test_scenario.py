@@ -1,13 +1,16 @@
 """Scenario schema: loading, validation errors, interpolation, generators."""
 
 import copy
+import hashlib
 import math
 import struct
+from collections import Counter
 
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import demandflow.catalog as catalog_module
 from demandflow.cli import bundled_scenario_path
 from demandflow.manager import DeploymentRequest
 from demandflow.model import (
@@ -15,8 +18,11 @@ from demandflow.model import (
     EntityRole,
     ScenarioParseError,
     ScenarioValidationError,
+    Topology,
 )
+from demandflow.runner import ScenarioRunner
 from demandflow.scenario import (
+    Scenario,
     Waypoint,
     along,
     interpolate,
@@ -166,6 +172,14 @@ def test_application_validation(reference_raw):
         r["applications"].append(copy.deepcopy(r["applications"][0]))
 
     expect_invalid(variant(reference_raw, twice), "declared twice")
+
+    def twice_second_unplaceable(r):
+        twice(r)
+        for part in r["applications"][1]["parts"]:
+            part["placement"] = "cloud"
+        r["entities"].pop(6)  # drop C: the duplicate is found first
+
+    expect_invalid(variant(reference_raw, twice_second_unplaceable), "declared twice")
 
     def on_cloud(r):
         r["entities"].pop(6)  # drop C
@@ -341,13 +355,17 @@ def _fusion(raw):
     return raw["applications"][0]["parts"][1]
 
 
-def _upgrade_to(application):
+def _upgrade_to(application, version="v1"):
     def mutate(r):
         r["timeline"]["events"].append(
-            {"step": 9, "upgrade": {"application": application, "version": "v1"}}
+            {"step": 9, "upgrade": {"application": application, "version": version}}
         )
 
     return mutate
+
+
+def _append_event(event):
+    return lambda r: r["timeline"]["events"].append(event)
 
 
 # A value of the wrong shape must be refused before any lookup, set
@@ -357,8 +375,21 @@ def _upgrade_to(application):
     [
         (lambda r: r["entities"][0].update(capabilities=5), "capabilities must"),
         (lambda r: r["entities"][0].update(capabilities=None), "capabilities must"),
+        (lambda r: r["entities"][0].update(role=["cv"]), "V0: unknown role ['cv']"),
+        (lambda r: r["entities"][0].update(role=5), "V0: unknown role 5"),
+        (lambda r: r["entities"][0].pop("role"), "V0: unknown role None"),
         (lambda r: r["timeline"]["events"][0].update(enter=["V0"]), "unknown entity"),
+        (lambda r: r["timeline"]["events"][0].update(enter=None), "entity None"),
+        (_append_event({"step": 9, "upgrade": None}), "needs application and"),
+        (
+            _append_event({"step": 9, "leave": "V0", "upgrade": {}}),
+            "step 9: exactly one of enter/leave/upgrade",
+        ),
         (_upgrade_to(["x"]), "unknown application version"),
+        (
+            _upgrade_to("object-detection-fusion", ["v1"]),
+            "unknown application version object-detection-fusion ['v1']",
+        ),
         (lambda r: r["geofence"].update(application=["x"]), "unknown application"),
         (lambda r: r["geofence"].update(risu=["S"]), "unknown entity"),
         (lambda r: _fusion(r).update(inputs=5), "inputs must be a list"),
@@ -367,8 +398,15 @@ def _upgrade_to(application):
     ids=[
         "capabilities-number",
         "capabilities-null",
+        "role-list",
+        "role-number",
+        "role-missing",
         "enter-list",
+        "enter-null",
+        "upgrade-null",
+        "leave-and-upgrade",
         "upgrade-application-list",
+        "upgrade-version-list",
         "geofence-application-list",
         "geofence-risu-list",
         "part-inputs-number",
@@ -436,6 +474,188 @@ def test_empty_scripted_timeline_is_valid(reference_raw):
     scenario = scenario_from_mapping(raw)
     assert scenario.timeline.events == ()
     assert scenario.tick_budget == 0
+
+
+BUNDLED = ("collective_perception", "collective_perception_upgrade", "waypoint_drive")
+
+
+def bundled_raw(name):
+    return yaml.safe_load(bundled_scenario_path(name).read_text(encoding="utf-8"))
+
+
+def render_loaded(scenario):
+    """Every loaded field as text, each value by its repr, so a type or
+    an order that changes shows."""
+    timeline, rule = scenario.timeline, scenario.rule
+    lines = [
+        repr((scenario.name, scenario.tick_budget, timeline.mode, timeline.settle_ticks)),
+        repr((rule.app_name, rule.risu_id, rule.center, rule.d_start, rule.d_stop)),
+    ]
+    lines += [
+        repr((e.entity_id, e.role.value, e.capabilities, e.node_id))
+        for e in scenario.entities
+    ]
+    for t in scenario.templates:
+        lines.append(repr((t.app_name, t.version)))
+        lines += [
+            repr((p.role, p.service_kind.value, p.placement_role.value,
+                  p.per_source_kind, p.input_selectors, p.output_topic))
+            for p in t.parts
+        ]
+    lines += [repr((e.step, e.enter, e.leave, e.upgrade)) for e in timeline.events]
+    lines += [
+        repr((vehicle, w.tick, w.x, w.y))
+        for vehicle, route in timeline.waypoints.items()
+        for w in route
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# The digest of every case below as loaded before events and entities
+# became NamedTuples and loading stopped registering templates.
+LOADED_DIGEST = (
+    "f940eb155ae57ef4fafe8ef81f61ea23c3246b37b0f466212d70801604aa4bd6", 3849
+)
+
+
+def test_loaded_scenarios_are_frozen(benchmark_workloads):
+    scenarios = [load_scenario(bundled_scenario_path(name)) for name in BUNDLED]
+    scenarios.append(make_scale_scenario(100))
+    for name in ("churn", "drive"):
+        workload = benchmark_workloads.WORKLOADS[name]
+        scenarios += [workload.load(raw) for raw in workload.generate(1)]
+    text = "".join(render_loaded(s) for s in scenarios)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert (digest, text.count("\n")) == LOADED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [("event", f) for f in ("step", "enter", "leave", "upgrade")]
+    + [("entity", f) for f in ("entity_id", "role", "capabilities", "node_id")],
+)
+def test_a_loaded_record_is_read_only(upgrade_scenario, record, field):
+    if record == "event":
+        loaded = upgrade_scenario.timeline.events[0]
+    else:
+        loaded = upgrade_scenario.entities[0]
+    with pytest.raises(AttributeError):
+        setattr(loaded, field, getattr(loaded, field))
+    with pytest.raises(AttributeError):
+        loaded.note = field
+
+
+@pytest.mark.parametrize("case", ["reference", "churn"])
+def test_a_set_up_builds_one_topology_and_compiles_each_rule_once(
+    benchmark_workloads, monkeypatch, case
+):
+    if case == "reference":
+        raw = bundled_raw("collective_perception")
+    else:
+        raw = benchmark_workloads.churn_mapping(1)
+    counts = Counter()
+    build_topology, compiled_rule = Topology.__init__, catalog_module._Rule
+
+    def counted_topology(self, entities):
+        counts["topology"] += 1
+        build_topology(self, entities)
+
+    def counted_rule(*fields):
+        counts["compiled"] += 1
+        return compiled_rule(*fields)
+
+    monkeypatch.setattr(Topology, "__init__", counted_topology)
+    monkeypatch.setattr(catalog_module, "_Rule", counted_rule)
+    templates = ScenarioRunner(scenario_from_mapping(raw)).scenario.templates
+    # Versions with an equal rule share its compilation.
+    distinct = {(t.app_name, rule) for t in templates for rule in t.parts}
+    assert counts == {"topology": 1, "compiled": len(distinct)}
+
+
+# Values a mutation puts in place of another: every type a YAML file can
+# hold, the numbers a float check must refuse, and names the loader knows.
+MUTANTS = [
+    None, True, False, 0, 1, -1, 3, 10**30, math.nan, math.inf, -math.inf, 1e30,
+    "", "V0", "S", "E", "C", "ghost", "cv", "risu", "edge", "cloud", "v2",
+    [], ["V0"], ["ego", "sonar"], [0.0, 0.0], [None],
+    {}, {"t": 0, "x": 0.0, "y": 0.0}, {"step": 1, "enter": "V0"},
+    {"application": "object-detection-fusion", "version": "v1"},
+]
+
+
+def value_paths(node, path=()):
+    """The path of every value below `node`, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, path + (key,))
+
+
+MISSING = object()
+
+
+def holds(node, key):
+    """Whether `node` is a container with an entry at `key`."""
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and type(key) is int and key < len(node)
+
+
+def mutate_at(raw, path, value):
+    """Replace the value at `path`, or delete it when `value` is MISSING;
+    a path an earlier mutation cut off is left alone."""
+    node = raw
+    for key in path[:-1]:
+        if not holds(node, key):
+            return
+        node = node[key]
+    key = path[-1]
+    if value is MISSING and holds(node, key):
+        del node[key]
+    elif value is not MISSING and (isinstance(node, dict) or holds(node, key)):
+        node[key] = copy.deepcopy(value)
+
+
+MUTATED = (*BUNDLED, "churn", "drive")
+
+
+@pytest.fixture(scope="module")
+def mutation_bases(benchmark_workloads):
+    """name -> (its mapping, the path of every value in it)."""
+    bases = {name: bundled_raw(name) for name in BUNDLED}
+    bases["churn"] = benchmark_workloads.churn_mapping(1)
+    bases["drive"] = benchmark_workloads.drive_mapping(1)
+    return {name: (raw, list(value_paths(raw))) for name, raw in bases.items()}
+
+
+def load_a_mutant(bases, name, data):
+    raw, paths = bases[name]
+    raw = copy.deepcopy(raw)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(paths), label="path")
+        value = data.draw(st.sampled_from([MISSING, *MUTANTS]), label="value")
+        mutate_at(raw, path, value)
+    try:
+        loaded = scenario_from_mapping(raw, origin="mutant")
+    except ScenarioValidationError:
+        return
+    assert isinstance(loaded, Scenario)
+
+
+@pytest.mark.parametrize("name", MUTATED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_mutated_mapping_loads_or_is_refused(mutation_bases, name, data):
+    load_a_mutant(mutation_bases, name, data)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", MUTATED)
+@settings(max_examples=1500, deadline=None)
+@given(data=st.data())
+def test_many_mutated_mappings_load_or_are_refused(mutation_bases, name, data):
+    load_a_mutant(mutation_bases, name, data)
 
 
 def test_interpolate_matches_linear_oracle():
