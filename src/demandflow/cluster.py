@@ -179,6 +179,7 @@ class ClusterSim:
         # and those sorted; a node gets one at its first read.
         self._views: dict[str, tuple[Bus, set[str], tuple[str, ...]]] = {}
         self._iid_seq = 0
+        self._exit_watches: list[dict[str, None]] = []
 
     # -- nodes -------------------------------------------------------------
 
@@ -231,6 +232,24 @@ class ClusterSim:
         if not self._owned[instance.cr_name]:
             del self._owned[instance.cr_name]
         self._patch(instance, 1)
+
+    def exit_instance(self, instance_id: str) -> None:
+        """End an instance as a crash does, and queue its owner's name on
+        every exit watch, as controller-runtime's `Owns()` queues an owner;
+        `terminate_instance`, the operators' own call, queues nothing."""
+        owner = self._require_running(instance_id).cr_name
+        self.terminate_instance(instance_id)
+        for queue in self._exit_watches:
+            queue[owner] = None
+
+    def watch_exits(self) -> dict[str, None]:
+        """A new queue of the names exit_instance queues, each once until popped."""
+        queue: dict[str, None] = {}
+        self._exit_watches.append(queue)
+        return queue
+
+    def unwatch_exits(self, queue: dict[str, None]) -> None:
+        self._exit_watches = [q for q in self._exit_watches if q is not queue]
 
     def get_instance(self, instance_id: str) -> ServiceInstance:
         try:

@@ -12,11 +12,15 @@ config and rendered `LEDGER` config text at the fold, keeps the last
 ledger's config and text when no counted key comes or goes, and extends
 them when keys only come.  Every write bumps the resource's generation,
 so a status can say which spec it observed.
-A life of a name runs from its creation to its delete: a delete drops
-the status too, and a re-create starts at generation 1 with an empty
-status, so a status counts generations of its own life only.  The
-status is the operators' record of reconcile progress.  Operators read
-through `find`, a plain (spec, generation, status) tuple; `get_cr`
+A life of a name runs from its creation to its delete, and a re-create
+starts at generation 1, so a status counts generations of its own life
+only.  The status is the operators' only record of reconcile progress:
+a deleted resource keeps it as a finalizer, as a Kubernetes object
+under its controller's finalizer stays until that has torn it down,
+with an empty spec at the generation its status observed.  Only
+`find`, `update_status`, a late watch and a re-create, which inherits
+its units, see a finalizer, and a delete drops it, unlogged.  Operators
+read through `find`, a plain (spec, generation, status) tuple; `get_cr`
 builds a `CustomResource` snapshot for the CLI, the tests and the
 benchmark.
 Mutations are plain method calls on one object and execute serially,
@@ -218,11 +222,14 @@ class ResourceStore:
         self._records: dict[ResourceKind, dict[str, _Record]] = {
             kind: {} for kind in ResourceKind
         }
+        self._finalizers: dict[ResourceKind, dict[str, _Record]] = {
+            kind: {} for kind in ResourceKind
+        }
         self._watchers: dict[ResourceKind, list[Watch]] = {
             kind: [] for kind in ResourceKind
         }
-        # The name of every real mutation, in order; the names a late
-        # watch is primed with are not part of it.
+        # The name of every apply and delete, in order; a finalizer's drop
+        # and the names a late watch is primed with are not part of it.
         self.event_log: list[str] = []
 
     # -- mutations ---------------------------------------------------------
@@ -233,6 +240,9 @@ class ResourceStore:
         record = records.get(name)
         if record is None:
             record = records[name] = _Record(spec)
+            left = self._finalizers[kind].pop(name, None)
+            if left is not None:  # the units a deleted life left
+                record.status = ResourceStatus(instance_ids=left.status.instance_ids)
         else:
             record.spec = spec
             record.generation += 1
@@ -240,15 +250,21 @@ class ResourceStore:
         return record.generation
 
     def delete_cr(self, kind: ResourceKind, name: str) -> None:
-        self._require(kind, name)
+        """Delete a resource, which stays as a finalizer; deleting a
+        finalizer drops it, and logs and queues nothing."""
+        if self._finalizers[kind].pop(name, None) is not None:
+            return
+        record = self._finalizers[kind][name] = self._require(kind, name)
         del self._records[kind][name]
+        record.spec = DemandLedger()
+        record.generation = record.status.observed_generation
         self._emit(kind, name)
 
     def update_status(
         self, kind: ResourceKind, name: str, status: ResourceStatus
     ) -> None:
-        """Replace the status subresource.  Queues no name on a watch."""
-        record = self._require(kind, name)
+        """Replace the status, a finalizer's too.  Queues no name on a watch."""
+        record = self._finalizers[kind].get(name) or self._require(kind, name)
         if status.observed_generation < record.status.observed_generation:
             raise StaleStatusError(
                 f"observed generation may not move backwards on {kind.value}/{name}"
@@ -264,8 +280,8 @@ class ResourceStore:
     def find(
         self, kind: ResourceKind, name: str
     ) -> tuple[DemandLedger, int, ResourceStatus] | None:
-        """The (spec, generation, status) of a resource; None if there is none."""
-        record = self._records[kind].get(name)
+        """The (spec, generation, status) of a resource or finalizer, or None."""
+        record = self._records[kind].get(name) or self._finalizers[kind].get(name)
         if record is None:
             return None
         return record.spec, record.generation, record.status
@@ -292,10 +308,10 @@ class ResourceStore:
         A name is queued once until it is popped, as a client-go
         workqueue keeps a key: a write to a queued name leaves it where
         it is.  The queue is primed with the name of every existing
-        resource, in creation order, so a late subscriber catches up
-        before live changes resume.
+        resource, in creation order, then of every finalizer, so a late
+        subscriber catches up before live changes resume.
         """
-        queue: Watch = dict.fromkeys(self._records[kind])
+        queue: Watch = dict.fromkeys([*self._records[kind], *self._finalizers[kind]])
         self._watchers[kind].append(queue)
         return queue
 

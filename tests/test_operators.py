@@ -412,15 +412,22 @@ def test_config_change_reconfigures_in_place(rig):
 
 
 def test_emptied_support_terminates_and_deletes(rig):
-    store, sim, _, service_op, _ = rig
+    store, sim, trace, service_op, _ = rig
     config = svc_config((in_topic("/V0/ego"),))
     write_demand(store, SVC, "svc-x", config=config)
     service_op.run_pending()
     write_demand(store, SVC, "svc-x", action=DeltaAction.RELEASE, config=config)
-    service_op.run_pending()
+    seen = len(trace.records)
+    # the delete leaves a finalizer, and the name's queued reconcile finds
+    # nothing running under it and drops it, untraced
+    assert service_op.run_pending() == 2
     assert instances_of(sim, "svc-x") == ()
     assert not store.exists(SVC, "svc-x")
+    assert store.find(SVC, "svc-x") is None
     assert service_op.records() == ()
+    assert [(r.tag, r.get("action")) for r in trace.records][seen:] == [
+        ("ACTION", "terminate"), ("LEDGER", "")
+    ]
 
 
 def test_batched_events_apply_every_generation_once(rig):
@@ -899,15 +906,15 @@ def test_units_of_a_resource_deleted_while_its_operator_is_down_are_ended(rig):
     store.delete_cr(SVC, "svc-x")
     store.delete_cr(CONN, "conn-V0-E")
     seen = len(trace.records)
-    # fresh operators queue their kind's names that run units but have
-    # no resource, and leave the other kind's and the listed ones alone
+    # fresh operators' watches list the deleted resources' finalizers of
+    # their kind, and leave the other kind's and the live ones alone
     fresh = Operator(SVC, store, sim, trace), Operator(CONN, store, sim, trace)
     assert [operator.run_pending() for operator in fresh] == [2, 2]
     assert sim.owners() == ("svc-y", "conn-V1-E")
     assert {n: sim.owned(n) for n in kept} == kept
     assert all(operator.records() == (n,) for operator, n in zip(fresh, kept))
-    # each orphan's adopted units end as on a shutdown, traced alike; the
-    # listed resources' statuses are current, so they trace nothing
+    # each finalizer's units end as on a shutdown, traced alike; the live
+    # resources' statuses are current, so they trace nothing
     traced = [
         (r.tag, r.get("cr"), r.get("action")) for r in trace.records
     ][seen:]
@@ -935,9 +942,37 @@ def restart_over_a_changed_spec(rig, failed_reconfigures):
     return Operator(SVC, store, sim, trace)
 
 
+@pytest.mark.parametrize("restart", [False, True])
+def test_a_resource_recreated_while_its_operator_is_down_keeps_its_unit(
+    rig, restart
+):
+    # The deleted life's finalizer holds its unit, and the re-created
+    # resource inherits it, so a fresh operator traces what a live one
+    # does: the one deploy, then a LEDGER line for the new life.
+    store, sim, trace, service_op, _ = rig
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    service_op.run_pending()
+    if restart:
+        service_op.stop()
+    store.delete_cr(SVC, "svc-x")
+    write_demand(store, SVC, "svc-x", config=svc_config())
+    if restart:
+        service_op = Operator(SVC, store, sim, trace)
+    service_op.run_pending()
+    assert sim.owned("svc-x") == ("i-0001",)
+    assert [(r.tag, r.get("action"), r.get("instances")) for r in trace.records] == [
+        ("ACTION", "deploy", "i-0001"), ("LEDGER", "", ""), ("LEDGER", "", "")
+    ]
+    status = store.get_cr(SVC, "svc-x").status
+    assert (status.phase, status.instance_ids, status.observed_generation) == (
+        Phase.RUNNING, ("i-0001",), 1
+    )
+    assert service_op.records() == ("svc-x",)
+
+
 def test_a_restarted_operator_survives_its_first_failed_reconcile(rig):
-    # The fresh record knows nothing of the status the last operator
-    # wrote; a failed attempt must not write generation 0 over it.
+    # The fresh operator reads the status the last one wrote; a failed
+    # attempt must not write generation 0 over it.
     store, sim, trace, _, _ = rig
     fresh = restart_over_a_changed_spec(rig, {1})
     assert fresh.run_pending() == 1
@@ -994,6 +1029,30 @@ def test_failed_rollback_of_a_half_deployed_pair_is_finished_later(rig):
     assert [r for r in trace.records if r.tag == "ERROR"] == []
 
 
+@pytest.mark.parametrize("restart", [False, True])
+def test_a_stray_of_a_resource_deleted_before_its_retry_is_ended(rig, restart):
+    # Every attempt starts the receiver, fails to start the sender and
+    # fails to roll the receiver back, so the status lists no units while
+    # a stray runs.  The deleted resource's finalizer still queues its
+    # name, for the live operator and for a fresh one alike.
+    store, sim, trace, _, connection_op = rig
+    failing(sim, "deploy_instance", {2, 4, 6})
+    failing(sim, "terminate_instance", {1, 2, 3})
+    write_demand(store, CONN, "conn-V0-E", config=conn_config("V0"))
+    connection_op.run_pending()
+    assert store.get_cr(CONN, "conn-V0-E").status.instance_ids == ()
+    assert len(sim.instances()) == 1
+    if restart:
+        connection_op.stop()
+    store.delete_cr(CONN, "conn-V0-E")
+    if restart:
+        connection_op = Operator(CONN, store, sim, trace)
+    connection_op.run_pending()
+    assert sim.instances() == ()
+    assert store.find(CONN, "conn-V0-E") is None
+    assert [r.tag for r in trace.records] == ["ERROR", "LEDGER"]
+
+
 def test_failed_teardown_of_a_deleted_resource_is_retried(rig):
     store, sim, trace, service_op, _ = rig
     write_demand(store, SVC, "svc-x", config=svc_config())
@@ -1011,10 +1070,10 @@ def test_failed_teardown_of_a_deleted_resource_is_retried(rig):
     assert errors == ["reconcile-failed"]
     # the give-up names the last generation the operator read
     assert trace.records[-1].get("detail") == "svc-x@2:NothingRunningError"
-    # the resource is gone, and the record's retry still tears down
+    # the resource is gone, and its finalizer's retry still tears down
     service_op.run_pending()
     assert sim.instances() == ()
-    assert service_op._resources == {}
+    assert service_op.records() == ()
     errors = [r.get("kind") for r in trace.records if r.tag == "ERROR"]
     assert errors == ["reconcile-failed"]
 

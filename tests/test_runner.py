@@ -768,8 +768,8 @@ def assert_restarts_change_nothing(scenario, ticks, duplicate_delivery=False):
 @pytest.mark.parametrize("duplicate_delivery", [False, True])
 @pytest.mark.parametrize("fixture", ["reference_scenario", "upgrade_scenario"])
 def test_restarted_operators_adopt_what_runs(request, fixture, duplicate_delivery):
-    # The new operators' watches list every resource, and each new record
-    # adopts the units running under its name instead of deploying again.
+    # The new operators' watches list every resource, and each reads the
+    # units its stored status lists instead of deploying again.
     # Every status is current, so the catch-up reconciles and traces nothing.
     scenario = request.getfixturevalue(fixture)
     ticks = range(1, scenario.tick_budget + 1)
@@ -820,6 +820,56 @@ def test_a_restart_inside_a_longer_fault_burst_is_retried_away(
         assert_failures_retried_away(scenario, width, methods, restart=True)
 
 
+# -- units that exit on their own ----------------------------------------------
+
+
+def dead_units(system):
+    """The units that stored statuses list and that no longer run."""
+    running = {i.instance_id for i in system.sim.instances()}
+    return [
+        unit
+        for kind in ResourceKind
+        for name in system.store.list_crs(kind)
+        for unit in system.store.get_cr(kind, name).status.instance_ids
+        if unit not in running
+    ]
+
+
+def test_a_unit_that_exits_on_its_own_is_repaired(
+    reference_scenario, upgrade_scenario
+):
+    # At each tick from 2 on, the first or the last running instance exits
+    # before the tick's requests, as a crash would, once per run.  Its
+    # owner's name is queued, and the drain finds the set it belonged to
+    # gone: what is left of it strays, and a live spec deploys again.
+    kills = 0
+    for scenario in (reference_scenario, upgrade_scenario):
+        for duplicate_delivery in (False, True):
+            for due in range(2, scenario.tick_budget + 1):
+                for victim in (0, -1):
+                    run = f"{scenario.name} {duplicate_delivery} {due} {victim}"
+                    runner = ScenarioRunner(scenario, duplicate_delivery)
+                    system, tick_body, ticks = runner.system, runner._tick, count(1)
+                    killed = False
+
+                    def tick(requests):
+                        nonlocal killed, kills
+                        if not killed and next(ticks) == due:
+                            killed = True
+                            running = system.sim.instances()
+                            if running:
+                                system.sim.exit_instance(running[victim].instance_id)
+                                kills += 1
+                        tick_body(requests)
+                        assert not dead_units(system), run
+
+                    runner._tick = tick
+                    runner.run()
+                    assert system_is_empty(system), run
+                    assert not records_with(runner.trace, TAG_ERROR), run
+    assert kills == 180
+
+
 def unledgered_lines(trace):
     return [line for line in trace.render().splitlines()
             if not line.startswith(TAG_LEDGER)]
@@ -831,7 +881,7 @@ def test_a_restart_after_a_failed_call_traces_no_action_twice(
     request, fixture, duplicate_delivery
 ):
     # A given-up teardown traced its terminate and wrote no units into the
-    # stored status; the new record adopts those units, not the ones still
+    # stored status; the new operator reads those units, not the ones still
     # running, so the restart neither repeats the terminate nor changes any
     # other line.  Only the catch-up's LEDGER lines may differ.
     scenario = request.getfixturevalue(fixture)

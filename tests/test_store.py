@@ -103,12 +103,46 @@ def test_find_reads_spec_generation_and_status(store):
     second = spec(requesters=("B",))
     store.apply_cr(SVC, "x", second)
     assert store.find(SVC, "x") == (second, 2, running)
+    # deleted: a finalizer, with an empty spec at the generation its status
+    # observed, whose status can be written
     store.delete_cr(SVC, "x")
-    assert store.find(SVC, "x") is None
-    # another life: it starts at generation 1 with an empty status, so no
-    # status of the last life can reach it
+    assert store.find(SVC, "x") == (DemandLedger(), 1, running)
+    pending = running._replace(phase=Phase.PENDING, instance_ids=())
+    store.update_status(SVC, "x", pending)
+    assert store.find(SVC, "x") == (DemandLedger(), 1, pending)
+    # another life starts at generation 1 with the units the last one left,
+    # and no other part of its status
     store.apply_cr(SVC, "x", first)
     assert store.find(SVC, "x") == (first, 1, ResourceStatus())
+    store.update_status(SVC, "x", running)
+    store.delete_cr(SVC, "x")
+    store.apply_cr(SVC, "x", first)
+    assert store.find(SVC, "x") == (
+        first, 1, ResourceStatus(instance_ids=("i-0001",))
+    )
+    # a finalizer is kept whether or not its status lists units, and
+    # deleting it drops it
+    store.update_status(SVC, "x", ResourceStatus(observed_generation=1))
+    store.delete_cr(SVC, "x")
+    assert store.find(SVC, "x") == (
+        DemandLedger(), 1, ResourceStatus(observed_generation=1)
+    )
+    store.delete_cr(SVC, "x")
+    assert store.find(SVC, "x") is None
+
+
+def test_deleting_a_finalizer_drops_it_unlogged_and_unqueued(store):
+    store.apply_cr(SVC, "x", spec())
+    store.update_status(SVC, "x", ResourceStatus(Phase.RUNNING, ("A",), ("i-0001",), 1))
+    store.delete_cr(SVC, "x")
+    watcher, log_before = store.watch(SVC), list(store.event_log)
+    assert list(watcher) == ["x"]  # a late watch lists the finalizer
+    watcher.clear()
+    store.delete_cr(SVC, "x")
+    assert store.find(SVC, "x") is None
+    assert (list(watcher), store.event_log) == ([], log_before)
+    with pytest.raises(NotFoundError):
+        store.delete_cr(SVC, "x")
 
 
 CONFIG_POOL = [
@@ -377,27 +411,43 @@ def test_watchers_only_see_their_kind(store):
 
 
 def _random_ops(seed, store, after_op=lambda kind, name, mirror: None):
-    """Drive a random op sequence, calling `after_op` after each op.
+    """Drive a random op sequence, calling `after_op` after each logged op.
 
-    Returns the mirror of expected state, (kind, name) -> generation, and
-    the (kind, name) of every op in order.
+    A delete leaves a finalizer: a re-create inherits the units its status
+    lists, as a write may give it some, and a delete of it drops it,
+    unlogged.  Returns the mirror of expected state,
+    (kind, name) -> generation; the finalizers left, (kind, name) -> units;
+    and the (kind, name) of every logged op in order.
     """
     rng = random.Random(seed)
-    mirror = {}
-    ops = []
-    for _ in range(rng.randrange(10, 40)):
+    mirror, finalizers, ops = {}, {}, []
+    for step in range(rng.randrange(10, 40)):
         kind = rng.choice([SVC, CONN])
         name = rng.choice("abc")
         key = (kind, name)
+        if key in finalizers and rng.random() < 0.25:
+            store.delete_cr(kind, name)
+            del finalizers[key]
+            continue
         if key in mirror and rng.random() < 0.25:
+            units = store.get_cr(kind, name).status.instance_ids
             store.delete_cr(kind, name)
             del mirror[key]
+            finalizers[key] = units
         else:
+            generation = mirror[key] = mirror.get(key, 0) + 1
             store.apply_cr(kind, name, spec())
-            mirror[key] = mirror.get(key, 0) + 1
+            if generation == 1:
+                inherited = ResourceStatus(instance_ids=finalizers.pop(key, ()))
+                assert store.get_cr(kind, name).status == inherited
+            if rng.random() < 0.5:
+                store.update_status(
+                    kind, name,
+                    ResourceStatus(Phase.RUNNING, ("A",), (f"i-{step}",), generation),
+                )
         ops.append(key)
         after_op(kind, name, mirror)
-    return mirror, ops
+    return mirror, finalizers, ops
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -417,7 +467,7 @@ def test_per_name_generations_are_gap_free(seed, store):
             assert not store.exists(kind, name)
             del last[key]
 
-    _, ops = _random_ops(seed, store, check)
+    _, _, ops = _random_ops(seed, store, check)
     # each watch queued each name of an op on its kind once, in order
     for kind, watcher in watchers.items():
         assert list(watcher) == list(dict.fromkeys(n for k, n in ops if k == kind))
@@ -425,14 +475,27 @@ def test_per_name_generations_are_gap_free(seed, store):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_event_log_replay_reconstructs_final_state(seed, store):
-    mirror, ops = _random_ops(seed, store)
-    # the log holds one name per real mutation, in order
+    mirror, finalizers, ops = _random_ops(seed, store)
+    # the log holds one name per logged mutation, in order
     assert len(store.event_log) == len(ops)
     assert store.event_log == [name for _, name in ops]
-    # and the store's own listing agrees with the mirror
+    # and the store's own listing agrees with the mirror: no reader but
+    # `find` sees a finalizer
     listed = {
         (kind, name): store.get_cr(kind, name).generation
         for kind in (SVC, CONN)
         for name in store.list_crs(kind)
     }
     assert listed == mirror
+    assert store.total_resources() == len(mirror)
+    for (kind, name), units in finalizers.items():
+        assert not store.exists(kind, name)
+        assert store.get_spec(kind, name) == DemandLedger()
+        with pytest.raises(NotFoundError):
+            store.get_cr(kind, name)
+        assert store.find(kind, name)[2].instance_ids == units
+    # a late watch lists every resource, then every finalizer
+    for kind in (SVC, CONN):
+        assert list(store.watch(kind)) == [
+            *store.list_crs(kind), *(n for k, n in finalizers if k == kind)
+        ]
